@@ -11,17 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casas import NUM_ACTIVITIES, NUM_RESIDENTS, LabelPair
+from .casas import NUM_ACTIVITIES, NUM_RESIDENTS
 from .windowing import stack_windows
 
 NUM_COMPOSITE = NUM_RESIDENTS * NUM_ACTIVITIES
 MIN_GINI_GAIN = 1e-12
-
-
-@dataclass
-class FlatSample:
-    features: np.ndarray  # length k * vocab, values 0/1
-    label: LabelPair
 
 
 class FlatDataset:
@@ -43,56 +37,17 @@ class FlatDataset:
         n, k, vocab = events.shape
         return cls(events.reshape(n, k * vocab), residents, activities)
 
-    def sample(self, i: int) -> FlatSample:
-        return FlatSample(self.X[i],
-                          LabelPair(int(self.residents[i]), int(self.activities[i])))
-
-
-def flatten_window(window) -> FlatSample:
-    return FlatSample(window.stacked().ravel(), window.label)
-
-
-def _as_features(query):
-    if isinstance(query, FlatSample):
-        return query.features
-    return np.asarray(query, dtype=np.float64)
-
 
 def _majority(labels: np.ndarray, num_classes: int) -> int:
     # first argmax wins, so vote ties go to the smallest class index
     return int(np.argmax(np.bincount(labels, minlength=num_classes)))
 
 
-def _squared_distances(X: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # dot expansion; exact for 0/1 features, and the single formula keeps
-    # the tie rule identical between single and batched prediction
-    return (X * X).sum(axis=1) - 2.0 * (X @ q) + float(q @ q)
-
-
-def knn_predict(train: FlatDataset, query, k_neighbors: int = 5) -> LabelPair:
-    """Euclidean k-NN with independent majority votes per head.
-
-    Distance ties resolve to the earliest training index; vote ties to the
-    smallest class index.
-    """
-    if len(train) == 0:
-        raise ValueError("knn_predict: empty training set")
-    if not 1 <= k_neighbors <= len(train):
-        raise ValueError(
-            f"k_neighbors must be in 1..{len(train)}, got {k_neighbors}"
-        )
-    q = _as_features(query)
-    d2 = _squared_distances(train.X, q)
-    nearest = np.argsort(d2, kind="stable")[:k_neighbors]
-    return LabelPair(
-        _majority(train.residents[nearest], NUM_RESIDENTS),
-        _majority(train.activities[nearest], NUM_ACTIVITIES),
-    )
-
-
 def knn_predict_batch(train: FlatDataset, queries: np.ndarray,
                       k_neighbors: int = 5, chunk_size: int = 256):
-    """Vectorized knn_predict over query rows; same tie rules."""
+    """Euclidean k-NN per query row with independent majority votes per
+    head; distance ties go to the earliest training index, vote ties to the
+    smallest class index. Returns (residents, activities) int arrays."""
     if len(train) == 0:
         raise ValueError("knn_predict_batch: empty training set")
     if not 1 <= k_neighbors <= len(train):
@@ -133,30 +88,20 @@ class _Node:
 
 class DecisionTree:
     """CART over the joint (resident, activity) target encoded as
-    resident * 15 + activity; leaves decode back to a LabelPair."""
+    resident * 15 + activity; predictions decode back to both heads."""
 
     def __init__(self, root: _Node, depth: int, node_count: int):
         self.root = root
         self.depth = depth
         self.node_count = node_count
 
-    def predict_composite(self, features) -> int:
-        x = _as_features(features)
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.prediction
-
-    def predict(self, query) -> LabelPair:
-        composite = self.predict_composite(query)
-        return LabelPair(composite // NUM_ACTIVITIES, composite % NUM_ACTIVITIES)
-
     def predict_batch(self, queries: np.ndarray):
-        queries = np.asarray(queries, dtype=np.float64)
-        composites = np.fromiter(
-            (self.predict_composite(q) for q in queries),
-            dtype=np.int64, count=len(queries),
-        )
+        composites = np.empty(len(queries), dtype=np.int64)
+        for row, x in enumerate(np.asarray(queries, dtype=np.float64)):
+            node = self.root
+            while not node.is_leaf:
+                node = node.left if x[node.feature] <= node.threshold else node.right
+            composites[row] = node.prediction
         return composites // NUM_ACTIVITIES, composites % NUM_ACTIVITIES
 
 

@@ -14,10 +14,6 @@ import datetime as dt
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .numerics import Tensor
-
 NUM_RESIDENTS = 2
 NUM_ACTIVITIES = 15
 
@@ -209,9 +205,14 @@ def parse_file(path, vocab: SensorVocabulary = DEFAULT_VOCAB,
                check_order: bool = True) -> FileParseResult:
     """Parse one log file; verifies events are non-decreasing in time."""
     result = FileParseResult(source=str(path), events=[])
-    with open(path, "r", encoding="ascii") as fh:
+    # surrogateescape keeps undecodable bytes in the line (as U+DC80..U+DCFF)
+    # so the error can name the line they are on
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         prev = None
         for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+                raise ParseError(f"undecodable byte 0x{byte:02x}", str(path), line_no)
             parsed = parse_line(line, vocab, source=str(path), line_no=line_no)
             if parsed is SKIP:
                 if line.split():
@@ -233,13 +234,6 @@ def parse_file(path, vocab: SensorVocabulary = DEFAULT_VOCAB,
 def filter_on(events, on_value: str = "ON"):
     """Keep exactly the events whose value equals on_value, in order."""
     return [e for e in events if e.value == on_value]
-
-
-def one_hot(event: SensorEvent, vocab: SensorVocabulary = DEFAULT_VOCAB) -> Tensor:
-    """Indicator embedding shaped (1 channel, vocab size)."""
-    vec = np.zeros((1, len(vocab)))
-    vec[0, event.sensor] = 1.0
-    return Tensor(vec)
 
 
 def split_files(files, ratio: float = 0.7, seed: int = 0) -> DatasetSplit:

@@ -114,7 +114,7 @@ def read_config_file(path) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -173,6 +173,13 @@ class RunConfig:
     def echo(self, out_dir):
         lines = [f"{k}={self._used[k]}" for k in sorted(self._used)]
         (Path(out_dir) / "config_used.txt").write_text("\n".join(lines) + "\n")
+
+
+def _window_size(cfg) -> int:
+    k = cfg.get("k")
+    if k < 2:
+        raise UsageError(f"k must be >= 2, got {k}")
+    return k
 
 
 def _dtype_of(name: str):
@@ -274,9 +281,7 @@ def cmd_ingest(cfg) -> int:
 def cmd_train(cfg) -> int:
     data = cfg.require("data")
     out = _out_dir(cfg)
-    k = cfg.get("k")
-    if k < 2:
-        raise UsageError(f"k must be >= 2, got {k}")
+    k = _window_size(cfg)
     on_value = cfg.get("on_value")
     dtype = _dtype_of(cfg.get("dtype"))
     cv = cfg.get("cv")
@@ -361,11 +366,11 @@ def cmd_eval(cfg) -> int:
 
     if method == "tsc":
         checkpoint = cfg.require("checkpoint")
-        expect_k = cfg.get("k") if cfg.was_set("k") else None
+        expect_k = _window_size(cfg) if cfg.was_set("k") else None
         params = model.load_params(checkpoint, expect_k=expect_k)
         k = params.k
     else:
-        k = cfg.get("k")
+        k = _window_size(cfg)
 
     split = _split(cfg, files)
     test_windows = load_windows(split.test_files, k, on_value)
@@ -406,7 +411,7 @@ def cmd_eval(cfg) -> int:
 def cmd_sweep(cfg) -> int:
     data = cfg.require("data")
     out = _out_dir(cfg)
-    k = cfg.get("k")
+    k = _window_size(cfg)
     on_value = cfg.get("on_value")
     dtype = _dtype_of(cfg.get("dtype"))
     # tuning runs default to 15 epochs, not the final-training 25
@@ -437,24 +442,22 @@ def cmd_sweep(cfg) -> int:
 def cmd_predict(cfg) -> int:
     checkpoint = cfg.require("checkpoint")
     history = cfg.require("history")
-    expect_k = cfg.get("k") if cfg.was_set("k") else None
+    expect_k = _window_size(cfg) if cfg.was_set("k") else None
     params = model.load_params(checkpoint, expect_k=expect_k)
     parsed = casas.parse_file(history)
     events = casas.filter_on(parsed.events, cfg.get("on_value"))
     if not events:
         raise DataError(f"history file {history} has no usable events")
-    windows = windowing.make_windows(events, params.k, source=str(history))
-    prediction = model.predict(windows[-1], params)
-    label = prediction.label()
+    # the target's window needs only the last k events
+    window = windowing.make_windows(events[-params.k:], params.k)[-1]
+    label = model.predict(window, params).label()
     print(f"resident={label.resident_id + 1} activity={label.activity_id + 1} "
           f"({casas.ACTIVITY_NAMES[label.activity_id]})")
     return 0
 
 
 def cmd_gradcheck(cfg) -> int:
-    k = cfg.get("k")
-    if k < 2:
-        raise UsageError(f"k must be >= 2, got {k}")
+    k = _window_size(cfg)
     seed = cfg.get("seed")
     probes = cfg.get("probes")
     batch = cfg.get("batch")

@@ -36,15 +36,9 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def update(self, true_class: int, predicted_class: int, weight: int = 1):
-        self.counts[true_class, predicted_class] += weight
-
     def update_many(self, true_classes, predicted_classes):
         np.add.at(self.counts, (np.asarray(true_classes),
                                 np.asarray(predicted_classes)), 1)
-
-    def merge(self, other: "ConfusionMatrix"):
-        self.counts += other.counts
 
     def accuracy(self) -> float:
         total = self.total
@@ -79,9 +73,6 @@ class ConfusionMatrix:
 
     def macro_precision(self) -> float:
         return float(np.mean(self.per_class_precision()))
-
-    def macro_recall(self) -> float:
-        return float(np.mean(self.per_class_recall()))
 
     def macro_f1(self) -> float:
         return float(np.mean(self.per_class_f1()))

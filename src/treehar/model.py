@@ -10,11 +10,13 @@ the flattened top feature: one over residents, one over activities.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .casas import NUM_ACTIVITIES, NUM_RESIDENTS, LabelPair
+from .casas import DEFAULT_VOCAB, NUM_ACTIVITIES, NUM_RESIDENTS, LabelPair
 from .numerics import (
     ParamTensor,
     ShapeError,
@@ -27,6 +29,7 @@ from .numerics import (
     relu,
     softmax,
 )
+from .windowing import stack_windows
 
 KERNEL_SIZE = 3
 
@@ -105,19 +108,12 @@ class ModelParams:
     def __iter__(self):
         return iter(self._tensors.values())
 
-    def names(self):
-        return list(self._tensors)
-
     def tensors(self):
         return list(self._tensors.values())
 
     def weight_tensors(self):
         """Weights only, biases excluded (the L2 penalty set)."""
         return [p for n, p in self._tensors.items() if n.endswith(".weight")]
-
-    def zero_grads(self):
-        for p in self._tensors.values():
-            p.zero_grad()
 
     @property
     def plan(self):
@@ -190,28 +186,13 @@ def basic_module(feature: Tensor, event: Tensor, layer: LayerView,
     return relu(add(h, r, tape), tape)
 
 
-def _fold(event_slices, params: ModelParams, tape: Tape = None) -> Tensor:
-    """event_slices[j] is the embedding of event t-j; fold oldest-last."""
-    feature = basic_module(event_slices[1], event_slices[0], params.layer(1), tape)
-    for i in range(2, params.k):
-        feature = basic_module(feature, event_slices[i], params.layer(i), tape)
-    return feature
-
-
-def tree_forward(window, params: ModelParams, tape: Tape = None) -> Tensor:
-    """Top feature map (c_last, vocab) for one window."""
-    if window.k != params.k:
-        raise ShapeError(f"window has k={window.k}, model expects k={params.k}")
-    k = params.k
-    slices = [window.embeddings[k - 1 - j] for j in range(k)]
-    return _fold(slices, params, tape)
-
-
 def forward_batch(events: np.ndarray, params: ModelParams, tape: Tape = None):
     """Batched forward over stacked windows.
 
     events is (batch, k, vocab) as produced by windowing.stack_windows.
-    Returns (features, resident_probs, activity_probs) with probs shaped
+    Slice j holds event t-j; the fold merges the target and its
+    predecessor first, then one older event per basic module. Returns
+    (features, resident_probs, activity_probs) with probs shaped
     (batch, 2) and (batch, 15).
     """
     n, k, vocab = events.shape
@@ -222,7 +203,9 @@ def forward_batch(events: np.ndarray, params: ModelParams, tape: Tape = None):
             f"events have vocab {vocab}, model expects {params.vocab_size}"
         )
     slices = [Tensor(events[:, k - 1 - j, :][:, None, :]) for j in range(k)]
-    features = _fold(slices, params, tape)
+    features = basic_module(slices[1], slices[0], params.layer(1), tape)
+    for i in range(2, k):
+        features = basic_module(features, slices[i], params.layer(i), tape)
     resident_probs, activity_probs = head_probs(features, params, tape)
     return features, resident_probs, activity_probs
 
@@ -250,10 +233,11 @@ class Prediction:
         )
 
 
-def predict(window, params: ModelParams, tape: Tape = None) -> Prediction:
-    features = tree_forward(window, params, tape)
-    resident, activity = head_probs(features, params, tape)
-    return Prediction(resident, activity)
+def predict(window, params: ModelParams) -> Prediction:
+    """Class probabilities for one window, as a batch of one."""
+    events, _, _ = stack_windows([window], dtype=params.dtype)
+    _, resident, activity = forward_batch(events, params)
+    return Prediction(Tensor(resident.data[0]), Tensor(activity.data[0]))
 
 
 def predict_batch(events: np.ndarray, params: ModelParams):
@@ -270,7 +254,9 @@ def predict_batch(events: np.ndarray, params: ModelParams):
 
 def save_params(params: ModelParams, path):
     """Self-describing JSON checkpoint. Values are serialized via python
-    float repr, which round-trips float64 (and widened float32) exactly."""
+    float repr, which round-trips float64 (and widened float32) exactly.
+    The file is written beside the target and renamed over it, so a crash
+    mid-write leaves the previous checkpoint intact."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -287,13 +273,23 @@ def save_params(params: ModelParams, path):
             for p in params
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_params(path, expect_k: int = None) -> ModelParams:
     """Load a checkpoint written by save_params; fully validated before
-    anything is returned, so a bad file never yields a partial model."""
+    anything is returned, so a bad file never yields a partial model and
+    every model it returns is finite."""
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
@@ -307,13 +303,22 @@ def load_params(path, expect_k: int = None) -> ModelParams:
             f"checkpoint version {doc.get('version')} unsupported "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    try:
-        k = int(doc["k"])
-        vocab_size = int(doc["vocab_size"])
-        dtype = np.dtype(doc["dtype"])
-        entries = doc["tensors"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {path} missing field: {exc}") from None
+    k, vocab_size, dtype, entries = (
+        doc.get(f) for f in ("k", "vocab_size", "dtype", "tensors"))
+    if not isinstance(entries, list):
+        raise CheckpointError(f"checkpoint {path}: tensors must be a list")
+    # a k-window model has 8 tensors per basic module, so k is bounded by
+    # the file's own tensor count before any shape table is built
+    if type(k) is not int or not 2 <= k <= len(entries):
+        raise CheckpointError(
+            f"checkpoint {path}: k={k!r} is not an integer in 2..{len(entries)}")
+    if type(vocab_size) is not int or vocab_size != len(DEFAULT_VOCAB):
+        raise CheckpointError(
+            f"checkpoint {path}: vocab_size {vocab_size!r}, "
+            f"expected {len(DEFAULT_VOCAB)}")
+    if dtype not in ("float32", "float64"):
+        raise CheckpointError(
+            f"checkpoint {path}: dtype {dtype!r} is not float32 or float64")
 
     expected = expected_shapes(k, vocab_size)
     if expect_k is not None and k != expect_k:
@@ -339,16 +344,19 @@ def load_params(path, expect_k: int = None) -> ModelParams:
         entry = by_name.get(name)
         if entry is None:
             raise CheckpointError(f"checkpoint {path} is missing tensor {name}")
-        got_shape = tuple(entry.get("shape", ()))
-        if got_shape != shape:
+        got_shape, values = entry.get("shape"), entry.get("values")
+        if not isinstance(got_shape, list) or tuple(got_shape) != shape:
             raise CheckpointError(
-                f"tensor {name}: shape {got_shape} in file, expected {shape}"
+                f"tensor {name}: shape {got_shape!r} in file, expected {shape}"
             )
-        values = np.asarray(entry.get("values", ()), dtype=dtype)
-        if values.size != int(np.prod(shape)):
-            raise CheckpointError(
-                f"tensor {name}: {values.size} values for shape {shape}"
-            )
+        try:
+            values = np.asarray(values, dtype=dtype) if isinstance(values, list) else None
+        except (TypeError, ValueError, OverflowError):
+            values = None
+        if values is None or values.shape != (int(np.prod(shape)),):
+            raise CheckpointError(f"tensor {name}: values do not fill {shape} with numbers")
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"tensor {name} holds NaN or Inf")
         tensors[name] = ParamTensor(name, Tensor(values.reshape(shape)))
     unknown = set(by_name) - set(expected)
     if unknown:

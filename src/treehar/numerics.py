@@ -2,9 +2,10 @@
 
 Forward operations record themselves on an explicit Tape; the tape is a
 linear record of the forward pass, so walking it backwards visits every
-node after all of its consumers. Gradients accumulate into ParamTensor
-grads via backward(). No general graph engine, no broadcasting beyond
-what the fixed architecture needs.
+node after all of its consumers. Parameter gradients accumulate into
+ParamTensor grads via backward(). Every operation takes a leading batch
+axis. No general graph engine, no broadcasting beyond what the fixed
+architecture needs.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if arr.ndim > 3:
@@ -63,51 +64,8 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data)))
-
-    def require_finite(self, context: str = "tensor"):
-        if not self.is_finite():
-            raise NumericError(f"{context} contains NaN or Inf")
-        return self
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
-
-
-def zeros(shape, dtype=np.float64) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    """Shape contract of one convolution: stride is fixed at 1 and padding
-    at (kernel_size-1)/2 so spatial length is always preserved."""
-
-    in_channels: int
-    out_channels: int
-    kernel_size: int
-
-    def __post_init__(self):
-        if self.in_channels < 1:
-            raise ShapeError(f"in_channels must be positive, got {self.in_channels}")
-        if self.out_channels < 1:
-            raise ShapeError(f"out_channels must be positive, got {self.out_channels}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ShapeError(
-                f"kernel_size must be odd and positive, got {self.kernel_size}"
-            )
-
-    @property
-    def stride(self) -> int:
-        return 1
-
-    @property
-    def padding(self) -> int:
-        return (self.kernel_size - 1) // 2
 
 
 @dataclass
@@ -121,7 +79,7 @@ class ParamTensor:
 
     def __post_init__(self):
         if self.grad is None:
-            self.grad = zeros(self.value.shape, dtype=self.value.dtype)
+            self.grad = Tensor(np.zeros(self.value.shape, dtype=self.value.dtype))
         if self.grad.shape != self.value.shape:
             raise ShapeError(
                 f"param {self.name}: grad shape {self.grad.shape} "
@@ -145,8 +103,9 @@ class Tape:
     def record(self, out: Tensor, bwd):
         self._nodes.append((out, bwd))
 
-    def gradients(self, loss: Tensor) -> "Gradients":
-        """Walk the tape in reverse from a scalar loss."""
+    def gradients(self, loss: Tensor) -> dict:
+        """Walk the tape in reverse from a scalar loss; returns the
+        gradient of every reached tensor, keyed by id(tensor)."""
         if not self._nodes:
             raise TapeError("backward requested but no forward pass was recorded")
         if loss.shape != ():
@@ -162,31 +121,17 @@ class Tape:
             g = table.get(id(out))
             if g is not None:
                 bwd(g, accumulate)
-        return Gradients(table, self)
+        return table
 
 
-class Gradients:
-    """Gradient lookup keyed by tensor identity; holds the tape alive so
-    object ids stay valid."""
-
-    def __init__(self, table, tape):
-        self._table = table
-        self._tape = tape
-
-    def wrt(self, t: Tensor) -> np.ndarray:
-        g = self._table.get(id(t))
-        if g is None:
-            return np.zeros(t.shape, dtype=t.dtype)
-        return np.broadcast_to(g, t.shape).astype(t.dtype, copy=False)
-
-
-def backward(loss: Tensor, tape: Tape, params) -> Gradients:
+def backward(loss: Tensor, tape: Tape, params):
     """Accumulate d(loss)/d(param) into every ParamTensor.grad."""
-    grads = tape.gradients(loss)
+    table = tape.gradients(loss)
     for p in params:
-        p.grad.data += grads.wrt(p.value)
+        g = table.get(id(p.value))
+        if g is not None:
+            p.grad.data += g
         p.grad_ready = True
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +144,11 @@ def _require_tensor(x, op, arg):
     return x
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, spec: ConvSpec = None,
-           tape: Tape = None) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     """1D cross-correlation, stride 1, zero padding (M-1)/2, pre-activation.
 
-    x is (c_in, L) or batched (batch, c_in, L); w is (c_out, c_in, M);
-    b is (c_out,). Output length equals input length.
+    x is (batch, c_in, L); w is (c_out, c_in, M) with M odd; b is (c_out,).
+    The output is (batch, c_out, L): length is preserved.
     """
     _require_tensor(x, "conv1d", "input")
     _require_tensor(w, "conv1d", "weights")
@@ -212,21 +156,15 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, spec: ConvSpec = None,
     if w.data.ndim != 3:
         raise ShapeError(f"conv1d: weights must be rank 3, got shape {w.shape}")
     c_out, c_in, m = w.shape
-    if spec is None:
-        spec = ConvSpec(c_in, c_out, m)
-    elif (spec.in_channels, spec.out_channels, spec.kernel_size) != (c_in, c_out, m):
-        raise ShapeError(
-            f"conv1d: weights shape {w.shape} does not match spec "
-            f"({spec.out_channels}, {spec.in_channels}, {spec.kernel_size})"
-        )
+    if m % 2 == 0:
+        raise ShapeError(f"conv1d: kernel size must be odd, got {m}")
     if b.shape != (c_out,):
         raise ShapeError(f"conv1d: bias shape {b.shape} != out_channels ({c_out},)")
-
-    batched = x.data.ndim == 3
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"conv1d: input must be rank 2 or 3, got shape {x.shape}")
-    x3 = x.data if batched else x.data[None]
-    n_batch, x_channels, length = x3.shape
+    if x.data.ndim != 3:
+        raise ShapeError(
+            f"conv1d: input must be rank 3 (batch, channels, length), got shape {x.shape}"
+        )
+    n_batch, x_channels, length = x.shape
     if x_channels != c_in:
         raise ShapeError(
             f"conv1d: input has {x_channels} channels, weights expect {c_in}"
@@ -234,25 +172,22 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, spec: ConvSpec = None,
     if length < 1:
         raise ShapeError("conv1d: input length must be >= 1")
 
-    pad = spec.padding
-    padded = np.zeros((n_batch, c_in, length + 2 * pad), dtype=x3.dtype)
-    padded[:, :, pad:pad + length] = x3
+    pad = (m - 1) // 2
+    padded = np.zeros((n_batch, c_in, length + 2 * pad), dtype=x.dtype)
+    padded[:, :, pad:pad + length] = x.data
     wins = sliding_window_view(padded, m, axis=2)          # (B, c_in, L, M)
     out3 = np.tensordot(wins, w.data, axes=([1, 3], [1, 2]))   # (B, L, c_out)
-    out3 = out3.transpose(0, 2, 1) + b.data[:, None]
-    out = Tensor(out3 if batched else out3[0])
+    out = Tensor(out3.transpose(0, 2, 1) + b.data[:, None])
 
     if tape is not None:
         def bwd(g, acc):
-            g3 = g if batched else g[None]
-            acc(b, g3.sum(axis=(0, 2)))
-            acc(w, np.tensordot(g3, wins, axes=([0, 2], [0, 2])))
-            gpad = np.zeros((n_batch, c_out, length + 2 * pad), dtype=g3.dtype)
-            gpad[:, :, pad:pad + length] = g3
+            acc(b, g.sum(axis=(0, 2)))
+            acc(w, np.tensordot(g, wins, axes=([0, 2], [0, 2])))
+            gpad = np.zeros((n_batch, c_out, length + 2 * pad), dtype=g.dtype)
+            gpad[:, :, pad:pad + length] = g
             gwins = sliding_window_view(gpad, m, axis=2)   # (B, c_out, L, M)
             gin = np.tensordot(gwins, w.data[:, :, ::-1], axes=([1, 3], [0, 2]))
-            gin = gin.transpose(0, 2, 1)
-            acc(x, gin if batched else gin[0])
+            acc(x, gin.transpose(0, 2, 1))
         tape.record(out, bwd)
     return out
 
@@ -281,19 +216,8 @@ def add(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     return out
 
 
-def scale(x: Tensor, c: float, tape: Tape = None) -> Tensor:
-    """Multiply by a python constant (the constant is not differentiated)."""
-    _require_tensor(x, "scale", "input")
-    out = Tensor(x.data * c)
-    if tape is not None:
-        def bwd(g, acc):
-            acc(x, g * c)
-        tape.record(out, bwd)
-    return out
-
-
 def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
-    """Affine map: out = w @ x + b; x is (D,) or batched (batch, D)."""
+    """Affine map of each row: out = x @ w.T + b; x is (batch, D)."""
     _require_tensor(x, "dense", "input")
     _require_tensor(w, "dense", "weights")
     _require_tensor(b, "dense", "bias")
@@ -302,36 +226,26 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     k, d = w.shape
     if b.shape != (k,):
         raise ShapeError(f"dense: bias shape {b.shape} != output size ({k},)")
-    batched = x.data.ndim == 2
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"dense: input must be rank 1 or 2, got shape {x.shape}")
+    if x.data.ndim != 2:
+        raise ShapeError(f"dense: input must be rank 2 (batch, D), got shape {x.shape}")
     if x.shape[-1] != d:
         raise ShapeError(f"dense: input size {x.shape[-1]} != weight columns {d}")
 
-    if batched:
-        out = Tensor(x.data @ w.data.T + b.data)
-    else:
-        out = Tensor(w.data @ x.data + b.data)
-
+    out = Tensor(x.data @ w.data.T + b.data)
     if tape is not None:
         def bwd(g, acc):
-            if batched:
-                acc(w, g.T @ x.data)
-                acc(b, g.sum(axis=0))
-                acc(x, g @ w.data)
-            else:
-                acc(w, np.outer(g, x.data))
-                acc(b, g.copy())
-                acc(x, g @ w.data)
+            acc(w, g.T @ x.data)
+            acc(b, g.sum(axis=0))
+            acc(x, g @ w.data)
         tape.record(out, bwd)
     return out
 
 
 def softmax(x: Tensor, tape: Tape = None) -> Tensor:
-    """Max-subtracted softmax over the last axis; x is (K,) or (batch, K)."""
+    """Max-subtracted softmax over the last axis of (batch, K) logits."""
     _require_tensor(x, "softmax", "logits")
-    if x.data.ndim not in (1, 2) or x.shape[-1] < 1:
-        raise ShapeError(f"softmax: logits must be rank 1 or 2, got shape {x.shape}")
+    if x.data.ndim != 2 or x.shape[-1] < 1:
+        raise ShapeError(f"softmax: logits must be (batch, K), got shape {x.shape}")
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
@@ -345,31 +259,11 @@ def softmax(x: Tensor, tape: Tape = None) -> Tensor:
 
 
 def cross_entropy(probs: Tensor, target, tape: Tape = None) -> Tensor:
-    """-ln(probs[target]) with the probability clipped at 1e-12.
-
-    probs (K,) with an int target gives a scalar; probs (batch, K) with a
-    length-batch index sequence gives a (batch,) loss vector.
-    """
+    """Per-row -ln(probs[row, target[row]]), the probability clipped at
+    1e-12: probs (batch, K) and batch targets give a (batch,) loss vector."""
     _require_tensor(probs, "cross_entropy", "probs")
-    if probs.data.ndim == 1:
-        t = int(target)
-        k = probs.shape[0]
-        if not 0 <= t < k:
-            raise IndexError(f"cross_entropy: target {t} out of range [0, {k})")
-        pt = probs.data[t:t + 1]
-        loss = Tensor(-np.log(np.maximum(pt, CROSS_ENTROPY_CLIP))[0])
-
-        if tape is not None:
-            def bwd(g, acc):
-                gp = np.zeros_like(probs.data)
-                if pt[0] > CROSS_ENTROPY_CLIP:
-                    gp[t] = -g / pt[0]
-                acc(probs, gp)
-            tape.record(loss, bwd)
-        return loss
-
     if probs.data.ndim != 2:
-        raise ShapeError(f"cross_entropy: probs must be rank 1 or 2, got {probs.shape}")
+        raise ShapeError(f"cross_entropy: probs must be (batch, K), got {probs.shape}")
     targets = np.asarray(target, dtype=np.int64)
     n, k = probs.shape
     if targets.shape != (n,):
@@ -403,28 +297,31 @@ def mean(x: Tensor, tape: Tape = None) -> Tensor:
     return out
 
 
-def sum_squares(x: Tensor, tape: Tape = None) -> Tensor:
-    """Scalar sum of squared entries (the L2 penalty building block)."""
-    _require_tensor(x, "sum_squares", "input")
-    out = Tensor(np.asarray((x.data * x.data).sum()))
+def l2_term(weights, c: float, tape: Tape = None) -> Tensor:
+    """Scalar c * (sum of squared entries over all weights), recorded as
+    one node whose backward adds 2 c w to each weight's gradient."""
+    weights = list(weights)
+    total = None
+    for w in weights:
+        squares = (w.data * w.data).sum()
+        total = squares if total is None else total + squares
+    out = Tensor(total * c)
     if tape is not None:
         def bwd(g, acc):
-            acc(x, 2.0 * g * x.data)
+            gc = g * c
+            for w in weights:
+                acc(w, 2.0 * gc * w.data)
         tape.record(out, bwd)
     return out
 
 
 def flatten(x: Tensor, tape: Tape = None) -> Tensor:
-    """Row-major flatten: (C, L) -> (C*L,) or (batch, C, L) -> (batch, C*L).
-    Channel index varies slowest, so checkpointed head weights are portable."""
+    """Row-major flatten (batch, C, L) -> (batch, C*L). Channel index varies
+    slowest, so checkpointed head weights are portable."""
     _require_tensor(x, "flatten", "input")
-    if x.data.ndim == 2:
-        out_shape = (x.shape[0] * x.shape[1],)
-    elif x.data.ndim == 3:
-        out_shape = (x.shape[0], x.shape[1] * x.shape[2])
-    else:
-        raise ShapeError(f"flatten: input must be rank 2 or 3, got shape {x.shape}")
-    out = Tensor(x.data.reshape(out_shape))
+    if x.data.ndim != 3:
+        raise ShapeError(f"flatten: input must be rank 3, got shape {x.shape}")
+    out = Tensor(x.data.reshape(x.shape[0], x.shape[1] * x.shape[2]))
     if tape is not None:
         def bwd(g, acc):
             acc(x, g.reshape(x.shape))

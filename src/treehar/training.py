@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .casas import DEFAULT_VOCAB
 from .model import ModelParams, forward_batch, init_params
 from .numerics import (
     NumericError,
@@ -20,9 +21,8 @@ from .numerics import (
     add,
     backward,
     cross_entropy,
+    l2_term,
     mean,
-    scale,
-    sum_squares,
 )
 from .windowing import stack_windows
 
@@ -104,39 +104,19 @@ def adam_step(params, state: AdamState, learning_rate: float,
         p.zero_grad()
 
 
-def l2_penalty(params: ModelParams, tape: Tape = None) -> Tensor:
-    """Sum of squared entries over weight tensors; biases excluded."""
-    total = None
-    for w in params.weight_tensors():
-        term = sum_squares(w.value, tape)
-        total = term if total is None else add(total, term, tape)
-    return total
-
-
-def joint_loss(pred, label, params: ModelParams, l2_weight: float,
-               tape: Tape = None) -> Tensor:
-    """Resident CE + activity CE + l2_weight * sum of squared weights."""
-    loss = add(
-        cross_entropy(pred.resident_probs, label.resident_id, tape),
-        cross_entropy(pred.activity_probs, label.activity_id, tape),
-        tape,
-    )
-    if l2_weight:
-        loss = add(loss, scale(l2_penalty(params, tape), l2_weight, tape), tape)
-    return loss
-
-
 def batch_loss(resident_probs, activity_probs, residents, activities,
                params: ModelParams, l2_weight: float, tape: Tape = None) -> Tensor:
     """Mean per-sample joint CE over the batch plus the L2 term (the mean
-    keeps the learning rate's meaning independent of batch size)."""
+    keeps the learning rate's meaning independent of batch size). The L2
+    term covers weights only, not biases."""
     loss = add(
         mean(cross_entropy(resident_probs, residents, tape), tape),
         mean(cross_entropy(activity_probs, activities, tape), tape),
         tape,
     )
     if l2_weight:
-        loss = add(loss, scale(l2_penalty(params, tape), l2_weight, tape), tape)
+        loss = add(loss, l2_term(
+            [p.value for p in params.weight_tensors()], l2_weight, tape), tape)
     return loss
 
 
@@ -190,9 +170,8 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
     )
 
 
-def fit(train_windows, config: TrainConfig, k: int = 8, vocab_size: int = 37,
-        dtype=np.float64, params: ModelParams = None, log_path=None,
-        progress=None):
+def fit(train_windows, config: TrainConfig, k: int = 8, dtype=np.float64,
+        params: ModelParams = None, log_path=None, progress=None):
     """Train for config.epochs epochs; returns (params, per-epoch stats).
 
     Initialization is seeded from the root seed's init stream unless
@@ -202,9 +181,8 @@ def fit(train_windows, config: TrainConfig, k: int = 8, vocab_size: int = 37,
     if not train_windows:
         raise ValueError("fit: empty training set")
     if params is None:
-        params = init_params(k, vocab_size,
-                             seed=derive_seed(config.seed, STREAM_INIT),
-                             dtype=dtype)
+        params = init_params(k, len(DEFAULT_VOCAB),
+                             seed=derive_seed(config.seed, STREAM_INIT), dtype=dtype)
     state = AdamState(params)
     history = []
     for epoch in range(config.epochs):
@@ -241,10 +219,9 @@ class SweepRow:
     min_loss: float
 
 
-def sweep(train_windows, k: int = 8, vocab_size: int = 37,
-          alphas=DEFAULT_ALPHA_GRID, betas=DEFAULT_BETA_GRID,
-          gammas=DEFAULT_GAMMA_GRID, tuning_epochs: int = 15, seed: int = 0,
-          dtype=np.float64, progress=None):
+def sweep(train_windows, k: int = 8, alphas=DEFAULT_ALPHA_GRID,
+          betas=DEFAULT_BETA_GRID, gammas=DEFAULT_GAMMA_GRID,
+          tuning_epochs: int = 15, seed: int = 0, dtype=np.float64, progress=None):
     """Grid search over (batch size, L2 weight, learning rate).
 
     Each grid point trains a fresh model for tuning_epochs and reports the
@@ -258,8 +235,7 @@ def sweep(train_windows, k: int = 8, vocab_size: int = 37,
                     batch_size=alpha, l2_weight=beta, learning_rate=gamma,
                     epochs=tuning_epochs, seed=seed,
                 )
-                _, history = fit(train_windows, config, k=k,
-                                 vocab_size=vocab_size, dtype=dtype)
+                _, history = fit(train_windows, config, k=k, dtype=dtype)
                 epoch_losses = [s.avg_loss for s in history]
                 row = SweepRow(
                     alpha=alpha, beta=beta, gamma=gamma,

@@ -11,70 +11,64 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casas import DEFAULT_VOCAB, LabelPair, one_hot
-from .numerics import Tensor
+from .casas import DEFAULT_VOCAB, LabelPair
+
+PAD = -1  # sensor index of a padding slot; it one-hot encodes to zeros
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: the sensors array has no truth value
 class SampleWindow:
-    """The k most recent event embeddings, oldest first; the last one is
-    the labeled target event and is never padding."""
+    """The sensor indices of the k most recent events, oldest first; the
+    last one is the labeled target event and is never padding."""
 
-    embeddings: list           # k tensors shaped (1, vocab)
+    sensors: np.ndarray        # (k,) ints, PAD before the first event
     label: LabelPair
-    pad_count: int
     source: str = ""           # provenance for canonical ordering / debug dumps
     index: int = 0
 
     @property
     def k(self) -> int:
-        return len(self.embeddings)
+        return len(self.sensors)
 
-    def stacked(self) -> np.ndarray:
-        """(k, vocab) array of the embeddings, oldest first."""
-        return np.concatenate([e.data for e in self.embeddings], axis=0)
+    @property
+    def pad_count(self) -> int:
+        return int((self.sensors == PAD).sum())
 
 
-def make_windows(events, k: int, vocab=DEFAULT_VOCAB, source: str = ""):
-    """One window per event: for event t, embeddings are events t-k+1..t,
-    left-padded with zero vectors while t < k-1."""
+def make_windows(events, k: int, source: str = ""):
+    """One window per event: for event t, the sensors of events t-k+1..t,
+    left-padded with PAD while t < k-1."""
     if k < 2:
         raise ValueError(f"window size k must be >= 2, got {k}")
     events = list(events)
-    if not events:
-        return []
-    embeddings = [one_hot(e, vocab) for e in events]
-    zero = np.zeros((1, len(vocab)))
-    windows = []
-    for t, event in enumerate(events):
-        pad = max(0, k - 1 - t)
-        tail = embeddings[max(0, t - k + 1):t + 1]
-        window = [Tensor(zero.copy()) for _ in range(pad)] + tail
-        windows.append(SampleWindow(
-            embeddings=window,
+    padded = np.array([PAD] * (k - 1) + [e.sensor for e in events], dtype=np.int64)
+    return [
+        SampleWindow(
+            sensors=padded[t:t + k],
             label=LabelPair(event.resident_id, event.activity_id),
-            pad_count=pad,
             source=source,
             index=t,
-        ))
-    return windows
+        )
+        for t, event in enumerate(events)
+    ]
 
 
 def stack_windows(windows, dtype=np.float64):
     """Pack windows for batched training.
 
-    Returns (events, residents, activities): events is (n, k, vocab),
-    label arrays are (n,) ints. Window order is preserved.
+    Returns (events, residents, activities): events is (n, k, vocab), the
+    one-hot encoding of every window's sensors against the sensor
+    vocabulary; label arrays are (n,) ints. Window order is preserved.
     """
     windows = list(windows)
     if not windows:
         raise ValueError("no windows to stack")
-    k = windows[0].k
-    events = np.stack([w.stacked() for w in windows]).astype(dtype)
+    sensors = np.stack([w.sensors for w in windows])
+    events = np.zeros(sensors.shape + (len(DEFAULT_VOCAB),), dtype=dtype)
+    rows, slots = np.nonzero(sensors != PAD)
+    events[rows, slots, sensors[rows, slots]] = 1.0
     residents = np.array([w.label.resident_id for w in windows], dtype=np.int64)
     activities = np.array([w.label.activity_id for w in windows], dtype=np.int64)
-    if events.shape[1] != k:
-        raise ValueError("inconsistent window sizes")
     return events, residents, activities
 
 

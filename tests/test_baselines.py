@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from treehar.baselines import (
-    FlatDataset,
-    FlatSample,
-    dt_fit,
-    flatten_window,
-    knn_predict,
-    knn_predict_batch,
-)
+from treehar.baselines import FlatDataset, dt_fit, knn_predict_batch
 from treehar.casas import LabelPair
 from treehar.windowing import make_windows
 
@@ -17,6 +10,17 @@ from test_model import _events
 
 def _dataset(X, residents, activities):
     return FlatDataset(np.asarray(X, dtype=float), residents, activities)
+
+
+def _knn_one(train, query, k_neighbors):
+    """knn_predict_batch on a batch of one query."""
+    res, act = knn_predict_batch(train, np.asarray(query)[None], k_neighbors)
+    return LabelPair(int(res[0]), int(act[0]))
+
+
+def _predict_one(tree, query):
+    res, act = tree.predict_batch(np.asarray(query, dtype=float)[None])
+    return LabelPair(int(res[0]), int(act[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -29,9 +33,9 @@ def test_flat_dataset_from_windows():
     assert data.X.shape == (9, 4 * 37)
     assert set(np.unique(data.X)) <= {0.0, 1.0}
     # oldest-first concatenation: the target event occupies the last block
-    sample = flatten_window(windows[5])
-    assert isinstance(sample, FlatSample)
-    np.testing.assert_array_equal(data.X[5], sample.features)
+    for block, sensor in enumerate(windows[5].sensors):
+        assert np.flatnonzero(data.X[5][block * 37:(block + 1) * 37]).tolist() \
+            == [sensor]
     last_block = data.X[5][3 * 37:]
     assert last_block[_events(9)[5].sensor] == 1.0
 
@@ -43,28 +47,28 @@ def test_flat_dataset_from_windows():
 def test_knn_exact_match_k1():
     train = _dataset([[0, 0, 1], [0, 1, 0], [1, 0, 0]],
                      [0, 1, 0], [3, 5, 7])
-    assert knn_predict(train, np.array([0.0, 1.0, 0.0]), 1) == LabelPair(1, 5)
+    assert _knn_one(train, np.array([0.0, 1.0, 0.0]), 1) == LabelPair(1, 5)
 
 
 def test_knn_k_equals_n_gives_global_majority():
     train = _dataset([[0, 0], [1, 0], [0, 1], [1, 1], [2, 2]],
                      [1, 1, 1, 0, 0], [2, 2, 9, 9, 9])
-    pred = knn_predict(train, np.array([10.0, 10.0]), 5)
+    pred = _knn_one(train, np.array([10.0, 10.0]), 5)
     assert pred == LabelPair(1, 9)
 
 
 def test_knn_vote_tie_goes_to_smallest_class():
     train = _dataset([[0.0], [1.0]], [1, 0], [9, 2])
     # both neighbors equally voted: resident {1,0} -> 0; activity {9,2} -> 2
-    assert knn_predict(train, np.array([0.5]), 2) == LabelPair(0, 2)
+    assert _knn_one(train, np.array([0.5]), 2) == LabelPair(0, 2)
 
 
 def test_knn_distance_tie_goes_to_earliest_index():
     # two training points equidistant from the query; k=1 must pick index 0
     train = _dataset([[1.0, 0.0], [0.0, 1.0]], [1, 0], [4, 11])
-    assert knn_predict(train, np.array([0.0, 0.0]), 1) == LabelPair(1, 4)
+    assert _knn_one(train, np.array([0.0, 0.0]), 1) == LabelPair(1, 4)
     reordered = _dataset([[0.0, 1.0], [1.0, 0.0]], [0, 1], [11, 4])
-    assert knn_predict(reordered, np.array([0.0, 0.0]), 1) == LabelPair(0, 11)
+    assert _knn_one(reordered, np.array([0.0, 0.0]), 1) == LabelPair(0, 11)
 
 
 def test_knn_permutation_invariant_with_distinct_distances():
@@ -76,28 +80,34 @@ def test_knn_permutation_invariant_with_distinct_distances():
     perm = rng.permutation(20)
     shuffled = _dataset(X[perm], residents[perm], activities[perm])
     for q in rng.normal(size=(10, 6)):
-        assert knn_predict(train, q, 5) == knn_predict(shuffled, q, 5)
+        assert _knn_one(train, q, 5) == _knn_one(shuffled, q, 5)
 
 
 def test_knn_batch_matches_single():
+    # against a per-query loop: exact integer distances on 0/1 features,
+    # ties to the earliest index, votes to the smallest class
     rng = np.random.default_rng(1)
     X = (rng.random((30, 8)) > 0.5).astype(float)
     train = _dataset(X, rng.integers(0, 2, 30), rng.integers(0, 15, 30))
     queries = (rng.random((12, 8)) > 0.5).astype(float)
     res, act = knn_predict_batch(train, queries, k_neighbors=3, chunk_size=5)
     for i, q in enumerate(queries):
-        single = knn_predict(train, q, 3)
-        assert (res[i], act[i]) == (single.resident_id, single.activity_id)
+        d2 = [sum((a - b) ** 2 for a, b in zip(x, q)) for x in X]
+        nearest = sorted(range(30), key=lambda j: (d2[j], j))[:3]
+        votes_r = [list(train.residents[nearest]).count(c) for c in range(2)]
+        votes_a = [list(train.activities[nearest]).count(c) for c in range(15)]
+        assert (res[i], act[i]) == (votes_r.index(max(votes_r)),
+                                    votes_a.index(max(votes_a)))
 
 
 def test_knn_validation():
     train = _dataset([[0.0]], [0], [0])
     with pytest.raises(ValueError):
-        knn_predict(_dataset(np.empty((0, 1)), [], []), np.array([0.0]), 1)
+        _knn_one(_dataset(np.empty((0, 1)), [], []), np.array([0.0]), 1)
     with pytest.raises(ValueError):
-        knn_predict(train, np.array([0.0]), 2)
+        _knn_one(train, np.array([0.0]), 2)
     with pytest.raises(ValueError):
-        knn_predict(train, np.array([0.0]), 0)
+        _knn_one(train, np.array([0.0]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +119,17 @@ def test_dt_pure_class_is_depth_zero():
     tree = dt_fit(train)
     assert tree.depth == 0
     assert tree.node_count == 1
-    assert tree.predict(np.array([0.0, 0.0])) == LabelPair(1, 4)
+    assert _predict_one(tree, np.array([0.0, 0.0])) == LabelPair(1, 4)
 
 
 def test_dt_separable_points_depth_one():
     train = _dataset([[0.0], [1.0]], [0, 1], [2, 9])
     tree = dt_fit(train)
     assert tree.depth == 1
-    assert tree.predict(np.array([0.0])) == LabelPair(0, 2)
-    assert tree.predict(np.array([1.0])) == LabelPair(1, 9)
-    assert tree.predict(np.array([0.2])) == LabelPair(0, 2)
-    assert tree.predict(np.array([0.8])) == LabelPair(1, 9)
+    assert _predict_one(tree, np.array([0.0])) == LabelPair(0, 2)
+    assert _predict_one(tree, np.array([1.0])) == LabelPair(1, 9)
+    assert _predict_one(tree, np.array([0.2])) == LabelPair(0, 2)
+    assert _predict_one(tree, np.array([0.8])) == LabelPair(1, 9)
 
 
 def _training_accuracy(tree, data):
@@ -176,5 +186,5 @@ def test_dt_composite_decoding_covers_both_heads():
     tree = dt_fit(train)
     for x, resident, activity in [([0, 0], 0, 2), ([0, 1], 0, 5),
                                   ([1, 0], 1, 2), ([1, 1], 1, 5)]:
-        assert tree.predict(np.array(x, dtype=float)) == \
+        assert _predict_one(tree, np.array(x, dtype=float)) == \
             LabelPair(resident, activity)

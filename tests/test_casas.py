@@ -1,9 +1,7 @@
 import datetime as dt
+import re
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from treehar.casas import (
     DEFAULT_VOCAB,
@@ -13,7 +11,6 @@ from treehar.casas import (
     SensorEvent,
     SensorVocabulary,
     filter_on,
-    one_hot,
     parse_file,
     parse_line,
     serialize_event,
@@ -125,22 +122,6 @@ def test_filter_on_custom_value():
     assert [e.sensor for e in filter_on(events, "OPEN")] == [1]
 
 
-def test_one_hot_shape_and_mass():
-    vec = one_hot(_event(sensor=12))
-    assert vec.shape == (1, 37)
-    assert vec.data[0, 12] == 1.0
-    assert vec.data.sum() == 1.0
-    assert one_hot(_event(sensor=0)).data[0, 0] == 1.0
-    assert one_hot(_event(sensor=36)).data[0, 36] == 1.0
-
-
-@given(st.integers(min_value=0, max_value=36))
-@settings(max_examples=37, deadline=None)
-def test_one_hot_l1_norm_is_one(sensor):
-    vec = one_hot(_event(sensor=sensor))
-    assert np.abs(vec.data).sum() == 1.0
-
-
 def test_split_files_sizes():
     files26 = [f"f{i:02d}" for i in range(26)]
     split = split_files(files26, seed=3)
@@ -191,6 +172,16 @@ def test_parse_file_counts_and_order_check(tmp_path):
     with pytest.raises(ParseError, match="order"):
         parse_file(bad)
     assert len(parse_file(bad, check_order=False).events) == 2
+
+
+def test_parse_file_undecodable_byte_names_file_and_line(tmp_path):
+    path = tmp_path / "session.txt"
+    path.write_bytes(
+        b"2009-02-02 08:00:00 M01 ON 1 1\n"
+        b"2009-02-02 08:00:01 M02 ON caf\xe9 1\n"
+    )
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: ") + ".*0xe9"):
+        parse_file(path)
 
 
 def test_write_events_csv(tmp_path):

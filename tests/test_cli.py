@@ -1,8 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treehar import casas, synth
+from treehar import casas, model, synth
 from treehar.cli import run
 
 
@@ -265,3 +270,99 @@ def test_config_file_unknown_key_rejected(tmp_path):
     config.write_text("warp_speed=9\n")
     assert run(["train", "--data", "d", "--out", "o",
                 "--config", str(config)]) == 1
+
+
+def test_config_file_undecodable_byte_is_data_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"k=3\nseed=\xff\n")
+    assert run(["train", "--data", "d", "--out", str(tmp_path / "o"),
+                "--config", str(config)]) == 2
+    assert str(config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "eval", "sweep", "predict"])
+def test_undecodable_log_byte_is_data_error_with_location(trained, tmp_path,
+                                                         capsys, command):
+    _, out = trained
+    corpus = make_corpus(tmp_path, "latin1", files=3, events=20, seed=3)
+    for path in corpus.glob("synth_*.txt"):
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"ON", b"\xe9N", 1).replace(b"OFF", b"\xe9FF", 1)
+        path.write_bytes(b"".join(lines))
+    history = sorted(corpus.glob("synth_*.txt"))[0]
+    argv = {
+        "ingest": ["--data", str(corpus)],
+        "train": ["--data", str(corpus), "--k", "3", "--epochs", "1"],
+        "eval": ["--data", str(corpus), "--checkpoint", str(out / "model.json")],
+        "sweep": ["--data", str(corpus), "--k", "3", "--epochs", "1"],
+        "predict": ["--checkpoint", str(out / "model.json"),
+                    "--history", str(history)],
+    }[command]
+    if command != "predict":
+        argv += ["--out", str(tmp_path / "o")]
+    assert run([command] + argv) == 2
+    err = capsys.readouterr().err
+    assert ".txt:3: undecodable byte 0xe9" in err
+
+
+@pytest.mark.parametrize("command", [
+    "eval-tsc", "eval-knn", "eval-dt", "sweep", "predict", "train", "gradcheck",
+])
+def test_k_below_two_is_usage_error(trained, tmp_path, command):
+    corpus, out = trained
+    checkpoint = ["--checkpoint", str(out / "model.json")]
+    data = ["--data", str(corpus), "--out", str(tmp_path / "o")]
+    argv = {
+        "eval-tsc": ["eval"] + data + checkpoint,
+        "eval-knn": ["eval", "--method", "knn"] + data,
+        "eval-dt": ["eval", "--method", "dt"] + data,
+        "sweep": ["sweep"] + data,
+        "predict": ["predict", "--history",
+                    str(sorted(corpus.iterdir())[0])] + checkpoint,
+        "train": ["train"] + data,
+        "gradcheck": ["gradcheck"],
+    }[command]
+    assert run(argv + ["--k", "1"]) == 1
+
+
+@pytest.fixture(scope="module")
+def predict_inputs(tmp_path_factory):
+    """A k=3 checkpoint and a 120-event history, as bytes."""
+    base = tmp_path_factory.mktemp("fuzz")
+    checkpoint = base / "model.json"
+    model.save_params(model.init_params(3, 37, seed=0), checkpoint)
+    history, = make_corpus(base, files=1, events=120, seed=8).glob("synth_*.txt")
+    return checkpoint.read_bytes(), history.read_bytes()
+
+
+@given(target=st.sampled_from(["checkpoint", "history"]),
+       edits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                st.sampled_from(["replace", "insert", "delete"]),
+                                st.integers(0, 255)),
+                      min_size=1, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_predict_survives_byte_mutations(predict_inputs, target, edits):
+    inputs = dict(zip(["checkpoint", "history"], predict_inputs))
+    blob = bytearray(inputs[target])
+    for where, op, byte in edits:
+        at = int(where * len(blob))
+        if op == "insert":
+            blob.insert(at, byte)
+        elif blob:
+            if op == "replace":
+                blob[at] = byte
+            else:
+                del blob[at]
+    inputs[target] = bytes(blob)
+    with tempfile.TemporaryDirectory() as td:
+        paths = {name: Path(td) / name for name in inputs}
+        for name, data in inputs.items():
+            paths[name].write_bytes(data)
+        code = run(["predict", "--checkpoint", str(paths["checkpoint"]),
+                    "--history", str(paths["history"])])
+        assert code in (0, 1, 2, 3)
+        try:
+            params = model.load_params(paths["checkpoint"])
+        except model.CheckpointError:
+            return
+        assert all(np.isfinite(p.value.data).all() for p in params)

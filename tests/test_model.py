@@ -16,7 +16,6 @@ from treehar.model import (
     load_params,
     predict,
     save_params,
-    tree_forward,
 )
 from treehar.numerics import ParamTensor, ShapeError, Tensor
 from treehar.windowing import make_windows, stack_windows
@@ -116,10 +115,10 @@ def test_basic_module_zero_params_zero_output():
     for w, b in layer.res:
         w.value.data[...] = 0
         b.value.data[...] = 0
-    feature = Tensor(np.random.default_rng(1).normal(size=(4, 37)))
-    event = Tensor(np.abs(np.random.default_rng(2).normal(size=(1, 37))))
+    feature = Tensor(np.random.default_rng(1).normal(size=(2, 4, 37)))
+    event = Tensor(np.abs(np.random.default_rng(2).normal(size=(2, 1, 37))))
     out = basic_module(feature, event, layer)
-    assert out.shape == (6, 37)
+    assert out.shape == (2, 6, 37)
     assert np.all(out.data == 0)
 
 
@@ -129,8 +128,8 @@ def test_basic_module_zero_residual_is_identity_on_merge():
     for w, b in layer.res:
         w.value.data[...] = 0
         b.value.data[...] = 0
-    feature = Tensor(rng.normal(size=(4, 37)))
-    event = Tensor(rng.normal(size=(1, 37)))
+    feature = Tensor(rng.normal(size=(2, 4, 37)))
+    event = Tensor(rng.normal(size=(2, 1, 37)))
     out = basic_module(feature, event, layer)
     # h is a sum of relu outputs, already nonnegative: relu(h + 0) == h
     from treehar.numerics import add, conv1d, relu
@@ -145,44 +144,49 @@ def test_basic_module_zero_residual_is_identity_on_merge():
 def test_basic_module_matches_straight_line_oracle(seed):
     rng = np.random.default_rng(seed)
     layer = _random_layer(rng, 5, 7)
-    feature = rng.normal(size=(5, 37))
-    event = rng.normal(size=(1, 37))
+    feature = rng.normal(size=(3, 5, 37))
+    event = rng.normal(size=(3, 1, 37))
     got = basic_module(Tensor(feature), Tensor(event), layer).data
-    want = naive_basic_module(
-        feature, event,
-        layer.feature_w.value.data, layer.feature_b.value.data,
-        layer.event_w.value.data, layer.event_b.value.data,
-        [(w.value.data, b.value.data) for w, b in layer.res],
-    )
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    for i in range(3):
+        want = naive_basic_module(
+            feature[i], event[i],
+            layer.feature_w.value.data, layer.feature_b.value.data,
+            layer.event_w.value.data, layer.event_b.value.data,
+            [(w.value.data, b.value.data) for w, b in layer.res],
+        )
+        np.testing.assert_allclose(got[i], want, rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # tree forward and prediction
 
 
+def _features(windows, params):
+    return forward_batch(stack_windows(windows)[0], params)[0]
+
+
 def test_tree_forward_shape_and_determinism():
     params = init_params(8, 37, seed=5)
-    window = _windows(10)[9]
-    out1 = tree_forward(window, params)
-    out2 = tree_forward(window, params)
-    assert out1.shape == (64, 37)
+    windows = _windows(10)[8:]
+    out1 = _features(windows, params)
+    out2 = _features(windows, params)
+    assert out1.shape == (2, 64, 37)
     np.testing.assert_array_equal(out1.data, out2.data)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_tree_forward_length_preserved_any_k(k):
     params = init_params(k, 37, seed=1)
-    window = make_windows(_events(k + 2), k=k)[k + 1]
-    out = tree_forward(window, params)
-    assert out.shape == (channel_plan(k)[-1], 37)
+    windows = make_windows(_events(k + 2), k=k)
+    out = _features(windows, params)
+    assert out.shape == (k + 2, channel_plan(k)[-1], 37)
 
 
 def test_tree_forward_k_mismatch_rejected():
     params = init_params(8, 37, seed=0)
-    window = make_windows(_events(5), k=5)[4]
+    windows = make_windows(_events(5), k=5)
     with pytest.raises(ShapeError, match="k="):
-        tree_forward(window, params)
+        _features(windows, params)
 
 
 def test_tree_forward_zero_params_zero_output():
@@ -191,7 +195,7 @@ def test_tree_forward_zero_params_zero_output():
         p.value.data[...] = 0
     window = _windows(1)[0]  # all padding except the target
     assert window.pad_count == 7
-    out = tree_forward(window, params)
+    out = _features([window], params)
     assert np.all(out.data == 0)
 
 
@@ -306,3 +310,72 @@ def test_load_missing_tensor_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="missing tensor"):
         load_params(path)
+
+
+def _mutated_checkpoint(tmp_path, mutate):
+    """A valid k=3 checkpoint with mutate(doc) applied to its JSON."""
+    import json
+
+    path = tmp_path / "model.json"
+    save_params(init_params(3, 37, seed=0), path)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _set_value(doc, value):
+    doc["tensors"][0]["values"][1] = value
+
+
+def _shrink_vocab(doc):
+    """A self-consistent checkpoint of a model over 36 sensors."""
+    doc["vocab_size"] = 36
+    for entry in doc["tensors"]:
+        if entry["name"] in ("head_resident.weight", "head_activity.weight"):
+            rows, cols = entry["shape"]
+            entry["shape"] = [rows, cols // 37 * 36]
+            entry["values"] = entry["values"][:rows * cols // 37 * 36]
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda d: d.update(k=1), id="k=1"),
+    pytest.param(lambda d: d.update(k=40), id="k-beyond-tensor-count"),
+    pytest.param(lambda d: d.update(tensors=5), id="tensors-not-list"),
+    pytest.param(lambda d: d["tensors"][0].update(shape=16), id="shape-not-list"),
+    pytest.param(lambda d: _set_value(d, "abc"), id="string-value"),
+    pytest.param(lambda d: _set_value(d, None), id="null-value"),
+    pytest.param(lambda d: _set_value(d, float("nan")), id="nan-value"),
+    pytest.param(lambda d: _set_value(d, float("inf")), id="inf-value"),
+    pytest.param(lambda d: d["tensors"][0].update(values=5), id="values-not-list"),
+    pytest.param(lambda d: d.update(dtype="int64"), id="dtype-int64"),
+    pytest.param(_shrink_vocab, id="vocab-36"),
+])
+def test_load_rejects_malformed_checkpoint(tmp_path, mutate):
+    from treehar.cli import run
+
+    path = _mutated_checkpoint(tmp_path, mutate)
+    with pytest.raises(CheckpointError):
+        load_params(path)
+    history = tmp_path / "history.txt"
+    history.write_text("2009-02-02 08:00:00 M01 ON 1 1\n")
+    assert run(["predict", "--checkpoint", str(path),
+                "--history", str(history)]) == 2
+
+
+def test_save_params_crash_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    import json
+
+    path = tmp_path / "model.json"
+    save_params(init_params(3, 37, seed=0), path)
+    before = path.read_bytes()
+
+    def crash(doc, fh):
+        fh.write('{"format": "treehar-checkpoint", "tens')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", crash)
+    with pytest.raises(OSError, match="disk full"):
+        save_params(init_params(3, 37, seed=1), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

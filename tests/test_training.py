@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from treehar.casas import LabelPair
-from treehar.model import Prediction, init_params
-from treehar.numerics import ParamTensor, Tape, Tensor, backward, gradient_check, scale
+from treehar.model import init_params
+from treehar.numerics import ParamTensor, Tape, Tensor, backward, gradient_check, l2_term
 from treehar.training import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
@@ -13,10 +12,9 @@ from treehar.training import (
     AdamState,
     TrainConfig,
     adam_step,
+    batch_loss,
     derive_seed,
     fit,
-    joint_loss,
-    l2_penalty,
     sweep,
     train_epoch,
     write_loss_log,
@@ -61,21 +59,24 @@ def test_derive_seed_is_stable():
 # joint loss
 
 
-def _pred(resident_probs, activity_probs):
-    return Prediction(Tensor(resident_probs), Tensor(activity_probs))
+def _joint_loss(resident_probs, activity_probs, resident, activity, params,
+                l2_weight, tape=None):
+    """batch_loss over a batch of one."""
+    return batch_loss(Tensor([resident_probs]), Tensor([activity_probs]),
+                      [resident], [activity], params, l2_weight, tape)
 
 
 def test_joint_loss_perfect_prediction_is_zero():
     params = init_params(3, 37, seed=0)
-    pred = _pred([1.0, 0.0], [0.0] * 5 + [1.0] + [0.0] * 9)
-    loss = joint_loss(pred, LabelPair(0, 5), params, l2_weight=0.0)
+    loss = _joint_loss([1.0, 0.0], [0.0] * 5 + [1.0] + [0.0] * 9, 0, 5,
+                       params, l2_weight=0.0)
     assert loss.item() == 0.0
 
 
 def test_joint_loss_uniform_heads():
     params = init_params(3, 37, seed=0)
-    pred = _pred([0.5, 0.5], np.full(15, 1 / 15))
-    loss = joint_loss(pred, LabelPair(1, 3), params, l2_weight=0.0)
+    loss = _joint_loss([0.5, 0.5], np.full(15, 1 / 15), 1, 3, params,
+                       l2_weight=0.0)
     assert math.isclose(loss.item(), math.log(2) + math.log(15), rel_tol=1e-12)
     assert math.isclose(loss.item(), 3.4012, rel_tol=1e-4)
 
@@ -84,28 +85,34 @@ def test_joint_loss_l2_zero_for_zero_weights():
     params = init_params(3, 37, seed=0)
     for p in params.weight_tensors():
         p.value.data[...] = 0
-    pred = _pred([0.5, 0.5], np.full(15, 1 / 15))
-    with_l2 = joint_loss(pred, LabelPair(0, 0), params, l2_weight=0.5)
-    without = joint_loss(pred, LabelPair(0, 0), params, l2_weight=0.0)
+    uniform = ([0.5, 0.5], np.full(15, 1 / 15), 0, 0, params)
+    with_l2 = _joint_loss(*uniform, l2_weight=0.5)
+    without = _joint_loss(*uniform, l2_weight=0.0)
     assert with_l2.item() == without.item()
 
 
 def test_l2_penalty_excludes_biases_and_grows_with_weights():
     params = init_params(3, 37, seed=1)
-    base = l2_penalty(params).item()
+    uniform = ([0.5, 0.5], np.full(15, 1 / 15), 0, 0, params)
+
+    def penalty():
+        return (_joint_loss(*uniform, l2_weight=1.0).item()
+                - _joint_loss(*uniform, l2_weight=0.0).item())
+
+    base = penalty()
     expected = sum((p.value.data ** 2).sum() for p in params.weight_tensors())
     assert math.isclose(base, expected, rel_tol=1e-12)
     params["layer1.event.bias"].value.data[...] = 100.0
-    assert l2_penalty(params).item() == pytest.approx(base)
+    assert penalty() == pytest.approx(base)
     params["layer1.event.weight"].value.data *= 2.0
-    assert l2_penalty(params).item() > base
+    assert penalty() > base
 
 
 def test_l2_gradient_is_2_beta_w():
     params = init_params(3, 37, seed=2)
     beta = 0.25
     tape = Tape()
-    loss = scale(l2_penalty(params, tape), beta, tape)
+    loss = _joint_loss([0.5, 0.5], np.full(15, 1 / 15), 0, 0, params, beta, tape)
     backward(loss, tape, params.tensors())
     for p in params.weight_tensors():
         np.testing.assert_allclose(p.grad.data, 2 * beta * p.value.data,
@@ -119,11 +126,7 @@ def test_l2_gradient_matches_finite_differences():
     w = ParamTensor("w", Tensor(np.random.default_rng(8).normal(size=(3, 4))))
 
     def loss_fn(tape):
-        return scale(l2_penalty_like(w, tape), 0.3, tape)
-
-    def l2_penalty_like(p, tape):
-        from treehar.numerics import sum_squares
-        return sum_squares(p.value, tape)
+        return l2_term([w.value], 0.3, tape)
 
     report = gradient_check(loss_fn, [w], probe_count=12, seed=0)
     assert report.max_rel_error < 1e-8

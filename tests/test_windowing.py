@@ -2,9 +2,11 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treehar.casas import SensorEvent, one_hot
-from treehar.windowing import make_windows, stack_windows, dump_windows_csv
+from treehar.casas import SensorEvent
+from treehar.windowing import PAD, make_windows, stack_windows, dump_windows_csv
 
 
 def events(n, sensor_offset=0):
@@ -29,31 +31,34 @@ def test_one_window_per_event_and_pad_counts():
 
 
 def test_k2_windows():
-    evs = events(2)
+    evs = events(2, sensor_offset=5)
     windows = make_windows(evs, k=2)
     assert len(windows) == 2
     first, second = windows
-    assert np.all(first.embeddings[0].data == 0)
-    np.testing.assert_array_equal(first.embeddings[1].data, one_hot(evs[0]).data)
-    np.testing.assert_array_equal(second.embeddings[0].data, one_hot(evs[0]).data)
-    np.testing.assert_array_equal(second.embeddings[1].data, one_hot(evs[1]).data)
+    assert first.sensors.tolist() == [PAD, 5]
+    assert second.sensors.tolist() == [5, 6]
+    stacked = stack_windows(windows)[0]
+    assert np.all(stacked[0, 0] == 0)
+    assert np.flatnonzero(stacked[0, 1]).tolist() == [5]
+    assert np.flatnonzero(stacked[1, 0]).tolist() == [5]
+    assert np.flatnonzero(stacked[1, 1]).tolist() == [6]
 
 
 def test_last_embedding_is_target_event():
     evs = events(12)
-    for t, w in enumerate(make_windows(evs, k=5)):
-        np.testing.assert_array_equal(w.embeddings[-1].data, one_hot(evs[t]).data)
+    windows = make_windows(evs, k=5)
+    stacked = stack_windows(windows)[0]
+    for t, w in enumerate(windows):
+        assert w.sensors[-1] == evs[t].sensor
+        assert np.flatnonzero(stacked[t, -1]).tolist() == [evs[t].sensor]
         assert w.label.resident_id == evs[t].resident_id
         assert w.label.activity_id == evs[t].activity_id
-        assert np.any(w.embeddings[-1].data != 0)
 
 
 def test_consecutive_windows_share_k_minus_1_embeddings():
     windows = make_windows(events(20), k=8)
     for a, b in zip(windows, windows[1:]):
-        for j in range(1, 8):
-            np.testing.assert_array_equal(
-                a.embeddings[j].data, b.embeddings[j - 1].data)
+        np.testing.assert_array_equal(a.sensors[1:], b.sensors[:-1])
 
 
 def test_empty_and_invalid_inputs():
@@ -66,11 +71,33 @@ def test_stack_windows_shapes_and_labels():
     windows = make_windows(events(6), k=4, source="s")
     stacked, residents, activities = stack_windows(windows)
     assert stacked.shape == (6, 4, 37)
+    assert stacked.dtype == np.float64
+    assert stack_windows(windows, dtype=np.float32)[0].dtype == np.float32
     assert residents.tolist() == [e.resident_id for e in events(6)]
     assert activities.tolist() == [e.activity_id for e in events(6)]
-    np.testing.assert_array_equal(stacked[3], windows[3].stacked())
+    np.testing.assert_array_equal(stacked[3], np.eye(37)[[0, 1, 2, 3]])
     with pytest.raises(ValueError):
         stack_windows([])
+
+
+def test_stack_windows_one_hot_shape_and_mass():
+    evs = events(37)
+    stacked = stack_windows(make_windows(evs, k=3))[0]
+    for t, e in enumerate(evs):
+        target = stacked[t, -1]
+        assert target.shape == (37,)
+        assert target[e.sensor] == 1.0
+        assert target.sum() == 1.0
+    assert stacked[0, -1, 0] == 1.0
+    assert stacked[36, -1, 36] == 1.0
+    assert stacked[0, :2].sum() == 0.0  # padding slots are all-zero
+
+
+@given(st.integers(min_value=0, max_value=36), st.integers(min_value=2, max_value=9))
+@settings(max_examples=37, deadline=None)
+def test_stack_windows_one_hot_l1_norm_is_one(sensor, k):
+    stacked = stack_windows(make_windows(events(k, sensor_offset=sensor), k=k))[0]
+    assert np.abs(stacked[-1]).sum(axis=1).tolist() == [1.0] * k
 
 
 def test_window_provenance_and_csv_dump(tmp_path):
