@@ -126,8 +126,7 @@ def _parse_timestamp(date_text, time_text):
     return date, dt.time(int(h), int(m), int(s), micro)
 
 
-def parse_line(line: str, vocab: SensorVocabulary = DEFAULT_VOCAB,
-               source=None, line_no=None):
+def parse_line(line: str, source=None, line_no=None):
     """Parse one log line into a SensorEvent.
 
     Returns SKIP for blank lines and for unlabeled 4-field lines (real
@@ -149,7 +148,7 @@ def parse_line(line: str, vocab: SensorVocabulary = DEFAULT_VOCAB,
         date, time = _parse_timestamp(date_text, time_text)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"unparseable timestamp: {exc}", source, line_no) from None
-    if tag not in vocab:
+    if tag not in DEFAULT_VOCAB:
         raise ParseError(f"unknown sensor tag {tag!r}", source, line_no)
     try:
         resident = int(res_text)
@@ -172,14 +171,14 @@ def parse_line(line: str, vocab: SensorVocabulary = DEFAULT_VOCAB,
     return SensorEvent(
         date=date,
         time=time,
-        sensor=vocab.index(tag),
+        sensor=DEFAULT_VOCAB.index(tag),
         value=value,
         resident_id=resident - 1,
         activity_id=activity - 1,
     )
 
 
-def serialize_event(event: SensorEvent, vocab: SensorVocabulary = DEFAULT_VOCAB) -> str:
+def serialize_event(event: SensorEvent) -> str:
     """Inverse of parse_line on the six-field subset (canonical form:
     fractional seconds carry no trailing zeros)."""
     if event.time.microsecond:
@@ -188,7 +187,7 @@ def serialize_event(event: SensorEvent, vocab: SensorVocabulary = DEFAULT_VOCAB)
         frac = ""
     time_text = event.time.strftime("%H:%M:%S") + frac
     return (
-        f"{event.date.isoformat()} {time_text} {vocab.tag(event.sensor)} "
+        f"{event.date.isoformat()} {time_text} {DEFAULT_VOCAB.tag(event.sensor)} "
         f"{event.value} {event.resident_id + 1} {event.activity_id + 1}"
     )
 
@@ -201,8 +200,7 @@ class FileParseResult:
     skipped_unlabeled: int = 0
 
 
-def parse_file(path, vocab: SensorVocabulary = DEFAULT_VOCAB,
-               check_order: bool = True) -> FileParseResult:
+def parse_file(path, check_order: bool = True) -> FileParseResult:
     """Parse one log file; verifies events are non-decreasing in time."""
     result = FileParseResult(source=str(path), events=[])
     # surrogateescape keeps undecodable bytes in the line (as U+DC80..U+DCFF)
@@ -213,7 +211,7 @@ def parse_file(path, vocab: SensorVocabulary = DEFAULT_VOCAB,
             if not line.isascii():
                 byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
                 raise ParseError(f"undecodable byte 0x{byte:02x}", str(path), line_no)
-            parsed = parse_line(line, vocab, source=str(path), line_no=line_no)
+            parsed = parse_line(line, source=str(path), line_no=line_no)
             if parsed is SKIP:
                 if line.split():
                     result.skipped_unlabeled += 1
@@ -258,14 +256,12 @@ def split_files(files, ratio: float = 0.7, seed: int = 0) -> DatasetSplit:
 CSV_HEADER = ["date", "time", "sensor", "value", "resident", "activity"]
 
 
-def write_events_csv(events, path, vocab: SensorVocabulary = DEFAULT_VOCAB):
+def write_events_csv(events, path):
     """Canonical event stream: date,time,sensor,value,resident,activity
     with 1-based labels, matching the raw line fields."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for e in events:
-            date_text, time_text, tag, value, res, act = serialize_event(
-                e, vocab
-            ).split()
+            date_text, time_text, tag, value, res, act = serialize_event(e).split()
             writer.writerow([date_text, time_text, tag, value, res, act])

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -198,15 +199,9 @@ def _grid(text: str, converter):
     return values
 
 
-def _train_config(cfg, epochs=None) -> training.TrainConfig:
+def _train_config(**fields) -> training.TrainConfig:
     try:
-        return training.TrainConfig(
-            batch_size=cfg.get("alpha"),
-            l2_weight=cfg.get("beta"),
-            learning_rate=cfg.get("gamma"),
-            epochs=cfg.get("epochs") if epochs is None else epochs,
-            seed=cfg.get("seed"),
-        )
+        return training.TrainConfig(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -285,7 +280,11 @@ def cmd_train(cfg) -> int:
     on_value = cfg.get("on_value")
     dtype = _dtype_of(cfg.get("dtype"))
     cv = cfg.get("cv")
-    config = _train_config(cfg)
+    config = _train_config(
+        batch_size=cfg.get("alpha"), l2_weight=cfg.get("beta"),
+        learning_rate=cfg.get("gamma"), epochs=cfg.get("epochs"),
+        seed=cfg.get("seed"),
+    )
     files = discover_files(data)
 
     if cv:
@@ -419,6 +418,10 @@ def cmd_sweep(cfg) -> int:
     alphas = _grid(cfg.get("alphas"), int)
     betas = _grid(cfg.get("betas"), float)
     gammas = _grid(cfg.get("gammas"), float)
+    # reject a bad grid point before any of the grid trains
+    for alpha, beta, gamma in itertools.product(alphas, betas, gammas):
+        _train_config(batch_size=alpha, l2_weight=beta, learning_rate=gamma,
+                      epochs=epochs)
     files = discover_files(data)
     split = _split(cfg, files)
     train_windows = load_windows(split.train_files, k, on_value)

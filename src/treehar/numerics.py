@@ -6,6 +6,15 @@ node after all of its consumers. Parameter gradients accumulate into
 ParamTensor grads via backward(). Every operation takes a leading batch
 axis. No general graph engine, no broadcasting beyond what the fixed
 architecture needs.
+
+conv1d lays the batch out channel-major, samples side by side in one
+zero-padded row per channel, so that every kernel shift of the whole batch
+is one contiguous column range: the forward is a single GEMM over the m
+stacked shifts, and the backward one GEMM per shift for the weights plus
+one for the input. The tape keeps only that padded input per conv.
+
+A training step's tape may draw the arrays it keeps from a Workspace, so
+that the next step gets the same memory back instead of allocating anew.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 CROSS_ENTROPY_CLIP = 1e-12
 
@@ -91,11 +99,71 @@ class ParamTensor:
         self.grad_ready = False
 
 
-class Tape:
-    """Linear record of a forward pass. One tape per forward/backward cycle."""
+class Workspace:
+    """Memory that successive tapes reuse for the arrays they keep.
+
+    A training step keeps every activation and every gradient until the
+    step ends, a few hundred MiB at batch 128. Freed and allocated again
+    each step, that memory is handed back to the system or not depending
+    on what else happens to sit at the top of the heap, so whether a step
+    faults all of it in again changes from run to run. A workspace hands
+    out views of a few large chunks instead, in request order, and starts
+    again from the first chunk when the next tape opens: a step that makes
+    the same requests as the one before gets the same memory back.
+
+    Opening a Tape on a workspace invalidates every array the workspace
+    handed to the previous tape, so a workspace is for callers that read
+    nothing of a step after starting the next one.
+    """
+
+    # Above the 32 MiB up to which glibc's malloc may serve a request from
+    # its heap, so that each chunk is a mapping of its own and goes back
+    # to the system when the workspace is dropped.
+    CHUNK_BYTES = 64 << 20
+    ALIGN = 64
 
     def __init__(self):
+        self._chunks = []
+        self._chunk = 0
+        self._offset = 0
+
+    def reset(self):
+        """Start handing out memory from the first chunk again."""
+        self._chunk = 0
+        self._offset = 0
+
+    def empty(self, shape, dtype) -> np.ndarray:
+        """An uninitialised array: the next free range of the current
+        chunk, or of the next one if it does not fit."""
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        if nbytes > self.CHUNK_BYTES:
+            return np.empty(shape, dtype=dtype)
+        if self._offset + nbytes > self.CHUNK_BYTES:
+            self._chunk += 1
+            self._offset = 0
+        if self._chunk == len(self._chunks):
+            self._chunks.append(np.empty(self.CHUNK_BYTES, dtype=np.uint8))
+        start = self._offset
+        self._offset += -(-nbytes // self.ALIGN) * self.ALIGN
+        raw = self._chunks[self._chunk][start:start + nbytes]
+        return raw.view(dtype).reshape(shape)
+
+
+class Tape:
+    """Linear record of a forward pass. One tape per forward/backward cycle.
+
+    With a workspace, the arrays the recorded operations keep come from it
+    (see Workspace); without one, from numpy. Backward closures hold the
+    workspace, never the tape: a tape that its own nodes refer to would
+    live, with every array it keeps, until the cycle collector runs.
+    """
+
+    def __init__(self, workspace: Workspace = None):
         self._nodes = []
+        self.workspace = workspace
+        if workspace is not None:
+            workspace.reset()
 
     def __len__(self):
         return len(self._nodes)
@@ -112,10 +180,20 @@ class Tape:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         table = {id(loss): np.ones((), dtype=loss.dtype)}
 
+        # One array may reach several tensors (add's backward passes g to
+        # both operands), so it is never written after it is handed over:
+        # no backward closure writes into its incoming g, and accumulation
+        # builds a new array rather than adding in place.
         def accumulate(t: Tensor, g: np.ndarray):
             key = id(t)
             cur = table.get(key)
-            table[key] = g if cur is None else cur + g
+            if cur is None:
+                table[key] = g
+            else:
+                total = _empty(self.workspace,
+                               np.broadcast_shapes(cur.shape, g.shape),
+                               np.result_type(cur, g))
+                table[key] = np.add(cur, g, out=total)
 
         for out, bwd in reversed(self._nodes):
             g = table.get(id(out))
@@ -138,6 +216,18 @@ def backward(loss: Tensor, tape: Tape, params):
 # forward operations
 
 
+def _workspace(tape):
+    return None if tape is None else tape.workspace
+
+
+def _empty(workspace, shape, dtype) -> np.ndarray:
+    """An uninitialised array that lives as long as a step: from the
+    workspace, if there is one."""
+    if workspace is None:
+        return np.empty(shape, dtype=dtype)
+    return workspace.empty(shape, dtype)
+
+
 def _require_tensor(x, op, arg):
     if not isinstance(x, Tensor):
         raise TypeError(f"{op}: {arg} must be a Tensor, got {type(x).__name__}")
@@ -149,6 +239,15 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
 
     x is (batch, c_in, L); w is (c_out, c_in, M) with M odd; b is (c_out,).
     The output is (batch, c_out, L): length is preserved.
+
+    The input is copied once into padded (c_in, batch, L + M - 1), read as
+    flat (c_in, batch * (L + M - 1)); shift j of every sample is then the
+    column range [j, j + n). The forward stacks the M shifts into one
+    temporary (M * c_in, n) and multiplies it by w as (c_out, M * c_in);
+    the temporary is freed before returning, and the tape keeps flat only.
+    Each sample's zero border keeps its neighbours out of its own output
+    columns; the 2 * pad columns between two samples are computed and
+    dropped.
     """
     _require_tensor(x, "conv1d", "input")
     _require_tensor(w, "conv1d", "weights")
@@ -173,31 +272,55 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
         raise ShapeError("conv1d: input length must be >= 1")
 
     pad = (m - 1) // 2
-    padded = np.zeros((n_batch, c_in, length + 2 * pad), dtype=x.dtype)
-    padded[:, :, pad:pad + length] = x.data
-    wins = sliding_window_view(padded, m, axis=2)          # (B, c_in, L, M)
-    out3 = np.tensordot(wins, w.data, axes=([1, 3], [1, 2]))   # (B, L, c_out)
-    out = Tensor(out3.transpose(0, 2, 1) + b.data[:, None])
+    span = length + 2 * pad
+    n = n_batch * span - 2 * pad
+    dtype = np.result_type(x.data, w.data)
+    ws = _workspace(tape)
+    padded = _empty(ws, (c_in, n_batch, span), dtype)
+    padded[:, :, :pad] = 0
+    padded[:, :, pad + length:] = 0
+    padded[:, :, pad:pad + length] = x.data.transpose(1, 0, 2)
+    flat = padded.reshape(c_in, n_batch * span)
+    w2 = w.data.transpose(0, 2, 1).reshape(c_out, m * c_in)   # column j*c_in + c
+
+    stack = np.empty((m * c_in, n), dtype=dtype)
+    for j in range(m):
+        stack[j * c_in:(j + 1) * c_in] = flat[:, j:j + n]
+    y = np.empty((c_out, n_batch * span), dtype=dtype)
+    np.matmul(w2, stack, out=y[:, :n])
+    del stack
+    out = Tensor(_empty(ws, (n_batch, c_out, length), dtype))
+    np.add(y.reshape(c_out, n_batch, span)[:, :, :length].transpose(1, 0, 2),
+           b.data[:, None], out=out.data)
 
     if tape is not None:
         def bwd(g, acc):
-            acc(b, g.sum(axis=(0, 2)))
-            acc(w, np.tensordot(g, wins, axes=([0, 2], [0, 2])))
-            gpad = np.zeros((n_batch, c_out, length + 2 * pad), dtype=g.dtype)
-            gpad[:, :, pad:pad + length] = g
-            gwins = sliding_window_view(gpad, m, axis=2)   # (B, c_out, L, M)
-            gin = np.tensordot(gwins, w.data[:, :, ::-1], axes=([1, 3], [0, 2]))
-            acc(x, gin.transpose(0, 2, 1))
+            gfull = np.zeros((c_out, n_batch, span), dtype=g.dtype)
+            gfull[:, :, :length] = g.transpose(1, 0, 2)
+            g_flat = gfull.reshape(c_out, n_batch * span)[:, :n]
+            acc(b, g_flat.sum(axis=1))
+            gw = np.empty(w.shape, dtype=g.dtype)
+            for j in range(m):
+                gw[:, :, j] = g_flat @ flat[:, j:j + n].T
+            acc(w, gw)
+            gstack = w2.T @ g_flat                         # (m * c_in, n)
+            gpad = _empty(ws, (c_in, n_batch * span), gstack.dtype)
+            gpad[...] = 0
+            for j in range(m):
+                gpad[:, j:j + n] += gstack[j * c_in:(j + 1) * c_in]
+            gin = gpad.reshape(c_in, n_batch, span)[:, :, pad:pad + length]
+            acc(x, gin.transpose(1, 0, 2))
         tape.record(out, bwd)
     return out
 
 
 def relu(x: Tensor, tape: Tape = None) -> Tensor:
     _require_tensor(x, "relu", "input")
-    out = Tensor(np.maximum(x.data, 0.0))
+    ws = _workspace(tape)
+    out = Tensor(np.maximum(x.data, 0.0, out=_empty(ws, x.shape, x.dtype)))
     if tape is not None:
         def bwd(g, acc):
-            acc(x, g * (x.data > 0))
+            acc(x, np.multiply(g, x.data > 0, out=_empty(ws, g.shape, g.dtype)))
         tape.record(out, bwd)
     return out
 
@@ -207,11 +330,13 @@ def add(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     _require_tensor(b, "add", "b")
     if a.shape != b.shape:
         raise ShapeError(f"add: shape {a.shape} != shape {b.shape}")
-    out = Tensor(a.data + b.data)
+    out = Tensor(np.add(a.data, b.data,
+                        out=_empty(_workspace(tape), a.shape,
+                                   np.result_type(a.data, b.data))))
     if tape is not None:
         def bwd(g, acc):
             acc(a, g)
-            acc(b, g.copy())
+            acc(b, g)
         tape.record(out, bwd)
     return out
 

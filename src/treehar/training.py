@@ -18,6 +18,7 @@ from .numerics import (
     NumericError,
     Tape,
     Tensor,
+    Workspace,
     add,
     backward,
     cross_entropy,
@@ -58,23 +59,28 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.l2_weight < 0:
-            raise ValueError(f"l2_weight must be nonnegative, got {self.l2_weight}")
-        if self.learning_rate <= 0:
+        # written so that NaN fails too: every comparison with NaN is false
+        if not 0 <= self.l2_weight < np.inf:
             raise ValueError(
-                f"learning_rate must be positive, got {self.learning_rate}"
+                f"l2_weight must be finite and nonnegative, got {self.l2_weight}"
+            )
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
             )
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
 
 
 class AdamState:
-    """First/second moment buffers per parameter plus the step counter."""
+    """First/second moment buffers per parameter plus the step counter,
+    and the workspace every training step's tape reuses."""
 
     def __init__(self, params):
         self.m = {p.name: np.zeros(p.value.shape, dtype=p.value.dtype) for p in params}
         self.v = {p.name: np.zeros(p.value.shape, dtype=p.value.dtype) for p in params}
         self.step = 0
+        self.workspace = Workspace()
 
 
 def adam_step(params, state: AdamState, learning_rate: float,
@@ -145,7 +151,7 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
     batch_losses = []
     for start in range(0, len(windows), config.batch_size):
         idx = order[start:start + config.batch_size]
-        tape = Tape()
+        tape = Tape(state.workspace)
         _, resident_probs, activity_probs = forward_batch(events[idx], params, tape)
         loss = batch_loss(
             resident_probs, activity_probs,
@@ -161,6 +167,12 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
         backward(loss, tape, params)
         adam_step(params, state, config.learning_rate,
                   config.adam_beta1, config.adam_beta2, config.adam_eps)
+        for p in params:
+            if not np.isfinite(p.value.data).all():
+                raise NumericError(
+                    f"parameter {p.name} is not finite after the Adam step "
+                    f"at epoch {epoch}, batch {len(batch_losses)}"
+                )
         batch_losses.append(value)
     return EpochStats(
         epoch=epoch,

@@ -251,6 +251,22 @@ def test_usage_errors_exit_1(tmp_path):
     assert run(["train", "--data", "d", "--out", "o", "--k", "banana"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--alpha", "4096", "--gamma", "nan"],
+    ["train", "--alpha", "4096", "--gamma", "inf"],
+    ["train", "--alpha", "4096", "--beta", "nan"],
+    ["sweep", "--alphas", "4096", "--betas", "0.0004", "--gammas", "nan"],
+], ids=["train-gamma-nan", "train-gamma-inf", "train-beta-nan", "sweep-gammas-nan"])
+def test_non_finite_hyperparameter_is_usage_error(trained, tmp_path, capsys, argv):
+    corpus, _ = trained
+    out = tmp_path / "o"
+    assert run(argv + ["--data", str(corpus), "--out", str(out), "--k", "3",
+                       "--epochs", "1"]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+    assert not (out / "sweep.csv").exists()
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     corpus = make_corpus(tmp_path, files=3, events=30, seed=6)
     config = tmp_path / "run.cfg"

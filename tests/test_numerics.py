@@ -12,6 +12,7 @@ from treehar.numerics import (
     Tape,
     TapeError,
     Tensor,
+    Workspace,
     add,
     backward,
     conv1d,
@@ -100,6 +101,59 @@ def test_conv1d_batched_matches_per_sample():
     for i in range(4):
         single = conv1d(Tensor(x[i:i + 1]), w, b).data
         np.testing.assert_array_equal(batched[i:i + 1], single)
+
+
+def _conv_energy(x, w, b, tape=None):
+    # half the summed squared output: quadratic in each operand, so a
+    # central difference is exact up to roundoff, and the gradient reaching
+    # the conv (its own output) differs from sample to sample
+    return l2_term([conv1d(x, w, b, tape)], 0.5, tape)
+
+
+@pytest.mark.parametrize("c_in", [1, 2])
+@pytest.mark.parametrize("length", [1, 2, 9])
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_conv1d_gradients_match_finite_differences(m, length, c_in):
+    # a batch of 3, so a sample has neighbours on both sides; with
+    # pad >= length two zero borders meet between samples
+    r = rng(m * 100 + length * 10 + c_in)
+    x = ParamTensor("x", Tensor(r.normal(size=(3, c_in, length))))
+    w = ParamTensor("w", Tensor(r.normal(size=(2, c_in, m))))
+    b = ParamTensor("b", Tensor(r.normal(size=2)))
+    tape = Tape()
+    backward(_conv_energy(x.value, w.value, b.value, tape), tape, [x, w, b])
+    h = 1e-3
+    for p in (x, w, b):
+        numeric = np.empty(p.value.shape)
+        for i in range(p.value.size):
+            orig = p.value.data.flat[i]
+            p.value.data.flat[i] = orig + h
+            plus = _conv_energy(x.value, w.value, b.value).item()
+            p.value.data.flat[i] = orig - h
+            minus = _conv_energy(x.value, w.value, b.value).item()
+            p.value.data.flat[i] = orig
+            numeric.flat[i] = (plus - minus) / (2 * h)
+        np.testing.assert_allclose(p.grad.data, numeric, rtol=1e-7, atol=1e-9,
+                                   err_msg=p.name)
+
+
+@pytest.mark.parametrize("m,length", [(1, 1), (3, 9), (5, 2)])
+def test_conv1d_input_gradient_batched_matches_per_sample(m, length):
+    # BLAS may block a batch of one differently; equality is to roundoff
+    r = rng(7)
+    x = r.normal(size=(4, 3, length))
+    w = Tensor(r.normal(size=(6, 3, m)))
+    b = Tensor(r.normal(size=6))
+
+    def input_gradient(rows):
+        xt = Tensor(rows)
+        tape = Tape()
+        return tape.gradients(_conv_energy(xt, w, b, tape))[id(xt)]
+
+    batched = input_gradient(x)
+    for i in range(4):
+        np.testing.assert_allclose(batched[i:i + 1], input_gradient(x[i:i + 1]),
+                                   rtol=1e-12, atol=0)
 
 
 def test_conv1d_rejects_even_kernel():
@@ -353,6 +407,74 @@ def test_mean_and_sum_squares_and_flatten_grads():
 def test_flatten_is_channel_major():
     x = Tensor(np.arange(6.0).reshape(1, 2, 3))
     assert flatten(x).data.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]]
+
+
+# ---------------------------------------------------------------------------
+# workspace
+
+
+def test_workspace_hands_the_next_tape_the_same_memory():
+    ws = Workspace()
+    Tape(ws)
+    a = ws.empty((3, 5), np.float64)
+    b = ws.empty((7,), np.float32)
+    assert not np.shares_memory(a, b)
+    Tape(ws)
+    a2 = ws.empty((3, 5), np.float64)
+    b2 = ws.empty((7,), np.float32)
+    assert (a2.shape, a2.dtype, b2.shape, b2.dtype) == ((3, 5), np.float64, (7,), np.float32)
+    assert np.shares_memory(a, a2) and np.shares_memory(b, b2)
+
+
+def test_workspace_fills_chunks_in_turn_and_serves_larger_requests_apart():
+    ws = Workspace()
+    ws.CHUNK_BYTES = 256
+    arrays = [ws.empty((10,), np.float64) for _ in range(5)]   # 80 bytes each
+    arrays.append(ws.empty((64,), np.float64))                 # 512 > 256
+    for i, a in enumerate(arrays):
+        a[...] = i
+    for i, a in enumerate(arrays):
+        assert np.all(a == i)
+
+
+def test_tape_on_workspace_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    loss_fn, params = _random_net_loss(7)
+    tape = Tape(Workspace())
+    backward(loss_fn(tape), tape, params)
+    gone = weakref.ref(tape)
+    gc.disable()
+    try:
+        del tape
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_workspace_gradients_match_fresh_memory():
+    # every array a reused workspace hands out still holds the step before;
+    # fill the memory with NaN bytes so that any value read before it is
+    # written shows up
+    loss_fn, params = _random_net_loss(6)
+
+    def step(tape):
+        for p in params:
+            p.zero_grad()
+        loss = loss_fn(tape)
+        backward(loss, tape, params)
+        return loss.item(), [p.grad.data.copy() for p in params]
+
+    expected_loss, expected_grads = step(Tape())
+    ws = Workspace()
+    for _ in range(2):
+        ws.reset()
+        ws.empty((Workspace.CHUNK_BYTES,), np.uint8).fill(255)
+        loss, grads = step(Tape(ws))
+        assert loss == expected_loss
+        for g, want in zip(grads, expected_grads):
+            np.testing.assert_array_equal(g, want)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treehar.model import init_params
-from treehar.numerics import ParamTensor, Tape, Tensor, backward, gradient_check, l2_term
+from treehar.numerics import NumericError, ParamTensor, Tape, Tensor, backward, gradient_check, l2_term
 from treehar.training import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
@@ -47,6 +47,11 @@ def test_train_config_validation():
         TrainConfig(l2_weight=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(l2_weight=bad)
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(learning_rate=bad)
 
 
 def test_derive_seed_is_stable():
@@ -227,6 +232,24 @@ def test_train_epoch_deterministic():
     assert stats[0] == stats[1]
 
 
+def test_train_epoch_same_with_workspace_as_without():
+    # 50 windows in batches of 16: the short last batch reuses the memory
+    # of the full ones, and the second epoch all of the first
+    config = TrainConfig(batch_size=16, epochs=1, seed=5)
+    results = []
+    for workspace in (True, False):
+        params = init_params(3, 37, seed=2)
+        state = AdamState(params.tensors())
+        if not workspace:
+            state.workspace = None
+        stats = [train_epoch(_windows(50), params, state, config, epoch=e)
+                 for e in range(2)]
+        results.append((stats, [p.value.data.copy() for p in params]))
+    assert results[0][0] == results[1][0]
+    for got, want in zip(results[0][1], results[1][1]):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_train_epoch_invariant_to_storage_order():
     import random
 
@@ -241,6 +264,16 @@ def test_train_epoch_invariant_to_storage_order():
         state = AdamState(params.tensors())
         results.append(train_epoch(window_list, params, state, config, epoch=0))
     assert results[0] == results[1]
+
+
+def test_train_epoch_rejects_non_finite_parameter():
+    # TrainConfig rejects a NaN rate; set one past it to reach the check
+    # that guards every Adam step
+    params = init_params(3, 37, seed=0)
+    config = TrainConfig(batch_size=16, epochs=1, seed=0)
+    config.learning_rate = math.nan
+    with pytest.raises(NumericError, match="layer1.feature.weight"):
+        train_epoch(_windows(20), params, AdamState(params.tensors()), config)
 
 
 def test_train_epoch_empty_rejected():
