@@ -228,14 +228,22 @@ def load_windows(paths, k, on_value) -> list:
 
 
 def _out_dir(cfg) -> Path:
-    out = Path(cfg.require("out"))
+    return Path(cfg.require("out"))
+
+
+def _make_dir(out: Path) -> Path:
+    """Create the --out directory when the command is about to write, so
+    that a command rejected for its arguments or data leaves nothing."""
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _split(cfg, files):
     split_seed = training.derive_seed(cfg.get("seed"), training.STREAM_SPLIT)
-    return casas.split_files(files, ratio=0.7, seed=split_seed)
+    try:
+        return casas.split_files(files, ratio=0.7, seed=split_seed)
+    except ValueError as exc:   # fewer than two files
+        raise DataError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +265,7 @@ def cmd_ingest(cfg) -> int:
         print(f"{path}: {len(parsed.events)} events, {len(on_events)} {on_value}, "
               f"{parsed.skipped_unlabeled} unlabeled skipped")
         all_events.extend(parsed.events)
-    casas.write_events_csv(all_events, out / "events.csv")
+    casas.write_events_csv(all_events, _make_dir(out) / "events.csv")
     with open(out / "file_counts.csv", "w") as fh:
         fh.write("file,events,on_events,skipped_unlabeled\n")
         for row in count_rows:
@@ -289,7 +297,7 @@ def cmd_train(cfg) -> int:
 
     if cv:
         rows = _cross_validate(cfg, files, k, on_value, dtype, config, cv)
-        _write_cv_csv(rows, out / "cv_metrics.csv")
+        _write_cv_csv(rows, _make_dir(out) / "cv_metrics.csv")
         cfg.echo(out)
         return 0
 
@@ -299,6 +307,7 @@ def cmd_train(cfg) -> int:
         raise DataError("training split contains no usable events")
     print(f"training on {len(train_windows)} windows from "
           f"{len(split.train_files)} files")
+    _make_dir(out)
     params, _ = training.fit(
         train_windows, config, k=k, dtype=dtype,
         log_path=out / "loss_log.csv",
@@ -395,7 +404,7 @@ def cmd_eval(cfg) -> int:
         report = metrics.report_from_predictions(
             test_flat.residents, pred_res, test_flat.activities, pred_act)
 
-    metrics.write_metrics_csv(report, out / "metrics.csv", method)
+    metrics.write_metrics_csv(report, _make_dir(out) / "metrics.csv", method)
     report.resident.write_csv(out / "confusion_resident.csv")
     report.activity.write_csv(out / "confusion_activity.csv")
     (out / "report.txt").write_text(report.describe() + "\n")
@@ -434,7 +443,7 @@ def cmd_sweep(cfg) -> int:
             f"alpha={r.alpha} beta={r.beta} gamma={r.gamma}: "
             f"avg {r.avg_loss:.4f} max {r.max_loss:.4f} min {r.min_loss:.4f}"),
     )
-    training.write_sweep_csv(rows, out / "sweep.csv")
+    training.write_sweep_csv(rows, _make_dir(out) / "sweep.csv")
     best = min(rows, key=lambda r: r.avg_loss)
     print(f"best by average loss: alpha={best.alpha} beta={best.beta} "
           f"gamma={best.gamma} (avg {best.avg_loss:.4f})")

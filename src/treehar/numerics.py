@@ -7,11 +7,20 @@ ParamTensor grads via backward(). Every operation takes a leading batch
 axis. No general graph engine, no broadcasting beyond what the fixed
 architecture needs.
 
-conv1d lays the batch out channel-major, samples side by side in one
-zero-padded row per channel, so that every kernel shift of the whole batch
-is one contiguous column range: the forward is a single GEMM over the m
-stacked shifts, and the backward one GEMM per shift for the weights plus
-one for the input. The tape keeps only that padded input per conv.
+Activations are held channel-major. A rank-3 tensor that conv1d, relu or
+add produces is a (batch, C, L) view into a buffer (C, batch * (L + 2 pad))
+that puts the samples side by side in one row per channel, each between
+pad zero columns; the buffer travels with the tensor as Tensor.buf. Every
+kernel shift of the whole batch is then one contiguous column range, so
+conv1d reads such a buffer as its padded input, runs one GEMM over the m
+stacked shifts and writes it straight into its own output buffer. relu and
+add map zero borders to zero borders. A plain (batch, C, L) input, such as
+an event slice, is copied into a buffer once.
+
+The gradient of a buffer-backed tensor travels in the same layout: an
+array shaped like its buffer, with zero borders. Any other gradient, and a
+plain (batch, C, L) gradient handed to a buffer-backed tensor, has the
+tensor's own shape; the tape copies the latter into the buffer layout.
 
 A training step's tape may draw the arrays it keeps from a Workspace, so
 that the next step gets the same memory back instead of allocating anew.
@@ -43,9 +52,12 @@ class Tensor:
 
     Values are float64 unless the caller supplies a float32 buffer
     explicitly (training may run in 32-bit; gradient checking must not).
+    An activation also carries the zero-bordered channel-major buffer its
+    data is a view of (see the module docstring): buf, with pad border
+    columns on each side of every sample. Both are None otherwise.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "buf", "pad")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -54,6 +66,8 @@ class Tensor:
         if arr.ndim > 3:
             raise ShapeError(f"tensor rank {arr.ndim} exceeds 3 (shape {arr.shape})")
         self.data = arr
+        self.buf = None
+        self.pad = None
 
     @property
     def shape(self) -> tuple:
@@ -173,7 +187,8 @@ class Tape:
 
     def gradients(self, loss: Tensor) -> dict:
         """Walk the tape in reverse from a scalar loss; returns the
-        gradient of every reached tensor, keyed by id(tensor)."""
+        gradient of every reached tensor, keyed by id(tensor). A
+        buffer-backed tensor's gradient is shaped like its buffer."""
         if not self._nodes:
             raise TapeError("backward requested but no forward pass was recorded")
         if loss.shape != ():
@@ -185,6 +200,8 @@ class Tape:
         # no backward closure writes into its incoming g, and accumulation
         # builds a new array rather than adding in place.
         def accumulate(t: Tensor, g: np.ndarray):
+            if t.buf is not None and g.ndim == 3:
+                g = _bordered(self.workspace, g, t.pad)
             key = id(t)
             cur = table.get(key)
             if cur is None:
@@ -234,20 +251,69 @@ def _require_tensor(x, op, arg):
     return x
 
 
+def _zero_borders(buf: np.ndarray, pad: int, length: int):
+    cube = buf.reshape(buf.shape[0], -1, length + 2 * pad)
+    cube[:, :, :pad] = 0
+    cube[:, :, pad + length:] = 0
+
+
+def _interior(buf: np.ndarray, pad: int, length: int) -> np.ndarray:
+    """The (batch, C, L) view of a (C, batch * (L + 2 pad)) buffer."""
+    cube = buf.reshape(buf.shape[0], -1, length + 2 * pad)
+    return cube[:, :, pad:pad + length].transpose(1, 0, 2)
+
+
+def _bordered(workspace, data: np.ndarray, pad: int, dtype=None) -> np.ndarray:
+    """A copy of (batch, C, L) data in a zero-bordered buffer."""
+    n_batch, channels, length = data.shape
+    buf = _empty(workspace, (channels, n_batch * (length + 2 * pad)),
+                 data.dtype if dtype is None else dtype)
+    _zero_borders(buf, pad, length)
+    _interior(buf, pad, length)[...] = data
+    return buf
+
+
+def _storage(x: Tensor) -> np.ndarray:
+    return x.data if x.buf is None else x.buf
+
+
+def _on_buffer(buf: np.ndarray, pad: int, length: int) -> Tensor:
+    out = Tensor(_interior(buf, pad, length))
+    out.buf, out.pad = buf, pad
+    return out
+
+
+def _laid_out_like(x: Tensor, storage: np.ndarray) -> Tensor:
+    """A tensor of x's shape and layout over storage shaped like x's."""
+    if x.buf is None:
+        return Tensor(storage)
+    return _on_buffer(storage, x.pad, x.shape[2])
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     """1D cross-correlation, stride 1, zero padding (M-1)/2, pre-activation.
 
     x is (batch, c_in, L); w is (c_out, c_in, M) with M odd; b is (c_out,).
     The output is (batch, c_out, L): length is preserved.
 
-    The input is copied once into padded (c_in, batch, L + M - 1), read as
-    flat (c_in, batch * (L + M - 1)); shift j of every sample is then the
-    column range [j, j + n). The forward stacks the M shifts into one
-    temporary (M * c_in, n) and multiplies it by w as (c_out, M * c_in);
-    the temporary is freed before returning, and the tape keeps flat only.
-    Each sample's zero border keeps its neighbours out of its own output
-    columns; the 2 * pad columns between two samples are computed and
-    dropped.
+    The input is read as flat (c_in, batch * span), span = L + M - 1: x's
+    own buffer if it has one with pad (M - 1) / 2 and the conv's dtype,
+    else a copy of x in that layout. Shift j of every sample is then the
+    column range [j, j + n), n = batch * span - 2 pad. The forward stacks
+    the M shifts into one temporary (M * c_in, n), multiplies it by w as
+    (c_out, M * c_in) into columns [pad, pad + n) of the output buffer,
+    adds the bias there and zeroes the borders, which the 2 pad columns
+    between two samples overwrote. The temporary is freed before
+    returning; the tape keeps flat only, which for a buffer-backed input is
+    memory the tape keeps anyway.
+
+    The backward takes the output's gradient as a zero-bordered buffer, or
+    as a plain (batch, c_out, L) array, which it copies into one. Its
+    columns [pad, pad + n) line up with the stacked shifts: the bias
+    gradient is their row sum, the weight gradient one GEMM per shift
+    against flat, and the input gradient one GEMM whose M row blocks are
+    added into a buffer at their shifts. That buffer, its borders zeroed,
+    is the input's gradient when flat is the input's own buffer.
     """
     _require_tensor(x, "conv1d", "input")
     _require_tensor(w, "conv1d", "weights")
@@ -276,28 +342,28 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     n = n_batch * span - 2 * pad
     dtype = np.result_type(x.data, w.data)
     ws = _workspace(tape)
-    padded = _empty(ws, (c_in, n_batch, span), dtype)
-    padded[:, :, :pad] = 0
-    padded[:, :, pad + length:] = 0
-    padded[:, :, pad:pad + length] = x.data.transpose(1, 0, 2)
-    flat = padded.reshape(c_in, n_batch * span)
+    if x.pad == pad and x.dtype == dtype:
+        flat = x.buf
+    else:
+        flat = _bordered(ws, x.data, pad, dtype)
     w2 = w.data.transpose(0, 2, 1).reshape(c_out, m * c_in)   # column j*c_in + c
 
     stack = np.empty((m * c_in, n), dtype=dtype)
     for j in range(m):
         stack[j * c_in:(j + 1) * c_in] = flat[:, j:j + n]
-    y = np.empty((c_out, n_batch * span), dtype=dtype)
-    np.matmul(w2, stack, out=y[:, :n])
+    out_buf = _empty(ws, (c_out, n_batch * span), dtype)
+    y = out_buf[:, pad:pad + n]
+    np.matmul(w2, stack, out=y)
     del stack
-    out = Tensor(_empty(ws, (n_batch, c_out, length), dtype))
-    np.add(y.reshape(c_out, n_batch, span)[:, :, :length].transpose(1, 0, 2),
-           b.data[:, None], out=out.data)
+    np.add(y, b.data[:, None], out=y)
+    _zero_borders(out_buf, pad, length)
+    out = _on_buffer(out_buf, pad, length)
 
     if tape is not None:
         def bwd(g, acc):
-            gfull = np.zeros((c_out, n_batch, span), dtype=g.dtype)
-            gfull[:, :, :length] = g.transpose(1, 0, 2)
-            g_flat = gfull.reshape(c_out, n_batch * span)[:, :n]
+            if g.ndim == 3:
+                g = _bordered(None, g, pad)
+            g_flat = g[:, pad:pad + n]
             acc(b, g_flat.sum(axis=1))
             gw = np.empty(w.shape, dtype=g.dtype)
             for j in range(m):
@@ -308,8 +374,11 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
             gpad[...] = 0
             for j in range(m):
                 gpad[:, j:j + n] += gstack[j * c_in:(j + 1) * c_in]
-            gin = gpad.reshape(c_in, n_batch, span)[:, :, pad:pad + length]
-            acc(x, gin.transpose(1, 0, 2))
+            if flat is x.buf:
+                _zero_borders(gpad, pad, length)
+                acc(x, gpad)
+            else:
+                acc(x, _interior(gpad, pad, length))
         tape.record(out, bwd)
     return out
 
@@ -317,22 +386,27 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
 def relu(x: Tensor, tape: Tape = None) -> Tensor:
     _require_tensor(x, "relu", "input")
     ws = _workspace(tape)
-    out = Tensor(np.maximum(x.data, 0.0, out=_empty(ws, x.shape, x.dtype)))
+    src = _storage(x)
+    out = _laid_out_like(x, np.maximum(src, 0.0, out=_empty(ws, src.shape, src.dtype)))
     if tape is not None:
         def bwd(g, acc):
-            acc(x, np.multiply(g, x.data > 0, out=_empty(ws, g.shape, g.dtype)))
+            acc(x, np.multiply(g, src > 0, out=_empty(ws, g.shape, g.dtype)))
         tape.record(out, bwd)
     return out
 
 
 def add(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
+    """Element-wise sum. Operands in one layout give a result in it; a
+    buffer-backed and a plain operand give a plain result."""
     _require_tensor(a, "add", "a")
     _require_tensor(b, "add", "b")
     if a.shape != b.shape:
         raise ShapeError(f"add: shape {a.shape} != shape {b.shape}")
-    out = Tensor(np.add(a.data, b.data,
-                        out=_empty(_workspace(tape), a.shape,
-                                   np.result_type(a.data, b.data))))
+    same = a.pad == b.pad
+    sa, sb = (_storage(a), _storage(b)) if same else (a.data, b.data)
+    total = np.add(sa, sb, out=_empty(_workspace(tape), sa.shape,
+                                      np.result_type(sa, sb)))
+    out = _laid_out_like(a, total) if same else Tensor(total)
     if tape is not None:
         def bwd(g, acc):
             acc(a, g)

@@ -243,12 +243,17 @@ def test_gradcheck_small_model(capsys):
 # usage and config files
 
 
-def test_usage_errors_exit_1(tmp_path):
-    assert run(["eval", "--data", str(tmp_path), "--out", str(tmp_path / "o"),
+def test_usage_errors_exit_1(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["eval", "--data", str(tmp_path), "--out", "o",
                 "--method", "svm"]) == 1
-    assert run(["train", "--out", str(tmp_path / "o")]) == 1  # --data missing
+    assert run(["train", "--out", "o"]) == 1  # --data missing
     assert run(["train", "--data", "d", "--out", "o", "--alpha", "-1"]) == 1
     assert run(["train", "--data", "d", "--out", "o", "--k", "banana"]) == 1
+    assert run(["sweep", "--data", "d", "--out", "o", "--gammas", "nan"]) == 1
+    assert run(["synth", "--out", "o", "--sensors", "99"]) == 1
+    # a rejected command creates no --out directory
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,8 +268,7 @@ def test_non_finite_hyperparameter_is_usage_error(trained, tmp_path, capsys, arg
     assert run(argv + ["--data", str(corpus), "--out", str(out), "--k", "3",
                        "--epochs", "1"]) == 1
     assert "finite" in capsys.readouterr().err
-    assert not (out / "model.json").exists()
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -281,11 +285,13 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "epochs=1" in used
 
 
-def test_config_file_unknown_key_rejected(tmp_path):
+def test_config_file_unknown_key_rejected(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "bad.cfg"
     config.write_text("warp_speed=9\n")
     assert run(["train", "--data", "d", "--out", "o",
                 "--config", str(config)]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_undecodable_byte_is_data_error(tmp_path, capsys):
@@ -341,6 +347,40 @@ def test_k_below_two_is_usage_error(trained, tmp_path, command):
     assert run(argv + ["--k", "1"]) == 1
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_one_file_corpus_is_data_error(trained, tmp_path, capsys, command):
+    _, out = trained
+    corpus = make_corpus(tmp_path, "single", files=1, events=30)
+    argv = [command, "--data", str(corpus), "--out", str(tmp_path / "o"),
+            "--k", "3", "--epochs", "1"]
+    if command == "eval":
+        argv += ["--checkpoint", str(out / "model.json")]
+    assert run(argv) == 2
+    assert "at least 2 files" in capsys.readouterr().err
+
+
+def _mutate(blob: bytes, edits) -> bytes:
+    """Apply (where, op, byte) edits: replace, insert or delete one byte at
+    the fraction `where` of the current length."""
+    blob = bytearray(blob)
+    for where, op, byte in edits:
+        at = int(where * len(blob))
+        if op == "insert":
+            blob.insert(at, byte)
+        elif blob:
+            if op == "replace":
+                blob[at] = byte
+            else:
+                del blob[at]
+    return bytes(blob)
+
+
+_EDITS = st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                            st.sampled_from(["replace", "insert", "delete"]),
+                            st.integers(0, 255)),
+                  min_size=1, max_size=4)
+
+
 @pytest.fixture(scope="module")
 def predict_inputs(tmp_path_factory):
     """A k=3 checkpoint and a 120-event history, as bytes."""
@@ -351,25 +391,11 @@ def predict_inputs(tmp_path_factory):
     return checkpoint.read_bytes(), history.read_bytes()
 
 
-@given(target=st.sampled_from(["checkpoint", "history"]),
-       edits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
-                                st.sampled_from(["replace", "insert", "delete"]),
-                                st.integers(0, 255)),
-                      min_size=1, max_size=4))
+@given(target=st.sampled_from(["checkpoint", "history"]), edits=_EDITS)
 @settings(max_examples=50, deadline=None)
 def test_predict_survives_byte_mutations(predict_inputs, target, edits):
     inputs = dict(zip(["checkpoint", "history"], predict_inputs))
-    blob = bytearray(inputs[target])
-    for where, op, byte in edits:
-        at = int(where * len(blob))
-        if op == "insert":
-            blob.insert(at, byte)
-        elif blob:
-            if op == "replace":
-                blob[at] = byte
-            else:
-                del blob[at]
-    inputs[target] = bytes(blob)
+    inputs[target] = _mutate(inputs[target], edits)
     with tempfile.TemporaryDirectory() as td:
         paths = {name: Path(td) / name for name in inputs}
         for name, data in inputs.items():
@@ -382,3 +408,47 @@ def test_predict_survives_byte_mutations(predict_inputs, target, edits):
         except model.CheckpointError:
             return
         assert all(np.isfinite(p.value.data).all() for p in params)
+
+
+@pytest.fixture(scope="module")
+def run_inputs(tmp_path_factory):
+    """Three 30-event logs, a config file and a k=3 checkpoint, as bytes."""
+    base = tmp_path_factory.mktemp("fuzz_run")
+    checkpoint = base / "model.json"
+    model.save_params(model.init_params(3, 37, seed=0), checkpoint)
+    corpus = make_corpus(base, files=3, events=30, seed=9)
+    logs = {p.name: p.read_bytes() for p in sorted(corpus.glob("synth_*.txt"))}
+    # k and epochs come from flags, so no mutation makes a run long; every
+    # value here is read by train or eval
+    config = b"seed=2\nalpha=16\nbeta=0.0004\ngamma=0.001\ndtype=float64\non_value=ON\n"
+    return logs, config, checkpoint.read_bytes()
+
+
+@given(command=st.sampled_from(["train", "eval"]),
+       target=st.sampled_from(["log", "config"]),
+       which=st.integers(0, 2), edits=_EDITS)
+@settings(max_examples=40, deadline=None)
+def test_train_and_eval_survive_byte_mutations(run_inputs, command, target, which,
+                                               edits):
+    logs, config, checkpoint = run_inputs
+    logs = dict(logs)
+    if target == "log":
+        name = sorted(logs)[which]
+        logs[name] = _mutate(logs[name], edits)
+    else:
+        config = _mutate(config, edits)
+    with tempfile.TemporaryDirectory() as td:
+        td = Path(td)
+        (td / "corpus").mkdir()
+        for name, data in logs.items():
+            (td / "corpus" / name).write_bytes(data)
+        (td / "run.cfg").write_bytes(config)
+        (td / "model.json").write_bytes(checkpoint)
+        argv = [command, "--data", str(td / "corpus"), "--out", str(td / "out"),
+                "--config", str(td / "run.cfg"), "--epochs", "1"]
+        argv += ["--k", "3"] if command == "train" else [
+            "--checkpoint", str(td / "model.json")]
+        code = run(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 0 and command == "train":
+            model.load_params(td / "out" / "model.json")   # complete and finite

@@ -26,6 +26,8 @@ from treehar.numerics import (
     softmax,
 )
 
+from treehar import model, training
+
 from oracles import naive_conv1d, naive_dense, naive_softmax
 
 
@@ -154,6 +156,97 @@ def test_conv1d_input_gradient_batched_matches_per_sample(m, length):
     for i in range(4):
         np.testing.assert_allclose(batched[i:i + 1], input_gradient(x[i:i + 1]),
                                    rtol=1e-12, atol=0)
+
+
+class _KeepingTape(Tape):
+    """A tape that also lists every tensor its operations produced and
+    keeps the last backward closure, so that it can be called alone."""
+
+    def __init__(self, workspace=None):
+        super().__init__(workspace)
+        self.outs = []
+
+    def record(self, out, bwd):
+        self.outs.append(out)
+        self.bwd = bwd
+        super().record(out, bwd)
+
+
+def _zero_bordered(buf, pad, length):
+    cube = buf.reshape(buf.shape[0], -1, length + 2 * pad)
+    return bool(np.all(cube[:, :, :pad] == 0) and np.all(cube[:, :, pad + length:] == 0))
+
+
+@pytest.mark.parametrize("batch,c_out,m,length", [
+    (3, 3, 1, 4),   # pad 0 and batch == c_out: (batch, c_out, L) has the buffer's shape
+    (2, 3, 3, 5), (4, 2, 5, 2),
+])
+@pytest.mark.parametrize("bordered_input", [False, True], ids=["plain-x", "buffer-x"])
+def test_conv1d_backward_takes_plain_and_buffer_gradients_alike(batch, c_out, m, length,
+                                                                 bordered_input):
+    r = rng(batch * 100 + m * 10 + length)
+    x = Tensor(r.normal(size=(batch, 2, length)))
+    if bordered_input:
+        # the output of a conv with the same padding hands the next conv its buffer
+        x = conv1d(x, Tensor(r.normal(size=(2, 2, m))), Tensor(r.normal(size=2)))
+        assert x.buf is not None and x.pad == (m - 1) // 2
+    w = Tensor(r.normal(size=(c_out, 2, m)))
+    b = Tensor(r.normal(size=c_out))
+    tape = _KeepingTape()
+    out = conv1d(x, w, b, tape)
+    pad = (m - 1) // 2
+    assert out.buf.shape == (c_out, batch * (length + 2 * pad)) and out.pad == pad
+    g = r.normal(size=(batch, c_out, length))
+    g_buf = np.zeros((c_out, batch, length + 2 * pad))
+    g_buf[:, :, pad:pad + length] = g.transpose(1, 0, 2)
+    g_buf = g_buf.reshape(c_out, -1)
+
+    def gradients(grad):
+        got = {}
+        tape.bwd(grad, lambda t, v: got.setdefault(id(t), v.copy()))
+        return got
+
+    plain, buffered = gradients(g), gradients(g_buf)
+    for t in (w, b, x):
+        np.testing.assert_array_equal(plain[id(t)], buffered[id(t)])
+    gx = plain[id(x)]
+    if bordered_input:
+        assert gx.shape == x.buf.shape and _zero_bordered(gx, pad, length)
+    else:
+        assert gx.shape == x.shape
+
+
+def test_add_of_buffer_and_plain_tensors():
+    r = rng(11)
+    x = Tensor(r.normal(size=(2, 3, 4)))
+    w = ParamTensor("w", Tensor(r.normal(size=(3, 3, 3))))
+    b = ParamTensor("b", Tensor(r.normal(size=3)))
+    plain = Tensor(r.normal(size=(2, 3, 4)))
+    # the same values as a buffer: a conv whose kernel copies its input
+    identity = np.zeros((3, 3, 3))
+    identity[:, :, 1] = np.eye(3)
+    as_buffer = conv1d(plain, Tensor(identity), Tensor(np.zeros(3)))
+    np.testing.assert_array_equal(as_buffer.data, plain.data)
+
+    results = {}
+    for name, other in (("mixed", plain), ("buffers", as_buffer)):
+        w.zero_grad(), b.zero_grad()
+        tape = Tape()
+        a = conv1d(x, w.value, b.value, tape)
+        total = add(a, other, tape)
+        np.testing.assert_array_equal(total.data, a.data + plain.data)
+        loss = l2_term([total], 0.5, tape)
+        table = tape.gradients(loss)
+        # the gradient of half the squared sum is the sum itself, in the
+        # layout of each operand
+        np.testing.assert_array_equal(
+            table[id(a)].reshape(3, 2, 6)[:, :, 1:5].transpose(1, 0, 2), total.data)
+        if other is plain:
+            np.testing.assert_array_equal(table[id(plain)], total.data)
+        backward(loss, tape, [w, b])
+        results[name] = w.grad.data.copy(), b.grad.data.copy()
+    for want, got in zip(results["buffers"], results["mixed"]):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_conv1d_rejects_even_kernel():
@@ -453,28 +546,54 @@ def test_tape_on_workspace_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def _tree_net_loss(seed):
+    """Two basic modules and the heads on a batch of 3 (k=3, 5 tags)."""
+    r = rng(seed)
+    params = model.init_params(3, 5, seed=seed)
+    events = r.normal(size=(3, 3, 5))
+    residents, activities = [0, 1, 1], [2, 0, 14]
+
+    def loss_fn(tape):
+        _, resident_probs, activity_probs = model.forward_batch(events, params, tape)
+        return training.batch_loss(resident_probs, activity_probs, residents,
+                                   activities, params, 0.01, tape)
+
+    return loss_fn, params.tensors()
+
+
 def test_workspace_gradients_match_fresh_memory():
     # every array a reused workspace hands out still holds the step before;
     # fill the memory with NaN bytes so that any value read before it is
-    # written shows up
-    loss_fn, params = _random_net_loss(6)
+    # written shows up, in the values or in the zero borders of a buffer
+    for net in (_random_net_loss, _tree_net_loss):
+        _check_workspace_step(*net(6))
 
+
+def _check_workspace_step(loss_fn, params):
     def step(tape):
         for p in params:
             p.zero_grad()
         loss = loss_fn(tape)
         backward(loss, tape, params)
-        return loss.item(), [p.grad.data.copy() for p in params]
+        return loss, [p.grad.data.copy() for p in params]
 
     expected_loss, expected_grads = step(Tape())
     ws = Workspace()
     for _ in range(2):
         ws.reset()
         ws.empty((Workspace.CHUNK_BYTES,), np.uint8).fill(255)
-        loss, grads = step(Tape(ws))
-        assert loss == expected_loss
+        tape = _KeepingTape(ws)
+        loss, grads = step(tape)
+        assert loss.item() == expected_loss.item()
         for g, want in zip(grads, expected_grads):
             np.testing.assert_array_equal(g, want)
+        table = tape.gradients(loss)
+        buffers = [t for t in tape.outs if t.buf is not None]
+        assert buffers
+        for t in buffers:
+            assert _zero_bordered(t.buf, t.pad, t.shape[2])
+            g = table[id(t)]
+            assert g.shape == t.buf.shape and _zero_bordered(g, t.pad, t.shape[2])
 
 
 # ---------------------------------------------------------------------------
