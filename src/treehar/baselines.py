@@ -2,7 +2,9 @@
 
 Both baselines see exactly the feature the deep model sees: the window's
 k one-hot embeddings concatenated oldest-first into a 0/1 vector, so a
-comparison isolates the model rather than the featurization.
+comparison isolates the model rather than the featurization. The tree
+is written for that input: every feature is 0 or 1, so each has one cut,
+at 0.5, and the right side of a split is the rows with a 1 in it.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ class FlatDataset:
         return cls(events.reshape(n, k * vocab), residents, activities)
 
 
-def _majority(labels: np.ndarray, num_classes: int) -> int:
-    # first argmax wins, so vote ties go to the smallest class index
-    return int(np.argmax(np.bincount(labels, minlength=num_classes)))
+def _vote(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    # majority of each (queries, k) row; the first argmax wins, so vote
+    # ties go to the smallest class index
+    counts = (labels[:, :, None] == np.arange(num_classes)).sum(axis=1)
+    return np.argmax(counts, axis=1)
 
 
 def knn_predict_batch(train: FlatDataset, queries: np.ndarray,
@@ -56,17 +60,15 @@ def knn_predict_batch(train: FlatDataset, queries: np.ndarray,
         )
     queries = np.asarray(queries, dtype=np.float64)
     train_norms = (train.X * train.X).sum(axis=1)
-    residents = np.empty(len(queries), dtype=np.int64)
-    activities = np.empty(len(queries), dtype=np.int64)
+    nearest = np.empty((len(queries), k_neighbors), dtype=np.int64)
     for start in range(0, len(queries), chunk_size):
         chunk = queries[start:start + chunk_size]
         d2 = train_norms[None, :] - 2.0 * (chunk @ train.X.T) \
             + (chunk * chunk).sum(axis=1)[:, None]
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
-        for row, nn in enumerate(nearest):
-            residents[start + row] = _majority(train.residents[nn], NUM_RESIDENTS)
-            activities[start + row] = _majority(train.activities[nn], NUM_ACTIVITIES)
-    return residents, activities
+        nearest[start:start + chunk_size] = \
+            np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
+    return (_vote(train.residents[nearest], NUM_RESIDENTS),
+            _vote(train.activities[nearest], NUM_ACTIVITIES))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +79,6 @@ def knn_predict_batch(train: FlatDataset, queries: np.ndarray,
 class _Node:
     prediction: int
     feature: int = -1
-    threshold: float = 0.0
     left: "_Node" = None
     right: "_Node" = None
 
@@ -100,51 +101,34 @@ class DecisionTree:
         for row, x in enumerate(np.asarray(queries, dtype=np.float64)):
             node = self.root
             while not node.is_leaf:
-                node = node.left if x[node.feature] <= node.threshold else node.right
+                node = node.left if x[node.feature] <= 0.5 else node.right
             composites[row] = node.prediction
         return composites // NUM_ACTIVITIES, composites % NUM_ACTIVITIES
 
 
-def _gini(counts: np.ndarray, total: int) -> float:
-    frac = counts / total
-    return 1.0 - float(frac @ frac)
-
-
 def _best_split(X, y, min_leaf):
-    """Highest Gini-gain (feature, threshold); ties go to the lowest
-    feature index, then the lowest threshold. None if nothing gains."""
-    n, d = X.shape
-    parent_counts = np.bincount(y, minlength=NUM_COMPOSITE)
-    parent_gini = _gini(parent_counts, n)
+    """Index of the highest Gini-gain feature of a 0/1 matrix, splitting the
+    rows with a 0 in it (left) from the rows with a 1 (right); ties go to
+    the lowest index. None if no split with min_leaf rows a side gains."""
+    n = len(y)
     onehot = np.zeros((n, NUM_COMPOSITE))
     onehot[np.arange(n), y] = 1.0
-
-    best = None  # (gain, feature, threshold)
-    for f in range(d):
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        cum = np.cumsum(onehot[order], axis=0)  # class counts left of each cut
-        cut = np.nonzero(sorted_col[:-1] < sorted_col[1:])[0]  # split boundaries
-        if len(cut) == 0:
-            continue
-        left_n = cut + 1
-        right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
-        cut, left_n, right_n = cut[valid], left_n[valid], right_n[valid]
-        left_counts = cum[cut]
-        right_counts = parent_counts[None, :] - left_counts
-        gini_left = 1.0 - (left_counts ** 2).sum(axis=1) / left_n ** 2
-        gini_right = 1.0 - (right_counts ** 2).sum(axis=1) / right_n ** 2
-        weighted = (left_n * gini_left + right_n * gini_right) / n
-        gains = parent_gini - weighted
-        i = int(np.argmax(gains))
-        if gains[i] > MIN_GINI_GAIN and (best is None or gains[i] > best[0]):
-            threshold = 0.5 * (sorted_col[cut[i]] + sorted_col[cut[i] + 1])
-            best = (float(gains[i]), f, threshold)
-    return best
+    parent_counts = np.bincount(y, minlength=NUM_COMPOSITE)
+    right_counts = X.T @ onehot     # class counts of each feature's 1-rows
+    right_n = right_counts.sum(axis=1)
+    left_n = n - right_n
+    valid = np.flatnonzero((left_n >= min_leaf) & (right_n >= min_leaf))
+    if len(valid) == 0:
+        return None
+    right_counts, left_n, right_n = right_counts[valid], left_n[valid], right_n[valid]
+    left_counts = parent_counts[None, :] - right_counts
+    gini_left = 1.0 - (left_counts ** 2).sum(axis=1) / left_n ** 2
+    gini_right = 1.0 - (right_counts ** 2).sum(axis=1) / right_n ** 2
+    weighted = (left_n * gini_left + right_n * gini_right) / n
+    frac = parent_counts / n
+    gains = (1.0 - float(frac @ frac)) - weighted
+    i = int(np.argmax(gains))
+    return int(valid[i]) if gains[i] > MIN_GINI_GAIN else None
 
 
 def dt_fit(train: FlatDataset, max_depth: int = None,
@@ -154,6 +138,8 @@ def dt_fit(train: FlatDataset, max_depth: int = None,
         raise ValueError("dt_fit: empty training set")
     if min_leaf < 1:
         raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
+    if not ((train.X == 0.0) | (train.X == 1.0)).all():
+        raise ValueError("dt_fit: features must be 0 or 1")
     y = train.residents * NUM_ACTIVITIES + train.activities
     stats = {"depth": 0, "nodes": 0}
 
@@ -167,15 +153,13 @@ def dt_fit(train: FlatDataset, max_depth: int = None,
             return _Node(prediction=majority)
         if max_depth is not None and depth >= max_depth:
             return _Node(prediction=majority)
-        split = _best_split(train.X[idx], sub_y, min_leaf)
-        if split is None:
+        feature = _best_split(train.X[idx], sub_y, min_leaf)
+        if feature is None:
             return _Node(prediction=majority)
-        _, feature, threshold = split
-        goes_left = train.X[idx, feature] <= threshold
+        goes_left = train.X[idx, feature] <= 0.5
         return _Node(
             prediction=majority,
             feature=feature,
-            threshold=threshold,
             left=build(idx[goes_left], depth + 1),
             right=build(idx[~goes_left], depth + 1),
         )

@@ -200,7 +200,7 @@ class FileParseResult:
     skipped_unlabeled: int = 0
 
 
-def parse_file(path, check_order: bool = True) -> FileParseResult:
+def parse_file(path) -> FileParseResult:
     """Parse one log file; verifies events are non-decreasing in time."""
     result = FileParseResult(source=str(path), events=[])
     # surrogateescape keeps undecodable bytes in the line (as U+DC80..U+DCFF)
@@ -218,7 +218,7 @@ def parse_file(path, check_order: bool = True) -> FileParseResult:
                 else:
                     result.skipped_blank += 1
                 continue
-            if check_order and prev is not None and parsed.timestamp() < prev:
+            if prev is not None and parsed.timestamp() < prev:
                 raise ParseError(
                     "events out of order: "
                     f"{parsed.date} {parsed.time} after {prev[0]} {prev[1]}",

@@ -176,11 +176,15 @@ class RunConfig:
         (Path(out_dir) / "config_used.txt").write_text("\n".join(lines) + "\n")
 
 
+def _at_least(cfg, key, low: int) -> int:
+    value = cfg.get(key)
+    if value < low:
+        raise UsageError(f"{key} must be >= {low}, got {value}")
+    return value
+
+
 def _window_size(cfg) -> int:
-    k = cfg.get("k")
-    if k < 2:
-        raise UsageError(f"k must be >= 2, got {k}")
-    return k
+    return _at_least(cfg, "k", 2)
 
 
 def _dtype_of(name: str):
@@ -369,6 +373,11 @@ def cmd_eval(cfg) -> int:
     method = cfg.get("method")
     if method not in ("tsc", "knn", "dt"):
         raise UsageError(f"method must be tsc, knn or dt, got {method!r}")
+    if method == "knn":
+        knn_k = _at_least(cfg, "knn_k", 1)
+    elif method == "dt":
+        max_depth = _at_least(cfg, "max_depth", 0) or None   # 0: unlimited
+        min_leaf = _at_least(cfg, "min_leaf", 1)
     on_value = cfg.get("on_value")
     files = discover_files(data)
 
@@ -394,12 +403,14 @@ def cmd_eval(cfg) -> int:
         train_flat = baselines.FlatDataset.from_windows(train_windows)
         test_flat = baselines.FlatDataset.from_windows(test_windows)
         if method == "knn":
+            if knn_k > len(train_flat):
+                raise DataError(f"knn_k={knn_k} exceeds the "
+                                f"{len(train_flat)} training windows")
             pred_res, pred_act = baselines.knn_predict_batch(
-                train_flat, test_flat.X, k_neighbors=cfg.get("knn_k"))
+                train_flat, test_flat.X, k_neighbors=knn_k)
         else:
-            max_depth = cfg.get("max_depth") or None
             tree = baselines.dt_fit(train_flat, max_depth=max_depth,
-                                    min_leaf=cfg.get("min_leaf"))
+                                    min_leaf=min_leaf)
             pred_res, pred_act = tree.predict_batch(test_flat.X)
         report = metrics.report_from_predictions(
             test_flat.residents, pred_res, test_flat.activities, pred_act)
@@ -471,9 +482,11 @@ def cmd_predict(cfg) -> int:
 def cmd_gradcheck(cfg) -> int:
     k = _window_size(cfg)
     seed = cfg.get("seed")
-    probes = cfg.get("probes")
-    batch = cfg.get("batch")
+    probes = _at_least(cfg, "probes", 1)
+    batch = _at_least(cfg, "batch", 1)
     tolerance = cfg.get("tolerance")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise UsageError(f"tolerance must be finite and > 0, got {tolerance}")
     vocab_size = len(casas.DEFAULT_VOCAB)
 
     rng = training.derive_rng(seed, STREAM_GRADCHECK)

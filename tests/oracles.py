@@ -6,6 +6,7 @@ hide in its own oracle.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,3 +61,31 @@ def naive_basic_module(feature, event, feature_w, feature_b, event_w, event_b,
     c = naive_relu(naive_conv1d(a, res_params[1][0], res_params[1][1]))
     r = naive_conv1d(c, res_params[2][0], res_params[2][1])
     return naive_relu(h + r)
+
+
+def naive_gini(labels):
+    return 1 - sum(Fraction(labels.count(c), len(labels)) ** 2
+                   for c in set(labels))
+
+
+def naive_best_split(X, y, min_leaf):
+    """Exact Gini gain of splitting the rows of a 0/1 matrix on each feature
+    (0 left, 1 right; None with fewer than min_leaf rows a side), and the
+    lowest feature of highest positive gain, or None."""
+    n, d = X.shape
+    parent = naive_gini([int(v) for v in y])
+    gains = []
+    for f in range(d):
+        left = [int(y[i]) for i in range(n) if X[i, f] == 0]
+        right = [int(y[i]) for i in range(n) if X[i, f] == 1]
+        if len(left) < min_leaf or len(right) < min_leaf:
+            gains.append(None)
+            continue
+        weighted = (len(left) * naive_gini(left)
+                    + len(right) * naive_gini(right)) / n
+        gains.append(parent - weighted)
+    best = None
+    for f, gain in enumerate(gains):
+        if gain is not None and gain > 0 and (best is None or gain > gains[best]):
+            best = f
+    return best, gains

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from treehar.baselines import FlatDataset, dt_fit, knn_predict_batch
+from treehar.baselines import (FlatDataset, _best_split, dt_fit,
+                               knn_predict_batch)
 from treehar.casas import LabelPair
 from treehar.windowing import make_windows
 
+from oracles import naive_best_split
 from test_model import _events
 
 
@@ -167,6 +169,35 @@ def test_dt_deterministic():
     r2, a2 = t2.predict_batch(queries)
     np.testing.assert_array_equal(r1, r2)
     np.testing.assert_array_equal(a1, a2)
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+def test_best_split_matches_naive_oracle(min_leaf):
+    rng = np.random.default_rng(min_leaf)
+    for _ in range(300):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(3, 10))
+        X = (rng.random((n, d)) < rng.random()).astype(float)
+        X[:, rng.integers(d)] = X[:, rng.integers(d)]     # duplicate: a tie
+        X[:, rng.integers(d)] = rng.integers(2)           # constant column
+        y = rng.integers(0, int(rng.integers(1, 6)), n) * int(rng.integers(1, 7))
+        got = _best_split(X, y, min_leaf)
+        want, gains = naive_best_split(X, y, min_leaf)
+        if want is None:
+            assert got is None
+            continue
+        # a different feature is only right as an exact tie between two
+        # different columns, whose float gains may round apart
+        assert got == want or (gains[got] == gains[want]
+                               and not np.array_equal(X[:, got], X[:, want]))
+        # of identical columns, the lowest index wins
+        assert not any(np.array_equal(X[:, f], X[:, got]) for f in range(got))
+
+
+def test_dt_rejects_features_other_than_0_and_1():
+    with pytest.raises(ValueError, match="0 or 1"):
+        dt_fit(_dataset([[0.0, 1.0], [1.0, 0.5]], [0, 1], [2, 9]))
+    with pytest.raises(ValueError, match="0 or 1"):
+        dt_fit(_dataset([[0.0], [np.nan]], [0, 1], [2, 9]))
 
 
 def test_dt_empty_and_bad_min_leaf():

@@ -171,7 +171,6 @@ def test_parse_file_counts_and_order_check(tmp_path):
     )
     with pytest.raises(ParseError, match="order"):
         parse_file(bad)
-    assert len(parse_file(bad, check_order=False).events) == 2
 
 
 def test_parse_file_undecodable_byte_names_file_and_line(tmp_path):

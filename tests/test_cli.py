@@ -252,6 +252,14 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch):
     assert run(["train", "--data", "d", "--out", "o", "--k", "banana"]) == 1
     assert run(["sweep", "--data", "d", "--out", "o", "--gammas", "nan"]) == 1
     assert run(["synth", "--out", "o", "--sensors", "99"]) == 1
+    # baseline and gradcheck ranges are checked before any work
+    for flags in (["--method", "knn", "--knn-k", "0"],
+                  ["--method", "dt", "--min-leaf", "0"],
+                  ["--method", "dt", "--max-depth", "-1"]):
+        assert run(["eval", "--data", "d", "--out", "o"] + flags) == 1
+    for flags in (["--probes", "0"], ["--batch", "0"], ["--tolerance", "nan"],
+                  ["--tolerance", "inf"], ["--tolerance", "0"]):
+        assert run(["gradcheck", "--k", "3"] + flags) == 1
     # a rejected command creates no --out directory
     assert not (tmp_path / "o").exists()
 
@@ -359,6 +367,40 @@ def test_one_file_corpus_is_data_error(trained, tmp_path, capsys, command):
     assert "at least 2 files" in capsys.readouterr().err
 
 
+def test_knn_k_above_training_windows_is_data_error(trained, tmp_path, capsys):
+    corpus, _ = trained
+    out = tmp_path / "o"
+    assert run(["eval", "--data", str(corpus), "--out", str(out), "--method",
+                "knn", "--k", "3", "--knn-k", "100000"]) == 2
+    assert "training windows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def default_corpus(tmp_path_factory):
+    """`treehar synth --seed 1`: the default 26 files of 240 events."""
+    out = tmp_path_factory.mktemp("default") / "corpus"
+    assert run(["synth", "--out", str(out), "--seed", "1"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--method", "dt"], "dt,0.525764192139738,0.5273959157633866,"
+                         "0.5256469629610414,0.4960698689956332"),
+    (["--method", "dt", "--min-leaf", "3"],
+     "dt,0.537117903930131,0.5409253777847016,0.5358855992609044,"
+     "0.5414847161572053"),
+    (["--method", "knn"], "knn,0.5502183406113537,0.5480403046651856,"
+                          "0.5437819963807389,0.39126637554585153"),
+], ids=["dt", "dt-min-leaf-3", "knn"])
+def test_eval_baseline_golden_metrics(default_corpus, tmp_path, flags, line):
+    # exact: the distances and the class counts are integers
+    out = tmp_path / "o"
+    assert run(["eval", "--data", str(default_corpus), "--out", str(out)]
+               + flags) == 0
+    assert (out / "metrics.csv").read_text().splitlines()[1] == line
+
+
 def _mutate(blob: bytes, edits) -> bytes:
     """Apply (where, op, byte) edits: replace, insert or delete one byte at
     the fraction `where` of the current length."""
@@ -420,11 +462,12 @@ def run_inputs(tmp_path_factory):
     logs = {p.name: p.read_bytes() for p in sorted(corpus.glob("synth_*.txt"))}
     # k and epochs come from flags, so no mutation makes a run long; every
     # value here is read by train or eval
-    config = b"seed=2\nalpha=16\nbeta=0.0004\ngamma=0.001\ndtype=float64\non_value=ON\n"
+    config = (b"seed=2\nalpha=16\nbeta=0.0004\ngamma=0.001\ndtype=float64\n"
+              b"on_value=ON\nknn_k=3\nmin_leaf=1\nmax_depth=4\n")
     return logs, config, checkpoint.read_bytes()
 
 
-@given(command=st.sampled_from(["train", "eval"]),
+@given(command=st.sampled_from(["train", "eval", "knn", "dt"]),
        target=st.sampled_from(["log", "config"]),
        which=st.integers(0, 2), edits=_EDITS)
 @settings(max_examples=40, deadline=None)
@@ -444,11 +487,12 @@ def test_train_and_eval_survive_byte_mutations(run_inputs, command, target, whic
             (td / "corpus" / name).write_bytes(data)
         (td / "run.cfg").write_bytes(config)
         (td / "model.json").write_bytes(checkpoint)
-        argv = [command, "--data", str(td / "corpus"), "--out", str(td / "out"),
-                "--config", str(td / "run.cfg"), "--epochs", "1"]
-        argv += ["--k", "3"] if command == "train" else [
-            "--checkpoint", str(td / "model.json")]
-        code = run(argv)
+        argv = {"train": ["train", "--k", "3"],
+                "eval": ["eval", "--checkpoint", str(td / "model.json")],
+                "knn": ["eval", "--method", "knn", "--k", "3"],
+                "dt": ["eval", "--method", "dt", "--k", "3"]}[command]
+        code = run(argv + ["--data", str(td / "corpus"), "--out", str(td / "out"),
+                           "--config", str(td / "run.cfg"), "--epochs", "1"])
         assert code in (0, 1, 2, 3)
         if code == 0 and command == "train":
             model.load_params(td / "out" / "model.json")   # complete and finite
