@@ -9,7 +9,9 @@ the flattened top feature: one over residents, one over activities.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +20,7 @@ import numpy as np
 
 from .casas import DEFAULT_VOCAB, NUM_ACTIVITIES, NUM_RESIDENTS, LabelPair
 from .numerics import (
+    NumericError,
     ParamTensor,
     ShapeError,
     Tape,
@@ -34,7 +37,7 @@ from .windowing import stack_windows
 KERNEL_SIZE = 3
 
 CHECKPOINT_FORMAT = "treehar-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -233,30 +236,50 @@ class Prediction:
         )
 
 
+def _class_probs(events: np.ndarray, params: ModelParams):
+    """Tape-less forward; (resident, activity) probabilities, all finite.
+
+    A finite checkpoint can still overflow in the forward, and argmax over
+    NaN probabilities would return class 0 as if it were a prediction."""
+    _, resident, activity = forward_batch(events, params)
+    if not (np.isfinite(resident.data).all() and np.isfinite(activity.data).all()):
+        raise NumericError(
+            "class probabilities are not finite: the model's weights overflow "
+            f"the {np.dtype(params.dtype).name} forward")
+    return resident.data, activity.data
+
+
 def predict(window, params: ModelParams) -> Prediction:
     """Class probabilities for one window, as a batch of one."""
     events, _, _ = stack_windows([window], dtype=params.dtype)
-    _, resident, activity = forward_batch(events, params)
-    return Prediction(Tensor(resident.data[0]), Tensor(activity.data[0]))
+    resident, activity = _class_probs(events, params)
+    return Prediction(Tensor(resident[0]), Tensor(activity[0]))
 
 
 def predict_batch(events: np.ndarray, params: ModelParams):
     """Argmax labels for stacked windows: (residents, activities) int arrays."""
-    _, resident_probs, activity_probs = forward_batch(events, params)
-    return (
-        np.argmax(resident_probs.data, axis=1),
-        np.argmax(activity_probs.data, axis=1),
-    )
+    resident, activity = _class_probs(events, params)
+    return np.argmax(resident, axis=1), np.argmax(activity, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
+def _wire_dtype(dtype) -> np.dtype:
+    """The byte layout of tensor data in a checkpoint: little-endian."""
+    return np.dtype(dtype).newbyteorder("<")
+
+
 def save_params(params: ModelParams, path):
-    """Self-describing JSON checkpoint. Values are serialized via python
-    float repr, which round-trips float64 (and widened float32) exactly.
-    The file is written beside the target and renamed over it, so a crash
+    """Self-describing JSON checkpoint.
+
+    The header names the format, version, k, vocabulary size, channel plan
+    and dtype. Each tensor entry holds its name, its shape and, as "data",
+    the padded base64 of its C-order little-endian bytes at the header's
+    dtype, so a load gives back the same bits at either dtype. The file is
+    written beside the target, fsynced and renamed over it, so a crash
     mid-write leaves the previous checkpoint intact."""
+    wire = _wire_dtype(params.dtype)
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -268,7 +291,8 @@ def save_params(params: ModelParams, path):
             {
                 "name": p.name,
                 "shape": list(p.value.shape),
-                "values": [float(v) for v in p.value.data.ravel()],
+                "data": base64.b64encode(
+                    p.value.data.astype(wire, copy=False).tobytes()).decode("ascii"),
             }
             for p in params
         ],
@@ -287,9 +311,14 @@ def save_params(params: ModelParams, path):
 
 
 def load_params(path, expect_k: int = None) -> ModelParams:
-    """Load a checkpoint written by save_params; fully validated before
-    anything is returned, so a bad file never yields a partial model and
-    every model it returns is finite."""
+    """Load a checkpoint written by save_params.
+
+    The file is fully validated before anything is returned: header fields,
+    tensor names (none missing, repeated or unknown), shapes, the base64
+    payload's exact byte length, and finiteness. So a bad file never yields
+    a partial model, and every model returned is finite and holds writable,
+    native-endian, C-contiguous arrays. Other checkpoint versions raise
+    CheckpointError."""
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
@@ -301,7 +330,7 @@ def load_params(path, expect_k: int = None) -> ModelParams:
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {doc.get('version')} unsupported "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"(expected {CHECKPOINT_VERSION}); retrain to write a new one"
         )
     k, vocab_size, dtype, entries = (
         doc.get(f) for f in ("k", "vocab_size", "dtype", "tensors"))
@@ -333,28 +362,40 @@ def load_params(path, expect_k: int = None) -> ModelParams:
             f"instead of {want[culprit]}"
         )
 
-    tensors = {}
     by_name = {}
     for entry in entries:
         try:
-            by_name[entry["name"]] = entry
+            name = entry["name"]
+            repeated = name in by_name
         except (TypeError, KeyError):
             raise CheckpointError(f"malformed tensor entry in {path}") from None
+        if repeated:
+            raise CheckpointError(f"checkpoint {path} lists tensor {name!r} twice")
+        by_name[name] = entry
+    wire = _wire_dtype(dtype)
+    tensors = {}
     for name, shape in expected.items():
         entry = by_name.get(name)
         if entry is None:
             raise CheckpointError(f"checkpoint {path} is missing tensor {name}")
-        got_shape, values = entry.get("shape"), entry.get("values")
+        got_shape, data = entry.get("shape"), entry.get("data")
         if not isinstance(got_shape, list) or tuple(got_shape) != shape:
             raise CheckpointError(
                 f"tensor {name}: shape {got_shape!r} in file, expected {shape}"
             )
+        if not isinstance(data, str):
+            raise CheckpointError(f"tensor {name}: data is not a base64 string")
         try:
-            values = np.asarray(values, dtype=dtype) if isinstance(values, list) else None
-        except (TypeError, ValueError, OverflowError):
-            values = None
-        if values is None or values.shape != (int(np.prod(shape)),):
-            raise CheckpointError(f"tensor {name}: values do not fill {shape} with numbers")
+            raw = base64.b64decode(data, validate=True)
+        except ValueError:   # binascii.Error, or text that is not ASCII
+            raise CheckpointError(f"tensor {name}: data is not valid base64") from None
+        if len(raw) != math.prod(shape) * wire.itemsize:
+            raise CheckpointError(
+                f"tensor {name}: {len(raw)} bytes of data, expected "
+                f"{math.prod(shape)} {dtype} values for {shape}")
+        # frombuffer over bytes is read-only; astype copies into a
+        # writable native-endian array
+        values = np.frombuffer(raw, dtype=wire).astype(dtype)
         if not np.isfinite(values).all():
             raise CheckpointError(f"tensor {name} holds NaN or Inf")
         tensors[name] = ParamTensor(name, Tensor(values.reshape(shape)))

@@ -187,6 +187,26 @@ def test_predict_outputs_pair(trained, capsys):
     assert "activity=" in line
 
 
+def test_overflowing_checkpoint_is_numeric_failure(trained, tmp_path, capsys):
+    """A finite checkpoint whose forward overflows: predict and eval stop
+    with exit 3 instead of reporting argmax labels of NaN probabilities."""
+    corpus, out = trained
+    params = model.load_params(out / "model.json")
+    for p in params.weight_tensors():
+        p.value.data[...] = 1e200
+    checkpoint = tmp_path / "overflow.json"
+    model.save_params(params, checkpoint)
+    code = run(["predict", "--checkpoint", str(checkpoint),
+                "--history", str(sorted(corpus.iterdir())[0])])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    code = run(["eval", "--data", str(corpus), "--out", str(tmp_path / "e"),
+                "--checkpoint", str(checkpoint), "--seed", "7"])
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "e" / "metrics.csv").exists()
+
+
 def test_train_determinism_smoke(tmp_path):
     corpus = make_corpus(tmp_path, files=3, events=40, seed=2)
     outs = []

@@ -1,4 +1,6 @@
+import base64
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from treehar.model import (
     init_params,
     load_params,
     predict,
+    predict_batch,
     save_params,
 )
-from treehar.numerics import ParamTensor, ShapeError, Tensor
+from treehar.numerics import NumericError, ParamTensor, ShapeError, Tensor
 from treehar.windowing import make_windows, stack_windows
 
 from oracles import naive_basic_module
@@ -233,6 +236,19 @@ def test_forward_batch_consistent_with_single():
                                    rtol=1e-12, atol=1e-12)
 
 
+def test_non_finite_probabilities_raise_numeric_error():
+    """Finite weights whose forward overflows give NaN probabilities;
+    neither predict path may turn them into a label."""
+    params = init_params(3, 37, seed=2)
+    for p in params.weight_tensors():
+        p.value.data[...] = 1e200
+    windows = make_windows(_events(4), k=3)
+    with pytest.raises(NumericError, match="not finite"):
+        predict(windows[-1], params)
+    with pytest.raises(NumericError, match="not finite"):
+        predict_batch(stack_windows(windows)[0], params)
+
+
 def test_forward_batch_rejects_wrong_vocab():
     params = init_params(4, 37, seed=9)
     with pytest.raises(ShapeError, match="vocab"):
@@ -313,7 +329,7 @@ def test_load_missing_tensor_rejected(tmp_path):
 
 
 def _mutated_checkpoint(tmp_path, mutate):
-    """A valid k=3 checkpoint with mutate(doc) applied to its JSON."""
+    """A valid k=3 float64 checkpoint with mutate(doc) applied to its JSON."""
     import json
 
     path = tmp_path / "model.json"
@@ -324,8 +340,25 @@ def _mutated_checkpoint(tmp_path, mutate):
     return path
 
 
-def _set_value(doc, value):
-    doc["tensors"][0]["values"][1] = value
+def _payload(entry):
+    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+
+
+def _set_payload(entry, values):
+    entry["data"] = base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def _set_element(doc, value):
+    """Write value's float64 bit pattern over element 1 of the first tensor."""
+    values = _payload(doc["tensors"][0]).copy()
+    values[1] = value
+    _set_payload(doc["tensors"][0], values)
+
+
+def _resize_payload(doc, extra):
+    entry = doc["tensors"][0]
+    values = _payload(entry)
+    _set_payload(entry, values[:extra] if extra < 0 else np.append(values, [0.0] * extra))
 
 
 def _shrink_vocab(doc):
@@ -335,32 +368,91 @@ def _shrink_vocab(doc):
         if entry["name"] in ("head_resident.weight", "head_activity.weight"):
             rows, cols = entry["shape"]
             entry["shape"] = [rows, cols // 37 * 36]
-            entry["values"] = entry["values"][:rows * cols // 37 * 36]
+            _set_payload(entry, _payload(entry)[:rows * cols // 37 * 36])
 
 
-@pytest.mark.parametrize("mutate", [
-    pytest.param(lambda d: d.update(k=1), id="k=1"),
-    pytest.param(lambda d: d.update(k=40), id="k-beyond-tensor-count"),
-    pytest.param(lambda d: d.update(tensors=5), id="tensors-not-list"),
-    pytest.param(lambda d: d["tensors"][0].update(shape=16), id="shape-not-list"),
-    pytest.param(lambda d: _set_value(d, "abc"), id="string-value"),
-    pytest.param(lambda d: _set_value(d, None), id="null-value"),
-    pytest.param(lambda d: _set_value(d, float("nan")), id="nan-value"),
-    pytest.param(lambda d: _set_value(d, float("inf")), id="inf-value"),
-    pytest.param(lambda d: d["tensors"][0].update(values=5), id="values-not-list"),
-    pytest.param(lambda d: d.update(dtype="int64"), id="dtype-int64"),
-    pytest.param(_shrink_vocab, id="vocab-36"),
+def _version_1(doc):
+    """The same model in the version-1 layout: decimal values, no data."""
+    doc["version"] = 1
+    for entry in doc["tensors"]:
+        entry["values"] = _payload(entry).tolist()
+        del entry["data"]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    pytest.param(lambda d: d.update(k=1), "k=1", id="k=1"),
+    pytest.param(lambda d: d.update(k=40), "k=40", id="k-beyond-tensor-count"),
+    pytest.param(lambda d: d.update(tensors=5), "tensors must be a list",
+                 id="tensors-not-list"),
+    pytest.param(lambda d: d["tensors"][0].update(shape=16), "shape 16",
+                 id="shape-not-list"),
+    pytest.param(lambda d: d["tensors"][0].update(data="not base64!"), "base64",
+                 id="string-value"),
+    pytest.param(lambda d: d["tensors"][0].update(data=None), "base64", id="null-value"),
+    pytest.param(lambda d: _set_element(d, float("nan")), "NaN or Inf", id="nan-value"),
+    pytest.param(lambda d: _set_element(d, float("inf")), "NaN or Inf", id="inf-value"),
+    pytest.param(lambda d: d["tensors"][0].update(data=5), "base64",
+                 id="values-not-list"),
+    pytest.param(lambda d: _resize_payload(d, -1), "bytes of data", id="data-one-short"),
+    pytest.param(lambda d: _resize_payload(d, 1), "bytes of data", id="data-one-long"),
+    pytest.param(lambda d: d.update(dtype="int64"), "dtype", id="dtype-int64"),
+    pytest.param(_shrink_vocab, "vocab_size 36", id="vocab-36"),
+    pytest.param(lambda d: d["tensors"].append(dict(d["tensors"][0])), "twice",
+                 id="duplicate-tensor"),
+    pytest.param(_version_1, "version 1 unsupported", id="version-1"),
 ])
-def test_load_rejects_malformed_checkpoint(tmp_path, mutate):
+def test_load_rejects_malformed_checkpoint(tmp_path, mutate, message):
     from treehar.cli import run
 
     path = _mutated_checkpoint(tmp_path, mutate)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=message):
         load_params(path)
     history = tmp_path / "history.txt"
     history.write_text("2009-02-02 08:00:00 M01 ON 1 1\n")
     assert run(["predict", "--checkpoint", str(path),
                 "--history", str(history)]) == 2
+
+
+@pytest.mark.parametrize("dtype,wire", [(np.float64, "<f8"), (np.float32, "<f4")])
+def test_checkpoint_data_is_little_endian_bytes(tmp_path, dtype, wire):
+    import json
+
+    params = init_params(3, 37, seed=4, dtype=dtype)
+    path = tmp_path / "model.json"
+    save_params(params, path)
+    doc = json.loads(path.read_text())
+    assert doc["dtype"] == np.dtype(dtype).name
+    assert [e["name"] for e in doc["tensors"]] == [p.name for p in params]
+    for entry, p in zip(doc["tensors"], params):
+        assert entry["shape"] == list(p.value.shape)
+        assert base64.b64decode(entry["data"]) == p.value.data.astype(wire).tobytes()
+    for p in load_params(path):
+        data = p.value.data
+        assert data.flags.writeable and data.flags.c_contiguous
+        assert data.dtype == dtype and data.dtype.isnative
+
+
+def test_loaded_float32_checkpoint_trains(tmp_path):
+    from treehar.training import AdamState, TrainConfig, train_epoch
+
+    path = tmp_path / "model32.json"
+    save_params(init_params(3, 37, seed=5, dtype=np.float32), path)
+    params = load_params(path)
+    before = params["layer1.event.weight"].value.data.copy()
+    stats = train_epoch(make_windows(_events(6), k=3), params,
+                        AdamState(params.tensors()), TrainConfig(batch_size=8))
+    assert np.isfinite(stats.avg_loss)
+    assert not np.array_equal(params["layer1.event.weight"].value.data, before)
+
+
+def test_checkpoint_size_is_binary_not_decimal(tmp_path):
+    """Base64 of the float64 bytes plus at most 8 KiB of header, names and
+    shapes; decimal text would be about twice as large."""
+    params = init_params(8, 37, seed=0)
+    path = tmp_path / "model.json"
+    save_params(params, path)
+    payload = math.ceil(8 * params.parameter_count() / 3) * 4
+    assert path.stat().st_size <= payload + 8 * 1024
 
 
 def test_save_params_crash_keeps_previous_checkpoint(tmp_path, monkeypatch):
