@@ -95,8 +95,7 @@ def build_parser() -> _Parser:
         "--data", "--out", "--seed", "--k", "--alpha", "--beta", "--gamma",
         "--epochs", "--on-value", "--dtype", "--cv")
     add("eval", "evaluate a method on the held-out files",
-        "--data", "--out", "--seed", "--k", "--alpha", "--beta", "--gamma",
-        "--epochs", "--on-value", "--dtype", "--cv", "--method",
+        "--data", "--out", "--seed", "--k", "--on-value", "--method",
         "--checkpoint", "--knn-k", "--max-depth", "--min-leaf")
     add("sweep", "hyperparameter grid over batch size, L2 weight, rate",
         "--data", "--out", "--seed", "--k", "--epochs", "--on-value",
@@ -505,10 +504,10 @@ def cmd_gradcheck(cfg) -> int:
         tensor.value.data += rng.uniform(-0.05, 0.05, size=tensor.value.shape)
 
     def loss_fn(tape):
-        _, resident_probs, activity_probs = model.forward_batch(
+        _, resident_logits, activity_logits = model.forward_batch(
             events, params, tape)
         return training.batch_loss(
-            resident_probs, activity_probs, residents, activities,
+            resident_logits, activity_logits, residents, activities,
             params, DEFAULTS["beta"], tape)
 
     report = gradient_check(loss_fn, params.tensors(), probes,

@@ -3,8 +3,10 @@
 A window of k one-hot events is folded left-deep by k-1 basic modules.
 Each basic module convolves the incoming (older) event and the running
 feature, merges them by element-wise addition, and refines the merge
-with a three-convolution residual block. Two dense+softmax heads read
-the flattened top feature: one over residents, one over activities.
+with a three-convolution residual block. Two dense heads read the
+flattened top feature and give logits: one over residents, one over
+activities. Training's loss takes the logits; prediction takes their
+argmax, or their softmax where probabilities are reported.
 """
 
 from __future__ import annotations
@@ -195,7 +197,7 @@ def forward_batch(events: np.ndarray, params: ModelParams, tape: Tape = None):
     events is (batch, k, vocab) as produced by windowing.stack_windows.
     Slice j holds event t-j; the fold merges the target and its
     predecessor first, then one older event per basic module. Returns
-    (features, resident_probs, activity_probs) with probs shaped
+    (features, resident_logits, activity_logits) with logits shaped
     (batch, 2) and (batch, 15).
     """
     n, k, vocab = events.shape
@@ -209,18 +211,19 @@ def forward_batch(events: np.ndarray, params: ModelParams, tape: Tape = None):
     features = basic_module(slices[1], slices[0], params.layer(1), tape)
     for i in range(2, k):
         features = basic_module(features, slices[i], params.layer(i), tape)
-    resident_probs, activity_probs = head_probs(features, params, tape)
-    return features, resident_probs, activity_probs
+    resident_logits, activity_logits = head_probs(features, params, tape)
+    return features, resident_logits, activity_logits
 
 
 def head_probs(features: Tensor, params: ModelParams, tape: Tape = None):
+    """The two dense heads over the flattened features. Returns (resident,
+    activity) logits, not probabilities, despite the older name; softmax
+    gives the probabilities."""
     flat = flatten(features, tape)
-    resident = softmax(
-        dense(flat, params["head_resident.weight"].value,
-              params["head_resident.bias"].value, tape), tape)
-    activity = softmax(
-        dense(flat, params["head_activity.weight"].value,
-              params["head_activity.bias"].value, tape), tape)
+    resident = dense(flat, params["head_resident.weight"].value,
+                     params["head_resident.bias"].value, tape)
+    activity = dense(flat, params["head_activity.weight"].value,
+                     params["head_activity.bias"].value, tape)
     return resident, activity
 
 
@@ -236,30 +239,32 @@ class Prediction:
         )
 
 
-def _class_probs(events: np.ndarray, params: ModelParams):
-    """Tape-less forward; (resident, activity) probabilities, all finite.
+def _class_logits(events: np.ndarray, params: ModelParams):
+    """Tape-less forward; (resident, activity) logits, all finite.
 
     A finite checkpoint can still overflow in the forward, and argmax over
-    NaN probabilities would return class 0 as if it were a prediction."""
+    NaN would return class 0 as if it were a prediction. Finite logits
+    give a finite softmax."""
     _, resident, activity = forward_batch(events, params)
     if not (np.isfinite(resident.data).all() and np.isfinite(activity.data).all()):
         raise NumericError(
-            "class probabilities are not finite: the model's weights overflow "
+            "class logits are not finite: the model's weights overflow "
             f"the {np.dtype(params.dtype).name} forward")
-    return resident.data, activity.data
+    return resident, activity
 
 
 def predict(window, params: ModelParams) -> Prediction:
     """Class probabilities for one window, as a batch of one."""
     events, _, _ = stack_windows([window], dtype=params.dtype)
-    resident, activity = _class_probs(events, params)
-    return Prediction(Tensor(resident[0]), Tensor(activity[0]))
+    resident, activity = _class_logits(events, params)
+    return Prediction(Tensor(softmax(resident).data[0]),
+                      Tensor(softmax(activity).data[0]))
 
 
 def predict_batch(events: np.ndarray, params: ModelParams):
     """Argmax labels for stacked windows: (residents, activities) int arrays."""
-    resident, activity = _class_probs(events, params)
-    return np.argmax(resident, axis=1), np.argmax(activity, axis=1)
+    resident, activity = _class_logits(events, params)
+    return np.argmax(resident.data, axis=1), np.argmax(activity.data, axis=1)
 
 
 # ---------------------------------------------------------------------------

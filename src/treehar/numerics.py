@@ -32,9 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-CROSS_ENTROPY_CLIP = 1e-12
-
-
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
@@ -396,17 +393,18 @@ def relu(x: Tensor, tape: Tape = None) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
-    """Element-wise sum. Operands in one layout give a result in it; a
-    buffer-backed and a plain operand give a plain result."""
+    """Element-wise sum of two operands in one layout, given in it: both
+    plain, or both buffer-backed with one pad."""
     _require_tensor(a, "add", "a")
     _require_tensor(b, "add", "b")
     if a.shape != b.shape:
         raise ShapeError(f"add: shape {a.shape} != shape {b.shape}")
-    same = a.pad == b.pad
-    sa, sb = (_storage(a), _storage(b)) if same else (a.data, b.data)
+    if a.pad != b.pad:
+        raise ShapeError(f"add: operands in different layouts (pad {a.pad} and {b.pad})")
+    sa, sb = _storage(a), _storage(b)
     total = np.add(sa, sb, out=_empty(_workspace(tape), sa.shape,
                                       np.result_type(sa, sb)))
-    out = _laid_out_like(a, total) if same else Tensor(total)
+    out = _laid_out_like(a, total)
     if tape is not None:
         def bwd(g, acc):
             acc(a, g)
@@ -440,58 +438,42 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, tape: Tape = None) -> Tensor:
-    """Max-subtracted softmax over the last axis of (batch, K) logits."""
+def softmax(x: Tensor) -> Tensor:
+    """Max-subtracted softmax over the last axis of (batch, K) logits.
+    Forward only: training differentiates softmax_cross_entropy."""
     _require_tensor(x, "softmax", "logits")
     if x.data.ndim != 2 or x.shape[-1] < 1:
         raise ShapeError(f"softmax: logits must be (batch, K), got shape {x.shape}")
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p)
-    if tape is not None:
-        def bwd(g, acc):
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            acc(x, p * (g - dot))
-        tape.record(out, bwd)
-    return out
+    return Tensor(e / e.sum(axis=-1, keepdims=True))
 
 
-def cross_entropy(probs: Tensor, target, tape: Tape = None) -> Tensor:
-    """Per-row -ln(probs[row, target[row]]), the probability clipped at
-    1e-12: probs (batch, K) and batch targets give a (batch,) loss vector."""
-    _require_tensor(probs, "cross_entropy", "probs")
-    if probs.data.ndim != 2:
-        raise ShapeError(f"cross_entropy: probs must be (batch, K), got {probs.shape}")
+def softmax_cross_entropy(logits: Tensor, target, tape: Tape = None) -> Tensor:
+    """Scalar batch mean of -log softmax(logits)[row, target[row]] for
+    (batch, K) logits, by a max-subtracted log-sum-exp: no probability is
+    formed, so none is clipped. Backward: (softmax - onehot) * g / batch."""
+    _require_tensor(logits, "softmax_cross_entropy", "logits")
+    if logits.data.ndim != 2 or min(logits.shape) < 1:
+        raise ShapeError(
+            f"softmax_cross_entropy: logits must be (batch, K), got shape {logits.shape}")
     targets = np.asarray(target, dtype=np.int64)
-    n, k = probs.shape
+    n, k = logits.shape
     if targets.shape != (n,):
         raise ShapeError(
-            f"cross_entropy: need {n} targets for batch of {n}, got shape {targets.shape}"
+            f"softmax_cross_entropy: need {n} targets for batch of {n}, "
+            f"got shape {targets.shape}"
         )
     if targets.min() < 0 or targets.max() >= k:
-        raise IndexError(f"cross_entropy: target out of range [0, {k})")
+        raise IndexError(f"softmax_cross_entropy: target out of range [0, {k})")
     rows = np.arange(n)
-    pt = probs.data[rows, targets]
-    loss = Tensor(-np.log(np.maximum(pt, CROSS_ENTROPY_CLIP)))
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    out = Tensor(np.asarray((np.log(np.exp(z).sum(axis=1)) - z[rows, targets]).mean()))
     if tape is not None:
         def bwd(g, acc):
-            gp = np.zeros_like(probs.data)
-            live = pt > CROSS_ENTROPY_CLIP
-            gp[rows[live], targets[live]] = -g[live] / pt[live]
-            acc(probs, gp)
-        tape.record(loss, bwd)
-    return loss
-
-
-def mean(x: Tensor, tape: Tape = None) -> Tensor:
-    _require_tensor(x, "mean", "input")
-    if x.size < 1:
-        raise ShapeError("mean: empty tensor")
-    out = Tensor(np.asarray(x.data.mean()))
-    if tape is not None:
-        def bwd(g, acc):
-            acc(x, np.full(x.shape, g / x.size, dtype=x.dtype))
+            grad = softmax(logits).data
+            grad[rows, targets] -= 1.0
+            acc(logits, grad * (g / n))
         tape.record(out, bwd)
     return out
 

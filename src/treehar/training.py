@@ -21,9 +21,8 @@ from .numerics import (
     Workspace,
     add,
     backward,
-    cross_entropy,
     l2_term,
-    mean,
+    softmax_cross_entropy,
 )
 from .windowing import stack_windows
 
@@ -110,14 +109,15 @@ def adam_step(params, state: AdamState, learning_rate: float,
         p.zero_grad()
 
 
-def batch_loss(resident_probs, activity_probs, residents, activities,
+def batch_loss(resident_logits, activity_logits, residents, activities,
                params: ModelParams, l2_weight: float, tape: Tape = None) -> Tensor:
-    """Mean per-sample joint CE over the batch plus the L2 term (the mean
-    keeps the learning rate's meaning independent of batch size). The L2
-    term covers weights only, not biases."""
+    """Mean per-sample joint softmax cross-entropy of the two heads' logits
+    over the batch plus the L2 term (the mean keeps the learning rate's
+    meaning independent of batch size). The L2 term covers weights only,
+    not biases."""
     loss = add(
-        mean(cross_entropy(resident_probs, residents, tape), tape),
-        mean(cross_entropy(activity_probs, activities, tape), tape),
+        softmax_cross_entropy(resident_logits, residents, tape),
+        softmax_cross_entropy(activity_logits, activities, tape),
         tape,
     )
     if l2_weight:
@@ -152,9 +152,9 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
     for start in range(0, len(windows), config.batch_size):
         idx = order[start:start + config.batch_size]
         tape = Tape(state.workspace)
-        _, resident_probs, activity_probs = forward_batch(events[idx], params, tape)
+        _, resident_logits, activity_logits = forward_batch(events[idx], params, tape)
         loss = batch_loss(
-            resident_probs, activity_probs,
+            resident_logits, activity_logits,
             residents[idx], activities[idx],
             params, config.l2_weight, tape,
         )

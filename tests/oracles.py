@@ -48,6 +48,16 @@ def naive_softmax(logits):
     return np.array([e / total for e in exps])
 
 
+def naive_log_softmax_ce(logits, targets):
+    """Batch mean of log(sum_j exp(z_j)) - z_t, one row at a time."""
+    losses = []
+    for row, t in zip(logits, targets):
+        top = max(row)
+        lse = top + math.log(math.fsum(math.exp(v - top) for v in row))
+        losses.append(lse - row[t])
+    return math.fsum(losses) / len(losses)
+
+
 def naive_relu(x):
     return np.where(np.asarray(x) > 0, x, 0.0)
 

@@ -379,12 +379,31 @@ def test_k_below_two_is_usage_error(trained, tmp_path, command):
 def test_one_file_corpus_is_data_error(trained, tmp_path, capsys, command):
     _, out = trained
     corpus = make_corpus(tmp_path, "single", files=1, events=30)
-    argv = [command, "--data", str(corpus), "--out", str(tmp_path / "o"),
-            "--k", "3", "--epochs", "1"]
-    if command == "eval":
-        argv += ["--checkpoint", str(out / "model.json")]
+    argv = [command, "--data", str(corpus), "--out", str(tmp_path / "o"), "--k", "3"]
+    argv += (["--checkpoint", str(out / "model.json")] if command == "eval"
+             else ["--epochs", "1"])
     assert run(argv) == 2
     assert "at least 2 files" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "7"), ("--beta", "0.1"), ("--gamma", "5"), ("--epochs", "99"),
+    ("--dtype", "float64"), ("--cv", "5"),
+])
+def test_eval_rejects_training_flags(trained, tmp_path, capsys, flag, value):
+    """eval reads none of train's hyperparameters, so it refuses them
+    rather than accept and ignore them; as config-file keys they stay
+    valid, since one file may serve every command."""
+    corpus, out = trained
+    eval_out = tmp_path / "o"
+    argv = ["eval", "--data", str(corpus), "--out", str(eval_out),
+            "--checkpoint", str(out / "model.json")]
+    assert run(argv + [flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not eval_out.exists()
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag[2:]}={value}\n")
+    assert run(argv + ["--config", str(config)]) == 0
 
 
 def test_knn_k_above_training_windows_is_data_error(trained, tmp_path, capsys):
@@ -507,12 +526,12 @@ def test_train_and_eval_survive_byte_mutations(run_inputs, command, target, whic
             (td / "corpus" / name).write_bytes(data)
         (td / "run.cfg").write_bytes(config)
         (td / "model.json").write_bytes(checkpoint)
-        argv = {"train": ["train", "--k", "3"],
+        argv = {"train": ["train", "--k", "3", "--epochs", "1"],
                 "eval": ["eval", "--checkpoint", str(td / "model.json")],
                 "knn": ["eval", "--method", "knn", "--k", "3"],
                 "dt": ["eval", "--method", "dt", "--k", "3"]}[command]
         code = run(argv + ["--data", str(td / "corpus"), "--out", str(td / "out"),
-                           "--config", str(td / "run.cfg"), "--epochs", "1"])
+                           "--config", str(td / "run.cfg")])
         assert code in (0, 1, 2, 3)
         if code == 0 and command == "train":
             model.load_params(td / "out" / "model.json")   # complete and finite

@@ -20,7 +20,7 @@ from treehar.model import (
     predict_batch,
     save_params,
 )
-from treehar.numerics import NumericError, ParamTensor, ShapeError, Tensor
+from treehar.numerics import NumericError, ParamTensor, ShapeError, Tensor, softmax
 from treehar.windowing import make_windows, stack_windows
 
 from oracles import naive_basic_module
@@ -227,12 +227,13 @@ def test_forward_batch_consistent_with_single():
     params = init_params(4, 37, seed=9)
     windows = make_windows(_events(6), k=4)
     events, _, _ = stack_windows(windows)
-    _, probs_r, probs_a = forward_batch(events, params)
+    _, logits_r, logits_a = forward_batch(events, params)
+    probs_r, probs_a = softmax(logits_r).data, softmax(logits_a).data
     for i, w in enumerate(windows):
         single = predict(w, params)
-        np.testing.assert_allclose(probs_r.data[i], single.resident_probs.data,
+        np.testing.assert_allclose(probs_r[i], single.resident_probs.data,
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(probs_a.data[i], single.activity_probs.data,
+        np.testing.assert_allclose(probs_a[i], single.activity_probs.data,
                                    rtol=1e-12, atol=1e-12)
 
 

@@ -16,19 +16,18 @@ from treehar.numerics import (
     add,
     backward,
     conv1d,
-    cross_entropy,
     dense,
     flatten,
     gradient_check,
     l2_term,
-    mean,
     relu,
     softmax,
+    softmax_cross_entropy,
 )
 
 from treehar import model, training
 
-from oracles import naive_conv1d, naive_dense, naive_softmax
+from oracles import naive_conv1d, naive_dense, naive_log_softmax_ce, naive_softmax
 
 
 def rng(seed=0):
@@ -228,25 +227,21 @@ def test_add_of_buffer_and_plain_tensors():
     as_buffer = conv1d(plain, Tensor(identity), Tensor(np.zeros(3)))
     np.testing.assert_array_equal(as_buffer.data, plain.data)
 
-    results = {}
-    for name, other in (("mixed", plain), ("buffers", as_buffer)):
-        w.zero_grad(), b.zero_grad()
-        tape = Tape()
-        a = conv1d(x, w.value, b.value, tape)
-        total = add(a, other, tape)
-        np.testing.assert_array_equal(total.data, a.data + plain.data)
-        loss = l2_term([total], 0.5, tape)
-        table = tape.gradients(loss)
-        # the gradient of half the squared sum is the sum itself, in the
-        # layout of each operand
+    tape = Tape()
+    a = conv1d(x, w.value, b.value, tape)
+    total = add(a, as_buffer, tape)
+    assert total.buf is not None
+    np.testing.assert_array_equal(total.data, a.data + plain.data)
+    loss = l2_term([total], 0.5, tape)
+    table = tape.gradients(loss)
+    # the gradient of half the squared sum is the sum itself, in the
+    # buffer layout of each operand
+    for t in (a, as_buffer):
         np.testing.assert_array_equal(
-            table[id(a)].reshape(3, 2, 6)[:, :, 1:5].transpose(1, 0, 2), total.data)
-        if other is plain:
-            np.testing.assert_array_equal(table[id(plain)], total.data)
-        backward(loss, tape, [w, b])
-        results[name] = w.grad.data.copy(), b.grad.data.copy()
-    for want, got in zip(results["buffers"], results["mixed"]):
-        np.testing.assert_array_equal(got, want)
+            table[id(t)].reshape(3, 2, 6)[:, :, 1:5].transpose(1, 0, 2), total.data)
+    # operands in different layouts are refused, not silently converted
+    with pytest.raises(ShapeError, match="layouts"):
+        add(a, plain, Tape())
 
 
 def test_conv1d_rejects_even_kernel():
@@ -344,7 +339,7 @@ def test_dense_batched_matches_per_sample():
 
 
 # ---------------------------------------------------------------------------
-# softmax / cross_entropy
+# softmax / softmax_cross_entropy
 
 
 def test_softmax_symmetry_examples():
@@ -377,36 +372,87 @@ def test_softmax_overflow_safe():
 
 
 def test_cross_entropy_values():
-    assert cross_entropy(Tensor([[0.0, 1.0]]), [1]).item() == 0.0
-    assert math.isclose(cross_entropy(Tensor([[0.5, 0.5]]), [0]).item(),
+    assert softmax_cross_entropy(Tensor([[0.0, 200.0]]), [1]).item() == 0.0
+    assert math.isclose(softmax_cross_entropy(Tensor([[0.0, 0.0]]), [0]).item(),
                         math.log(2), rel_tol=1e-12)
-    uniform = Tensor(np.full((1, 15), 1.0 / 15.0))
-    assert math.isclose(cross_entropy(uniform, [7]).item(),
+    assert math.isclose(softmax_cross_entropy(Tensor(np.zeros((3, 15))), [7, 0, 14]).item(),
                         math.log(15), rel_tol=1e-12)
-
-
-def test_cross_entropy_clips_zero_probability():
-    loss = cross_entropy(Tensor([[1.0, 0.0]]), [1]).item()
-    assert math.isclose(loss, -math.log(1e-12), rel_tol=1e-12)
+    # max-subtracted: logits that would overflow exp are fine
+    assert math.isclose(softmax_cross_entropy(Tensor([[1000.0, 1000.0]]), [1]).item(),
+                        math.log(2), rel_tol=1e-12)
 
 
 def test_cross_entropy_rejects_bad_target():
     with pytest.raises(IndexError):
-        cross_entropy(Tensor([[0.5, 0.5]]), [2])
+        softmax_cross_entropy(Tensor([[0.5, 0.5]]), [2])
     with pytest.raises(IndexError):
-        cross_entropy(Tensor(np.full((2, 3), 1 / 3)), [0, 5])
+        softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 5])
+    with pytest.raises(IndexError):
+        softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, -1])
     with pytest.raises(ShapeError):
-        cross_entropy(Tensor(np.full((2, 3), 1 / 3)), [0])
+        softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0])
+    with pytest.raises(ShapeError):
+        softmax_cross_entropy(Tensor(np.zeros(3)), [0])
+    with pytest.raises(ShapeError):
+        softmax_cross_entropy(Tensor(np.zeros((0, 3))), [])
 
 
 def test_cross_entropy_batched_matches_single():
     r = rng(13)
-    probs = r.dirichlet(np.ones(5), size=4)
+    logits = r.normal(size=(4, 5)) * 3
     targets = [0, 3, 2, 4]
-    batched = cross_entropy(Tensor(probs), targets).data
-    for i in range(4):
-        assert math.isclose(batched[i], -math.log(probs[i, targets[i]]),
-                            rel_tol=1e-12)
+    batched = softmax_cross_entropy(Tensor(logits), targets).item()
+    singles = [softmax_cross_entropy(Tensor(logits[i:i + 1]), [targets[i]]).item()
+               for i in range(4)]
+    assert math.isclose(batched, math.fsum(singles) / 4, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.1, 3.0, 40.0])
+def test_softmax_cross_entropy_matches_naive_oracle(scale):
+    r = rng(17)
+    logits = r.normal(size=(6, 15)) * scale
+    targets = r.integers(0, 15, size=6)
+    got = softmax_cross_entropy(Tensor(logits), targets).item()
+    want = naive_log_softmax_ce(logits.tolist(), targets.tolist())
+    assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_softmax_cross_entropy_equals_softmax_then_log_where_unsaturated():
+    # -log of the softmax's target probability, averaged, wherever every
+    # target probability is above 1e-12
+    r = rng(19)
+    logits = r.normal(size=(8, 15)) * 2
+    targets = r.integers(0, 15, size=8)
+    p_target = [naive_softmax(row)[t] for row, t in zip(logits, targets)]
+    assert min(p_target) > 1e-12
+    want = -np.mean(np.log(p_target))
+    got = softmax_cross_entropy(Tensor(logits), targets).item()
+    assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_softmax_cross_entropy_gradient_where_target_probability_is_tiny():
+    # row 0's target has probability ~e^-60 < 1e-12: a clipped -log p
+    # would give it no gradient at all
+    logits = np.array([[30.0, -30.0, 0.0], [0.5, -0.2, 0.1]])
+    targets = [1, 2]
+    assert naive_softmax(logits[0])[1] < 1e-12
+    x = Tensor(logits)
+    tape = Tape()
+    loss = softmax_cross_entropy(x, targets, tape)
+    got = tape.gradients(loss)[id(x)]
+    want = np.array([naive_softmax(row) for row in logits])
+    want[[0, 1], targets] -= 1.0
+    want /= 2
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert abs(got[0, 1]) > 0.49
+
+
+def test_softmax_cross_entropy_keeps_float32():
+    x = Tensor(np.zeros((2, 15), dtype=np.float32))
+    tape = Tape()
+    loss = softmax_cross_entropy(x, [3, 4], tape)
+    assert loss.dtype == np.float32
+    assert tape.gradients(loss)[id(x)].dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +472,9 @@ def test_backward_logits_gradient_closed_form():
     b = ParamTensor("b", Tensor(np.zeros(4)))
     tape = Tape()
     logits = dense(x, w.value, b.value, tape)
-    probs = softmax(logits, tape)
-    loss = mean(cross_entropy(probs, [2], tape), tape)
+    loss = softmax_cross_entropy(logits, [2], tape)
     backward(loss, tape, [w, b])
-    expected = probs.data[0].copy()
+    expected = softmax(logits).data[0]
     expected[2] -= 1.0
     np.testing.assert_allclose(tape.gradients(loss)[id(logits)][0], expected,
                                atol=1e-14)
@@ -441,7 +486,7 @@ def test_backward_constant_loss_gives_zero_grads():
     p = ParamTensor("w", Tensor(np.ones(3)))
     tape = Tape()
     const = Tensor(np.asarray(2.0))
-    loss = mean(const, tape)  # recorded op, but no parameter on path
+    loss = l2_term([const], 1.0, tape)  # recorded op, but no parameter on path
     backward(loss, tape, [p])
     assert np.all(p.grad.data == 0)
     assert p.grad_ready
@@ -454,8 +499,7 @@ def test_backward_linearity_over_sum_of_losses():
     b = ParamTensor("b", Tensor(r.normal(size=3)))
 
     def loss_for(target, tape):
-        return mean(cross_entropy(
-            softmax(dense(x, w.value, b.value, tape), tape), [target], tape), tape)
+        return softmax_cross_entropy(dense(x, w.value, b.value, tape), [target], tape)
 
     grads = {}
     for target in (0, 1):
@@ -480,12 +524,14 @@ def test_grad_accumulates_across_backward_calls():
     np.testing.assert_allclose(w.grad.data, [8.0])  # 2 * (2w) with w=2
 
 
-def test_mean_and_sum_squares_and_flatten_grads():
+def test_sum_squares_and_flatten_grads():
     x = ParamTensor("x", Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])))
     tape = Tape()
-    m = mean(flatten(x.value, tape), tape)
-    backward(m, tape, [x])
-    np.testing.assert_allclose(x.grad.data, np.full((1, 2, 2), 0.25))
+    ce = softmax_cross_entropy(flatten(x.value, tape), [1], tape)
+    backward(ce, tape, [x])
+    want = naive_softmax([1.0, 2.0, 3.0, 4.0])
+    want[1] -= 1.0
+    np.testing.assert_allclose(x.grad.data, want.reshape(1, 2, 2), rtol=1e-12)
 
     x.zero_grad()
     y = ParamTensor("y", Tensor(np.array([-1.0, 0.5])))
@@ -554,8 +600,8 @@ def _tree_net_loss(seed):
     residents, activities = [0, 1, 1], [2, 0, 14]
 
     def loss_fn(tape):
-        _, resident_probs, activity_probs = model.forward_batch(events, params, tape)
-        return training.batch_loss(resident_probs, activity_probs, residents,
+        _, resident_logits, activity_logits = model.forward_batch(events, params, tape)
+        return training.batch_loss(resident_logits, activity_logits, residents,
                                    activities, params, 0.01, tape)
 
     return loss_fn, params.tensors()
@@ -603,9 +649,10 @@ def _check_workspace_step(loss_fn, params):
 def _random_net_loss(seed):
     """Small random two-layer conv net; returns (loss_fn, params).
 
-    Weight scales keep the softmax unsaturated: near-zero probabilities
-    blow up the loss curvature and drown the finite-difference signal in
-    truncation error.
+    The fused softmax cross-entropy is smooth in the logits, so even a
+    saturated head (a target probability far below 1e-12) keeps a correct
+    gradient. The small weight scales keep the logits of order one and the
+    probes' finite differences away from ReLU kinks.
     """
     r = rng(seed)
     x = Tensor(r.normal(size=(2, 2, 9)))
@@ -624,7 +671,7 @@ def _random_net_loss(seed):
         h2 = conv1d(h, c2w.value, c2b.value, tape=tape)
         merged = relu(add(h, h2, tape), tape)
         logits = dense(flatten(merged, tape), dw.value, db.value, tape)
-        ce = mean(cross_entropy(softmax(logits, tape), [1, 3], tape), tape)
+        ce = softmax_cross_entropy(logits, [1, 3], tape)
         return add(ce, l2_term([c1w.value, dw.value], 0.01, tape), tape)
 
     return loss_fn, params
@@ -638,15 +685,15 @@ def test_gradients_match_finite_differences(seed):
 
 
 def test_gradient_check_linear_model_tight():
-    # loss linear in every parameter, so the central difference is exact
-    # up to float roundoff
+    # loss quadratic in every parameter, so the central difference is
+    # exact up to float roundoff
     r = rng(21)
     x = Tensor(r.normal(size=(2, 6)))
     w = ParamTensor("w", Tensor(r.normal(size=(3, 6))))
     b = ParamTensor("b", Tensor(r.normal(size=3)))
 
     def loss_fn(tape):
-        return mean(dense(x, w.value, b.value, tape), tape)
+        return l2_term([dense(x, w.value, b.value, tape)], 0.5, tape)
 
     report = gradient_check(loss_fn, [w, b], probe_count=18, seed=0)
     assert report.max_rel_error < 1e-8
@@ -657,7 +704,7 @@ def test_gradient_check_flat_loss_probe():
     const = Tensor(np.asarray(3.0))
 
     def loss_fn(tape):
-        return mean(const, tape)
+        return l2_term([const], 1.0, tape)
 
     report = gradient_check(loss_fn, [unused], probe_count=5, seed=0)
     assert report.max_rel_error == 0.0
@@ -670,7 +717,7 @@ def test_gradient_check_rejects_nondeterministic_model():
 
     def loss_fn(tape):
         state["n"] += 1
-        return mean(Tensor(np.asarray(float(state["n"]))), tape)
+        return l2_term([Tensor(np.asarray(float(state["n"])))], 1.0, tape)
 
     with pytest.raises(NumericError, match="deterministic"):
         gradient_check(loss_fn, [p], probe_count=1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from treehar.model import init_params
+from treehar.model import forward_batch, init_params
 from treehar.numerics import NumericError, ParamTensor, Tape, Tensor, backward, gradient_check, l2_term
 from treehar.training import (
     DEFAULT_ALPHA_GRID,
@@ -20,7 +20,7 @@ from treehar.training import (
     write_loss_log,
     write_sweep_csv,
 )
-from treehar.windowing import make_windows
+from treehar.windowing import make_windows, stack_windows
 
 from test_model import _events  # deterministic event fixture
 
@@ -64,24 +64,29 @@ def test_derive_seed_is_stable():
 # joint loss
 
 
-def _joint_loss(resident_probs, activity_probs, resident, activity, params,
+def _joint_loss(resident_logits, activity_logits, resident, activity, params,
                 l2_weight, tape=None):
     """batch_loss over a batch of one."""
-    return batch_loss(Tensor([resident_probs]), Tensor([activity_probs]),
+    return batch_loss(Tensor([resident_logits]), Tensor([activity_logits]),
                       [resident], [activity], params, l2_weight, tape)
 
 
+# zero logits: both heads uniform
+_UNIFORM = (np.zeros(2), np.zeros(15))
+
+
 def test_joint_loss_perfect_prediction_is_zero():
+    # a 200-nat margin leaves exp(-200) of every other class, far below
+    # the float64 resolution of 1 + p
     params = init_params(3, 37, seed=0)
-    loss = _joint_loss([1.0, 0.0], [0.0] * 5 + [1.0] + [0.0] * 9, 0, 5,
+    loss = _joint_loss([200.0, 0.0], [0.0] * 5 + [200.0] + [0.0] * 9, 0, 5,
                        params, l2_weight=0.0)
     assert loss.item() == 0.0
 
 
 def test_joint_loss_uniform_heads():
     params = init_params(3, 37, seed=0)
-    loss = _joint_loss([0.5, 0.5], np.full(15, 1 / 15), 1, 3, params,
-                       l2_weight=0.0)
+    loss = _joint_loss(*_UNIFORM, 1, 3, params, l2_weight=0.0)
     assert math.isclose(loss.item(), math.log(2) + math.log(15), rel_tol=1e-12)
     assert math.isclose(loss.item(), 3.4012, rel_tol=1e-4)
 
@@ -90,7 +95,7 @@ def test_joint_loss_l2_zero_for_zero_weights():
     params = init_params(3, 37, seed=0)
     for p in params.weight_tensors():
         p.value.data[...] = 0
-    uniform = ([0.5, 0.5], np.full(15, 1 / 15), 0, 0, params)
+    uniform = (*_UNIFORM, 0, 0, params)
     with_l2 = _joint_loss(*uniform, l2_weight=0.5)
     without = _joint_loss(*uniform, l2_weight=0.0)
     assert with_l2.item() == without.item()
@@ -98,7 +103,7 @@ def test_joint_loss_l2_zero_for_zero_weights():
 
 def test_l2_penalty_excludes_biases_and_grows_with_weights():
     params = init_params(3, 37, seed=1)
-    uniform = ([0.5, 0.5], np.full(15, 1 / 15), 0, 0, params)
+    uniform = (*_UNIFORM, 0, 0, params)
 
     def penalty():
         return (_joint_loss(*uniform, l2_weight=1.0).item()
@@ -117,7 +122,7 @@ def test_l2_gradient_is_2_beta_w():
     params = init_params(3, 37, seed=2)
     beta = 0.25
     tape = Tape()
-    loss = _joint_loss([0.5, 0.5], np.full(15, 1 / 15), 0, 0, params, beta, tape)
+    loss = _joint_loss(*_UNIFORM, 0, 0, params, beta, tape)
     backward(loss, tape, params.tensors())
     for p in params.weight_tensors():
         np.testing.assert_allclose(p.grad.data, 2 * beta * p.value.data,
@@ -135,6 +140,20 @@ def test_l2_gradient_matches_finite_differences():
 
     report = gradient_check(loss_fn, [w], probe_count=12, seed=0)
     assert report.max_rel_error < 1e-8
+
+
+def test_k8_step_records_92_tape_nodes():
+    """A k=8 forward plus the loss: 7 basic modules of 12 nodes (5 convs,
+    5 relus, 2 adds), flatten, two dense heads, one fused cross-entropy
+    per head, their sum, the L2 term and its add. A new tape op changes
+    this count on purpose or not at all."""
+    params = init_params(8, 37, seed=0)
+    events, residents, activities = stack_windows(_windows(6, k=8))
+    tape = Tape()
+    _, resident_logits, activity_logits = forward_batch(events, params, tape)
+    batch_loss(resident_logits, activity_logits, residents, activities,
+               params, TrainConfig().l2_weight, tape)
+    assert len(tape) == 92
 
 
 # ---------------------------------------------------------------------------
