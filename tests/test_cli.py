@@ -1,3 +1,4 @@
+import argparse
 import json
 import tempfile
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treehar import casas, model, synth
-from treehar.cli import run
+from treehar.cli import build_parser, run
 
 
 def make_corpus(tmp_path, name="corpus", files=3, events=60, seed=0):
@@ -535,3 +536,86 @@ def test_train_and_eval_survive_byte_mutations(run_inputs, command, target, whic
         assert code in (0, 1, 2, 3)
         if code == 0 and command == "train":
             model.load_params(td / "out" / "model.json")   # complete and finite
+
+
+# ---------------------------------------------------------------------------
+# golden command surface: accepted flags and configuration echoes
+
+
+def _accepted_flags():
+    parser = build_parser()
+    commands, = (a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return {name: sorted(opt for action in sub._actions
+                         for opt in action.option_strings
+                         if opt.startswith("--") and opt != "--help")
+            for name, sub in commands.items()}
+
+
+def test_accepted_flags_golden():
+    assert _accepted_flags() == {
+        "ingest": ["--config", "--data", "--on-value", "--out"],
+        "train": ["--alpha", "--beta", "--config", "--cv", "--data", "--dtype",
+                  "--epochs", "--gamma", "--k", "--on-value", "--out", "--seed"],
+        "eval": ["--checkpoint", "--config", "--data", "--k", "--knn-k",
+                 "--max-depth", "--method", "--min-leaf", "--on-value", "--out",
+                 "--seed"],
+        "sweep": ["--alphas", "--betas", "--config", "--data", "--dtype",
+                  "--epochs", "--gammas", "--k", "--on-value", "--out", "--seed"],
+        "predict": ["--checkpoint", "--config", "--history", "--k", "--on-value"],
+        "gradcheck": ["--batch", "--config", "--k", "--probes", "--seed",
+                      "--tolerance"],
+        "synth": ["--activities", "--config", "--events-per-file", "--files",
+                  "--out", "--residents", "--seed", "--sensors"],
+    }
+
+
+@pytest.fixture(scope="module")
+def echoes(tmp_path_factory):
+    """The configuration echo of every writing command on a tiny corpus,
+    with the run's base directory replaced by <base>."""
+    base = tmp_path_factory.mktemp("echo")
+    corpus = base / "corpus"
+    runs = {
+        "synth": (["synth", "--out", str(corpus), "--seed", "4", "--files", "3",
+                   "--events-per-file", "40"], corpus / "config_used.txt"),
+        "ingest": (["ingest"], None),
+        "train": (["train", "--k", "3", "--epochs", "1", "--alpha", "32"], None),
+        "eval-tsc": (["eval", "--checkpoint", str(base / "train" / "model.json")],
+                     None),
+        "eval-knn": (["eval", "--method", "knn", "--k", "3"], None),
+        "eval-dt": (["eval", "--method", "dt", "--k", "3"], None),
+        "sweep": (["sweep", "--k", "3", "--alphas", "32", "--betas", "0.0004",
+                   "--gammas", "0.001"], None),
+    }
+    texts = {}
+    for name, (argv, echo) in runs.items():
+        if echo is None:
+            out = base / name
+            argv = argv + ["--data", str(corpus), "--out", str(out)]
+            echo = out / "config_used.txt"
+        assert run(argv) == 0, name
+        texts[name] = echo.read_text().replace(str(base), "<base>")
+    return texts
+
+
+_ECHO_GOLDEN = {
+    "synth": "activities=15\nevents_per_file=40\nfiles=3\nout=<base>/corpus\n"
+             "residents=2\nseed=4\nsensors=37\n",
+    "ingest": "data=<base>/corpus\non_value=ON\nout=<base>/ingest\n",
+    "train": "alpha=32\nbeta=0.0004\ncv=0\ndata=<base>/corpus\ndtype=float64\n"
+             "epochs=1\ngamma=0.0002\nk=3\non_value=ON\nout=<base>/train\nseed=0\n",
+    "eval-tsc": "checkpoint=<base>/train/model.json\ndata=<base>/corpus\n"
+                "method=tsc\non_value=ON\nout=<base>/eval-tsc\nseed=0\n",
+    "eval-knn": "data=<base>/corpus\nk=3\nknn_k=5\nmethod=knn\non_value=ON\n"
+                "out=<base>/eval-knn\nseed=0\n",
+    "eval-dt": "data=<base>/corpus\nk=3\nmax_depth=0\nmethod=dt\nmin_leaf=1\n"
+               "on_value=ON\nout=<base>/eval-dt\nseed=0\n",
+    "sweep": "alphas=32\nbetas=0.0004\ndata=<base>/corpus\ndtype=float64\n"
+             "gammas=0.001\nk=3\non_value=ON\nout=<base>/sweep\nseed=0\n",
+}
+
+
+@pytest.mark.parametrize("command", list(_ECHO_GOLDEN))
+def test_config_echo_golden(echoes, command):
+    assert echoes[command] == _ECHO_GOLDEN[command]
