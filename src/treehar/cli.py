@@ -1,10 +1,14 @@
 """Command-line pipeline driver.
 
 Subcommands: ingest, train, eval, sweep, predict, gradcheck, synth.
-Configuration comes from built-in defaults, overridden by an optional
-key=value config file, overridden by explicit flags; every command that
-writes artifacts echoes the configuration it actually used. One root
-seed drives file splitting, parameter init and epoch shuffles.
+Every setting is declared once, as one row of SETTINGS: its converter,
+which also enforces its range; its default, taken from the library where
+the library defines one; and the commands that take it as a flag. A
+value comes from that default, overridden by an optional key=value config
+file (any key of SETTINGS suits any command), overridden by an explicit
+flag. Every command that writes artifacts echoes the configuration it
+actually used. One root seed drives file splitting, parameter init and
+epoch shuffles.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -24,44 +29,6 @@ from .model import CheckpointError
 from .numerics import NumericError, ShapeError, gradient_check
 
 STREAM_GRADCHECK = 4
-GRADCHECK_TOLERANCE = 1e-4
-
-DEFAULTS = {
-    "seed": 0,
-    "k": 8,
-    "alpha": 128,
-    "beta": 0.0004,
-    "gamma": 0.0002,
-    "epochs": 25,
-    "method": "tsc",
-    "on_value": "ON",
-    "dtype": "float64",
-    "cv": 0,
-    "probes": 100,
-    "batch": 3,
-    "tolerance": GRADCHECK_TOLERANCE,
-    "knn_k": 5,
-    "min_leaf": 1,
-    "max_depth": 0,          # 0 means unlimited
-    "files": 26,
-    "events_per_file": 240,
-    "sensors": 37,
-    "residents": 2,
-    "activities": 15,
-    "alphas": "64,128,256",
-    "betas": "0.0001,0.0003,0.0005,0.0007,0.0009",
-    "gammas": "0.0001,0.0003,0.0005,0.0007,0.0009",
-}
-
-_CONVERTERS = {
-    "seed": int, "k": int, "alpha": int, "beta": float, "gamma": float,
-    "epochs": int, "method": str, "on_value": str, "dtype": str, "cv": int,
-    "probes": int, "batch": int, "tolerance": float, "knn_k": int,
-    "min_leaf": int, "max_depth": int, "files": int, "events_per_file": int,
-    "sensors": int, "residents": int, "activities": int,
-    "alphas": str, "betas": str, "gammas": str,
-    "data": str, "out": str, "checkpoint": str, "history": str,
-}
 
 
 class UsageError(Exception):
@@ -72,6 +39,84 @@ class DataError(Exception):
     pass
 
 
+class _OutOfRange(ValueError):
+    """A well-formed value outside its setting's range."""
+
+
+def _at_least(low: int):
+    def convert(text) -> int:
+        value = int(text)
+        if value < low:
+            raise _OutOfRange(f"must be >= {low}, got {value}")
+        return value
+    return convert
+
+
+def _one_of(*choices, convert=str):
+    def check(text):
+        if text not in choices:
+            raise _OutOfRange(f"must be {', '.join(choices[:-1])} or "
+                              f"{choices[-1]}, got {text!r}")
+        return convert(text)
+    return check
+
+
+def _positive(text) -> float:
+    value = float(text)
+    if not 0 < value < np.inf:
+        raise _OutOfRange(f"must be finite and > 0, got {value}")
+    return value
+
+
+def _grid(convert):
+    """Comma-separated text, or the library's default tuple, to a tuple."""
+    def parse(text) -> tuple:
+        parts = text.split(",") if isinstance(text, str) else text
+        values = tuple(convert(part) for part in parts if str(part).strip())
+        if not values:
+            raise _OutOfRange(f"must list at least one value, got {text!r}")
+        return values
+    return parse
+
+
+Setting = namedtuple("Setting", "convert default commands")
+_TRAIN = training.TrainConfig()
+_SYNTH = synth.DEFAULT_PROFILE
+_SPLIT = ("train", "eval", "sweep")   # the commands that split a corpus
+
+SETTINGS = {
+    "data": Setting(str, None, ("ingest",) + _SPLIT),
+    "out": Setting(str, None, ("ingest", "synth") + _SPLIT),
+    "checkpoint": Setting(str, None, ("eval", "predict")),
+    "history": Setting(str, None, ("predict",)),
+    "on_value": Setting(str, "ON", ("ingest", "predict") + _SPLIT),
+    "seed": Setting(_at_least(0), _TRAIN.seed, ("gradcheck", "synth") + _SPLIT),
+    "k": Setting(_at_least(2), 8, ("predict", "gradcheck") + _SPLIT),
+    "dtype": Setting(_one_of("float32", "float64", convert=np.dtype), "float64",
+                     ("train", "sweep")),
+    "alpha": Setting(int, _TRAIN.batch_size, ("train",)),
+    "beta": Setting(float, _TRAIN.l2_weight, ("train",)),
+    "gamma": Setting(float, _TRAIN.learning_rate, ("train",)),
+    # sweep reads epochs with training.TUNING_EPOCHS as its default
+    "epochs": Setting(int, _TRAIN.epochs, ("train", "sweep")),
+    "alphas": Setting(_grid(int), training.DEFAULT_ALPHA_GRID, ("sweep",)),
+    "betas": Setting(_grid(float), training.DEFAULT_BETA_GRID, ("sweep",)),
+    "gammas": Setting(_grid(float), training.DEFAULT_GAMMA_GRID, ("sweep",)),
+    "method": Setting(_one_of("tsc", "knn", "dt"), "tsc", ("eval",)),
+    "knn_k": Setting(_at_least(1), 5, ("eval",)),
+    "max_depth": Setting(_at_least(0), 0, ("eval",)),   # 0 means unlimited
+    "min_leaf": Setting(_at_least(1), 1, ("eval",)),
+    "probes": Setting(_at_least(1), 100, ("gradcheck",)),
+    "batch": Setting(_at_least(1), 3, ("gradcheck",)),
+    "tolerance": Setting(_positive, 1e-4, ("gradcheck",)),
+    "files": Setting(int, _SYNTH.files, ("synth",)),
+    "events_per_file": Setting(int, _SYNTH.events_per_file, ("synth",)),
+    "sensors": Setting(int, _SYNTH.sensors, ("synth",)),
+    "residents": Setting(int, _SYNTH.residents, ("synth",)),
+    "activities": Setting(int, _SYNTH.activities, ("synth",)),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -80,33 +125,12 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="treehar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *flags):
-        p = sub.add_parser(name, help=help_text)
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", help="key=value config file")
-        for flag in flags:
-            dest = flag.lstrip("-").replace("-", "_")
-            p.add_argument(flag, dest=dest, default=None, type=str)
-        return p
-
-    add("ingest", "parse a corpus directory and write the canonical CSV",
-        "--data", "--out", "--on-value")
-    add("train", "train the tree CNN on the 70/30 file split",
-        "--data", "--out", "--seed", "--k", "--alpha", "--beta", "--gamma",
-        "--epochs", "--on-value", "--dtype", "--cv")
-    add("eval", "evaluate a method on the held-out files",
-        "--data", "--out", "--seed", "--k", "--on-value", "--method",
-        "--checkpoint", "--knn-k", "--max-depth", "--min-leaf")
-    add("sweep", "hyperparameter grid over batch size, L2 weight, rate",
-        "--data", "--out", "--seed", "--k", "--epochs", "--on-value",
-        "--dtype", "--alphas", "--betas", "--gammas")
-    add("predict", "predict (resident, activity) for the last event of a history file",
-        "--checkpoint", "--history", "--k", "--on-value")
-    add("gradcheck", "compare analytic and finite-difference gradients",
-        "--k", "--seed", "--probes", "--batch", "--tolerance")
-    add("synth", "generate a synthetic corpus in the log format",
-        "--out", "--seed", "--files", "--events-per-file", "--sensors",
-        "--residents", "--activities")
+        for key, setting in SETTINGS.items():
+            if name in setting.commands:
+                p.add_argument("--" + key.replace("_", "-"))
     return parser
 
 
@@ -124,7 +148,7 @@ def read_config_file(path) -> dict:
             raise UsageError(f"{path}:{line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONVERTERS:
+        if key not in SETTINGS:
             raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -142,26 +166,23 @@ class RunConfig:
         self._file = read_config_file(args.config) if args.config else {}
         self._used = {}
 
-    def was_set(self, key) -> bool:
-        return key in self._flags or key in self._file
-
-    def get(self, key):
-        if key in self._flags:
-            raw = self._flags[key]
-        elif key in self._file:
-            raw = self._file[key]
-        elif key in DEFAULTS:
-            raw = DEFAULTS[key]
-        else:
-            raw = None
+    def get(self, key, default=None):
+        """The converted value of a setting; `default` overrides the
+        table's default for this one read."""
+        setting = SETTINGS[key]
+        raw = self._flags.get(key, self._file.get(
+            key, setting.default if default is None else default))
         if raw is None:
             self._used[key] = ""
             return None
         try:
-            value = _CONVERTERS[key](raw)
+            value = setting.convert(raw)
+        except _OutOfRange as exc:
+            raise UsageError(f"{key} {exc}") from None
         except (ValueError, TypeError):
             raise UsageError(f"bad value for {key}: {raw!r}") from None
-        self._used[key] = value
+        self._used[key] = (",".join(map(str, value)) if isinstance(value, tuple)
+                           else value)
         return value
 
     def require(self, key):
@@ -170,36 +191,14 @@ class RunConfig:
             raise UsageError(f"--{key.replace('_', '-')} is required")
         return value
 
-    def echo(self, out_dir):
+    def expected_k(self):
+        """The k a checkpoint must have: only a k the user set."""
+        set_k = "k" in self._flags or "k" in self._file
+        return self.get("k") if set_k else None
+
+    def echo(self, out_dir, name="config_used.txt"):
         lines = [f"{k}={self._used[k]}" for k in sorted(self._used)]
-        (Path(out_dir) / "config_used.txt").write_text("\n".join(lines) + "\n")
-
-
-def _at_least(cfg, key, low: int) -> int:
-    value = cfg.get(key)
-    if value < low:
-        raise UsageError(f"{key} must be >= {low}, got {value}")
-    return value
-
-
-def _window_size(cfg) -> int:
-    return _at_least(cfg, "k", 2)
-
-
-def _dtype_of(name: str):
-    if name not in ("float32", "float64"):
-        raise UsageError(f"dtype must be float32 or float64, got {name!r}")
-    return np.dtype(name)
-
-
-def _grid(text: str, converter):
-    try:
-        values = tuple(converter(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise UsageError(f"bad grid {text!r}") from None
-    if not values:
-        raise UsageError(f"empty grid {text!r}")
-    return values
+        (Path(out_dir) / name).write_text("\n".join(lines) + "\n")
 
 
 def _train_config(**fields) -> training.TrainConfig:
@@ -214,8 +213,7 @@ def discover_files(data_dir) -> list:
     if not base.is_dir():
         raise DataError(f"{data_dir} is not a directory")
     files = sorted(str(p) for p in base.iterdir()
-                   if p.is_file() and not p.name.startswith(".")
-                   and p.name != "config_used.txt")  # synth echoes its config
+                   if p.is_file() and not p.name.startswith("."))
     if not files:
         raise DataError(f"no corpus files in {data_dir}")
     return files
@@ -230,10 +228,6 @@ def load_windows(paths, k, on_value) -> list:
     return windows
 
 
-def _out_dir(cfg) -> Path:
-    return Path(cfg.require("out"))
-
-
 def _make_dir(out: Path) -> Path:
     """Create the --out directory when the command is about to write, so
     that a command rejected for its arguments or data leaves nothing."""
@@ -241,21 +235,30 @@ def _make_dir(out: Path) -> Path:
     return out
 
 
-def _split(cfg, files):
-    split_seed = training.derive_seed(cfg.get("seed"), training.STREAM_SPLIT)
+def _split(files, seed):
+    split_seed = training.derive_seed(seed, training.STREAM_SPLIT)
     try:
         return casas.split_files(files, ratio=0.7, seed=split_seed)
     except ValueError as exc:   # fewer than two files
         raise DataError(str(exc)) from None
 
 
+def _side_windows(files, side, k, on_value) -> list:
+    """The windows of one side of the split; an empty side is a data error."""
+    windows = load_windows(files, k, on_value)
+    if not windows:
+        raise DataError(f"{side} split contains no usable events")
+    return windows
+
+
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers; each docstring is the command's help text
 
 
 def cmd_ingest(cfg) -> int:
+    """parse a corpus directory and write the canonical CSV"""
     data = cfg.require("data")
-    out = _out_dir(cfg)
+    out = Path(cfg.require("out"))
     on_value = cfg.get("on_value")
     files = discover_files(data)
     all_events = []
@@ -285,29 +288,19 @@ def cmd_ingest(cfg) -> int:
 
 
 def cmd_train(cfg) -> int:
+    """train the tree CNN on the 70/30 file split"""
     data = cfg.require("data")
-    out = _out_dir(cfg)
-    k = _window_size(cfg)
+    out = Path(cfg.require("out"))
+    k = cfg.get("k")
     on_value = cfg.get("on_value")
-    dtype = _dtype_of(cfg.get("dtype"))
-    cv = cfg.get("cv")
+    dtype = cfg.get("dtype")
     config = _train_config(
         batch_size=cfg.get("alpha"), l2_weight=cfg.get("beta"),
         learning_rate=cfg.get("gamma"), epochs=cfg.get("epochs"),
         seed=cfg.get("seed"),
     )
-    files = discover_files(data)
-
-    if cv:
-        rows = _cross_validate(cfg, files, k, on_value, dtype, config, cv)
-        _write_cv_csv(rows, _make_dir(out) / "cv_metrics.csv")
-        cfg.echo(out)
-        return 0
-
-    split = _split(cfg, files)
-    train_windows = load_windows(split.train_files, k, on_value)
-    if not train_windows:
-        raise DataError("training split contains no usable events")
+    split = _split(discover_files(data), config.seed)
+    train_windows = _side_windows(split.train_files, "training", k, on_value)
     print(f"training on {len(train_windows)} windows from "
           f"{len(split.train_files)} files")
     _make_dir(out)
@@ -324,81 +317,34 @@ def cmd_train(cfg) -> int:
     return 0
 
 
-def _cross_validate(cfg, files, k, on_value, dtype, config, folds):
-    """Optional N-fold file-level cross validation (no acceptance weight;
-    the fixed 70/30 split is the primary protocol)."""
-    if folds < 2:
-        raise UsageError(f"cv must be >= 2, got {folds}")
-    if folds > len(files):
-        raise DataError(f"cv={folds} exceeds file count {len(files)}")
-    ordered = sorted(files)
-    order = training.derive_rng(cfg.get("seed"), training.STREAM_SPLIT) \
-        .permutation(len(files))
-    shuffled = [ordered[i] for i in order]
-    rows = []
-    for fold in range(folds):
-        test_files = shuffled[fold::folds]
-        train_files = [f for f in shuffled if f not in test_files]
-        train_windows = load_windows(train_files, k, on_value)
-        test_windows = load_windows(test_files, k, on_value)
-        if not train_windows or not test_windows:
-            raise DataError(f"fold {fold} has an empty side")
-        params, _ = training.fit(train_windows, config, k=k, dtype=dtype)
-        report = metrics.evaluate(test_windows, params)
-        print(f"fold {fold}: resident acc {report.resident_accuracy:.4f}, "
-              f"activity acc {report.activity_accuracy:.4f}")
-        rows.append((fold, report))
-    return rows
-
-
-def _write_cv_csv(rows, path):
-    with open(path, "w") as fh:
-        fh.write("fold,resident_accuracy,resident_precision,"
-                 "resident_f1,activity_accuracy\n")
-        for fold, r in rows:
-            fh.write(f"{fold},{r.resident_accuracy!r},{r.resident_precision!r},"
-                     f"{r.resident_f1!r},{r.activity_accuracy!r}\n")
-        fh.write("mean,{0!r},{1!r},{2!r},{3!r}\n".format(
-            float(np.mean([r.resident_accuracy for _, r in rows])),
-            float(np.mean([r.resident_precision for _, r in rows])),
-            float(np.mean([r.resident_f1 for _, r in rows])),
-            float(np.mean([r.activity_accuracy for _, r in rows])),
-        ))
-
-
 def cmd_eval(cfg) -> int:
+    """evaluate a method on the held-out files"""
     data = cfg.require("data")
-    out = _out_dir(cfg)
+    out = Path(cfg.require("out"))
+    seed = cfg.get("seed")
     method = cfg.get("method")
-    if method not in ("tsc", "knn", "dt"):
-        raise UsageError(f"method must be tsc, knn or dt, got {method!r}")
     if method == "knn":
-        knn_k = _at_least(cfg, "knn_k", 1)
+        knn_k = cfg.get("knn_k")
     elif method == "dt":
-        max_depth = _at_least(cfg, "max_depth", 0) or None   # 0: unlimited
-        min_leaf = _at_least(cfg, "min_leaf", 1)
+        max_depth = cfg.get("max_depth") or None   # 0: unlimited
+        min_leaf = cfg.get("min_leaf")
     on_value = cfg.get("on_value")
     files = discover_files(data)
 
     if method == "tsc":
-        checkpoint = cfg.require("checkpoint")
-        expect_k = _window_size(cfg) if cfg.was_set("k") else None
-        params = model.load_params(checkpoint, expect_k=expect_k)
+        params = model.load_params(cfg.require("checkpoint"),
+                                   expect_k=cfg.expected_k())
         k = params.k
     else:
-        k = _window_size(cfg)
+        k = cfg.get("k")
 
-    split = _split(cfg, files)
-    test_windows = load_windows(split.test_files, k, on_value)
-    if not test_windows:
-        raise DataError("test split contains no usable events")
+    split = _split(files, seed)
+    test_windows = _side_windows(split.test_files, "test", k, on_value)
 
     if method == "tsc":
         report = metrics.evaluate(test_windows, params)
     else:
-        train_windows = load_windows(split.train_files, k, on_value)
-        if not train_windows:
-            raise DataError("training split contains no usable events")
+        train_windows = _side_windows(split.train_files, "training", k, on_value)
         train_flat = baselines.FlatDataset.from_windows(train_windows)
         test_flat = baselines.FlatDataset.from_windows(test_windows)
         if method == "knn":
@@ -427,28 +373,24 @@ def cmd_eval(cfg) -> int:
 
 
 def cmd_sweep(cfg) -> int:
+    """hyperparameter grid over batch size, L2 weight, rate"""
     data = cfg.require("data")
-    out = _out_dir(cfg)
-    k = _window_size(cfg)
+    out = Path(cfg.require("out"))
+    k = cfg.get("k")
+    seed = cfg.get("seed")
     on_value = cfg.get("on_value")
-    dtype = _dtype_of(cfg.get("dtype"))
-    # tuning runs default to 15 epochs, not the final-training 25
-    epochs = cfg.get("epochs") if cfg.was_set("epochs") else 15
-    alphas = _grid(cfg.get("alphas"), int)
-    betas = _grid(cfg.get("betas"), float)
-    gammas = _grid(cfg.get("gammas"), float)
+    dtype = cfg.get("dtype")
+    epochs = cfg.get("epochs", default=training.TUNING_EPOCHS)
+    alphas, betas, gammas = cfg.get("alphas"), cfg.get("betas"), cfg.get("gammas")
     # reject a bad grid point before any of the grid trains
     for alpha, beta, gamma in itertools.product(alphas, betas, gammas):
         _train_config(batch_size=alpha, l2_weight=beta, learning_rate=gamma,
                       epochs=epochs)
-    files = discover_files(data)
-    split = _split(cfg, files)
-    train_windows = load_windows(split.train_files, k, on_value)
-    if not train_windows:
-        raise DataError("training split contains no usable events")
+    split = _split(discover_files(data), seed)
+    train_windows = _side_windows(split.train_files, "training", k, on_value)
     rows = training.sweep(
         train_windows, k=k, alphas=alphas, betas=betas, gammas=gammas,
-        tuning_epochs=epochs, seed=cfg.get("seed"), dtype=dtype,
+        tuning_epochs=epochs, seed=seed, dtype=dtype,
         progress=lambda r: print(
             f"alpha={r.alpha} beta={r.beta} gamma={r.gamma}: "
             f"avg {r.avg_loss:.4f} max {r.max_loss:.4f} min {r.min_loss:.4f}"),
@@ -462,10 +404,10 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_predict(cfg) -> int:
+    """predict (resident, activity) for the last event of a history file"""
     checkpoint = cfg.require("checkpoint")
     history = cfg.require("history")
-    expect_k = _window_size(cfg) if cfg.was_set("k") else None
-    params = model.load_params(checkpoint, expect_k=expect_k)
+    params = model.load_params(checkpoint, expect_k=cfg.expected_k())
     parsed = casas.parse_file(history)
     events = casas.filter_on(parsed.events, cfg.get("on_value"))
     if not events:
@@ -479,13 +421,12 @@ def cmd_predict(cfg) -> int:
 
 
 def cmd_gradcheck(cfg) -> int:
-    k = _window_size(cfg)
+    """compare analytic and finite-difference gradients"""
+    k = cfg.get("k")
     seed = cfg.get("seed")
-    probes = _at_least(cfg, "probes", 1)
-    batch = _at_least(cfg, "batch", 1)
+    probes = cfg.get("probes")
+    batch = cfg.get("batch")
     tolerance = cfg.get("tolerance")
-    if not (np.isfinite(tolerance) and tolerance > 0):
-        raise UsageError(f"tolerance must be finite and > 0, got {tolerance}")
     vocab_size = len(casas.DEFAULT_VOCAB)
 
     rng = training.derive_rng(seed, STREAM_GRADCHECK)
@@ -508,7 +449,7 @@ def cmd_gradcheck(cfg) -> int:
             events, params, tape)
         return training.batch_loss(
             resident_logits, activity_logits, residents, activities,
-            params, DEFAULTS["beta"], tape)
+            params, _TRAIN.l2_weight, tape)
 
     report = gradient_check(loss_fn, params.tensors(), probes,
                             seed=training.derive_seed(seed, STREAM_GRADCHECK, 1))
@@ -522,32 +463,23 @@ def cmd_gradcheck(cfg) -> int:
 
 
 def cmd_synth(cfg) -> int:
-    out = _out_dir(cfg)
+    """generate a synthetic corpus in the log format"""
+    out = Path(cfg.require("out"))
+    seed = cfg.get("seed")
     try:
-        profile = synth.SynthProfile(
-            sensors=cfg.get("sensors"),
-            residents=cfg.get("residents"),
-            activities=cfg.get("activities"),
-            files=cfg.get("files"),
-            events_per_file=cfg.get("events_per_file"),
-        )
+        profile = synth.SynthProfile(**{key: cfg.get(key) for key in (
+            "sensors", "residents", "activities", "files", "events_per_file")})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    paths = synth.generate_corpus(out, profile, seed=cfg.get("seed"))
-    cfg.echo(out)
+    paths = synth.generate_corpus(out, profile, seed=seed)
+    cfg.echo(out, ".config_used.txt")   # a dot-name: not read as a log
     print(f"wrote {len(paths)} files to {out}")
     return 0
 
 
-_HANDLERS = {
-    "ingest": cmd_ingest,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "predict": cmd_predict,
-    "gradcheck": cmd_gradcheck,
-    "synth": cmd_synth,
-}
+_HANDLERS = {handler.__name__[len("cmd_"):]: handler for handler in (
+    cmd_ingest, cmd_train, cmd_eval, cmd_sweep, cmd_predict, cmd_gradcheck,
+    cmd_synth)}
 
 
 def run(argv=None) -> int:

@@ -537,13 +537,19 @@ class GradientCheckReport:
         )
 
 
+_EPS64 = float(np.finfo(np.float64).eps)
+
+
 def gradient_check(model_fn, params, probe_count: int, seed: int = 0,
                    h: float = 1e-5) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
     model_fn(tape) must rebuild the same scalar loss on every call; it is
     invoked with tape=None for the finite-difference evaluations. Relative
-    error per probe is |ga - gn| / max(1e-8, |ga| + |gn|). Run at 64-bit;
+    error per probe is max(0, |ga - gn| - r) / max(1e-8, |ga| + |gn|), where
+    r = eps * max(|L+|, |L-|) / h estimates the float64 roundoff in gn: the
+    two losses each carry ~eps * |L|, and the difference is divided by 2h.
+    Without r, a correct gradient near zero reads as wrong. Run at 64-bit;
     the tolerances are meaningless in float32.
     """
     params = [p for p in params]
@@ -582,6 +588,7 @@ def gradient_check(model_fn, params, probe_count: int, seed: int = 0,
         p.value.data.flat[j] = orig
         gn = (loss_plus - loss_minus) / (2.0 * h)
         ga = float(p.grad.data.flat[j])
-        rel = abs(ga - gn) / max(1e-8, abs(ga) + abs(gn))
+        roundoff = _EPS64 * max(abs(loss_plus), abs(loss_minus)) / h
+        rel = max(0.0, abs(ga - gn) - roundoff) / max(1e-8, abs(ga) + abs(gn))
         probes.append(Probe(p.name, j, ga, gn, rel))
     return GradientCheckReport(max(p.rel_error for p in probes), probes)

@@ -219,6 +219,7 @@ def write_loss_log(history, path):
 DEFAULT_ALPHA_GRID = (64, 128, 256)
 DEFAULT_BETA_GRID = (0.0001, 0.0003, 0.0005, 0.0007, 0.0009)
 DEFAULT_GAMMA_GRID = (0.0001, 0.0003, 0.0005, 0.0007, 0.0009)
+TUNING_EPOCHS = 15   # a grid point trains for fewer epochs than a final run
 
 
 @dataclass
@@ -233,7 +234,7 @@ class SweepRow:
 
 def sweep(train_windows, k: int = 8, alphas=DEFAULT_ALPHA_GRID,
           betas=DEFAULT_BETA_GRID, gammas=DEFAULT_GAMMA_GRID,
-          tuning_epochs: int = 15, seed: int = 0, dtype=np.float64, progress=None):
+          tuning_epochs: int = TUNING_EPOCHS, seed: int = 0, dtype=np.float64, progress=None):
     """Grid search over (batch size, L2 weight, learning rate).
 
     Each grid point trains a fresh model for tuning_epochs and reports the

@@ -50,7 +50,8 @@ def test_synth_cli_and_profile_flags(tmp_path):
                 "--files", "4", "--events-per-file", "30"])
     assert code == 0
     assert len(list(out.glob("synth_*.txt"))) == 4
-    assert (out / "config_used.txt").exists()
+    # the echo has a dot-name, which is never read as a log
+    assert (out / ".config_used.txt").exists()
     assert run(["synth", "--out", str(tmp_path / "x"), "--sensors", "99"]) == 1
 
 
@@ -76,6 +77,22 @@ def test_ingest_writes_artifacts(tmp_path, capsys):
     # inputs untouched
     after = {p.name: p.read_bytes() for p in corpus.iterdir()}
     assert before == after
+
+
+def test_only_dot_names_are_skipped(tmp_path, capsys):
+    """synth echoes its config under a dot-name, so a fresh synth
+    directory trains, and a log named config_used.txt is read as a log."""
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--out", str(corpus), "--files", "3",
+                "--events-per-file", "40"]) == 0
+    assert run(["train", "--data", str(corpus), "--out", str(tmp_path / "t"),
+                "--k", "3", "--epochs", "1"]) == 0
+    (corpus / "synth_00.txt").rename(corpus / "config_used.txt")
+    capsys.readouterr()
+    assert run(["ingest", "--data", str(corpus), "--out", str(tmp_path / "i")]) == 0
+    out = capsys.readouterr().out
+    assert f"{corpus / 'config_used.txt'}: 40 events" in out
+    assert out.endswith("3 files\n")
 
 
 def test_ingest_empty_dir_is_data_error(tmp_path):
@@ -223,17 +240,16 @@ def test_train_determinism_smoke(tmp_path):
         (outs[1] / "loss_log.csv").read_bytes()
 
 
-def test_train_cv_mode(tmp_path, capsys):
-    corpus = make_corpus(tmp_path, files=4, events=40, seed=4)
-    out = tmp_path / "cv"
-    code = run(["train", "--data", str(corpus), "--out", str(out),
-                "--k", "3", "--epochs", "1", "--alpha", "16",
-                "--cv", "2", "--seed", "0"])
-    assert code == 0
-    lines = (out / "cv_metrics.csv").read_text().strip().splitlines()
-    assert len(lines) == 4  # header + 2 folds + mean
-    assert lines[-1].startswith("mean,")
-    assert not (out / "model.json").exists()
+def test_cross_validation_is_gone(tmp_path, capsys):
+    """The protocol is the fixed 70/30 split: --cv and cv= are usage errors."""
+    argv = ["train", "--data", "d", "--out", str(tmp_path / "o")]
+    assert run(argv + ["--cv", "2"]) == 1
+    assert "--cv" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text("cv=2\n")
+    assert run(argv + ["--config", str(config)]) == 1
+    assert "'cv'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +276,14 @@ def test_gradcheck_small_model(capsys):
     assert "max rel error" in out
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 8])
+def test_gradcheck_passes_at_default_seed(capsys, k):
+    """k=4 once failed on a correct gradient of -2.7e-7, whose finite
+    difference at h=1e-5 is dominated by the losses' float64 roundoff."""
+    assert run(["gradcheck", "--k", str(k)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # usage and config files
 
@@ -282,6 +306,24 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch):
                   ["--tolerance", "inf"], ["--tolerance", "0"]):
         assert run(["gradcheck", "--k", "3"] + flags) == 1
     # a rejected command creates no --out directory
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep", "gradcheck", "synth"])
+def test_negative_seed_is_usage_error(trained, tmp_path, capsys, command):
+    corpus, out = trained
+    data = ["--data", str(corpus), "--k", "3"]
+    argv = {
+        "train": ["train", "--epochs", "1"] + data,
+        "eval": ["eval", "--checkpoint", str(out / "model.json")] + data,
+        "sweep": ["sweep", "--epochs", "1", "--alphas", "32"] + data,
+        "gradcheck": ["gradcheck", "--k", "3"],
+        "synth": ["synth", "--files", "2"],
+    }[command]
+    if command != "gradcheck":
+        argv += ["--out", str(tmp_path / "o")]
+    assert run(argv + ["--seed", "-1"]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -389,7 +431,7 @@ def test_one_file_corpus_is_data_error(trained, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("flag, value", [
     ("--alpha", "7"), ("--beta", "0.1"), ("--gamma", "5"), ("--epochs", "99"),
-    ("--dtype", "float64"), ("--cv", "5"),
+    ("--dtype", "float64"),
 ])
 def test_eval_rejects_training_flags(trained, tmp_path, capsys, flag, value):
     """eval reads none of train's hyperparameters, so it refuses them
@@ -555,7 +597,7 @@ def _accepted_flags():
 def test_accepted_flags_golden():
     assert _accepted_flags() == {
         "ingest": ["--config", "--data", "--on-value", "--out"],
-        "train": ["--alpha", "--beta", "--config", "--cv", "--data", "--dtype",
+        "train": ["--alpha", "--beta", "--config", "--data", "--dtype",
                   "--epochs", "--gamma", "--k", "--on-value", "--out", "--seed"],
         "eval": ["--checkpoint", "--config", "--data", "--k", "--knn-k",
                  "--max-depth", "--method", "--min-leaf", "--on-value", "--out",
@@ -578,7 +620,7 @@ def echoes(tmp_path_factory):
     corpus = base / "corpus"
     runs = {
         "synth": (["synth", "--out", str(corpus), "--seed", "4", "--files", "3",
-                   "--events-per-file", "40"], corpus / "config_used.txt"),
+                   "--events-per-file", "40"], corpus / ".config_used.txt"),
         "ingest": (["ingest"], None),
         "train": (["train", "--k", "3", "--epochs", "1", "--alpha", "32"], None),
         "eval-tsc": (["eval", "--checkpoint", str(base / "train" / "model.json")],
@@ -603,7 +645,7 @@ _ECHO_GOLDEN = {
     "synth": "activities=15\nevents_per_file=40\nfiles=3\nout=<base>/corpus\n"
              "residents=2\nseed=4\nsensors=37\n",
     "ingest": "data=<base>/corpus\non_value=ON\nout=<base>/ingest\n",
-    "train": "alpha=32\nbeta=0.0004\ncv=0\ndata=<base>/corpus\ndtype=float64\n"
+    "train": "alpha=32\nbeta=0.0004\ndata=<base>/corpus\ndtype=float64\n"
              "epochs=1\ngamma=0.0002\nk=3\non_value=ON\nout=<base>/train\nseed=0\n",
     "eval-tsc": "checkpoint=<base>/train/model.json\ndata=<base>/corpus\n"
                 "method=tsc\non_value=ON\nout=<base>/eval-tsc\nseed=0\n",
@@ -612,7 +654,7 @@ _ECHO_GOLDEN = {
     "eval-dt": "data=<base>/corpus\nk=3\nmax_depth=0\nmethod=dt\nmin_leaf=1\n"
                "on_value=ON\nout=<base>/eval-dt\nseed=0\n",
     "sweep": "alphas=32\nbetas=0.0004\ndata=<base>/corpus\ndtype=float64\n"
-             "gammas=0.001\nk=3\non_value=ON\nout=<base>/sweep\nseed=0\n",
+             "epochs=15\ngammas=0.001\nk=3\non_value=ON\nout=<base>/sweep\nseed=0\n",
 }
 
 

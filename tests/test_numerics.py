@@ -711,6 +711,33 @@ def test_gradient_check_flat_loss_probe():
     assert all(p.analytic == 0.0 and p.numeric == 0.0 for p in report.probes)
 
 
+def _tilted_constant(slope, reported):
+    """Loss 10 + slope * w of one weight w, whose recorded gradient is
+    `reported`: ten nats of loss around a gradient near zero."""
+    w = ParamTensor("w", Tensor(np.asarray([0.2])))
+
+    def loss_fn(tape):
+        out = Tensor(np.asarray(10.0 + slope * w.value.data[0]))
+        if tape is not None:
+            tape.record(out, lambda g, acc: acc(w.value, g * np.asarray([reported])))
+        return out
+
+    return loss_fn, [w]
+
+
+def test_gradient_check_allows_for_roundoff_near_zero():
+    # the analytic gradient of layer3.res1.weight[1018] in `gradcheck --k 4`
+    g = -2.707e-7
+    report = gradient_check(*_tilted_constant(g, g), probe_count=1)
+    probe, = report.probes
+    # the raw difference is float64 roundoff in the two losses, over 2h
+    raw = abs(probe.analytic - probe.numeric) / (abs(g) + abs(probe.numeric))
+    assert raw > 1e-4
+    assert report.max_rel_error < 1e-4
+    report = gradient_check(*_tilted_constant(g, g * 1.01), probe_count=1)
+    assert report.max_rel_error > 1e-3
+
+
 def test_gradient_check_rejects_nondeterministic_model():
     state = {"n": 0}
     p = ParamTensor("w", Tensor(np.ones(1)))
