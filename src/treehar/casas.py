@@ -35,11 +35,12 @@ ACTIVITY_NAMES = [
     "Packing and bring supplies",
 ]
 
-_SENSOR_TAGS = (
+DEFAULT_VOCAB = tuple(
     [f"M{i:02d}" for i in range(1, 27)]
     + ["M51", "I04", "I06", "D07"]
     + [f"D{i:02d}" for i in range(9, 16)]
 )
+_VOCAB_INDEX = {tag: i for i, tag in enumerate(DEFAULT_VOCAB)}
 
 
 class ParseError(ValueError):
@@ -54,34 +55,6 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
-class SensorVocabulary:
-    """Closed, ordered tag set mapping sensor tag to index 0..36."""
-
-    def __init__(self, tags=None):
-        self.entries = list(tags if tags is not None else _SENSOR_TAGS)
-        if len(set(self.entries)) != len(self.entries):
-            raise ValueError("sensor vocabulary has duplicate tags")
-        self._index = {tag: i for i, tag in enumerate(self.entries)}
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __contains__(self, tag):
-        return tag in self._index
-
-    def index(self, tag: str) -> int:
-        try:
-            return self._index[tag]
-        except KeyError:
-            raise KeyError(f"unknown sensor tag {tag!r}") from None
-
-    def tag(self, index: int) -> str:
-        return self.entries[index]
-
-
-DEFAULT_VOCAB = SensorVocabulary()
-
-
 @dataclass(frozen=True)
 class SensorEvent:
     date: dt.date
@@ -90,9 +63,6 @@ class SensorEvent:
     value: str
     resident_id: int
     activity_id: int
-
-    def timestamp(self):
-        return (self.date, self.time)
 
 
 @dataclass(frozen=True)
@@ -105,7 +75,6 @@ class LabelPair:
 class DatasetSplit:
     train_files: tuple
     test_files: tuple
-    seed: int
 
 
 SKIP = object()  # marker for blank or unlabeled lines
@@ -148,7 +117,8 @@ def parse_line(line: str, source=None, line_no=None):
         date, time = _parse_timestamp(date_text, time_text)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"unparseable timestamp: {exc}", source, line_no) from None
-    if tag not in DEFAULT_VOCAB:
+    sensor = _VOCAB_INDEX.get(tag)
+    if sensor is None:
         raise ParseError(f"unknown sensor tag {tag!r}", source, line_no)
     try:
         resident = int(res_text)
@@ -171,7 +141,7 @@ def parse_line(line: str, source=None, line_no=None):
     return SensorEvent(
         date=date,
         time=time,
-        sensor=DEFAULT_VOCAB.index(tag),
+        sensor=sensor,
         value=value,
         resident_id=resident - 1,
         activity_id=activity - 1,
@@ -187,22 +157,20 @@ def serialize_event(event: SensorEvent) -> str:
         frac = ""
     time_text = event.time.strftime("%H:%M:%S") + frac
     return (
-        f"{event.date.isoformat()} {time_text} {DEFAULT_VOCAB.tag(event.sensor)} "
+        f"{event.date.isoformat()} {time_text} {DEFAULT_VOCAB[event.sensor]} "
         f"{event.value} {event.resident_id + 1} {event.activity_id + 1}"
     )
 
 
 @dataclass
 class FileParseResult:
-    source: str
     events: list
-    skipped_blank: int = 0
     skipped_unlabeled: int = 0
 
 
 def parse_file(path) -> FileParseResult:
     """Parse one log file; verifies events are non-decreasing in time."""
-    result = FileParseResult(source=str(path), events=[])
+    result = FileParseResult(events=[])
     # surrogateescape keeps undecodable bytes in the line (as U+DC80..U+DCFF)
     # so the error can name the line they are on
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -215,16 +183,15 @@ def parse_file(path) -> FileParseResult:
             if parsed is SKIP:
                 if line.split():
                     result.skipped_unlabeled += 1
-                else:
-                    result.skipped_blank += 1
                 continue
-            if prev is not None and parsed.timestamp() < prev:
+            stamp = (parsed.date, parsed.time)
+            if prev is not None and stamp < prev:
                 raise ParseError(
                     "events out of order: "
                     f"{parsed.date} {parsed.time} after {prev[0]} {prev[1]}",
                     str(path), line_no,
                 )
-            prev = parsed.timestamp()
+            prev = stamp
             result.events.append(parsed)
     return result
 
@@ -249,7 +216,6 @@ def split_files(files, ratio: float = 0.7, seed: int = 0) -> DatasetSplit:
     return DatasetSplit(
         train_files=tuple(files[:n_train]),
         test_files=tuple(files[n_train:]),
-        seed=seed,
     )
 
 

@@ -10,12 +10,14 @@ flag. Every command that writes artifacts echoes the configuration it
 actually used. One root seed drives file splitting, parameter init and
 epoch shuffles.
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage (including settings too large for the
+available memory), 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import sys
 from collections import namedtuple
@@ -111,9 +113,6 @@ SETTINGS = {
     "tolerance": Setting(_positive, 1e-4, ("gradcheck",)),
     "files": Setting(int, _SYNTH.files, ("synth",)),
     "events_per_file": Setting(int, _SYNTH.events_per_file, ("synth",)),
-    "sensors": Setting(int, _SYNTH.sensors, ("synth",)),
-    "residents": Setting(int, _SYNTH.residents, ("synth",)),
-    "activities": Setting(int, _SYNTH.activities, ("synth",)),
 }
 
 
@@ -272,13 +271,13 @@ def cmd_ingest(cfg) -> int:
               f"{parsed.skipped_unlabeled} unlabeled skipped")
         all_events.extend(parsed.events)
     casas.write_events_csv(all_events, _make_dir(out) / "events.csv")
-    with open(out / "file_counts.csv", "w") as fh:
-        fh.write("file,events,on_events,skipped_unlabeled\n")
-        for row in count_rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    with open(out / "file_counts.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["file", "events", "on_events", "skipped_unlabeled"])
+        writer.writerows(count_rows)
     with open(out / "vocabulary.csv", "w") as fh:
         fh.write("index,tag\n")
-        for i, tag in enumerate(casas.DEFAULT_VOCAB.entries):
+        for i, tag in enumerate(casas.DEFAULT_VOCAB):
             fh.write(f"{i},{tag}\n")
     cfg.echo(out)
     total_on = sum(r[2] for r in count_rows)
@@ -381,6 +380,8 @@ def cmd_sweep(cfg) -> int:
     on_value = cfg.get("on_value")
     dtype = cfg.get("dtype")
     epochs = cfg.get("epochs", default=training.TUNING_EPOCHS)
+    if epochs < 1:
+        raise UsageError(f"sweep epochs must be >= 1, got {epochs}")
     alphas, betas, gammas = cfg.get("alphas"), cfg.get("betas"), cfg.get("gammas")
     # reject a bad grid point before any of the grid trains
     for alpha, beta, gamma in itertools.product(alphas, betas, gammas):
@@ -467,8 +468,8 @@ def cmd_synth(cfg) -> int:
     out = Path(cfg.require("out"))
     seed = cfg.get("seed")
     try:
-        profile = synth.SynthProfile(**{key: cfg.get(key) for key in (
-            "sensors", "residents", "activities", "files", "events_per_file")})
+        profile = synth.SynthProfile(files=cfg.get("files"),
+                                     events_per_file=cfg.get("events_per_file"))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     paths = synth.generate_corpus(out, profile, seed=seed)
@@ -490,6 +491,9 @@ def run(argv=None) -> int:
         return _HANDLERS[args.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("usage error: not enough memory for these settings", file=sys.stderr)
         return 1
     except (DataError, ParseError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

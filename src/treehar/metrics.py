@@ -106,16 +106,6 @@ class MetricsReport:
     def activity_accuracy(self) -> float:
         return self.activity.accuracy()
 
-    def to_dict(self):
-        return {
-            "resident": {
-                "accuracy": self.resident_accuracy,
-                "precision": self.resident_precision,
-                "f1": self.resident_f1,
-            },
-            "activity": {"accuracy": self.activity_accuracy},
-        }
-
     def describe(self) -> str:
         """Verbose report with per-class resident metrics under both
         single-positive-class conventions."""

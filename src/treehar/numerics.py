@@ -538,17 +538,19 @@ class GradientCheckReport:
 
 
 _EPS64 = float(np.finfo(np.float64).eps)
+FD_STEP = 1e-5   # h of the central differences
 
 
-def gradient_check(model_fn, params, probe_count: int, seed: int = 0,
-                   h: float = 1e-5) -> GradientCheckReport:
+def gradient_check(model_fn, params, probe_count: int,
+                   seed: int = 0) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
     model_fn(tape) must rebuild the same scalar loss on every call; it is
     invoked with tape=None for the finite-difference evaluations. Relative
     error per probe is max(0, |ga - gn| - r) / max(1e-8, |ga| + |gn|), where
-    r = eps * max(|L+|, |L-|) / h estimates the float64 roundoff in gn: the
-    two losses each carry ~eps * |L|, and the difference is divided by 2h.
+    r = eps * max(|L+|, |L-|) / h estimates the float64 roundoff in gn (h is
+    FD_STEP): the two losses each carry ~eps * |L|, and their difference is
+    divided by 2h.
     Without r, a correct gradient near zero reads as wrong. Run at 64-bit;
     the tolerances are meaningless in float32.
     """
@@ -581,14 +583,14 @@ def gradient_check(model_fn, params, probe_count: int, seed: int = 0,
         j = int(flat - (offsets[pi - 1] if pi else 0))
         p = params[pi]
         orig = p.value.data.flat[j]
-        p.value.data.flat[j] = orig + h
+        p.value.data.flat[j] = orig + FD_STEP
         loss_plus = model_fn(None).item()
-        p.value.data.flat[j] = orig - h
+        p.value.data.flat[j] = orig - FD_STEP
         loss_minus = model_fn(None).item()
         p.value.data.flat[j] = orig
-        gn = (loss_plus - loss_minus) / (2.0 * h)
+        gn = (loss_plus - loss_minus) / (2.0 * FD_STEP)
         ga = float(p.grad.data.flat[j])
-        roundoff = _EPS64 * max(abs(loss_plus), abs(loss_minus)) / h
+        roundoff = _EPS64 * max(abs(loss_plus), abs(loss_minus)) / FD_STEP
         rel = max(0.0, abs(ga - gn) - roundoff) / max(1e-8, abs(ga) + abs(gn))
         probes.append(Probe(p.name, j, ga, gn, rel))
     return GradientCheckReport(max(p.rel_error for p in probes), probes)

@@ -28,22 +28,12 @@ ON_PROB = 0.6
 
 @dataclass(frozen=True)
 class SynthProfile:
-    sensors: int = 37
-    residents: int = NUM_RESIDENTS
-    activities: int = NUM_ACTIVITIES
+    """Corpus size; every file draws from the full label and sensor spaces."""
+
     files: int = 26
     events_per_file: int = 240
 
     def __post_init__(self):
-        if not 1 <= self.sensors <= len(DEFAULT_VOCAB):
-            raise ValueError(
-                f"sensors must be 1..{len(DEFAULT_VOCAB)} "
-                f"(the closed tag set), got {self.sensors}"
-            )
-        if not 1 <= self.residents <= NUM_RESIDENTS:
-            raise ValueError(f"residents must be 1..{NUM_RESIDENTS}")
-        if not 1 <= self.activities <= NUM_ACTIVITIES:
-            raise ValueError(f"activities must be 1..{NUM_ACTIVITIES}")
         if self.files < 1 or self.events_per_file < 1:
             raise ValueError("files and events_per_file must be positive")
 
@@ -51,8 +41,8 @@ class SynthProfile:
 DEFAULT_PROFILE = SynthProfile()
 
 
-def _activity_pool(activity: int, sensors: int):
-    return [(activity * POOL_SIZE + j) % sensors for j in range(POOL_SIZE)]
+def _activity_pool(activity: int):
+    return [(activity * POOL_SIZE + j) % len(DEFAULT_VOCAB) for j in range(POOL_SIZE)]
 
 
 def generate_file_events(profile: SynthProfile, rng) -> list:
@@ -63,12 +53,12 @@ def generate_file_events(profile: SynthProfile, rng) -> list:
     remaining = profile.events_per_file
     while remaining > 0:
         segment = min(int(rng.integers(5, 26)), remaining)
-        resident = int(rng.integers(0, profile.residents))
-        activity = int(rng.integers(0, profile.activities))
-        pool = _activity_pool(activity, profile.sensors)
+        resident = int(rng.integers(0, NUM_RESIDENTS))
+        activity = int(rng.integers(0, NUM_ACTIVITIES))
+        pool = _activity_pool(activity)
         for _ in range(segment):
             if rng.random() < NOISE_PROB:
-                sensor = int(rng.integers(0, profile.sensors))
+                sensor = int(rng.integers(0, len(DEFAULT_VOCAB)))
             else:
                 sensor = pool[int(rng.integers(0, POOL_SIZE))]
             clock += dt.timedelta(

@@ -183,18 +183,16 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
 
 
 def fit(train_windows, config: TrainConfig, k: int = 8, dtype=np.float64,
-        params: ModelParams = None, log_path=None, progress=None):
+        log_path=None, progress=None):
     """Train for config.epochs epochs; returns (params, per-epoch stats).
 
-    Initialization is seeded from the root seed's init stream unless
-    ready-made params are supplied.
+    Initialization is seeded from the root seed's init stream.
     """
     train_windows = list(train_windows)
     if not train_windows:
         raise ValueError("fit: empty training set")
-    if params is None:
-        params = init_params(k, len(DEFAULT_VOCAB),
-                             seed=derive_seed(config.seed, STREAM_INIT), dtype=dtype)
+    params = init_params(k, len(DEFAULT_VOCAB),
+                         seed=derive_seed(config.seed, STREAM_INIT), dtype=dtype)
     state = AdamState(params)
     history = []
     for epoch in range(config.epochs):
@@ -237,9 +235,11 @@ def sweep(train_windows, k: int = 8, alphas=DEFAULT_ALPHA_GRID,
           tuning_epochs: int = TUNING_EPOCHS, seed: int = 0, dtype=np.float64, progress=None):
     """Grid search over (batch size, L2 weight, learning rate).
 
-    Each grid point trains a fresh model for tuning_epochs and reports the
-    max, average and min of its per-epoch losses.
+    Each grid point trains a fresh model for tuning_epochs (at least 1)
+    and reports the max, average and min of its per-epoch losses.
     """
+    if tuning_epochs < 1:
+        raise ValueError(f"tuning_epochs must be >= 1, got {tuning_epochs}")
     rows = []
     for alpha in alphas:
         for beta in betas:

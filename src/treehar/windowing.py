@@ -23,16 +23,8 @@ class SampleWindow:
 
     sensors: np.ndarray        # (k,) ints, PAD before the first event
     label: LabelPair
-    source: str = ""           # provenance for canonical ordering / debug dumps
+    source: str = ""           # provenance for canonical ordering
     index: int = 0
-
-    @property
-    def k(self) -> int:
-        return len(self.sensors)
-
-    @property
-    def pad_count(self) -> int:
-        return int((self.sensors == PAD).sum())
 
 
 def make_windows(events, k: int, source: str = ""):
@@ -70,17 +62,3 @@ def stack_windows(windows, dtype=np.float64):
     residents = np.array([w.label.resident_id for w in windows], dtype=np.int64)
     activities = np.array([w.label.activity_id for w in windows], dtype=np.int64)
     return events, residents, activities
-
-
-def dump_windows_csv(windows, path):
-    """Debug dump: source, index, pad_count, resident, activity."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "index", "pad_count", "resident", "activity"])
-        for w in windows:
-            writer.writerow([
-                w.source, w.index, w.pad_count,
-                w.label.resident_id, w.label.activity_id,
-            ])

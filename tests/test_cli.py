@@ -1,4 +1,6 @@
 import argparse
+import csv
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -34,6 +36,19 @@ def test_synth_deterministic_bytes(tmp_path):
                for fa, fc in zip(sorted(a.iterdir()), sorted(c.iterdir())))
 
 
+def test_synth_golden_bytes(tmp_path):
+    """The generator's output, pinned: any change to its RNG draws or its
+    line format shows here."""
+    paths = synth.generate_corpus(
+        tmp_path, synth.SynthProfile(files=2, events_per_file=50), seed=1)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == {
+        "synth_00.txt":
+            "c33b4131dc89d603732481470d865ad746dc2b8b3e1e8b5ebb4d33609e4845f5",
+        "synth_01.txt":
+            "8b12012d134da726275150092d95336f315a83ad14652c6bf64ad7301970d0e3",
+    }
+
+
 def test_synth_round_trips_through_parser(tmp_path):
     corpus = make_corpus(tmp_path, files=2, events=80)
     for path in sorted(corpus.iterdir()):
@@ -52,7 +67,19 @@ def test_synth_cli_and_profile_flags(tmp_path):
     assert len(list(out.glob("synth_*.txt"))) == 4
     # the echo has a dot-name, which is never read as a log
     assert (out / ".config_used.txt").exists()
-    assert run(["synth", "--out", str(tmp_path / "x"), "--sensors", "99"]) == 1
+    assert run(["synth", "--out", str(tmp_path / "x"), "--files", "0"]) == 1
+
+
+@pytest.mark.parametrize("key", ["sensors", "residents", "activities"])
+def test_synth_label_and_sensor_spaces_are_fixed(tmp_path, key):
+    """synth always draws from the full 37 tags, 2 residents and 15
+    activities; the settings that shrank them are gone."""
+    out = tmp_path / "o"
+    assert run(["synth", "--out", str(out), "--" + key, "2"]) == 1
+    config = tmp_path / "synth.cfg"
+    config.write_text(f"{key}=2\n")
+    assert run(["synth", "--out", str(out), "--config", str(config)]) == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +120,19 @@ def test_only_dot_names_are_skipped(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"{corpus / 'config_used.txt'}: 40 events" in out
     assert out.endswith("3 files\n")
+
+
+def test_ingest_file_counts_quote_file_names(tmp_path):
+    corpus = make_corpus(tmp_path, files=2, events=30)
+    odd = corpus / 'a,b"c.txt'
+    (corpus / "synth_00.txt").rename(odd)
+    out = tmp_path / "ingested"
+    assert run(["ingest", "--data", str(corpus), "--out", str(out)]) == 0
+    with open(out / "file_counts.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["file", "events", "on_events", "skipped_unlabeled"]
+    assert all(len(row) == 4 for row in rows)
+    assert [row[0] for row in rows[1:]] == [str(odd), str(corpus / "synth_01.txt")]
 
 
 def test_ingest_empty_dir_is_data_error(tmp_path):
@@ -268,6 +308,22 @@ def test_sweep_tiny_grid(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_sweep_rejects_zero_epochs(tmp_path, capsys, how):
+    corpus = make_corpus(tmp_path, files=3, events=40)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--data", str(corpus), "--out", str(out), "--k", "3"]
+    if how == "flag":
+        argv += ["--epochs", "0"]
+    else:
+        config = tmp_path / "sweep.cfg"
+        config.write_text("epochs=0\n")
+        argv += ["--config", str(config)]
+    assert run(argv) == 1
+    assert "epochs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gradcheck_small_model(capsys):
     code = run(["gradcheck", "--k", "3", "--probes", "25", "--seed", "1"])
     out = capsys.readouterr().out
@@ -296,7 +352,7 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch):
     assert run(["train", "--data", "d", "--out", "o", "--alpha", "-1"]) == 1
     assert run(["train", "--data", "d", "--out", "o", "--k", "banana"]) == 1
     assert run(["sweep", "--data", "d", "--out", "o", "--gammas", "nan"]) == 1
-    assert run(["synth", "--out", "o", "--sensors", "99"]) == 1
+    assert run(["synth", "--out", "o", "--files", "0"]) == 1
     # baseline and gradcheck ranges are checked before any work
     for flags in (["--method", "knn", "--knn-k", "0"],
                   ["--method", "dt", "--min-leaf", "0"],
@@ -307,6 +363,15 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch):
         assert run(["gradcheck", "--k", "3"] + flags) == 1
     # a rejected command creates no --out directory
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [["--batch", "1000000000000000"],
+                                   ["--probes", "100000000000000000"]])
+def test_settings_too_large_for_memory_are_usage_errors(capsys, flags):
+    """Each of these arrays needs ~700-790 PiB, beyond any address space,
+    so the allocator refuses it at once and nothing is touched."""
+    assert run(["gradcheck", "--k", "3"] + flags) == 1
+    assert "not enough memory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep", "gradcheck", "synth"])
@@ -607,8 +672,7 @@ def test_accepted_flags_golden():
         "predict": ["--checkpoint", "--config", "--history", "--k", "--on-value"],
         "gradcheck": ["--batch", "--config", "--k", "--probes", "--seed",
                       "--tolerance"],
-        "synth": ["--activities", "--config", "--events-per-file", "--files",
-                  "--out", "--residents", "--seed", "--sensors"],
+        "synth": ["--config", "--events-per-file", "--files", "--out", "--seed"],
     }
 
 
@@ -642,8 +706,7 @@ def echoes(tmp_path_factory):
 
 
 _ECHO_GOLDEN = {
-    "synth": "activities=15\nevents_per_file=40\nfiles=3\nout=<base>/corpus\n"
-             "residents=2\nseed=4\nsensors=37\n",
+    "synth": "events_per_file=40\nfiles=3\nout=<base>/corpus\nseed=4\n",
     "ingest": "data=<base>/corpus\non_value=ON\nout=<base>/ingest\n",
     "train": "alpha=32\nbeta=0.0004\ndata=<base>/corpus\ndtype=float64\n"
              "epochs=1\ngamma=0.0002\nk=3\non_value=ON\nout=<base>/train\nseed=0\n",

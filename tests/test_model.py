@@ -21,7 +21,7 @@ from treehar.model import (
     save_params,
 )
 from treehar.numerics import NumericError, ParamTensor, ShapeError, Tensor, softmax
-from treehar.windowing import make_windows, stack_windows
+from treehar.windowing import PAD, make_windows, stack_windows
 
 from oracles import naive_basic_module
 
@@ -197,7 +197,7 @@ def test_tree_forward_zero_params_zero_output():
     for p in params.tensors():
         p.value.data[...] = 0
     window = _windows(1)[0]  # all padding except the target
-    assert window.pad_count == 7
+    assert (window.sensors == PAD).sum() == 7
     out = _features([window], params)
     assert np.all(out.data == 0)
 

@@ -372,6 +372,12 @@ def test_sweep_runs_grid_and_writes_csv(tmp_path):
     assert len(lines) == 5
 
 
+def test_sweep_rejects_zero_tuning_epochs():
+    with pytest.raises(ValueError, match="tuning_epochs"):
+        sweep(_windows(10), k=3, alphas=(8,), betas=(0.0,), gammas=(0.001,),
+              tuning_epochs=0)
+
+
 def test_loss_log_round_trips_float_repr(tmp_path):
     from treehar.training import EpochStats
 

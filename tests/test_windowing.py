@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treehar.casas import SensorEvent
-from treehar.windowing import PAD, make_windows, stack_windows, dump_windows_csv
+from treehar.windowing import PAD, make_windows, stack_windows
 
 
 def events(n, sensor_offset=0):
@@ -23,11 +23,10 @@ def events(n, sensor_offset=0):
 def test_one_window_per_event_and_pad_counts():
     windows = make_windows(events(10), k=8)
     assert len(windows) == 10
-    assert windows[0].pad_count == 7
-    assert windows[9].pad_count == 0
-    for t, w in enumerate(windows):
-        assert w.pad_count == max(0, 8 - 1 - t)
-        assert w.k == 8
+    pad_counts = [int((w.sensors == PAD).sum()) for w in windows]
+    assert pad_counts == [max(0, 8 - 1 - t) for t in range(10)]
+    assert pad_counts[0] == 7 and pad_counts[9] == 0
+    assert all(len(w.sensors) == 8 for w in windows)
 
 
 def test_k2_windows():
@@ -100,13 +99,10 @@ def test_stack_windows_one_hot_l1_norm_is_one(sensor, k):
     assert np.abs(stacked[-1]).sum(axis=1).tolist() == [1.0] * k
 
 
-def test_window_provenance_and_csv_dump(tmp_path):
+def test_window_provenance():
     windows = make_windows(events(3), k=2, source="fileA")
     assert [w.index for w in windows] == [0, 1, 2]
     assert all(w.source == "fileA" for w in windows)
-    out = tmp_path / "windows.csv"
-    dump_windows_csv(windows, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "source,index,pad_count,resident,activity"
-    assert len(lines) == 4
-    assert lines[1] == "fileA,0,1,0,0"
+    first = windows[0]
+    assert int((first.sensors == PAD).sum()) == 1
+    assert (first.label.resident_id, first.label.activity_id) == (0, 0)
