@@ -302,14 +302,14 @@ def cmd_train(cfg) -> int:
     train_windows = _side_windows(split.train_files, "training", k, on_value)
     print(f"training on {len(train_windows)} windows from "
           f"{len(split.train_files)} files")
-    _make_dir(out)
-    params, _ = training.fit(
+    params, history = training.fit(
         train_windows, config, k=k, dtype=dtype,
-        log_path=out / "loss_log.csv",
         progress=lambda s: print(
             f"epoch {s.epoch}: avg_loss {s.avg_loss:.6f} "
             f"(max {s.max_batch_loss:.6f}, min {s.min_batch_loss:.6f})"),
     )
+    _make_dir(out)
+    training.write_loss_log(history, out / "loss_log.csv")
     model.save_params(params, out / "model.json")
     cfg.echo(out)
     print(f"checkpoint written to {out / 'model.json'}")

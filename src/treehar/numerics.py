@@ -7,15 +7,19 @@ ParamTensor grads via backward(). Every operation takes a leading batch
 axis. No general graph engine, no broadcasting beyond what the fixed
 architecture needs.
 
-Activations are held channel-major. A rank-3 tensor that conv1d, relu or
-add produces is a (batch, C, L) view into a buffer (C, batch * (L + 2 pad))
+Activations are held channel-major. A rank-3 tensor that conv1d or add
+produces is a (batch, C, L) view into a buffer (C, batch * (L + 2 pad))
 that puts the samples side by side in one row per channel, each between
 pad zero columns; the buffer travels with the tensor as Tensor.buf. Every
 kernel shift of the whole batch is then one contiguous column range, so
 conv1d reads such a buffer as its padded input, runs one GEMM over the m
-stacked shifts and writes it straight into its own output buffer. relu and
-add map zero borders to zero borders. A plain (batch, C, L) input, such as
-an event slice, is copied into a buffer once.
+stacked shifts and writes it straight into its own output buffer. add maps
+zero borders to zero borders. A plain (batch, C, L) input, such as an
+event slice, is copied into a buffer once.
+
+There is no standalone ReLU: with relu=True, conv1d and add clamp their
+own output in place and their backward masks the incoming gradient by
+out > 0 (equal to pre > 0), so a rectified activation keeps no second buffer.
 
 The gradient of a buffer-backed tensor travels in the same layout: an
 array shaped like its buffer, with zero borders. Any other gradient, and a
@@ -287,8 +291,9 @@ def _laid_out_like(x: Tensor, storage: np.ndarray) -> Tensor:
     return _on_buffer(storage, x.pad, x.shape[2])
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
-    """1D cross-correlation, stride 1, zero padding (M-1)/2, pre-activation.
+def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
+           relu: bool = False) -> Tensor:
+    """1D cross-correlation, stride 1, zero padding (M-1)/2; ReLU'd if relu.
 
     x is (batch, c_in, L); w is (c_out, c_in, M) with M odd; b is (c_out,).
     The output is (batch, c_out, L): length is preserved.
@@ -299,14 +304,16 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     column range [j, j + n), n = batch * span - 2 pad. The forward stacks
     the M shifts into one temporary (M * c_in, n), multiplies it by w as
     (c_out, M * c_in) into columns [pad, pad + n) of the output buffer,
-    adds the bias there and zeroes the borders, which the 2 pad columns
-    between two samples overwrote. The temporary is freed before
-    returning; the tape keeps flat only, which for a buffer-backed input is
-    memory the tape keeps anyway.
+    adds the bias there, clamps it at 0 for relu and zeroes the borders,
+    which the 2 pad columns between two samples overwrote. The temporary is
+    freed before returning; the tape keeps flat only, which for a
+    buffer-backed input is memory the tape keeps anyway.
 
     The backward takes the output's gradient as a zero-bordered buffer, or
     as a plain (batch, c_out, L) array, which it copies into one. Its
-    columns [pad, pad + n) line up with the stacked shifts: the bias
+    columns [pad, pad + n) line up with the stacked shifts; for relu they
+    are first multiplied by out > 0 into a temporary that nothing else
+    reads, so the tape keeps no masked gradient. The bias
     gradient is their row sum, the weight gradient one GEMM per shift
     against flat, and the input gradient one GEMM whose M row blocks are
     added into a buffer at their shifts. That buffer, its borders zeroed,
@@ -353,6 +360,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     np.matmul(w2, stack, out=y)
     del stack
     np.add(y, b.data[:, None], out=y)
+    if relu:
+        np.maximum(y, 0.0, out=y)
     _zero_borders(out_buf, pad, length)
     out = _on_buffer(out_buf, pad, length)
 
@@ -361,6 +370,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
             if g.ndim == 3:
                 g = _bordered(None, g, pad)
             g_flat = g[:, pad:pad + n]
+            if relu:
+                g_flat = g_flat * (y > 0)
             acc(b, g_flat.sum(axis=1))
             gw = np.empty(w.shape, dtype=g.dtype)
             for j in range(m):
@@ -380,21 +391,11 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     return out
 
 
-def relu(x: Tensor, tape: Tape = None) -> Tensor:
-    _require_tensor(x, "relu", "input")
-    ws = _workspace(tape)
-    src = _storage(x)
-    out = _laid_out_like(x, np.maximum(src, 0.0, out=_empty(ws, src.shape, src.dtype)))
-    if tape is not None:
-        def bwd(g, acc):
-            acc(x, np.multiply(g, src > 0, out=_empty(ws, g.shape, g.dtype)))
-        tape.record(out, bwd)
-    return out
-
-
-def add(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
+def add(a: Tensor, b: Tensor, tape: Tape = None, relu: bool = False) -> Tensor:
     """Element-wise sum of two operands in one layout, given in it: both
-    plain, or both buffer-backed with one pad."""
+    plain, or both buffer-backed with one pad; clamped at 0 for relu. The
+    backward hands both operands one gradient, masked by out > 0 for relu
+    into an array the tape keeps."""
     _require_tensor(a, "add", "a")
     _require_tensor(b, "add", "b")
     if a.shape != b.shape:
@@ -402,11 +403,15 @@ def add(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     if a.pad != b.pad:
         raise ShapeError(f"add: operands in different layouts (pad {a.pad} and {b.pad})")
     sa, sb = _storage(a), _storage(b)
-    total = np.add(sa, sb, out=_empty(_workspace(tape), sa.shape,
-                                      np.result_type(sa, sb)))
+    ws = _workspace(tape)
+    total = np.add(sa, sb, out=_empty(ws, sa.shape, np.result_type(sa, sb)))
+    if relu:
+        np.maximum(total, 0.0, out=total)
     out = _laid_out_like(a, total)
     if tape is not None:
         def bwd(g, acc):
+            if relu:
+                g = np.multiply(g, total > 0, out=_empty(ws, g.shape, g.dtype))
             acc(a, g)
             acc(b, g)
         tape.record(out, bwd)

@@ -280,6 +280,18 @@ def test_train_determinism_smoke(tmp_path):
         (outs[1] / "loss_log.csv").read_bytes()
 
 
+def test_failed_train_leaves_no_output_directory(tmp_path, capsys):
+    """A train that stops mid-run writes nothing: --out is made only once
+    the model has trained."""
+    corpus = make_corpus(tmp_path, files=4, events=80, seed=4)
+    out = tmp_path / "o"
+    code = run(["train", "--data", str(corpus), "--out", str(out),
+                "--k", "3", "--epochs", "2", "--alpha", "32", "--gamma", "1e300"])
+    assert code == 3
+    assert "batch loss diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cross_validation_is_gone(tmp_path, capsys):
     """The protocol is the fixed 70/30 split: --cv and cv= are usage errors."""
     argv = ["train", "--data", "d", "--out", str(tmp_path / "o")]

@@ -134,11 +134,11 @@ def test_basic_module_zero_residual_is_identity_on_merge():
     feature = Tensor(rng.normal(size=(2, 4, 37)))
     event = Tensor(rng.normal(size=(2, 1, 37)))
     out = basic_module(feature, event, layer)
-    # h is a sum of relu outputs, already nonnegative: relu(h + 0) == h
-    from treehar.numerics import add, conv1d, relu
+    # h is a sum of rectified convs, already nonnegative: relu(h + 0) == h
+    from treehar.numerics import add, conv1d
     h = add(
-        relu(conv1d(event, layer.event_w.value, layer.event_b.value)),
-        relu(conv1d(feature, layer.feature_w.value, layer.feature_b.value)),
+        conv1d(event, layer.event_w.value, layer.event_b.value, relu=True),
+        conv1d(feature, layer.feature_w.value, layer.feature_b.value, relu=True),
     )
     np.testing.assert_array_equal(out.data, h.data)
 

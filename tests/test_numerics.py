@@ -20,14 +20,14 @@ from treehar.numerics import (
     flatten,
     gradient_check,
     l2_term,
-    relu,
     softmax,
     softmax_cross_entropy,
 )
 
 from treehar import model, training
 
-from oracles import naive_conv1d, naive_dense, naive_log_softmax_ce, naive_softmax
+from oracles import (naive_conv1d, naive_dense, naive_log_softmax_ce, naive_relu,
+                     naive_softmax)
 
 
 def rng(seed=0):
@@ -274,22 +274,113 @@ def test_conv1d_preserves_length(length, half_kernel):
 
 
 # ---------------------------------------------------------------------------
-# relu / add / dense
+# relu epilogues / add / dense
+
+
+def _relu_of(values):
+    """ReLU of a plain tensor, as the add epilogue gives it."""
+    x = Tensor(values)
+    return add(x, Tensor(np.zeros(x.shape, dtype=x.dtype)), relu=True)
 
 
 def test_relu_examples():
-    assert relu(Tensor([-1.0, 0.0, 2.0])).data.tolist() == [0.0, 0.0, 2.0]
-    assert np.all(relu(Tensor([-5.0, -0.1])).data == 0)
-    x = Tensor([0.5, 3.0, 0.0])
-    np.testing.assert_array_equal(relu(x).data, x.data)
+    assert _relu_of([-1.0, 0.0, 2.0]).data.tolist() == [0.0, 0.0, 2.0]
+    assert np.all(_relu_of([-5.0, -0.1]).data == 0)
+    assert _relu_of([0.5, 3.0, 0.0]).data.tolist() == [0.5, 3.0, 0.0]
+    # a 1x1 identity kernel: the conv epilogue clamps the same way
+    one = conv1d(Tensor([[[-1.0, 0.0, 2.0]]]), Tensor(np.ones((1, 1, 1))),
+                 Tensor(np.zeros(1)), relu=True)
+    assert one.data.tolist() == [[[0.0, 0.0, 2.0]]]
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=20))
 @settings(max_examples=50, deadline=None)
 def test_relu_idempotent(values):
-    x = Tensor(values)
-    once = relu(x)
-    np.testing.assert_array_equal(relu(once).data, once.data)
+    once = _relu_of(values)
+    np.testing.assert_array_equal(_relu_of(once.data).data, once.data)
+    identity = (Tensor(np.ones((1, 1, 1))), Tensor(np.zeros(1)))
+    conv_once = conv1d(Tensor(once.data[None, None, :]), *identity, relu=True)
+    np.testing.assert_array_equal(conv1d(conv_once, *identity, relu=True).data,
+                                  conv_once.data)
+
+
+def _small_integers(r, size, low, high, dtype):
+    # small integers keep every product and sum exact, so pre-activations
+    # that are exactly 0 occur and compare exactly
+    return r.integers(low, high + 1, size=size).astype(dtype)
+
+
+def _collect(bwd, g):
+    got = {}
+    bwd(g, lambda t, v: got.setdefault(id(t), v.copy()))
+    return got
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("bordered_gradient", [False, True], ids=["plain-g", "buffer-g"])
+def test_conv1d_relu_matches_oracle(dtype, bordered_gradient):
+    r = rng(31)
+    x = _small_integers(r, (3, 2, 6), -2, 2, dtype)
+    w = _small_integers(r, (4, 2, 3), -1, 1, dtype)
+    b = _small_integers(r, 4, -1, 1, dtype)
+    pre = np.stack([naive_conv1d(x[i], w, b) for i in range(3)])
+    assert np.any(pre == 0) and np.any(pre > 0) and np.any(pre < 0)
+
+    xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+    tape = _KeepingTape()
+    out = conv1d(xt, wt, bt, tape, relu=True)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out.data, naive_relu(pre))
+
+    # the fused backward equals the plain conv's backward handed the
+    # gradient masked by pre > 0: a pre-activation of exactly 0 passes none
+    g = _small_integers(r, (3, 4, 6), 1, 3, dtype)
+    masked = g * (pre > 0)
+    if bordered_gradient:
+        g = np.pad(g.transpose(1, 0, 2), ((0, 0), (0, 0), (1, 1))).reshape(4, -1)
+    g_before = g.copy()
+    fused = _collect(tape.bwd, g)
+    np.testing.assert_array_equal(g, g_before)   # g is never written
+
+    plain_tape = _KeepingTape()
+    conv1d(xt, wt, bt, plain_tape)
+    want = _collect(plain_tape.bwd, masked)
+    np.testing.assert_array_equal(fused[id(bt)], masked.sum(axis=(0, 2)))
+    for t in (bt, wt, xt):
+        np.testing.assert_array_equal(fused[id(t)], want[id(t)])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("buffered", [False, True], ids=["plain", "buffer"])
+def test_add_relu_matches_oracle(dtype, buffered):
+    r = rng(32)
+    a_values = _small_integers(r, (3, 2, 5), -2, 2, dtype)
+    b_values = _small_integers(r, (3, 2, 5), -2, 2, dtype)
+    total = a_values + b_values
+    assert np.any(total == 0) and np.any(total > 0) and np.any(total < 0)
+    a, b = Tensor(a_values), Tensor(b_values)
+    if buffered:
+        # the same values on zero-bordered buffers: a conv whose kernel
+        # copies its input
+        kernel = np.zeros((2, 2, 3), dtype=dtype)
+        kernel[:, :, 1] = np.eye(2)
+        identity, zero = Tensor(kernel), Tensor(np.zeros(2, dtype=dtype))
+        a, b = conv1d(a, identity, zero), conv1d(b, identity, zero)
+
+    tape = _KeepingTape()
+    out = add(a, b, tape, relu=True)
+    assert out.dtype == dtype and (out.buf is not None) == buffered
+    np.testing.assert_array_equal(out.data, naive_relu(total))
+
+    g = _small_integers(r, out.buf.shape if buffered else total.shape, 1, 3, dtype)
+    g_before = g.copy()
+    got = _collect(tape.bwd, g)
+    np.testing.assert_array_equal(g, g_before)   # g is never written
+    mask = total > 0
+    if buffered:   # in the buffer layout, whose borders pass no gradient
+        mask = np.pad(mask.transpose(1, 0, 2), ((0, 0), (0, 0), (1, 1))).reshape(2, -1)
+    for t in (a, b):
+        np.testing.assert_array_equal(got[id(t)], g * mask)
 
 
 def test_add_examples():
@@ -667,9 +758,9 @@ def _random_net_loss(seed):
 
     def loss_fn(tape):
         c1w, c1b, c2w, c2b, dw, db = params
-        h = relu(conv1d(x, c1w.value, c1b.value, tape=tape), tape)
-        h2 = conv1d(h, c2w.value, c2b.value, tape=tape)
-        merged = relu(add(h, h2, tape), tape)
+        h = conv1d(x, c1w.value, c1b.value, tape, relu=True)
+        h2 = conv1d(h, c2w.value, c2b.value, tape)
+        merged = add(h, h2, tape, relu=True)
         logits = dense(flatten(merged, tape), dw.value, db.value, tape)
         ce = softmax_cross_entropy(logits, [1, 3], tape)
         return add(ce, l2_term([c1w.value, dw.value], 0.01, tape), tape)

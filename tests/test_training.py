@@ -1,18 +1,23 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from treehar import synth
+from treehar.casas import filter_on
 from treehar.model import forward_batch, init_params
 from treehar.numerics import NumericError, ParamTensor, Tape, Tensor, backward, gradient_check, l2_term
 from treehar.training import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
     DEFAULT_GAMMA_GRID,
+    STREAM_SYNTH,
     AdamState,
     TrainConfig,
     adam_step,
     batch_loss,
+    derive_rng,
     derive_seed,
     fit,
     sweep,
@@ -142,18 +147,48 @@ def test_l2_gradient_matches_finite_differences():
     assert report.max_rel_error < 1e-8
 
 
-def test_k8_step_records_92_tape_nodes():
-    """A k=8 forward plus the loss: 7 basic modules of 12 nodes (5 convs,
-    5 relus, 2 adds), flatten, two dense heads, one fused cross-entropy
-    per head, their sum, the L2 term and its add. A new tape op changes
-    this count on purpose or not at all."""
+def test_k8_step_records_57_tape_nodes():
+    """A k=8 forward plus the loss: 7 basic modules of 7 nodes (5 convs
+    and 2 adds, each ReLU fused into one of them), flatten, two dense
+    heads, one fused cross-entropy per head, their sum, the L2 term and
+    its add: 49 + 8. A new tape op changes this count on purpose or not
+    at all."""
     params = init_params(8, 37, seed=0)
     events, residents, activities = stack_windows(_windows(6, k=8))
     tape = Tape()
     _, resident_logits, activity_logits = forward_batch(events, params, tape)
     batch_loss(resident_logits, activity_logits, residents, activities,
                params, TrainConfig().l2_weight, tape)
-    assert len(tape) == 92
+    assert len(tape) == 57
+
+
+def test_single_batch_steps_golden():
+    """Three one-batch train_epoch steps at k=4 on 41 windows of a fixed
+    synthetic file: the repr of every batch loss at both dtypes and the
+    sha256 of the float64 parameters after the last step. Any change to
+    the forward, the backward, the loss or Adam that is not bitwise
+    neutral changes these."""
+    events = filter_on(synth.generate_file_events(
+        synth.SynthProfile(files=1, events_per_file=60),
+        derive_rng(7, STREAM_SYNTH, 0)))
+    windows = make_windows(events, k=4, source="golden")
+    assert len(windows) == 41
+    config = TrainConfig(batch_size=128, learning_rate=0.001, epochs=3, seed=7)
+    losses = {}
+    for dtype in (np.float64, np.float32):
+        params = init_params(4, 37, seed=7, dtype=dtype)
+        state = AdamState(params.tensors())
+        losses[np.dtype(dtype).name] = [
+            repr(train_epoch(windows, params, state, config, epoch).avg_loss)
+            for epoch in range(3)]
+        if dtype == np.float64:
+            digest = hashlib.sha256(b"".join(
+                p.value.data.astype("<f8").tobytes() for p in params)).hexdigest()
+    assert losses == {
+        "float64": ["7.016934283834867", "2.4830600004814505", "1.3328716958695948"],
+        "float32": ["7.016933917999268", "2.483060121536255", "1.3328717947006226"],
+    }
+    assert digest == "f819d392d494c77019fd9c0187d92a2e4f8376dff61a26869ea65266ee5a1125"
 
 
 # ---------------------------------------------------------------------------
