@@ -18,6 +18,7 @@ from .windowing import stack_windows
 
 NUM_COMPOSITE = NUM_RESIDENTS * NUM_ACTIVITIES
 MIN_GINI_GAIN = 1e-12
+KNN_CHUNK = 256   # query rows per distance matrix
 
 
 class FlatDataset:
@@ -48,7 +49,7 @@ def _vote(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def knn_predict_batch(train: FlatDataset, queries: np.ndarray,
-                      k_neighbors: int = 5, chunk_size: int = 256):
+                      k_neighbors: int = 5):
     """Euclidean k-NN per query row with independent majority votes per
     head; distance ties go to the earliest training index, vote ties to the
     smallest class index. Returns (residents, activities) int arrays."""
@@ -61,11 +62,11 @@ def knn_predict_batch(train: FlatDataset, queries: np.ndarray,
     queries = np.asarray(queries, dtype=np.float64)
     train_norms = (train.X * train.X).sum(axis=1)
     nearest = np.empty((len(queries), k_neighbors), dtype=np.int64)
-    for start in range(0, len(queries), chunk_size):
-        chunk = queries[start:start + chunk_size]
+    for start in range(0, len(queries), KNN_CHUNK):
+        chunk = queries[start:start + KNN_CHUNK]
         d2 = train_norms[None, :] - 2.0 * (chunk @ train.X.T) \
             + (chunk * chunk).sum(axis=1)[:, None]
-        nearest[start:start + chunk_size] = \
+        nearest[start:start + KNN_CHUNK] = \
             np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
     return (_vote(train.residents[nearest], NUM_RESIDENTS),
             _vote(train.activities[nearest], NUM_ACTIVITIES))

@@ -9,7 +9,6 @@ fixed 37-tag set of the ADLMR testbed, indexed by catalog id minus one.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import random
 from dataclasses import dataclass
@@ -217,17 +216,3 @@ def split_files(files, ratio: float = 0.7, seed: int = 0) -> DatasetSplit:
         train_files=tuple(files[:n_train]),
         test_files=tuple(files[n_train:]),
     )
-
-
-CSV_HEADER = ["date", "time", "sensor", "value", "resident", "activity"]
-
-
-def write_events_csv(events, path):
-    """Canonical event stream: date,time,sensor,value,resident,activity
-    with 1-based labels, matching the raw line fields."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for e in events:
-            date_text, time_text, tag, value, res, act = serialize_event(e).split()
-            writer.writerow([date_text, time_text, tag, value, res, act])

@@ -10,6 +10,25 @@ flag. Every command that writes artifacts echoes the configuration it
 actually used. One root seed drives file splitting, parameter init and
 epoch shuffles.
 
+Artifacts, written in --out beside the config_used.txt echo (synth's
+echo is .config_used.txt, a dot-name, so the corpus reads as logs only),
+each CSV with its header:
+    ingest  events.csv       date,time,sensor,value,resident,activity
+            file_counts.csv  file,events,on_events,skipped_unlabeled
+            vocabulary.csv   index,tag
+    train   loss_log.csv     epoch,avg_loss,max_batch_loss,min_batch_loss
+            model.json
+    eval    metrics.csv      method,resident_accuracy,resident_precision,
+                             resident_f1,activity_accuracy
+            confusion_resident.csv, confusion_activity.csv
+                             true\\pred,0,1,... (a row per true class)
+            report.txt
+    sweep   sweep.csv        alpha,beta,gamma,max_loss,avg_loss,min_loss
+    synth   synth_00.txt, synth_01.txt, ... in the log format
+predict and gradcheck only print. events.csv holds the log's six fields,
+labels 1-based. _write_csv writes every CSV: a header row, then a row per
+record, minimal quoting, each line ending in "\\n", floats as their repr.
+
 Exit codes: 0 success, 1 usage (including settings too large for the
 available memory), 2 data error, 3 numeric failure.
 """
@@ -21,6 +40,7 @@ import csv
 import itertools
 import sys
 from collections import namedtuple
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +49,6 @@ from . import baselines, casas, metrics, model, synth, training, windowing
 from .casas import ParseError
 from .model import CheckpointError
 from .numerics import NumericError, ShapeError, gradient_check
-
-STREAM_GRADCHECK = 4
 
 
 class UsageError(Exception):
@@ -122,7 +140,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="treehar", description=__doc__)
+    parser = _Parser(prog="treehar", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _HANDLERS.items():
         p = sub.add_parser(name, help=handler.__doc__)
@@ -234,6 +253,15 @@ def _make_dir(out: Path) -> Path:
     return out
 
 
+def _write_csv(path, header, rows):
+    """The one writer of every CSV artifact; csv writes a float as its
+    repr, so a float reads back bit for bit."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _split(files, seed):
     split_seed = training.derive_seed(seed, training.STREAM_SPLIT)
     try:
@@ -270,15 +298,13 @@ def cmd_ingest(cfg) -> int:
         print(f"{path}: {len(parsed.events)} events, {len(on_events)} {on_value}, "
               f"{parsed.skipped_unlabeled} unlabeled skipped")
         all_events.extend(parsed.events)
-    casas.write_events_csv(all_events, _make_dir(out) / "events.csv")
-    with open(out / "file_counts.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["file", "events", "on_events", "skipped_unlabeled"])
-        writer.writerows(count_rows)
-    with open(out / "vocabulary.csv", "w") as fh:
-        fh.write("index,tag\n")
-        for i, tag in enumerate(casas.DEFAULT_VOCAB):
-            fh.write(f"{i},{tag}\n")
+    _write_csv(_make_dir(out) / "events.csv",
+               ["date", "time", "sensor", "value", "resident", "activity"],
+               (casas.serialize_event(e).split() for e in all_events))
+    _write_csv(out / "file_counts.csv",
+               ["file", "events", "on_events", "skipped_unlabeled"], count_rows)
+    _write_csv(out / "vocabulary.csv", ["index", "tag"],
+               enumerate(casas.DEFAULT_VOCAB))
     cfg.echo(out)
     total_on = sum(r[2] for r in count_rows)
     print(f"total: {len(all_events)} events, {total_on} {on_value}, "
@@ -309,7 +335,9 @@ def cmd_train(cfg) -> int:
             f"(max {s.max_batch_loss:.6f}, min {s.min_batch_loss:.6f})"),
     )
     _make_dir(out)
-    training.write_loss_log(history, out / "loss_log.csv")
+    _write_csv(out / "loss_log.csv",
+               ["epoch", "avg_loss", "max_batch_loss", "min_batch_loss"],
+               map(astuple, history))
     model.save_params(params, out / "model.json")
     cfg.echo(out)
     print(f"checkpoint written to {out / 'model.json'}")
@@ -359,9 +387,16 @@ def cmd_eval(cfg) -> int:
         report = metrics.report_from_predictions(
             test_flat.residents, pred_res, test_flat.activities, pred_act)
 
-    metrics.write_metrics_csv(report, _make_dir(out) / "metrics.csv", method)
-    report.resident.write_csv(out / "confusion_resident.csv")
-    report.activity.write_csv(out / "confusion_activity.csv")
+    _write_csv(_make_dir(out) / "metrics.csv",
+               ["method", "resident_accuracy", "resident_precision",
+                "resident_f1", "activity_accuracy"],
+               [(method, report.resident_accuracy, report.resident_precision,
+                 report.resident_f1, report.activity_accuracy)])
+    for head in ("resident", "activity"):
+        counts = getattr(report, head).counts
+        _write_csv(out / f"confusion_{head}.csv",
+                   ["true\\pred", *range(len(counts))],
+                   ([c, *row] for c, row in enumerate(counts.tolist())))
     (out / "report.txt").write_text(report.describe() + "\n")
     cfg.echo(out)
     print(f"{method}: resident accuracy {report.resident_accuracy:.4f}, "
@@ -396,7 +431,9 @@ def cmd_sweep(cfg) -> int:
             f"alpha={r.alpha} beta={r.beta} gamma={r.gamma}: "
             f"avg {r.avg_loss:.4f} max {r.max_loss:.4f} min {r.min_loss:.4f}"),
     )
-    training.write_sweep_csv(rows, _make_dir(out) / "sweep.csv")
+    _write_csv(_make_dir(out) / "sweep.csv",
+               ["alpha", "beta", "gamma", "max_loss", "avg_loss", "min_loss"],
+               map(astuple, rows))
     best = min(rows, key=lambda r: r.avg_loss)
     print(f"best by average loss: alpha={best.alpha} beta={best.beta} "
           f"gamma={best.gamma} (avg {best.avg_loss:.4f})")
@@ -430,7 +467,7 @@ def cmd_gradcheck(cfg) -> int:
     tolerance = cfg.get("tolerance")
     vocab_size = len(casas.DEFAULT_VOCAB)
 
-    rng = training.derive_rng(seed, STREAM_GRADCHECK)
+    rng = training.derive_rng(seed, training.STREAM_GRADCHECK)
     events = np.zeros((batch, k, vocab_size))
     for b in range(batch):
         for i in range(k):
@@ -452,8 +489,9 @@ def cmd_gradcheck(cfg) -> int:
             resident_logits, activity_logits, residents, activities,
             params, _TRAIN.l2_weight, tape)
 
-    report = gradient_check(loss_fn, params.tensors(), probes,
-                            seed=training.derive_seed(seed, STREAM_GRADCHECK, 1))
+    report = gradient_check(
+        loss_fn, params.tensors(), probes,
+        seed=training.derive_seed(seed, training.STREAM_GRADCHECK, 1))
     print(report)
     if report.max_rel_error < tolerance:
         print(f"PASS: max rel error below {tolerance}")

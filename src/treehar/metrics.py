@@ -7,7 +7,6 @@ class is called positive, and downstream reports emit both conventions.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -77,13 +76,6 @@ class ConfusionMatrix:
     def macro_f1(self) -> float:
         return float(np.mean(self.per_class_f1()))
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["true\\pred"] + list(range(self.num_classes)))
-            for c in range(self.num_classes):
-                writer.writerow([c] + self.counts[c].tolist())
-
 
 @dataclass
 class MetricsReport:
@@ -133,45 +125,23 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def evaluate(test_windows, params: ModelParams,
-             chunk_size: int = EVAL_CHUNK) -> MetricsReport:
-    """Argmax predictions over the test windows, accumulated per head."""
+def evaluate(test_windows, params: ModelParams) -> MetricsReport:
+    """Argmax predictions over the test windows, EVAL_CHUNK at a time."""
     test_windows = list(test_windows)
     if not test_windows:
         raise ValueError("evaluate: empty test set")
     events, residents, activities = stack_windows(test_windows, dtype=params.dtype)
-    resident_cm = ConfusionMatrix(NUM_RESIDENTS)
-    activity_cm = ConfusionMatrix(NUM_ACTIVITIES)
-    for start in range(0, len(test_windows), chunk_size):
-        stop = start + chunk_size
-        pred_res, pred_act = predict_batch(events[start:stop], params)
-        resident_cm.update_many(residents[start:stop], pred_res)
-        activity_cm.update_many(activities[start:stop], pred_act)
-    return MetricsReport(resident=resident_cm, activity=activity_cm)
+    chunks = [predict_batch(events[start:start + EVAL_CHUNK], params)
+              for start in range(0, len(test_windows), EVAL_CHUNK)]
+    pred_res, pred_act = (np.concatenate(heads) for heads in zip(*chunks))
+    return report_from_predictions(residents, pred_res, activities, pred_act)
 
 
 def report_from_predictions(true_residents, pred_residents,
                             true_activities, pred_activities) -> MetricsReport:
-    """Build a report from already-computed labels (used by the baselines)."""
+    """Build a report from already-computed labels."""
     resident_cm = ConfusionMatrix(NUM_RESIDENTS)
     activity_cm = ConfusionMatrix(NUM_ACTIVITIES)
     resident_cm.update_many(true_residents, pred_residents)
     activity_cm.update_many(true_activities, pred_activities)
     return MetricsReport(resident=resident_cm, activity=activity_cm)
-
-
-METRICS_CSV_HEADER = ["method", "resident_accuracy", "resident_precision",
-                      "resident_f1", "activity_accuracy"]
-
-
-def write_metrics_csv(report: MetricsReport, path, method: str):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_HEADER)
-        writer.writerow([
-            method,
-            repr(report.resident_accuracy),
-            repr(report.resident_precision),
-            repr(report.resident_f1),
-            repr(report.activity_accuracy),
-        ])

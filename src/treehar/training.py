@@ -1,13 +1,12 @@
 """Joint loss, Adam, the epoch loop and the hyperparameter sweep.
 
 All randomness flows from one root seed through fixed stream ids
-(split=0, init=1, shuffle=2, synth=3; the shuffle stream is further
-keyed by epoch), so a single integer reproduces a whole experiment.
+(split=0, init=1, shuffle=2, synth=3, gradcheck=4; the shuffle stream
+is further keyed by epoch), so a single integer reproduces a whole experiment.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ STREAM_SPLIT = 0
 STREAM_INIT = 1
 STREAM_SHUFFLE = 2
 STREAM_SYNTH = 3
+STREAM_GRADCHECK = 4
 
 
 def derive_seed(root_seed: int, *stream) -> int:
@@ -183,7 +183,7 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
 
 
 def fit(train_windows, config: TrainConfig, k: int = 8, dtype=np.float64,
-        log_path=None, progress=None):
+        progress=None):
     """Train for config.epochs epochs; returns (params, per-epoch stats).
 
     Initialization is seeded from the root seed's init stream.
@@ -200,18 +200,7 @@ def fit(train_windows, config: TrainConfig, k: int = 8, dtype=np.float64,
         history.append(stats)
         if progress is not None:
             progress(stats)
-    if log_path is not None:
-        write_loss_log(history, log_path)
     return params, history
-
-
-def write_loss_log(history, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "avg_loss", "max_batch_loss", "min_batch_loss"])
-        for s in history:
-            writer.writerow([s.epoch, repr(s.avg_loss),
-                             repr(s.max_batch_loss), repr(s.min_batch_loss)])
 
 
 DEFAULT_ALPHA_GRID = (64, 128, 256)
@@ -260,14 +249,3 @@ def sweep(train_windows, k: int = 8, alphas=DEFAULT_ALPHA_GRID,
                 if progress is not None:
                     progress(row)
     return rows
-
-
-def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "beta", "gamma",
-                         "max_loss", "avg_loss", "min_loss"])
-        for r in rows:
-            writer.writerow([r.alpha, repr(r.beta), repr(r.gamma),
-                             repr(r.max_loss), repr(r.avg_loss),
-                             repr(r.min_loss)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from treehar import baselines
 from treehar.baselines import (FlatDataset, _best_split, dt_fit,
                                knn_predict_batch)
 from treehar.casas import LabelPair
@@ -85,14 +86,16 @@ def test_knn_permutation_invariant_with_distinct_distances():
         assert _knn_one(train, q, 5) == _knn_one(shuffled, q, 5)
 
 
-def test_knn_batch_matches_single():
+def test_knn_batch_matches_single(monkeypatch):
     # against a per-query loop: exact integer distances on 0/1 features,
-    # ties to the earliest index, votes to the smallest class
+    # ties to the earliest index, votes to the smallest class; chunks of 5
+    # leave a partial last chunk
+    monkeypatch.setattr(baselines, "KNN_CHUNK", 5)
     rng = np.random.default_rng(1)
     X = (rng.random((30, 8)) > 0.5).astype(float)
     train = _dataset(X, rng.integers(0, 2, 30), rng.integers(0, 15, 30))
     queries = (rng.random((12, 8)) > 0.5).astype(float)
-    res, act = knn_predict_batch(train, queries, k_neighbors=3, chunk_size=5)
+    res, act = knn_predict_batch(train, queries, k_neighbors=3)
     for i, q in enumerate(queries):
         d2 = [sum((a - b) ** 2 for a, b in zip(x, q)) for x in X]
         nearest = sorted(range(30), key=lambda j: (d2[j], j))[:3]

@@ -14,8 +14,8 @@ from treehar.casas import (
     parse_line,
     serialize_event,
     split_files,
-    write_events_csv,
 )
+from treehar.cli import run
 
 GOOD_LINE = "2009-02-02 12:18:45.51 M13 ON 2 5"
 
@@ -180,9 +180,12 @@ def test_parse_file_undecodable_byte_names_file_and_line(tmp_path):
 
 
 def test_write_events_csv(tmp_path):
-    events = [parse_line(GOOD_LINE)]
-    out = tmp_path / "events.csv"
-    write_events_csv(events, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "date,time,sensor,value,resident,activity"
-    assert lines[1] == "2009-02-02,12:18:45.51,M13,ON,2,5"
+    """ingest writes each event back as the log's six fields, 1-based."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "session.txt").write_text(GOOD_LINE + "\n")
+    assert run(["ingest", "--data", str(corpus), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "events.csv").read_text().splitlines() == [
+        "date,time,sensor,value,resident,activity",
+        "2009-02-02,12:18:45.51,M13,ON,2,5",
+    ]

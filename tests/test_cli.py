@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treehar import casas, model, synth
-from treehar.cli import build_parser, run
+from treehar.cli import (SETTINGS, DataError, UsageError, build_parser,
+                         read_config_file, run)
 
 
 def make_corpus(tmp_path, name="corpus", files=3, events=60, seed=0):
@@ -619,11 +620,20 @@ def run_inputs(tmp_path_factory):
     model.save_params(model.init_params(3, 37, seed=0), checkpoint)
     corpus = make_corpus(base, files=3, events=30, seed=9)
     logs = {p.name: p.read_bytes() for p in sorted(corpus.glob("synth_*.txt"))}
-    # k and epochs come from flags, so no mutation makes a run long; every
-    # value here is read by train or eval
-    config = (b"seed=2\nalpha=16\nbeta=0.0004\ngamma=0.001\ndtype=float64\n"
-              b"on_value=ON\nknn_k=3\nmin_leaf=1\nmax_depth=4\n")
+    # every value here is read by train or eval
+    config = (b"k=3\nepochs=1\nseed=2\nalpha=16\nbeta=0.0004\ngamma=0.001\n"
+              b"dtype=float64\non_value=ON\nknn_k=3\nmin_leaf=1\nmax_depth=4\n")
     return logs, config, checkpoint.read_bytes()
+
+
+def _resolved(values, key, invalid):
+    """A config file's value of `key` through its SETTINGS converter, or
+    `invalid` where the converter rejects it."""
+    setting = SETTINGS[key]
+    try:
+        return setting.convert(values.get(key, setting.default))
+    except ValueError:
+        return invalid
 
 
 @given(command=st.sampled_from(["train", "eval", "knn", "dt"]),
@@ -646,13 +656,26 @@ def test_train_and_eval_survive_byte_mutations(run_inputs, command, target, whic
             (td / "corpus" / name).write_bytes(data)
         (td / "run.cfg").write_bytes(config)
         (td / "model.json").write_bytes(checkpoint)
-        argv = {"train": ["train", "--k", "3", "--epochs", "1"],
+        try:
+            values = read_config_file(td / "run.cfg")
+        except UsageError:
+            rejected = 1
+        except DataError:   # an undecodable byte
+            rejected = 2
+        else:
+            rejected = None
+            # a mutated k or epochs runs unless it would make the run long
+            assume(_resolved(values, "k", 2) <= 4)
+            assume(_resolved(values, "epochs", 0) <= 2)
+        argv = {"train": ["train"],
                 "eval": ["eval", "--checkpoint", str(td / "model.json")],
-                "knn": ["eval", "--method", "knn", "--k", "3"],
-                "dt": ["eval", "--method", "dt", "--k", "3"]}[command]
+                "knn": ["eval", "--method", "knn"],
+                "dt": ["eval", "--method", "dt"]}[command]
         code = run(argv + ["--data", str(td / "corpus"), "--out", str(td / "out"),
                            "--config", str(td / "run.cfg")])
         assert code in (0, 1, 2, 3)
+        if rejected is not None:
+            assert code == rejected
         if code == 0 and command == "train":
             model.load_params(td / "out" / "model.json")   # complete and finite
 
@@ -736,3 +759,46 @@ _ECHO_GOLDEN = {
 @pytest.mark.parametrize("command", list(_ECHO_GOLDEN))
 def test_config_echo_golden(echoes, command):
     assert echoes[command] == _ECHO_GOLDEN[command]
+
+
+# ---------------------------------------------------------------------------
+# the CSV dialect of every artifact
+
+_CSV_HEADERS = {
+    "events.csv": "date,time,sensor,value,resident,activity",
+    "file_counts.csv": "file,events,on_events,skipped_unlabeled",
+    "vocabulary.csv": "index,tag",
+    "loss_log.csv": "epoch,avg_loss,max_batch_loss,min_batch_loss",
+    "metrics.csv": "method,resident_accuracy,resident_precision,resident_f1,"
+                   "activity_accuracy",
+    "confusion_resident.csv": "true\\pred,0,1",
+    "confusion_activity.csv": "true\\pred," + ",".join(map(str, range(15))),
+    "sweep.csv": "alpha,beta,gamma,max_loss,avg_loss,min_loss",
+}
+
+
+def test_every_csv_artifact_has_one_dialect(tmp_path):
+    """Each CSV that ingest, train, eval and sweep write ends its lines in
+    "\\n" alone, starts with the header the cli docstring documents, and
+    has one column count."""
+    corpus = make_corpus(tmp_path, files=3, events=40)
+    runs = {
+        "ingest": ["ingest"],
+        "train": ["train", "--k", "3", "--epochs", "1", "--alpha", "16"],
+        "tsc": ["eval", "--checkpoint", str(tmp_path / "train" / "model.json")],
+        "knn": ["eval", "--method", "knn", "--k", "3"],
+        "sweep": ["sweep", "--k", "3", "--epochs", "1", "--alphas", "16",
+                  "--betas", "0.0004", "--gammas", "0.001"],
+    }
+    seen = set()
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run(argv + ["--data", str(corpus), "--out", str(out)]) == 0, name
+        for path in sorted(out.glob("*.csv")):
+            data = path.read_bytes()
+            assert b"\r" not in data, path
+            rows = list(csv.reader(data.decode().splitlines()))
+            assert rows[0] == _CSV_HEADERS[path.name].split(","), path
+            assert {len(row) for row in rows} == {len(rows[0])}, path
+            seen.add(path.name)
+    assert seen == set(_CSV_HEADERS)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from treehar import metrics
+from treehar.cli import run
 from treehar.metrics import (
     ConfusionMatrix,
+    MetricsReport,
     evaluate,
     report_from_predictions,
-    write_metrics_csv,
 )
 from treehar.model import init_params
 from treehar.windowing import make_windows
 
+from test_cli import make_corpus
 from test_model import _events
 
 
@@ -82,10 +85,11 @@ def test_permutation_invariance_over_window_order():
                                   backward.activity.counts)
 
 
-def test_evaluate_counts_every_window():
+def test_evaluate_counts_every_window(monkeypatch):
+    monkeypatch.setattr(metrics, "EVAL_CHUNK", 7)   # 25 = 3 * 7 + 4
     params = init_params(3, 37, seed=4)
     windows = make_windows(_events(25), k=3)
-    report = evaluate(windows, params, chunk_size=7)
+    report = evaluate(windows, params)
     assert report.resident.total == 25
     assert report.activity.total == 25
 
@@ -96,27 +100,41 @@ def test_evaluate_empty_rejected():
         evaluate([], params)
 
 
+def _eval_writes(report, tmp_path, monkeypatch):
+    """Run `eval --method knn` on a small corpus with `report` standing in
+    for the one its predictions give; returns the --out directory."""
+    corpus = make_corpus(tmp_path, files=3, events=30)
+    monkeypatch.setattr(metrics, "report_from_predictions", lambda *labels: report)
+    out = tmp_path / "eval"
+    assert run(["eval", "--data", str(corpus), "--out", str(out),
+                "--method", "knn", "--k", "3"]) == 0
+    return out
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_metrics_csv_and_describe(tmp_path):
+def test_metrics_csv_and_describe(tmp_path, monkeypatch):
     report = report_from_predictions([0, 1], [0, 1], [2, 3], [2, 4])
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(report, path, "tsc")
-    lines = path.read_text().strip().splitlines()
+    out = _eval_writes(report, tmp_path, monkeypatch)
+    lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0] == ("method,resident_accuracy,resident_precision,"
                         "resident_f1,activity_accuracy")
     fields = lines[1].split(",")
-    assert fields[0] == "tsc"
+    assert fields[0] == "knn"
     assert float(fields[1]) == 1.0
     assert float(fields[4]) == 0.5
-    text = report.describe()
+    text = (out / "report.txt").read_text()
+    assert text == report.describe() + "\n"
     assert "macro" in text
     assert "class 0" in text and "class 1" in text
 
 
-def test_confusion_csv_dump(tmp_path):
-    cm = _matrix([[3, 1], [2, 4]])
-    cm.write_csv(tmp_path / "cm.csv")
-    lines = (tmp_path / "cm.csv").read_text().strip().splitlines()
-    assert lines[1] == "0,3,1"
-    assert lines[2] == "1,2,4"
+def test_confusion_csv_dump(tmp_path, monkeypatch):
+    report = MetricsReport(resident=_matrix([[3, 1], [2, 4]]),
+                           activity=_matrix(np.eye(15, dtype=np.int64)))
+    out = _eval_writes(report, tmp_path, monkeypatch)
+    lines = (out / "confusion_resident.csv").read_text().splitlines()
+    assert lines == ["true\\pred,0,1", "0,3,1", "1,2,4"]
+    lines = (out / "confusion_activity.csv").read_text().splitlines()
+    assert lines[0] == "true\\pred," + ",".join(map(str, range(15)))
+    assert lines[15] == "14," + "0," * 14 + "1"
 

@@ -1,11 +1,18 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treehar import synth
+import treehar
+from treehar import model, synth, training
 from treehar.casas import filter_on
+from treehar.cli import run
 from treehar.model import forward_batch, init_params
 from treehar.numerics import NumericError, ParamTensor, Tape, Tensor, backward, gradient_check, l2_term
 from treehar.training import (
@@ -14,6 +21,7 @@ from treehar.training import (
     DEFAULT_GAMMA_GRID,
     STREAM_SYNTH,
     AdamState,
+    EpochStats,
     TrainConfig,
     adam_step,
     batch_loss,
@@ -22,11 +30,10 @@ from treehar.training import (
     fit,
     sweep,
     train_epoch,
-    write_loss_log,
-    write_sweep_csv,
 )
 from treehar.windowing import make_windows, stack_windows
 
+from test_cli import make_corpus
 from test_model import _events  # deterministic event fixture
 
 
@@ -162,12 +169,10 @@ def test_k8_step_records_57_tape_nodes():
     assert len(tape) == 57
 
 
-def test_single_batch_steps_golden():
-    """Three one-batch train_epoch steps at k=4 on 41 windows of a fixed
-    synthetic file: the repr of every batch loss at both dtypes and the
-    sha256 of the float64 parameters after the last step. Any change to
-    the forward, the backward, the loss or Adam that is not bitwise
-    neutral changes these."""
+def single_batch_steps():
+    """The repr of every loss of three one-batch train_epoch steps at k=4
+    on 41 windows of a fixed synthetic file, at both dtypes, and the sha256
+    of the float64 parameters after the last step."""
     events = filter_on(synth.generate_file_events(
         synth.SynthProfile(files=1, events_per_file=60),
         derive_rng(7, STREAM_SYNTH, 0)))
@@ -184,11 +189,30 @@ def test_single_batch_steps_golden():
         if dtype == np.float64:
             digest = hashlib.sha256(b"".join(
                 p.value.data.astype("<f8").tobytes() for p in params)).hexdigest()
+    return losses, digest
+
+
+def test_single_batch_steps_golden():
+    """single_batch_steps, run in a child python on one BLAS thread. Any
+    change to the forward, the backward, the loss or Adam that is not
+    bitwise neutral changes these values. The bits repeat only for the
+    same seed, BLAS build and BLAS thread count: a GEMM's reduction order
+    depends on its thread count, and one thread is the only count that
+    every machine can reach (OpenBLAS caps it at the usable CPUs)."""
+    path = os.pathsep.join([str(Path(__file__).parent),
+                            str(Path(treehar.__file__).parents[1])])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, "-c", "import json, test_training; "
+         "print(json.dumps(test_training.single_batch_steps()))"],
+        env=env, capture_output=True, text=True, check=True)
+    losses, digest = json.loads(child.stdout)
     assert losses == {
-        "float64": ["7.016934283834867", "2.4830600004814505", "1.3328716958695948"],
+        "float64": ["7.016934283834867", "2.4830600004814505", "1.332871695869595"],
         "float32": ["7.016933917999268", "2.483060121536255", "1.3328717947006226"],
     }
-    assert digest == "f819d392d494c77019fd9c0187d92a2e4f8376dff61a26869ea65266ee5a1125"
+    assert digest == "42cde7b45b82565028ac01c8bd5b42831d4c6cc443216b73aa7f554ccb5edd8b"
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +367,37 @@ def test_train_epoch_empty_rejected():
 
 def test_fit_zero_epochs_returns_init(tmp_path):
     config = TrainConfig(epochs=0, seed=5)
-    params, history = fit(_windows(20), config, k=3,
-                          log_path=tmp_path / "log.csv")
+    params, history = fit(_windows(20), config, k=3)
     reference = init_params(3, 37, seed=derive_seed(5, 1))
     for a, b in zip(params.tensors(), reference.tensors()):
         np.testing.assert_array_equal(a.value.data, b.value.data)
     assert history == []
-    assert (tmp_path / "log.csv").read_text().strip() == \
-        "epoch,avg_loss,max_batch_loss,min_batch_loss"
+    # train --epochs 0 writes the initial model and a header-only log
+    out = tmp_path / "out"
+    assert run(["train", "--data", str(make_corpus(tmp_path, files=3, events=30)),
+                "--out", str(out), "--k", "3", "--epochs", "0", "--seed", "5"]) == 0
+    assert (out / "loss_log.csv").read_text() == \
+        "epoch,avg_loss,max_batch_loss,min_batch_loss\n"
+    saved = model.load_params(out / "model.json")
+    for a, b in zip(saved.tensors(), reference.tensors()):
+        np.testing.assert_array_equal(a.value.data, b.value.data)
 
 
 def test_fit_loss_log_length_and_improvement(tmp_path):
     config = TrainConfig(batch_size=32, l2_weight=0.0, learning_rate=0.002,
                          epochs=5, seed=0)
-    windows = _windows(80)
-    params, history = fit(windows, config, k=3, log_path=tmp_path / "log.csv")
+    params, history = fit(_windows(80), config, k=3)
     assert len(history) == 5
     assert history[-1].avg_loss < history[0].avg_loss
-    lines = (tmp_path / "log.csv").read_text().strip().splitlines()
+    out = tmp_path / "out"
+    assert run(["train", "--data", str(make_corpus(tmp_path, files=3, events=40)),
+                "--out", str(out), "--k", "3", "--epochs", "5", "--alpha", "32",
+                "--beta", "0", "--gamma", "0.002"]) == 0
+    lines = (out / "loss_log.csv").read_text().splitlines()
     assert len(lines) == 6
     assert lines[0] == "epoch,avg_loss,max_batch_loss,min_batch_loss"
+    avg_losses = [float(line.split(",")[1]) for line in lines[1:]]
+    assert avg_losses[-1] < avg_losses[0]
 
 
 def test_fit_empty_rejected():
@@ -400,11 +435,19 @@ def test_sweep_runs_grid_and_writes_csv(tmp_path):
     ]
     for r in rows:
         assert r.min_loss <= r.avg_loss <= r.max_loss
-    out = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, out)
-    lines = out.read_text().strip().splitlines()
+    out = tmp_path / "out"
+    assert run(["sweep", "--data", str(make_corpus(tmp_path, files=3, events=30)),
+                "--out", str(out), "--k", "3", "--epochs", "2", "--alphas", "8,16",
+                "--betas", "0.0,0.001", "--gammas", "0.001"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "alpha,beta,gamma,max_loss,avg_loss,min_loss"
-    assert len(lines) == 5
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["8", "0.0", "0.001"], ["8", "0.001", "0.001"],
+        ["16", "0.0", "0.001"], ["16", "0.001", "0.001"],
+    ]
+    for line in lines[1:]:
+        max_loss, avg_loss, min_loss = map(float, line.split(",")[3:])
+        assert min_loss <= avg_loss <= max_loss
 
 
 def test_sweep_rejects_zero_tuning_epochs():
@@ -413,11 +456,12 @@ def test_sweep_rejects_zero_tuning_epochs():
               tuning_epochs=0)
 
 
-def test_loss_log_round_trips_float_repr(tmp_path):
-    from treehar.training import EpochStats
-
+def test_loss_log_round_trips_float_repr(tmp_path, monkeypatch):
     history = [EpochStats(0, 1.2345678901234567, 2.0, 0.5)]
-    path = tmp_path / "log.csv"
-    write_loss_log(history, path)
-    value = path.read_text().splitlines()[1].split(",")[1]
+    monkeypatch.setattr(training, "fit", lambda windows, config, k, **_: (
+        init_params(k, 37, seed=0), history))
+    out = tmp_path / "out"
+    assert run(["train", "--data", str(make_corpus(tmp_path, files=3, events=30)),
+                "--out", str(out), "--k", "3"]) == 0
+    value = (out / "loss_log.csv").read_text().splitlines()[1].split(",")[1]
     assert float(value) == 1.2345678901234567
