@@ -124,14 +124,6 @@ class ModelParams:
         return channel_plan(self.k)
 
     @property
-    def basic_module_count(self) -> int:
-        return self.k - 1
-
-    @property
-    def head_input_size(self) -> int:
-        return self.plan[-1] * self.vocab_size
-
-    @property
     def dtype(self):
         return self["head_resident.weight"].value.dtype
 
@@ -353,18 +345,9 @@ def load_params(path, expect_k: int = None) -> ModelParams:
         raise CheckpointError(
             f"checkpoint {path}: dtype {dtype!r} is not float32 or float64")
 
-    expected = expected_shapes(k, vocab_size)
     if expect_k is not None and k != expect_k:
-        want = expected_shapes(expect_k, vocab_size)
-        culprit = next(
-            (n for n in want if n not in expected or want[n] != expected[n]),
-            "head_resident.weight",
-        )
-        raise CheckpointError(
-            f"checkpoint has k={k} but k={expect_k} was requested: "
-            f"tensor {culprit} has shape {expected.get(culprit)} "
-            f"instead of {want[culprit]}"
-        )
+        raise CheckpointError(f"checkpoint has k={k} but k={expect_k} was requested")
+    expected = expected_shapes(k, vocab_size)
 
     by_name = {}
     for entry in entries:

@@ -84,12 +84,13 @@ class AdamState:
 
 def adam_step(params, state: AdamState, learning_rate: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """Standard bias-corrected Adam update, in place; grads are zeroed after."""
+    """Standard bias-corrected Adam update, in place. It consumes the grads
+    that backward set: every p.grad is None after the step."""
     params = list(params)
     if not params:
         raise ValueError("adam_step: no parameters")
-    if not all(p.grad_ready for p in params):
-        stale = [p.name for p in params if not p.grad_ready]
+    stale = [p.name for p in params if p.grad is None]
+    if stale:
         raise RuntimeError(
             f"adam_step: gradients not populated by backward for {stale[:3]}"
         )
@@ -98,7 +99,7 @@ def adam_step(params, state: AdamState, learning_rate: float,
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     for p in params:
-        g = p.grad.data
+        g = p.grad
         m = state.m[p.name]
         v = state.v[p.name]
         m *= beta1
@@ -106,7 +107,7 @@ def adam_step(params, state: AdamState, learning_rate: float,
         v *= beta2
         v += (1.0 - beta2) * g * g
         p.value.data -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        p.zero_grad()
+        p.grad = None
 
 
 def batch_loss(resident_logits, activity_logits, residents, activities,

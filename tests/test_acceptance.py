@@ -110,12 +110,16 @@ def test_criterion_2_overfit_sanity():
 
 def test_criterion_3_structural_conformance():
     params = model.init_params(8, 37, seed=0)
-    ok = (params.basic_module_count == 7
-          and params.plan == [16, 32, 64, 64, 64, 64, 64]
-          and params.head_input_size == 2368)
+    modules = [p.name for p in params if p.name.endswith(".event.weight")]
+    widths = [params[f"layer{i}.res3.weight"].value.shape[0]
+              for i in range(1, len(modules) + 1)]
+    heads = [params[f"head_{h}.weight"].value.shape for h in ("resident", "activity")]
+    ok = (modules == [f"layer{i}.event.weight" for i in range(1, 8)]
+          and widths == [16, 32, 64, 64, 64, 64, 64]
+          and heads == [(2, 2368), (15, 2368)])
     _report(3, ok,
-            f"{params.basic_module_count} basic modules, plan {params.plan}, "
-            f"head input {params.head_input_size}")
+            f"{len(modules)} basic modules, res3 output channels {widths}, "
+            f"head weights {heads}")
 
 
 def _train_and_eval_once(corpus_dir, root_seed):

@@ -57,8 +57,11 @@ def test_channel_plan_small_k(k, plan):
 
 def test_structure_k8():
     params = init_params(8, 37, seed=0)
-    assert params.basic_module_count == 7
-    assert params.head_input_size == 64 * 37 == 2368
+    # seven basic modules, each ending in a res3 conv of the plan's width
+    assert [p.name for p in params if p.name.endswith(".event.weight")] \
+        == [f"layer{i}.event.weight" for i in range(1, 8)]
+    assert [params[f"layer{i}.res3.weight"].value.shape[0] for i in range(1, 8)] \
+        == [16, 32, 64, 64, 64, 64, 64]
     assert params["head_activity.weight"].value.shape == (15, 2368)
     assert params["head_resident.weight"].value.shape == (2, 2368)
     # layer 1 convolves two raw events
@@ -296,11 +299,11 @@ def test_load_truncated_rejected(tmp_path):
         load_params(path)
 
 
-def test_load_k_mismatch_names_tensor(tmp_path):
+def test_load_k_mismatch_names_both_ks(tmp_path):
     params = init_params(6, 37, seed=0)
     path = tmp_path / "model.json"
     save_params(params, path)
-    with pytest.raises(CheckpointError, match=r"layer6|head"):
+    with pytest.raises(CheckpointError, match="checkpoint has k=6 but k=8 was requested"):
         load_params(path, expect_k=8)
     loaded = load_params(path)  # without expectation it loads as k=6
     assert loaded.k == 6

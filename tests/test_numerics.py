@@ -43,14 +43,6 @@ def test_tensor_rejects_rank_4():
         Tensor(np.zeros((2, 2, 2, 2)))
 
 
-def test_param_tensor_grad_shape_matches():
-    p = ParamTensor("w", Tensor(np.ones((2, 3))))
-    assert p.grad.shape == (2, 3)
-    assert np.all(p.grad.data == 0)
-    with pytest.raises(ShapeError):
-        ParamTensor("w", Tensor(np.ones(3)), grad=Tensor(np.ones(4)))
-
-
 # ---------------------------------------------------------------------------
 # conv1d
 
@@ -134,7 +126,7 @@ def test_conv1d_gradients_match_finite_differences(m, length, c_in):
             minus = _conv_energy(x.value, w.value, b.value).item()
             p.value.data.flat[i] = orig
             numeric.flat[i] = (plus - minus) / (2 * h)
-        np.testing.assert_allclose(p.grad.data, numeric, rtol=1e-7, atol=1e-9,
+        np.testing.assert_allclose(p.grad, numeric, rtol=1e-7, atol=1e-9,
                                    err_msg=p.name)
 
 
@@ -169,6 +161,31 @@ class _KeepingTape(Tape):
         self.outs.append(out)
         self.bwd = bwd
         super().record(out, bwd)
+
+
+class _TableTape(Tape):
+    """A tape that keeps the gradient table of its last walk."""
+
+    def gradients(self, loss):
+        self.table = super().gradients(loss)
+        return self.table
+
+
+class _HandoverTape(Tape):
+    """A tape that lists every (tensor, gradient) pair its backward
+    closures hand over, before the tape sums them."""
+
+    def __init__(self):
+        super().__init__()
+        self.handed = []
+
+    def record(self, out, bwd):
+        def listed(g, acc):
+            def hand(t, v):
+                self.handed.append((t, v))
+                acc(t, v)
+            bwd(g, hand)
+        super().record(out, listed)
 
 
 def _zero_bordered(buf, pad, length):
@@ -242,6 +259,22 @@ def test_add_of_buffer_and_plain_tensors():
     # operands in different layouts are refused, not silently converted
     with pytest.raises(ShapeError, match="layouts"):
         add(a, plain, Tape())
+
+
+@pytest.mark.parametrize("m,dtype,match", [
+    (5, np.float32, "pad 1 .* pad 2"),               # an m=3 conv's output, m=5 conv
+    (3, np.float64, "dtype float32.* dtype float64"),  # float32 output, float64 weights
+], ids=["pad", "dtype"])
+def test_conv1d_refuses_a_buffer_in_another_layout(m, dtype, match):
+    # a buffer-backed input is read as it is or refused, never copied
+    r = rng(12)
+    h = conv1d(Tensor(r.normal(size=(2, 2, 6)).astype(np.float32)),
+               Tensor(r.normal(size=(2, 2, 3)).astype(np.float32)),
+               Tensor(np.zeros(2, dtype=np.float32)))
+    assert (h.pad, h.buf.dtype) == (1, np.float32)
+    with pytest.raises(ShapeError, match=match):
+        conv1d(h, Tensor(r.normal(size=(2, 2, m)).astype(dtype)),
+               Tensor(np.zeros(2, dtype=dtype)), Tape())
 
 
 def test_conv1d_rejects_even_kernel():
@@ -570,7 +603,7 @@ def test_backward_logits_gradient_closed_form():
     np.testing.assert_allclose(tape.gradients(loss)[id(logits)][0], expected,
                                atol=1e-14)
     # bias feeds logits directly, so its gradient is the same vector
-    np.testing.assert_allclose(b.grad.data, expected, atol=1e-14)
+    np.testing.assert_allclose(b.grad, expected, atol=1e-14)
 
 
 def test_backward_constant_loss_gives_zero_grads():
@@ -578,9 +611,9 @@ def test_backward_constant_loss_gives_zero_grads():
     tape = Tape()
     const = Tensor(np.asarray(2.0))
     loss = l2_term([const], 1.0, tape)  # recorded op, but no parameter on path
+    assert p.grad is None
     backward(loss, tape, [p])
-    assert np.all(p.grad.data == 0)
-    assert p.grad_ready
+    assert p.grad.shape == (3,) and np.all(p.grad == 0)
 
 
 def test_backward_linearity_over_sum_of_losses():
@@ -594,25 +627,28 @@ def test_backward_linearity_over_sum_of_losses():
 
     grads = {}
     for target in (0, 1):
-        w.zero_grad(), b.zero_grad()
         tape = Tape()
         backward(loss_for(target, tape), tape, [w, b])
-        grads[target] = w.grad.data.copy()
+        grads[target] = w.grad
 
-    w.zero_grad(), b.zero_grad()
     tape = Tape()
     total = add(loss_for(0, tape), loss_for(1, tape), tape)
     backward(total, tape, [w, b])
-    np.testing.assert_allclose(w.grad.data, grads[0] + grads[1], atol=1e-12)
+    np.testing.assert_allclose(w.grad, grads[0] + grads[1], atol=1e-12)
 
 
-def test_grad_accumulates_across_backward_calls():
-    w = ParamTensor("w", Tensor(np.array([2.0])))
+def test_backward_sets_each_grad_to_the_tapes_array():
+    # no zeroed copy and no accumulation: the grad is the table's own
+    # array, replaced by every backward, and zeros only where unreached
+    loss_fn, params = _tree_net_loss(3)
+    unused = ParamTensor("unused", Tensor(np.ones((2, 3))))
     for _ in range(2):
-        tape = Tape()
-        loss = l2_term([w.value], 1.0, tape)
-        backward(loss, tape, [w])
-    np.testing.assert_allclose(w.grad.data, [8.0])  # 2 * (2w) with w=2
+        tape = _TableTape()
+        backward(loss_fn(tape), tape, params + [unused])
+        for p in params:
+            assert p.grad is tape.table[id(p.value)], p.name
+        assert id(unused.value) not in tape.table
+        assert unused.grad.shape == (2, 3) and np.all(unused.grad == 0)
 
 
 def test_sum_squares_and_flatten_grads():
@@ -622,16 +658,15 @@ def test_sum_squares_and_flatten_grads():
     backward(ce, tape, [x])
     want = naive_softmax([1.0, 2.0, 3.0, 4.0])
     want[1] -= 1.0
-    np.testing.assert_allclose(x.grad.data, want.reshape(1, 2, 2), rtol=1e-12)
+    np.testing.assert_allclose(x.grad, want.reshape(1, 2, 2), rtol=1e-12)
 
-    x.zero_grad()
     y = ParamTensor("y", Tensor(np.array([-1.0, 0.5])))
     tape = Tape()
     s = l2_term([x.value, y.value], 0.5, tape)
     assert s.item() == 0.5 * (30.0 + 1.25)
     backward(s, tape, [x, y])
-    np.testing.assert_allclose(x.grad.data, x.value.data)
-    np.testing.assert_allclose(y.grad.data, y.value.data)
+    np.testing.assert_allclose(x.grad, x.value.data)
+    np.testing.assert_allclose(y.grad, y.value.data)
 
 
 def test_flatten_is_channel_major():
@@ -698,6 +733,27 @@ def _tree_net_loss(seed):
     return loss_fn, params.tensors()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_every_gradient_arrives_in_its_tensors_layout(dtype):
+    # a k=3 step: flatten's input, the last module's output, is
+    # buffer-backed, and its one consumer hands it a bordered gradient
+    params = model.init_params(3, 5, seed=1, dtype=dtype)
+    events = rng(1).normal(size=(4, 3, 5)).astype(dtype)
+    tape = _HandoverTape()
+    features, resident_logits, activity_logits = model.forward_batch(events, params, tape)
+    loss = training.batch_loss(resident_logits, activity_logits, [0, 1, 1, 0],
+                               [2, 0, 14, 3], params, 0.01, tape)
+    tape.gradients(loss)
+    (g,) = [g for t, g in tape.handed if t is features]
+    assert g.shape == features.buf.shape and _zero_bordered(g, features.pad, 5)
+    for t, g in tape.handed:
+        assert g.dtype == t.dtype
+        if t.buf is None:
+            assert g.shape == t.shape
+        else:
+            assert g.shape == t.buf.shape and _zero_bordered(g, t.pad, t.shape[2])
+
+
 def test_workspace_gradients_match_fresh_memory():
     # every array a reused workspace hands out still holds the step before;
     # fill the memory with NaN bytes so that any value read before it is
@@ -708,11 +764,10 @@ def test_workspace_gradients_match_fresh_memory():
 
 def _check_workspace_step(loss_fn, params):
     def step(tape):
-        for p in params:
-            p.zero_grad()
         loss = loss_fn(tape)
         backward(loss, tape, params)
-        return loss, [p.grad.data.copy() for p in params]
+        # the grads are the tape's arrays, which the next step reuses
+        return loss, [p.grad.copy() for p in params]
 
     expected_loss, expected_grads = step(Tape())
     ws = Workspace()

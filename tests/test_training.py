@@ -137,11 +137,11 @@ def test_l2_gradient_is_2_beta_w():
     loss = _joint_loss(*_UNIFORM, 0, 0, params, beta, tape)
     backward(loss, tape, params.tensors())
     for p in params.weight_tensors():
-        np.testing.assert_allclose(p.grad.data, 2 * beta * p.value.data,
+        np.testing.assert_allclose(p.grad, 2 * beta * p.value.data,
                                    rtol=1e-12, atol=1e-15)
     for p in params.tensors():
         if p.name.endswith(".bias"):
-            assert np.all(p.grad.data == 0)
+            assert np.all(p.grad == 0)
 
 
 def test_l2_gradient_matches_finite_differences():
@@ -227,14 +227,12 @@ def test_adam_first_step_hand_computed():
     # g=1: both bias-corrected moments are exactly 1, so the step is
     # gamma / (1 + eps)
     p = _scalar_param(1.0)
-    p.grad.data[...] = 1.0
-    p.grad_ready = True
+    p.grad = np.array([1.0])
     state = AdamState([p])
     adam_step([p], state, learning_rate=0.0002)
     assert state.step == 1
     delta = 1.0 - float(p.value.data[0])
     assert abs(delta - 0.0002) < 1e-9
-    assert np.all(p.grad.data == 0)  # grads zeroed after the step
 
 
 def test_adam_zero_grad_leaves_params_but_decays_moments():
@@ -242,18 +240,21 @@ def test_adam_zero_grad_leaves_params_but_decays_moments():
     state = AdamState([p])
     state.m["p"][...] = 0.5
     state.v["p"][...] = 0.25
-    p.grad_ready = True  # grad is zero, legitimately
+    p.grad = np.array([0.0])  # zero, legitimately
     adam_step([p], state, learning_rate=0.1)
-    assert float(p.value.data[0]) != 2.0 or True  # moments still push
     # with zero grad the moments only decay
     assert float(state.m["p"][0]) == pytest.approx(0.45)
     assert float(state.v["p"][0]) == pytest.approx(0.24975)
+    # but they still move the parameter: bias corrections 0.1 and 0.001
+    # give 4.5 / sqrt(249.75)
+    want = 2.0 - 0.1 * 4.5 / (math.sqrt(249.75) + 1e-8)
+    assert float(p.value.data[0]) == pytest.approx(want, rel=1e-12)
 
 
 def test_adam_pure_zero_state_zero_grad_is_noop():
     p = _scalar_param(2.0)
     state = AdamState([p])
-    p.grad_ready = True
+    p.grad = np.array([0.0])
     adam_step([p], state, learning_rate=0.1)
     assert float(p.value.data[0]) == 2.0
 
@@ -262,8 +263,7 @@ def test_adam_identical_grads_identical_updates():
     a = ParamTensor("a", Tensor(np.array([1.0, -2.0])))
     b = ParamTensor("b", Tensor(np.array([1.0, -2.0])))
     for p in (a, b):
-        p.grad.data[...] = [0.3, -0.7]
-        p.grad_ready = True
+        p.grad = np.array([0.3, -0.7])
     state = AdamState([a, b])
     adam_step([a, b], state, learning_rate=0.05)
     np.testing.assert_array_equal(a.value.data, b.value.data)
@@ -271,8 +271,7 @@ def test_adam_identical_grads_identical_updates():
 
 def test_adam_gamma_zero_is_noop():
     p = _scalar_param(3.0)
-    p.grad.data[...] = 5.0
-    p.grad_ready = True
+    p.grad = np.array([5.0])
     state = AdamState([p])
     adam_step([p], state, learning_rate=0.0)
     assert float(p.value.data[0]) == 3.0
@@ -285,6 +284,20 @@ def test_adam_rejects_empty_and_stale():
     p = _scalar_param(1.0)
     with pytest.raises(RuntimeError, match="backward"):
         adam_step([p], AdamState([p]), learning_rate=0.1)
+
+
+def test_adam_consumes_the_grads():
+    # a step uses each gradient once: it sets every grad back to None, so
+    # a second step without a backward is refused, not a repeat
+    params = init_params(3, 37, seed=4)
+    tape = Tape()
+    backward(_joint_loss(*_UNIFORM, 0, 0, params, 0.01, tape), tape, params.tensors())
+    state = AdamState(params.tensors())
+    adam_step(params.tensors(), state, learning_rate=0.01)
+    assert all(p.grad is None for p in params)
+    with pytest.raises(RuntimeError, match="backward"):
+        adam_step(params.tensors(), state, learning_rate=0.01)
+    assert state.step == 1
 
 
 # ---------------------------------------------------------------------------
