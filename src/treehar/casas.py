@@ -5,6 +5,21 @@ One event per line, whitespace separated:
 e.g. "2009-02-02 12:18:45.51 M13 ON 2 5". Resident and activity are
 1-based in the files and stored 0-based. The sensor vocabulary is the
 fixed 37-tag set of the ADLMR testbed, indexed by catalog id minus one.
+
+parse_file returns a file's labeled events as columns (Events): one
+array per field, a row per event, in file order. It reads the file once,
+as text-mode lines: universal newlines turn "\r\n" and a lone "\r" into
+"\n", and lines end at "\n" alone. str.splitlines would also end a line
+at \v, \f and \x1c-\x1e, which split() reads as field separators, and
+so shift the line numbers. The lines are checked in blocks of about
+32 KiB, so the text, every line's field list and the digit arrays of the
+whole file are never alive at once. Each line is split into fields once;
+dates, tags and labels are converted once per distinct text, canonical
+HH:MM:SS[.f] times by numpy digit arithmetic, and any other time text by
+the scalar _parse_timestamp. parse_line stays the one definition of the
+line format and of its errors: when any line fails, the first failing
+line in file order goes to parse_line, which raises that line's
+ParseError, file:line included.
 """
 
 from __future__ import annotations
@@ -13,8 +28,11 @@ import datetime as dt
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 NUM_RESIDENTS = 2
 NUM_ACTIVITIES = 15
+MICROS_PER_DAY = 86_400 * 1_000_000
 
 ACTIVITY_NAMES = [
     "Filling medication dispenser",
@@ -55,16 +73,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class SensorEvent:
-    date: dt.date
-    time: dt.time
-    sensor: int
-    value: str
-    resident_id: int
-    activity_id: int
-
-
-@dataclass(frozen=True)
 class LabelPair:
     resident_id: int
     activity_id: int
@@ -74,6 +82,35 @@ class LabelPair:
 class DatasetSplit:
     train_files: tuple
     test_files: tuple
+
+
+_COLUMNS = {"day": np.int64, "time": np.int64, "sensor": np.int64,
+            "value": object, "resident": np.int64, "activity": np.int64}
+
+
+@dataclass(eq=False)  # the columns are arrays, which have no truth value
+class Events:
+    """Labeled events as columns, a row per event: day (proleptic
+    Gregorian ordinal), time (microseconds of the day), sensor (index
+    into DEFAULT_VOCAB), value (text), resident and activity (0-based)."""
+
+    day: np.ndarray
+    time: np.ndarray
+    sensor: np.ndarray
+    value: np.ndarray
+    resident: np.ndarray
+    activity: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
+    def __len__(self):
+        return len(self.sensor)
+
+    def __getitem__(self, rows):
+        """The events at rows: a slice, an index array or a boolean mask."""
+        return Events(*(getattr(self, name)[rows] for name in _COLUMNS))
 
 
 SKIP = object()  # marker for blank or unlabeled lines
@@ -94,13 +131,19 @@ def _parse_timestamp(date_text, time_text):
     return date, dt.time(int(h), int(m), int(s), micro)
 
 
-def parse_line(line: str, source=None, line_no=None):
-    """Parse one log line into a SensorEvent.
+def parse_line(line: str, source=None, line_no=None, prev=None):
+    """Parse one log line into (date, time, sensor, value, resident_id,
+    activity_id), the labels 0-based.
 
     Returns SKIP for blank lines and for unlabeled 4-field lines (real
     corpora contain annotation gaps); raises ParseError for anything else
-    that does not match the format.
+    that does not match the format: an undecodable byte (read as U+DC80..
+    U+DCFF under surrogateescape), and an event earlier than prev, the
+    (date, time) of the file's previous event.
     """
+    if not line.isascii():
+        byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+        raise ParseError(f"undecodable byte 0x{byte:02x}", source, line_no)
     fields = line.split()
     if not fields:
         return SKIP
@@ -137,67 +180,187 @@ def parse_line(line: str, source=None, line_no=None):
             f"activity id {activity} out of range 1..{NUM_ACTIVITIES}",
             source, line_no,
         )
-    return SensorEvent(
-        date=date,
-        time=time,
-        sensor=sensor,
-        value=value,
-        resident_id=resident - 1,
-        activity_id=activity - 1,
-    )
+    if prev is not None and (date, time) < prev:
+        raise ParseError(
+            f"events out of order: {date} {time} after {prev[0]} {prev[1]}",
+            source, line_no,
+        )
+    return date, time, sensor, value, resident - 1, activity - 1
 
 
-def serialize_event(event: SensorEvent) -> str:
-    """Inverse of parse_line on the six-field subset (canonical form:
-    fractional seconds carry no trailing zeros)."""
-    if event.time.microsecond:
-        frac = f".{event.time.microsecond:06d}".rstrip("0")
-    else:
-        frac = ""
-    time_text = event.time.strftime("%H:%M:%S") + frac
-    return (
-        f"{event.date.isoformat()} {time_text} {DEFAULT_VOCAB[event.sensor]} "
-        f"{event.value} {event.resident_id + 1} {event.activity_id + 1}"
-    )
+_CLOCK_WIDTH = 15                        # len("HH:MM:SS.ffffff")
+_CLOCK_DIGITS = [0, 1, 3, 4, 6, 7]       # the H, M and S digits of a time text
+_CLOCK_PLACES = np.array([36_000, 3_600, 600, 60, 10, 1]) * 1_000_000
+_FRACTION_PLACES = 10 ** np.arange(5, -1, -1)
+
+
+def _clock_micros(texts) -> np.ndarray:
+    """Microseconds of the day of each canonical time text, HH:MM:SS with
+    an optional fraction of 1 to 6 digits; -1 for any other text.
+
+    Each text's length is taken before it is packed into the fixed-width
+    array, so a longer text is never truncated into a canonical one.
+    """
+    width = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    chars = np.array(texts, dtype=f"S{_CLOCK_WIDTH}").view(np.uint8)
+    return _packed_clock_micros(chars.reshape(-1, _CLOCK_WIDTH), width)
+
+
+def _packed_clock_micros(chars, width) -> np.ndarray:
+    """_clock_micros of texts packed as (n, 15) ASCII codes, NUL-padded,
+    and their lengths. The fraction is read right-padded to 6 digits,
+    which equals the scalar min(round(float("0." + f) * 1e6), 999999) for
+    every fraction f of 1 to 6 digits."""
+    digit = (chars >= ord("0")) & (chars <= ord("9"))
+    value = np.where(digit, chars - ord("0"), 0)   # NUL padding reads as 0
+    past_end = np.arange(_CLOCK_WIDTH) >= width[:, None]
+    fraction = ((width >= 10) & (width <= _CLOCK_WIDTH) & (chars[:, 8] == ord("."))
+                & (digit | past_end)[:, 9:].all(axis=1))
+    canonical = ((width == 8) | fraction) \
+        & digit[:, _CLOCK_DIGITS].all(axis=1) \
+        & (chars[:, 2] == ord(":")) & (chars[:, 5] == ord(":")) \
+        & (value[:, 0] * 10 + value[:, 1] < 24) \
+        & (value[:, 3] < 6) & (value[:, 6] < 6)
+    micros = value[:, _CLOCK_DIGITS] @ _CLOCK_PLACES \
+        + value[:, 9:] @ _FRACTION_PLACES
+    return np.where(canonical, micros, -1)
+
+
+def _micros(clock: dt.time) -> int:
+    return ((clock.hour * 60 + clock.minute) * 60 + clock.second) * 1_000_000 \
+        + clock.microsecond
+
+
+def _per_distinct(texts, convert) -> np.ndarray:
+    """convert(text) for each of texts, called once per distinct text."""
+    table = {text: convert(text) for text in set(texts)}
+    return np.fromiter(map(table.__getitem__, texts), dtype=np.int64,
+                       count=len(texts))
+
+
+def _day(text) -> int:
+    try:
+        return dt.date.fromisoformat(text).toordinal()
+    except ValueError:
+        return -1
+
+
+def _label(limit):
+    """Text to a 0-based label, or -1 unless it is an integer in 1..limit."""
+    def convert(text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            return -1
+        return value - 1 if 1 <= value <= limit else -1
+    return convert
+
+
+_BLOCK_CHARS = 1 << 15   # parse_file checks lines in blocks of about 32 KiB
 
 
 @dataclass
 class FileParseResult:
-    events: list
+    events: Events
     skipped_unlabeled: int = 0
 
 
+def _date_time(stamp: int):
+    """A stamp, day ordinal * MICROS_PER_DAY + time, as (date, time)."""
+    day, micros = divmod(stamp, MICROS_PER_DAY)
+    return (dt.date.fromordinal(day),
+            (dt.datetime.min + dt.timedelta(microseconds=micros)).time())
+
+
+def _parse_block(lines, source, offset: int, last: int):
+    """The labeled events of lines offset+1.. of source, as Events, and
+    the count of unlabeled lines among them; last is the stamp of the
+    file's event before them, or -1. The first failing line raises
+    parse_line's ParseError."""
+    decodable = next((i for i, line in enumerate(lines) if not line.isascii()),
+                     len(lines))
+    rows = [line.split() for line in lines[:decodable]]
+    n_fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    labeled = np.flatnonzero(n_fields == 6)
+    dates, times, tags, values, residents, activities = \
+        tuple(zip(*(row for row in rows if len(row) == 6))) or ((),) * 6
+    del rows
+
+    day = _per_distinct(dates, _day)
+    time = _clock_micros(times)
+    for row in np.flatnonzero(time < 0).tolist():
+        try:
+            time[row] = _micros(_parse_timestamp(dates[row], times[row])[1])
+        except (ValueError, TypeError):
+            pass    # stays -1: the line fails
+    sensor = _per_distinct(tags, lambda tag: _VOCAB_INDEX.get(tag, -1))
+    resident = _per_distinct(residents, _label(NUM_RESIDENTS))
+    activity = _per_distinct(activities, _label(NUM_ACTIVITIES))
+
+    invalid = np.flatnonzero((day < 0) | (time < 0) | (sensor < 0)
+                             | (resident < 0) | (activity < 0))
+    n_valid = invalid[0] if invalid.size else len(labeled)
+    stamp = day[:n_valid] * MICROS_PER_DAY + time[:n_valid]
+    backwards = np.flatnonzero(np.diff(stamp, prepend=last) < 0)
+    wrong = np.flatnonzero((n_fields != 0) & (n_fields != 4) & (n_fields != 6))
+    failing = min([decodable, *wrong[:1], *labeled[invalid[:1]],
+                   *labeled[backwards[:1]]])
+    if failing < len(lines):
+        before = int(np.searchsorted(labeled, failing))   # events before it
+        prev = int(stamp[before - 1]) if before else last
+        parse_line(lines[failing], source, offset + failing + 1,
+                   _date_time(prev) if prev >= 0 else None)
+        raise AssertionError(f"{source}:{offset + failing + 1}: line fails "
+                             "the column checks but passes parse_line")
+    shared = {value: value for value in set(values)}   # one str per distinct value
+    return (Events(day, time, sensor, [shared[value] for value in values],
+                   resident, activity),
+            int(np.count_nonzero(n_fields == 4)))
+
+
 def parse_file(path) -> FileParseResult:
-    """Parse one log file; verifies events are non-decreasing in time."""
-    result = FileParseResult(events=[])
-    # surrogateescape keeps undecodable bytes in the line (as U+DC80..U+DCFF)
+    """Parse one log file into columns; verifies events are non-decreasing
+    in time. The first failing line raises parse_line's ParseError."""
+    blocks, skipped, offset, last = [Events(*((),) * 6)], 0, 0, -1
+    # surrogateescape keeps undecodable bytes in the text (as U+DC80..U+DCFF)
     # so the error can name the line they are on
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        prev = None
-        for line_no, line in enumerate(fh, start=1):
-            if not line.isascii():
-                byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
-                raise ParseError(f"undecodable byte 0x{byte:02x}", str(path), line_no)
-            parsed = parse_line(line, source=str(path), line_no=line_no)
-            if parsed is SKIP:
-                if line.split():
-                    result.skipped_unlabeled += 1
-                continue
-            stamp = (parsed.date, parsed.time)
-            if prev is not None and stamp < prev:
-                raise ParseError(
-                    "events out of order: "
-                    f"{parsed.date} {parsed.time} after {prev[0]} {prev[1]}",
-                    str(path), line_no,
-                )
-            prev = stamp
-            result.events.append(parsed)
-    return result
+        while lines := fh.readlines(_BLOCK_CHARS):
+            events, unlabeled = _parse_block(lines, str(path), offset, last)
+            blocks.append(events)
+            skipped += unlabeled
+            offset += len(lines)
+            if len(events):
+                last = int(events.day[-1]) * MICROS_PER_DAY + int(events.time[-1])
+    return FileParseResult(
+        Events(*(np.concatenate([getattr(block, name) for block in blocks])
+                 for name in _COLUMNS)),
+        skipped_unlabeled=skipped,
+    )
 
 
-def filter_on(events, on_value: str = "ON"):
+def format_events(events: Events):
+    """Yield each event's six fields as the log holds them: parse_line's
+    input, with fractional seconds free of trailing zeros and 1-based
+    labels."""
+    dates = {day: dt.date.fromordinal(day).isoformat()
+             for day in set(events.day.tolist())}
+    for day, micros, sensor, value, resident, activity in zip(
+            events.day.tolist(), events.time.tolist(), events.sensor.tolist(),
+            events.value.tolist(), events.resident.tolist(),
+            events.activity.tolist()):
+        seconds, fraction = divmod(micros, 1_000_000)
+        minutes, second = divmod(seconds, 60)
+        clock = f"{minutes // 60:02d}:{minutes % 60:02d}:{second:02d}"
+        if fraction:
+            clock += f".{fraction:06d}".rstrip("0")
+        yield (dates[day], clock, DEFAULT_VOCAB[sensor], value,
+               str(resident + 1), str(activity + 1))
+
+
+def filter_on(events: Events, on_value: str = "ON") -> Events:
     """Keep exactly the events whose value equals on_value, in order."""
-    return [e for e in events if e.value == on_value]
+    return events[events.value == on_value]
 
 
 def split_files(files, ratio: float = 0.7, seed: int = 0) -> DatasetSplit:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import sys
 from collections import namedtuple
@@ -139,6 +140,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache   # built once per process: run() is called once per request
 def build_parser() -> _Parser:
     parser = _Parser(prog="treehar", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -288,7 +290,7 @@ def cmd_ingest(cfg) -> int:
     out = Path(cfg.require("out"))
     on_value = cfg.get("on_value")
     files = discover_files(data)
-    all_events = []
+    file_events = []
     count_rows = []
     for path in files:
         parsed = casas.parse_file(path)
@@ -297,17 +299,17 @@ def cmd_ingest(cfg) -> int:
                            parsed.skipped_unlabeled))
         print(f"{path}: {len(parsed.events)} events, {len(on_events)} {on_value}, "
               f"{parsed.skipped_unlabeled} unlabeled skipped")
-        all_events.extend(parsed.events)
+        file_events.append(parsed.events)
     _write_csv(_make_dir(out) / "events.csv",
                ["date", "time", "sensor", "value", "resident", "activity"],
-               (casas.serialize_event(e).split() for e in all_events))
+               itertools.chain.from_iterable(map(casas.format_events, file_events)))
     _write_csv(out / "file_counts.csv",
                ["file", "events", "on_events", "skipped_unlabeled"], count_rows)
     _write_csv(out / "vocabulary.csv", ["index", "tag"],
                enumerate(casas.DEFAULT_VOCAB))
     cfg.echo(out)
     total_on = sum(r[2] for r in count_rows)
-    print(f"total: {len(all_events)} events, {total_on} {on_value}, "
+    print(f"total: {sum(map(len, file_events))} events, {total_on} {on_value}, "
           f"{len(files)} files")
     return 0
 

@@ -282,15 +282,15 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
 
     The input is read as flat (c_in, batch * span), span = L + M - 1: x's
     own buffer if it has one, else a copy of x in that layout. A buffer
-    with another pad than (M - 1) / 2 or another dtype than the conv's is a
-    ShapeError, never copied. Shift j of every sample is then the
-    column range [j, j + n), n = batch * span - 2 pad. The forward stacks
-    the M shifts into one temporary (M * c_in, n), multiplies it by w as
-    (c_out, M * c_in) into columns [pad, pad + n) of the output buffer,
-    adds the bias there, clamps it at 0 for relu and zeroes the borders,
-    which the 2 pad columns between two samples overwrote. The temporary is
-    freed before returning; the tape keeps flat only, which for a
-    buffer-backed input is memory the tape keeps anyway.
+    with another pad than (M - 1) / 2, or any input of another dtype than
+    the weights, is a ShapeError, never copied or cast. Shift j of every
+    sample is then the column range [j, j + n), n = batch * span - 2 pad.
+    The forward stacks the M shifts into one temporary (M * c_in, n),
+    multiplies it by w as (c_out, M * c_in) into columns [pad, pad + n) of
+    the output buffer, adds the bias there, clamps it at 0 for relu and
+    zeroes the borders, which the 2 pad columns between two samples
+    overwrote. The temporary is freed before returning; the tape keeps flat
+    only, which for a buffer-backed input is memory the tape keeps anyway.
 
     The backward takes the output's gradient as a zero-bordered buffer, or
     as a plain (batch, c_out, L) array, which it copies into one. Its
@@ -327,11 +327,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
     pad = (m - 1) // 2
     span = length + 2 * pad
     n = n_batch * span - 2 * pad
-    dtype = np.result_type(x.data, w.data)
+    dtype = w.dtype
     if x.buf is not None and (x.pad, x.dtype) != (pad, dtype):
         raise ShapeError(
             f"conv1d: input buffer has pad {x.pad} and dtype {x.dtype}, "
             f"the conv needs pad {pad} and dtype {dtype}")
+    if x.dtype != dtype:
+        raise ShapeError(f"conv1d: input has dtype {x.dtype}, the weights {dtype}")
     ws = _workspace(tape)
     flat = x.buf if x.buf is not None else _bordered(ws, x.data, pad, dtype)
     w2 = w.data.transpose(0, 2, 1).reshape(c_out, m * c_in)   # column j*c_in + c

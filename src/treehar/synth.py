@@ -12,12 +12,15 @@ import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .casas import (
     DEFAULT_VOCAB,
+    MICROS_PER_DAY,
     NUM_ACTIVITIES,
     NUM_RESIDENTS,
-    SensorEvent,
-    serialize_event,
+    Events,
+    format_events,
 )
 from .training import STREAM_SYNTH, derive_rng
 
@@ -45,11 +48,11 @@ def _activity_pool(activity: int):
     return [(activity * POOL_SIZE + j) % len(DEFAULT_VOCAB) for j in range(POOL_SIZE)]
 
 
-def generate_file_events(profile: SynthProfile, rng) -> list:
+def generate_file_events(profile: SynthProfile, rng) -> Events:
     """Labeled events for one session file, non-decreasing in time."""
-    events = []
-    day = dt.date(2009, 2, 2) + dt.timedelta(days=int(rng.integers(0, 365)))
-    clock = dt.datetime.combine(day, dt.time(8, 0, 0))
+    day = dt.date(2009, 2, 2).toordinal() + int(rng.integers(0, 365))
+    clock = day * MICROS_PER_DAY + 8 * 3600 * 1_000_000   # 08:00:00, in µs
+    stamps, sensors, values, residents, activities = [], [], [], [], []
     remaining = profile.events_per_file
     while remaining > 0:
         segment = min(int(rng.integers(5, 26)), remaining)
@@ -58,23 +61,18 @@ def generate_file_events(profile: SynthProfile, rng) -> list:
         pool = _activity_pool(activity)
         for _ in range(segment):
             if rng.random() < NOISE_PROB:
-                sensor = int(rng.integers(0, len(DEFAULT_VOCAB)))
+                sensors.append(int(rng.integers(0, len(DEFAULT_VOCAB))))
             else:
-                sensor = pool[int(rng.integers(0, POOL_SIZE))]
-            clock += dt.timedelta(
-                seconds=int(rng.integers(1, 30)),
-                milliseconds=int(rng.integers(0, 1000)),
-            )
-            events.append(SensorEvent(
-                date=clock.date(),
-                time=clock.time(),
-                sensor=sensor,
-                value="ON" if rng.random() < ON_PROB else "OFF",
-                resident_id=resident,
-                activity_id=activity,
-            ))
+                sensors.append(pool[int(rng.integers(0, POOL_SIZE))])
+            clock += (int(rng.integers(1, 30)) * 1_000_000      # seconds
+                      + int(rng.integers(0, 1000)) * 1_000)     # milliseconds
+            stamps.append(clock)
+            values.append("ON" if rng.random() < ON_PROB else "OFF")
+            residents.append(resident)
+            activities.append(activity)
         remaining -= segment
-    return events
+    days, times = np.divmod(np.array(stamps, dtype=np.int64), MICROS_PER_DAY)
+    return Events(days, times, sensors, values, residents, activities)
 
 
 def generate_corpus(out_dir, profile: SynthProfile = DEFAULT_PROFILE,
@@ -88,7 +86,7 @@ def generate_corpus(out_dir, profile: SynthProfile = DEFAULT_PROFILE,
         events = generate_file_events(profile, rng)
         path = out_dir / f"synth_{index:02d}.txt"
         path.write_text(
-            "".join(serialize_event(e) + "\n" for e in events),
+            "".join(" ".join(fields) + "\n" for fields in format_events(events)),
             encoding="ascii",
         )
         paths.append(path)

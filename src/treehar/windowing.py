@@ -28,20 +28,20 @@ class SampleWindow:
 
 
 def make_windows(events, k: int, source: str = ""):
-    """One window per event: for event t, the sensors of events t-k+1..t,
-    left-padded with PAD while t < k-1."""
+    """One window per event of a casas.Events: for event t, the sensors of
+    events t-k+1..t, left-padded with PAD while t < k-1."""
     if k < 2:
         raise ValueError(f"window size k must be >= 2, got {k}")
-    events = list(events)
-    padded = np.array([PAD] * (k - 1) + [e.sensor for e in events], dtype=np.int64)
+    padded = np.concatenate([np.full(k - 1, PAD, dtype=np.int64), events.sensor])
     return [
         SampleWindow(
             sensors=padded[t:t + k],
-            label=LabelPair(event.resident_id, event.activity_id),
+            label=LabelPair(resident, activity),
             source=source,
             index=t,
         )
-        for t, event in enumerate(events)
+        for t, (resident, activity) in enumerate(
+            zip(events.resident.tolist(), events.activity.tolist()))
     ]
 
 

@@ -5,10 +5,13 @@ the package's vectorized paths) so a bug in the implementation cannot
 hide in its own oracle.
 """
 
+import datetime as dt
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from treehar.casas import DEFAULT_VOCAB, NUM_ACTIVITIES, NUM_RESIDENTS, ParseError
 
 
 def naive_conv1d(x, w, b):
@@ -99,3 +102,90 @@ def naive_best_split(X, y, min_leaf):
         if gain is not None and gain > 0 and (best is None or gain > gains[best]):
             best = f
     return best, gains
+
+
+def _naive_parse_timestamp(date_text, time_text):
+    date = dt.date.fromisoformat(date_text)
+    # time-of-day with optional fractional seconds of any width
+    if "." in time_text:
+        whole, frac = time_text.split(".", 1)
+        if not frac.isdigit():
+            raise ValueError(f"bad fractional seconds {time_text!r}")
+        micro = int(round(float("0." + frac) * 1e6))
+        micro = min(micro, 999999)
+    else:
+        whole, micro = time_text, 0
+    h, m, s = whole.split(":")
+    return date, dt.time(int(h), int(m), int(s), micro)
+
+
+def _naive_parse_line(line, source, line_no):
+    """One line to (date, time, sensor, value, resident_id, activity_id),
+    or None for a blank or unlabeled line."""
+    fields = line.split()
+    if not fields:
+        return None
+    if len(fields) == 4:
+        return None  # event without labels
+    if len(fields) != 6:
+        raise ParseError(
+            f"expected 6 whitespace-separated fields, got {len(fields)}",
+            source, line_no,
+        )
+    date_text, time_text, tag, value, res_text, act_text = fields
+    try:
+        date, time = _naive_parse_timestamp(date_text, time_text)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"unparseable timestamp: {exc}", source, line_no) from None
+    if tag not in DEFAULT_VOCAB:
+        raise ParseError(f"unknown sensor tag {tag!r}", source, line_no)
+    try:
+        resident = int(res_text)
+        activity = int(act_text)
+    except ValueError:
+        raise ParseError(
+            f"labels must be integers, got {res_text!r} {act_text!r}",
+            source, line_no,
+        ) from None
+    if not 1 <= resident <= NUM_RESIDENTS:
+        raise ParseError(
+            f"resident id {resident} out of range 1..{NUM_RESIDENTS}",
+            source, line_no,
+        )
+    if not 1 <= activity <= NUM_ACTIVITIES:
+        raise ParseError(
+            f"activity id {activity} out of range 1..{NUM_ACTIVITIES}",
+            source, line_no,
+        )
+    return date, time, DEFAULT_VOCAB.index(tag), value, resident - 1, activity - 1
+
+
+def naive_parse_file(path):
+    """The log parser one line at a time, as an iterated text file gives
+    the lines: (events, skipped_unlabeled), each event a (date, time,
+    sensor, value, resident_id, activity_id) tuple; the first bad line
+    raises its ParseError."""
+    events, skipped = [], 0
+    # surrogateescape keeps undecodable bytes in the line (as U+DC80..U+DCFF)
+    # so the error can name the line they are on
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        prev = None
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+                raise ParseError(f"undecodable byte 0x{byte:02x}", str(path), line_no)
+            parsed = _naive_parse_line(line, str(path), line_no)
+            if parsed is None:
+                if line.split():
+                    skipped += 1
+                continue
+            stamp = parsed[:2]
+            if prev is not None and stamp < prev:
+                raise ParseError(
+                    "events out of order: "
+                    f"{stamp[0]} {stamp[1]} after {prev[0]} {prev[1]}",
+                    str(path), line_no,
+                )
+            prev = stamp
+            events.append(parsed)
+    return events, skipped

@@ -40,7 +40,7 @@ def test_flat_dataset_from_windows():
         assert np.flatnonzero(data.X[5][block * 37:(block + 1) * 37]).tolist() \
             == [sensor]
     last_block = data.X[5][3 * 37:]
-    assert last_block[_events(9)[5].sensor] == 1.0
+    assert last_block[_events(9).sensor[5]] == 1.0
 
 
 # ---------------------------------------------------------------------------

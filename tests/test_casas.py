@@ -1,21 +1,31 @@
 import datetime as dt
 import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treehar import casas, synth
 from treehar.casas import (
     DEFAULT_VOCAB,
     SKIP,
     DatasetSplit,
+    Events,
     ParseError,
-    SensorEvent,
+    _packed_clock_micros,
     filter_on,
+    format_events,
     parse_file,
     parse_line,
-    serialize_event,
     split_files,
 )
 from treehar.cli import run
+
+from oracles import naive_parse_file
+from test_cli import _mutate
 
 GOOD_LINE = "2009-02-02 12:18:45.51 M13 ON 2 5"
 
@@ -32,17 +42,17 @@ def test_vocabulary_is_the_37_tag_catalog():
     assert DEFAULT_VOCAB.index("D15") == 36
     assert len(set(DEFAULT_VOCAB)) == 37
     for i, tag in enumerate(DEFAULT_VOCAB):
-        assert parse_line(f"2009-02-02 08:00:00 {tag} ON 1 1").sensor == i
+        assert parse_line(f"2009-02-02 08:00:00 {tag} ON 1 1")[2] == i
 
 
 def test_parse_line_field_mapping():
-    event = parse_line(GOOD_LINE)
-    assert event.sensor == 12           # M13
-    assert event.value == "ON"
-    assert event.resident_id == 1       # 1-based 2
-    assert event.activity_id == 4       # 1-based 5
-    assert event.date == dt.date(2009, 2, 2)
-    assert event.time == dt.time(12, 18, 45, 510000)
+    date, time, sensor, value, resident, activity = parse_line(GOOD_LINE)
+    assert sensor == 12           # M13
+    assert value == "ON"
+    assert resident == 1          # 1-based 2
+    assert activity == 4          # 1-based 5
+    assert date == dt.date(2009, 2, 2)
+    assert time == dt.time(12, 18, 45, 510000)
 
 
 def test_parse_line_blank_is_skip():
@@ -90,32 +100,39 @@ def test_parse_error_carries_line_number():
                    source="log.txt", line_no=7)
 
 
-def test_parse_serialize_round_trip():
-    assert serialize_event(parse_line(GOOD_LINE)) == GOOD_LINE
-    no_frac = "2009-02-02 12:18:45 D15 OFF 1 15"
-    assert serialize_event(parse_line(no_frac)) == no_frac
-    micros = "2008-11-10 14:28:17.986759 M22 ON 2 2"
-    assert serialize_event(parse_line(micros)) == micros
+def test_parse_serialize_round_trip(tmp_path):
+    lines = ["2008-11-10 14:28:17.986759 M22 ON 2 2",
+             "2009-02-02 12:18:45 D15 OFF 1 15",
+             GOOD_LINE]
+    path = tmp_path / "session.txt"
+    path.write_text("\n".join(lines) + "\n")
+    events = parse_file(path).events
+    assert [" ".join(fields) for fields in format_events(events)] == lines
 
 
-def _event(value="ON", sensor=0, second=0):
-    return SensorEvent(
-        date=dt.date(2009, 2, 2), time=dt.time(8, 0, second),
-        sensor=sensor, value=value, resident_id=0, activity_id=0,
-    )
+def _events(values, sensors=None):
+    n = len(values)
+    return Events(day=np.full(n, dt.date(2009, 2, 2).toordinal()),
+                  time=np.arange(n) * 1_000_000,
+                  sensor=range(n) if sensors is None else sensors,
+                  value=values, resident=np.zeros(n), activity=np.zeros(n))
+
+
+def _columns(events):
+    return {name: column.tolist() for name, column in vars(events).items()}
 
 
 def test_filter_on_keeps_order_and_is_idempotent():
-    events = [_event("ON", 1), _event("OFF", 2), _event("ON", 3)]
+    events = _events(["ON", "OFF", "ON"], sensors=[1, 2, 3])
     kept = filter_on(events)
-    assert [e.sensor for e in kept] == [1, 3]
-    assert filter_on(kept) == kept
-    assert filter_on([_event("OFF"), _event("OFF")]) == []
+    assert kept.sensor.tolist() == [1, 3]
+    assert _columns(filter_on(kept)) == _columns(kept)
+    assert len(filter_on(_events(["OFF", "OFF"]))) == 0
 
 
 def test_filter_on_custom_value():
-    events = [_event("OPEN", 1), _event("ON", 2)]
-    assert [e.sensor for e in filter_on(events, "OPEN")] == [1]
+    events = _events(["OPEN", "ON"], sensors=[1, 2])
+    assert filter_on(events, "OPEN").sensor.tolist() == [1]
 
 
 def test_split_files_sizes():
@@ -189,3 +206,198 @@ def test_write_events_csv(tmp_path):
         "date,time,sensor,value,resident,activity",
         "2009-02-02,12:18:45.51,M13,ON,2,5",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the columnar parse_file against the line-by-line oracle
+
+
+def _outcome(parse, path):
+    """What a parser makes of a file: its events as (date, time, sensor,
+    value, resident_id, activity_id) tuples and its skip count, or the
+    text of its ParseError."""
+    try:
+        result = parse(path)
+    except ParseError as exc:
+        return str(exc)
+    if isinstance(result, tuple):   # the oracle's (events, skipped_unlabeled)
+        return result
+    events = result.events
+    clocks = [(dt.datetime.min + dt.timedelta(microseconds=t)).time()
+              for t in events.time.tolist()]
+    return list(zip(map(dt.date.fromordinal, events.day.tolist()), clocks,
+                    events.sensor.tolist(), events.value.tolist(),
+                    events.resident.tolist(), events.activity.tolist())), \
+        result.skipped_unlabeled
+
+
+def _agreed_outcome(path):
+    outcome = _outcome(parse_file, path)
+    assert outcome == _outcome(naive_parse_file, path)
+    return outcome
+
+
+@pytest.fixture(scope="module")
+def history(tmp_path_factory):
+    path, = synth.generate_corpus(tmp_path_factory.mktemp("oracle"),
+                                  synth.SynthProfile(files=1, events_per_file=30),
+                                  seed=3)
+    return path.read_bytes()
+
+
+# _mutate's edits, with the bytes of the line format drawn as often as any other
+_LOG_EDITS = st.lists(
+    st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+              st.sampled_from(["replace", "insert", "delete"]),
+              st.one_of(st.integers(0, 255),
+                        st.sampled_from(list(b"0123456789:.-+_ \t\n\r\v\f")))),
+    min_size=1, max_size=4)
+
+
+@given(edits=_LOG_EDITS)
+@settings(max_examples=250, deadline=None)
+def test_parse_file_agrees_with_the_line_by_line_oracle(history, edits):
+    with tempfile.TemporaryDirectory() as td:
+        path = Path(td) / "log.txt"
+        path.write_bytes(_mutate(history, edits))
+        _agreed_outcome(path)
+
+
+def _line(second, time=None, labels="1 1", tag="M01"):
+    return f"2009-02-02 {time or f'08:00:{second:02d}'} {tag} ON {labels}"
+
+
+def _log(*lines, end="\n"):
+    return end.join(lines).encode("ascii", "surrogateescape") + end.encode()
+
+
+BAD = _line(9, tag="M99")   # unknown sensor tag
+
+
+@pytest.mark.parametrize("blob, expected", [
+    # line endings: "\r\n" and a lone "\r" end a line, as "\n" does
+    (_log(_line(1), BAD, _line(3), end="\r\n"), ":2: unknown sensor tag 'M99'"),
+    (_log(_line(1), _line(2), BAD, end="\r"), ":3: unknown sensor tag"),
+    # \v, \f and \x1c-\x1e separate fields but do not end a line
+    (_log(_line(1).replace(" ", "\v", 1), _line(2).replace(" ", "\f"),
+          _line(3).replace(" ", "\x1c"), BAD), ":4: unknown sensor tag"),
+    (_log(_line(1).replace(" ", "\x1d"), _line(2).replace(" ", "\x1e")), 2),
+    # an unlabeled line is skipped before any check
+    (_log("2009-02-02 garbage M99 ON", _line(1), "x y z w"), 1),
+    # fractions of 7 or more digits round; 0.9999999 clamps to 999999 µs
+    (_log(_line(1, time="08:00:01.1234567"), _line(2, time="08:00:02.123456789"),
+          _line(3, time="08:00:03.9999999"), _line(4, time="08:00:04.9999995")), 4),
+    # non-canonical clocks that int() reads
+    (_log(_line(0, time="8:0:0"), _line(1, time="+08:00:01"),
+          _line(2, time="0_8:00:02"), _line(3, time="08:00:3")), 4),
+    # longer than the packed width: read whole, never truncated
+    (_log(_line(1, time="08:00:01.1234569"),
+          _line(2, time="08:00:02.12345678901234567")), 2),
+    (_log(_line(1), _line(2, time="08:00:02.123456x")), ":2: unparseable timestamp"),
+    (_log(_line(1), _line(2, time="08:00:02.1234567x")), ":2: unparseable timestamp"),
+    (_log(_line(1), _line(2, time="08:00:02.")), ":2: unparseable timestamp"),
+    (_log(_line(1), _line(2, time="24:00:00")), ":2: unparseable timestamp"),
+    (_log(_line(1), _line(2, time="08:60:00")), ":2: unparseable timestamp"),
+    (_log(_line(1), _line(2, time="08:00:60.5")), ":2: unparseable timestamp"),
+    (_log(_line(1), _line(2, labels="0 1")), ":2: resident id 0 out of range"),
+    (_log(_line(1), _line(2, labels="2 0")), ":2: activity id 0 out of range"),
+    (_log(_line(1), _line(2, labels="+2 015")), 2),
+    (_log(_line(1), _line(2, labels="1 x")), ":2: labels must be integers"),
+    (_log(_line(1), _line(2).replace("2009-02-02", "2009-02-30")),
+     ":2: unparseable timestamp"),
+    # equal timestamps are in order
+    (_log(_line(5), _line(5), _line(5, time="08:00:05.0")), 3),
+    # the first failing line wins, whatever its kind
+    (_log(_line(1), BAD, _line(2) + "\udce9"), ":2: unknown sensor tag"),
+    (_log(_line(1), _line(2) + "\udce9", BAD), ":2: undecodable byte 0xe9"),
+    (_log(_line(1), "4 field line \udcff", BAD), ":2: undecodable byte 0xff"),
+    (_log(_line(5), _line(6, labels="1 16"), _line(1)), ":2: activity id 16"),
+    (_log(_line(5), _line(6, labels="1"), _line(1)), ":2: expected 6"),
+    (_log(_line(5), "", "a b c d", _line(1)),
+     ":4: events out of order: 2009-02-02 08:00:01 after 2009-02-02 08:00:05"),
+    (_log(_line(5, time="08:00:05.25"), _line(5, time="08:00:05.2")),
+     ":2: events out of order: 2009-02-02 08:00:05.200000 after "
+     "2009-02-02 08:00:05.250000"),
+    (_log(_line(5), _line(4).replace("2009-02-02", "2009-02-03")), 2),
+    (b"", 0),
+    (b"\n\n  \n", 0),
+], ids=["crlf", "cr", "vt-ff-fs", "gs-rs", "unlabeled-garbage", "long-fractions",
+        "loose-clocks", "wide-clock", "wide-clock-bad-16", "wide-clock-bad-17",
+        "empty-fraction", "hour-24", "minute-60", "second-60", "resident-0",
+        "activity-0", "signed-labels", "label-text", "february-30", "equal-stamps",
+        "byte-after-error", "byte-before-error", "byte-on-unlabeled-line",
+        "order-after-label-error",
+        "order-after-field-error", "order-across-skips", "order-in-fraction",
+        "next-day", "empty", "blank"])
+def test_parse_file_edge_cases_agree_with_the_oracle(tmp_path, blob, expected):
+    path = tmp_path / "log.txt"
+    path.write_bytes(blob)
+    outcome = _agreed_outcome(path)
+    if isinstance(expected, int):
+        events, _ = outcome
+        assert len(events) == expected
+    else:
+        assert outcome.startswith(f"{path}{expected}")
+
+
+def test_parse_file_carries_order_and_line_numbers_across_blocks(tmp_path):
+    path, = synth.generate_corpus(tmp_path / "corpus",
+                                  synth.SynthProfile(files=1, events_per_file=2000),
+                                  seed=5)
+    def first_block(path):   # the number of lines in parse_file's first block
+        with open(path, encoding="ascii", errors="surrogateescape") as fh:
+            return len(fh.readlines(casas._BLOCK_CHARS))
+
+    lines = path.read_text().splitlines()
+    first = first_block(path)
+    assert first < len(lines) // 2
+    swapped = lines[:first - 1] + [lines[first], lines[first - 1]] + lines[first + 1:]
+    cases = {
+        "whole": (lines, None),
+        # the first line of the second block is earlier than the block before
+        "swap": (swapped, f":{first + 1}: events out of order"),
+        "bad-tag": (lines[:first + 5] + [BAD] + lines[first + 5:],
+                    f":{first + 6}: unknown sensor tag"),
+        "byte": (lines[:first + 9] + [lines[first + 9] + "\udce9"]
+                 + lines[first + 10:], f":{first + 10}: undecodable byte 0xe9"),
+    }
+    for name, (log, expected) in cases.items():
+        mutated = tmp_path / f"{name}.txt"
+        mutated.write_bytes(_log(*log))
+        assert first_block(mutated) == first
+        outcome = _agreed_outcome(mutated)
+        if expected is None:
+            assert len(outcome[0]) == 2000
+        else:
+            assert outcome.startswith(f"{mutated}{expected}"), (name, outcome)
+
+
+def test_long_fractions_round_like_the_scalar_parser(tmp_path):
+    path = tmp_path / "log.txt"
+    path.write_bytes(_log(_line(1, time="08:00:01.1234569"),
+                          _line(2, time="08:00:02.9999999"),
+                          _line(3, time="08:00:03.9999995"),
+                          _line(4, time="08:00:04.0000005")))
+    seconds, micros = np.divmod(parse_file(path).events.time, 1_000_000)
+    assert micros.tolist() == [123457, 999999, 999999, 0]
+    assert (seconds % 60).tolist() == [1, 2, 3, 4]
+
+
+def test_clock_digits_match_the_scalar_rounding_for_every_short_fraction():
+    """Every fraction of 1 to 6 digits, 1,111,110 in all, packed as
+    "00:00:00.f": the digit arithmetic gives the scalar parser's
+    min(int(round(float("0." + f) * 1e6)), 999999)."""
+    width = np.repeat(np.arange(1, 7), 10 ** np.arange(1, 7))
+    value = np.concatenate([np.arange(10 ** w) for w in range(1, 7)])
+    chars = np.zeros((len(value), 15), dtype=np.uint8)
+    chars[:, :9] = np.frombuffer(b"00:00:00.", dtype=np.uint8)
+    for j in range(6):   # digit j of the fraction, where the fraction has one
+        has = width > j
+        chars[has, 9 + j] = ord("0") + value[has] // 10 ** (width[has] - 1 - j) % 10
+    got = _packed_clock_micros(chars, 9 + width)
+    # float("0." + f) is the correctly rounded f / 10**w, as this division is
+    want = np.minimum(np.rint(value / 10 ** width * 1e6), 999999).astype(np.int64)
+    np.testing.assert_array_equal(got, want)
+    for i in range(0, len(value), 997):
+        f = f"{value[i]:0{width[i]}d}"
+        assert want[i] == min(int(round(float("0." + f) * 1e6)), 999999), f

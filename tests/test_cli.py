@@ -56,8 +56,8 @@ def test_synth_round_trips_through_parser(tmp_path):
         result = casas.parse_file(path)
         assert len(result.events) == 80
         assert result.skipped_unlabeled == 0
-        for line, event in zip(path.read_text().splitlines(), result.events):
-            assert casas.serialize_event(event) == line
+        assert [" ".join(fields) for fields in casas.format_events(result.events)] \
+            == path.read_text().splitlines()
 
 
 def test_synth_cli_and_profile_flags(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from treehar.casas import SensorEvent
+from treehar.casas import Events
 from treehar.model import (
     CheckpointError,
     LayerView,
@@ -27,13 +27,11 @@ from oracles import naive_basic_module
 
 
 def _events(n):
-    return [
-        SensorEvent(date=dt.date(2009, 2, 2),
-                    time=dt.time(8 + i // 3600, (i // 60) % 60, i % 60),
-                    sensor=(3 * i) % 37, value="ON",
-                    resident_id=i % 2, activity_id=(2 * i) % 15)
-        for i in range(n)
-    ]
+    i = np.arange(n)
+    return Events(day=np.full(n, dt.date(2009, 2, 2).toordinal()),
+                  time=(8 * 3600 + i) * 1_000_000,
+                  sensor=(3 * i) % 37, value=["ON"] * n,
+                  resident=i % 2, activity=(2 * i) % 15)
 
 
 def _windows(n, k=8):

@@ -277,6 +277,17 @@ def test_conv1d_refuses_a_buffer_in_another_layout(m, dtype, match):
                Tensor(np.zeros(2, dtype=dtype)), Tape())
 
 
+@pytest.mark.parametrize("x_dtype,w_dtype", [(np.float32, np.float64),
+                                             (np.float64, np.float32)])
+def test_conv1d_refuses_a_plain_input_of_another_dtype(x_dtype, w_dtype):
+    # a plain input is copied into the conv's layout, never cast to its dtype
+    with pytest.raises(ShapeError, match=f"dtype {np.dtype(x_dtype).name}.*"
+                                         f"{np.dtype(w_dtype).name}"):
+        conv1d(Tensor(np.ones((2, 1, 5), dtype=x_dtype)),
+               Tensor(np.ones((2, 1, 3), dtype=w_dtype)),
+               Tensor(np.zeros(2, dtype=w_dtype)), Tape())
+
+
 def test_conv1d_rejects_even_kernel():
     with pytest.raises(ShapeError, match="odd"):
         conv1d(Tensor(np.zeros((1, 1, 5))), Tensor(np.zeros((16, 1, 4))),

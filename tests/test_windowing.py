@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treehar.casas import SensorEvent
+from treehar.casas import Events
 from treehar.windowing import PAD, make_windows, stack_windows
 
 
 def events(n, sensor_offset=0):
-    return [
-        SensorEvent(
-            date=dt.date(2009, 2, 2), time=dt.time(8, 0, i),
-            sensor=(i + sensor_offset) % 37, value="ON",
-            resident_id=i % 2, activity_id=i % 15,
-        )
-        for i in range(n)
-    ]
+    i = np.arange(n)
+    return Events(day=np.full(n, dt.date(2009, 2, 2).toordinal()),
+                  time=(8 * 3600 + i) * 1_000_000,
+                  sensor=(i + sensor_offset) % 37, value=["ON"] * n,
+                  resident=i % 2, activity=i % 15)
 
 
 def test_one_window_per_event_and_pad_counts():
@@ -48,10 +45,10 @@ def test_last_embedding_is_target_event():
     windows = make_windows(evs, k=5)
     stacked = stack_windows(windows)[0]
     for t, w in enumerate(windows):
-        assert w.sensors[-1] == evs[t].sensor
-        assert np.flatnonzero(stacked[t, -1]).tolist() == [evs[t].sensor]
-        assert w.label.resident_id == evs[t].resident_id
-        assert w.label.activity_id == evs[t].activity_id
+        assert w.sensors[-1] == evs.sensor[t]
+        assert np.flatnonzero(stacked[t, -1]).tolist() == [evs.sensor[t]]
+        assert w.label.resident_id == evs.resident[t]
+        assert w.label.activity_id == evs.activity[t]
 
 
 def test_consecutive_windows_share_k_minus_1_embeddings():
@@ -61,7 +58,7 @@ def test_consecutive_windows_share_k_minus_1_embeddings():
 
 
 def test_empty_and_invalid_inputs():
-    assert make_windows([], k=8) == []
+    assert make_windows(events(0), k=8) == []
     with pytest.raises(ValueError):
         make_windows(events(3), k=1)
 
@@ -72,8 +69,8 @@ def test_stack_windows_shapes_and_labels():
     assert stacked.shape == (6, 4, 37)
     assert stacked.dtype == np.float64
     assert stack_windows(windows, dtype=np.float32)[0].dtype == np.float32
-    assert residents.tolist() == [e.resident_id for e in events(6)]
-    assert activities.tolist() == [e.activity_id for e in events(6)]
+    assert residents.tolist() == events(6).resident.tolist()
+    assert activities.tolist() == events(6).activity.tolist()
     np.testing.assert_array_equal(stacked[3], np.eye(37)[[0, 1, 2, 3]])
     with pytest.raises(ValueError):
         stack_windows([])
@@ -82,10 +79,10 @@ def test_stack_windows_shapes_and_labels():
 def test_stack_windows_one_hot_shape_and_mass():
     evs = events(37)
     stacked = stack_windows(make_windows(evs, k=3))[0]
-    for t, e in enumerate(evs):
+    for t, sensor in enumerate(evs.sensor):
         target = stacked[t, -1]
         assert target.shape == (37,)
-        assert target[e.sensor] == 1.0
+        assert target[sensor] == 1.0
         assert target.sum() == 1.0
     assert stacked[0, -1, 0] == 1.0
     assert stacked[36, -1, 36] == 1.0
