@@ -17,7 +17,7 @@ each CSV with its header:
             file_counts.csv  file,events,on_events,skipped_unlabeled
             vocabulary.csv   index,tag
     train   loss_log.csv     epoch,avg_loss,max_batch_loss,min_batch_loss
-            model.json
+            model.ckpt       a JSON header line, then raw tensor bytes
     eval    metrics.csv      method,resident_accuracy,resident_precision,
                              resident_f1,activity_accuracy
             confusion_resident.csv, confusion_activity.csv
@@ -340,9 +340,9 @@ def cmd_train(cfg) -> int:
     _write_csv(out / "loss_log.csv",
                ["epoch", "avg_loss", "max_batch_loss", "min_batch_loss"],
                map(astuple, history))
-    model.save_params(params, out / "model.json")
+    model.save_params(params, out / "model.ckpt")
     cfg.echo(out)
-    print(f"checkpoint written to {out / 'model.json'}")
+    print(f"checkpoint written to {out / 'model.ckpt'}")
     return 0
 
 

@@ -7,6 +7,7 @@ class is called positive, and downstream reports emit both conventions.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +20,15 @@ from .windowing import stack_windows
 EVAL_CHUNK = 512
 
 
+def _outside_level() -> int:
+    """The warnings stacklevel, seen from this function's caller, of the
+    first frame outside this module: the code that asked for a metric."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 class ConfusionMatrix:
     """K x K counts; rows are true classes, columns predicted."""
 
@@ -26,6 +36,7 @@ class ConfusionMatrix:
         if num_classes < 1:
             raise ValueError("num_classes must be positive")
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
+        self._warned = set()   # (metric, class) zero denominators reported
 
     @property
     def num_classes(self) -> int:
@@ -52,17 +63,14 @@ class ConfusionMatrix:
         return self._per_class(self.counts.sum(axis=1), "recall")
 
     def _per_class(self, denominators, metric_name):
-        diag = np.diag(self.counts)
-        out = []
-        for c in range(self.num_classes):
-            if denominators[c] == 0:
+        for c in np.flatnonzero(denominators == 0):
+            if (metric_name, c) not in self._warned:
+                self._warned.add((metric_name, c))
                 warnings.warn(
                     f"{metric_name} for class {c} has a zero denominator; "
-                    "reporting 0", stacklevel=3)
-                out.append(0.0)
-            else:
-                out.append(float(diag[c]) / float(denominators[c]))
-        return out
+                    "reporting 0", stacklevel=_outside_level())
+        return [float(d) / float(n) if n else 0.0
+                for d, n in zip(np.diag(self.counts), denominators)]
 
     def per_class_f1(self):
         out = []

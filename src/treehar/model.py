@@ -11,7 +11,6 @@ argmax, or their softmax where probabilities are reported.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -38,7 +37,7 @@ from .windowing import stack_windows
 KERNEL_SIZE = 3
 
 CHECKPOINT_FORMAT = "treehar-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -118,10 +117,6 @@ class ModelParams:
     def weight_tensors(self):
         """Weights only, biases excluded (the L2 penalty set)."""
         return [p for n, p in self._tensors.items() if n.endswith(".weight")]
-
-    @property
-    def plan(self):
-        return channel_plan(self.k)
 
     @property
     def dtype(self):
@@ -261,43 +256,31 @@ def predict_batch(events: np.ndarray, params: ModelParams):
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _wire_dtype(dtype) -> np.dtype:
-    """The byte layout of tensor data in a checkpoint: little-endian."""
-    return np.dtype(dtype).newbyteorder("<")
-
-
 def save_params(params: ModelParams, path):
-    """Self-describing JSON checkpoint.
+    """Write a checkpoint: one ASCII JSON header line, then tensor bytes.
 
-    The header names the format, version, k, vocabulary size, channel plan
-    and dtype. Each tensor entry holds its name, its shape and, as "data",
-    the padded base64 of its C-order little-endian bytes at the header's
-    dtype, so a load gives back the same bits at either dtype. The file is
-    written beside the target, fsynced and renamed over it, so a crash
-    mid-write leaves the previous checkpoint intact."""
-    wire = _wire_dtype(params.dtype)
-    doc = {
+    The header names the format, version, k, vocabulary size and dtype,
+    and lists every tensor as a [name, shape] pair. After its newline come
+    the C-order little-endian bytes of each tensor at the header's dtype,
+    in the header's order, so a load gives back the same bits at either
+    dtype. The file is written beside the target, fsynced and renamed over
+    it, so a crash mid-write leaves the previous checkpoint intact."""
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "k": params.k,
         "vocab_size": params.vocab_size,
-        "channel_plan": params.plan,
         "dtype": np.dtype(params.dtype).name,
-        "tensors": [
-            {
-                "name": p.name,
-                "shape": list(p.value.shape),
-                "data": base64.b64encode(
-                    p.value.data.astype(wire, copy=False).tobytes()).decode("ascii"),
-            }
-            for p in params
-        ],
+        "tensors": [[p.name, list(p.value.shape)] for p in params],
     }
+    wire = np.dtype(params.dtype).newbyteorder("<")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh)
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header).encode("ascii") + b"\n")
+            for p in params:
+                fh.write(np.ascontiguousarray(p.value.data, dtype=wire))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -309,86 +292,68 @@ def save_params(params: ModelParams, path):
 def load_params(path, expect_k: int = None) -> ModelParams:
     """Load a checkpoint written by save_params.
 
-    The file is fully validated before anything is returned: header fields,
-    tensor names (none missing, repeated or unknown), shapes, the base64
-    payload's exact byte length, and finiteness. So a bad file never yields
+    The file is fully validated before anything is returned: the header
+    fields, its tensor table against the one k and vocab_size fix, the
+    data's exact byte length, and finiteness. So a bad file never yields
     a partial model, and every model returned is finite and holds writable,
-    native-endian, C-contiguous arrays. Other checkpoint versions raise
-    CheckpointError."""
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
-
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {doc.get('version')} unsupported "
-            f"(expected {CHECKPOINT_VERSION}); retrain to write a new one"
-        )
-    k, vocab_size, dtype, entries = (
-        doc.get(f) for f in ("k", "vocab_size", "dtype", "tensors"))
-    if not isinstance(entries, list):
-        raise CheckpointError(f"checkpoint {path}: tensors must be a list")
-    # a k-window model has 8 tensors per basic module, so k is bounded by
-    # the file's own tensor count before any shape table is built
-    if type(k) is not int or not 2 <= k <= len(entries):
-        raise CheckpointError(
-            f"checkpoint {path}: k={k!r} is not an integer in 2..{len(entries)}")
-    if type(vocab_size) is not int or vocab_size != len(DEFAULT_VOCAB):
-        raise CheckpointError(
-            f"checkpoint {path}: vocab_size {vocab_size!r}, "
-            f"expected {len(DEFAULT_VOCAB)}")
-    if dtype not in ("float32", "float64"):
-        raise CheckpointError(
-            f"checkpoint {path}: dtype {dtype!r} is not float32 or float64")
-
-    if expect_k is not None and k != expect_k:
-        raise CheckpointError(f"checkpoint has k={k} but k={expect_k} was requested")
-    expected = expected_shapes(k, vocab_size)
-
-    by_name = {}
-    for entry in entries:
+    native-endian, C-contiguous arrays (views of one array). Other
+    checkpoint versions raise CheckpointError."""
+    with open(path, "rb") as fh:
         try:
-            name = entry["name"]
-            repeated = name in by_name
-        except (TypeError, KeyError):
-            raise CheckpointError(f"malformed tensor entry in {path}") from None
-        if repeated:
-            raise CheckpointError(f"checkpoint {path} lists tensor {name!r} twice")
-        by_name[name] = entry
-    wire = _wire_dtype(dtype)
-    tensors = {}
-    for name, shape in expected.items():
-        entry = by_name.get(name)
-        if entry is None:
-            raise CheckpointError(f"checkpoint {path} is missing tensor {name}")
-        got_shape, data = entry.get("shape"), entry.get("data")
-        if not isinstance(got_shape, list) or tuple(got_shape) != shape:
+            header = json.loads(fh.readline().decode("ascii"))
+        except (ValueError, RecursionError) as exc:   # bad text, JSON or nesting
+            raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
+
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+        if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"tensor {name}: shape {got_shape!r} in file, expected {shape}"
+                f"checkpoint version {header.get('version')} unsupported "
+                f"(expected {CHECKPOINT_VERSION}); retrain to write a new one"
             )
-        if not isinstance(data, str):
-            raise CheckpointError(f"tensor {name}: data is not a base64 string")
-        try:
-            raw = base64.b64decode(data, validate=True)
-        except ValueError:   # binascii.Error, or text that is not ASCII
-            raise CheckpointError(f"tensor {name}: data is not valid base64") from None
-        if len(raw) != math.prod(shape) * wire.itemsize:
+        k, vocab_size, dtype, table = (
+            header.get(f) for f in ("k", "vocab_size", "dtype", "tensors"))
+        if not isinstance(table, list):
+            raise CheckpointError(f"checkpoint {path}: tensors must be a list")
+        # a k-window model has 10 tensors per basic module, so k is bounded by
+        # the file's own tensor count before any shape table is built
+        if type(k) is not int or not 2 <= k <= len(table):
             raise CheckpointError(
-                f"tensor {name}: {len(raw)} bytes of data, expected "
-                f"{math.prod(shape)} {dtype} values for {shape}")
-        # frombuffer over bytes is read-only; astype copies into a
-        # writable native-endian array
-        values = np.frombuffer(raw, dtype=wire).astype(dtype)
+                f"checkpoint {path}: k={k!r} is not an integer in 2..{len(table)}")
+        if type(vocab_size) is not int or vocab_size != len(DEFAULT_VOCAB):
+            raise CheckpointError(
+                f"checkpoint {path}: vocab_size {vocab_size!r}, "
+                f"expected {len(DEFAULT_VOCAB)}")
+        if dtype not in ("float32", "float64"):
+            raise CheckpointError(
+                f"checkpoint {path}: dtype {dtype!r} is not float32 or float64")
+        if expect_k is not None and k != expect_k:
+            raise CheckpointError(f"checkpoint has k={k} but k={expect_k} was requested")
+
+        expected = expected_shapes(k, vocab_size)
+        want = [[name, list(shape)] for name, shape in expected.items()]
+        if table != want:
+            at = next((i for i, (got, exp) in enumerate(zip(table, want))
+                       if got != exp), None)
+            if at is None:
+                raise CheckpointError(f"checkpoint {path} lists {len(table)} "
+                                      f"tensors, expected {len(want)} for k={k}")
+            raise CheckpointError(f"checkpoint {path}: tensor {at} is "
+                                  f"{table[at]!r:.80}, expected {want[at]}")
+        wire = np.dtype(dtype).newbyteorder("<")
+        count = sum(math.prod(shape) for shape in expected.values())
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != count * wire.itemsize:
+            raise CheckpointError(
+                f"checkpoint {path}: {size} bytes of tensor data, expected "
+                f"{count} {dtype} values ({count * wire.itemsize} bytes)")
+        flat = np.fromfile(fh, dtype=wire, count=count).astype(dtype, copy=False)
+
+    tensors, offset = {}, 0
+    for name, shape in expected.items():
+        values = flat[offset:offset + math.prod(shape)].reshape(shape)
+        offset += values.size
         if not np.isfinite(values).all():
             raise CheckpointError(f"tensor {name} holds NaN or Inf")
-        tensors[name] = ParamTensor(name, Tensor(values.reshape(shape)))
-    unknown = set(by_name) - set(expected)
-    if unknown:
-        raise CheckpointError(
-            f"checkpoint {path} contains unknown tensors: {sorted(unknown)[:3]}"
-        )
+        tensors[name] = ParamTensor(name, Tensor(values))
     return ModelParams(k, vocab_size, tensors)

@@ -189,10 +189,10 @@ def test_criterion_6_determinism(tmp_path):
         assert code == 0
         eval_out = tmp_path / (name + "_eval")
         code = run(["eval", "--data", str(corpus), "--out", str(eval_out),
-                    "--checkpoint", str(out / "model.json"), "--seed", "5"])
+                    "--checkpoint", str(out / "model.ckpt"), "--seed", "5"])
         assert code == 0
         artifacts.append((
-            (out / "model.json").read_bytes(),
+            (out / "model.ckpt").read_bytes(),
             (out / "loss_log.csv").read_bytes(),
             (eval_out / "metrics.csv").read_bytes(),
         ))

@@ -180,22 +180,23 @@ def trained(tmp_path_factory):
 
 def test_train_artifacts(trained):
     _, out = trained
-    assert (out / "model.json").exists()
+    assert (out / "model.ckpt").exists()
     log = (out / "loss_log.csv").read_text().splitlines()
     assert log[0] == "epoch,avg_loss,max_batch_loss,min_batch_loss"
     assert len(log) == 3
     config_used = (out / "config_used.txt").read_text()
     assert "k=3" in config_used
     assert "alpha=32" in config_used
-    doc = json.loads((out / "model.json").read_text())
-    assert doc["k"] == 3
+    header = json.loads((out / "model.ckpt").read_bytes().split(b"\n", 1)[0])
+    assert header["version"] == 3 and header["k"] == 3
+    assert header["dtype"] == "float64"
 
 
 def test_eval_tsc_writes_metrics(trained, capsys, tmp_path):
     corpus, out = trained
     eval_out = tmp_path / "eval"
     code = run(["eval", "--data", str(corpus), "--out", str(eval_out),
-                "--checkpoint", str(out / "model.json"), "--seed", "7"])
+                "--checkpoint", str(out / "model.ckpt"), "--seed", "7"])
     assert code == 0
     lines = (eval_out / "metrics.csv").read_text().strip().splitlines()
     assert lines[0].startswith("method,resident_accuracy")
@@ -222,14 +223,14 @@ def test_eval_baselines(trained, tmp_path, method):
 def test_eval_missing_checkpoint(trained, tmp_path):
     corpus, _ = trained
     code = run(["eval", "--data", str(corpus), "--out", str(tmp_path / "e"),
-                "--checkpoint", str(tmp_path / "nope.json"), "--seed", "7"])
+                "--checkpoint", str(tmp_path / "nope.ckpt"), "--seed", "7"])
     assert code == 2
 
 
 def test_eval_checkpoint_k_mismatch(trained, tmp_path, capsys):
     corpus, out = trained
     code = run(["eval", "--data", str(corpus), "--out", str(tmp_path / "e"),
-                "--checkpoint", str(out / "model.json"),
+                "--checkpoint", str(out / "model.ckpt"),
                 "--k", "8", "--seed", "7"])
     assert code == 2
     assert "k=3" in capsys.readouterr().err
@@ -238,7 +239,7 @@ def test_eval_checkpoint_k_mismatch(trained, tmp_path, capsys):
 def test_predict_outputs_pair(trained, capsys):
     corpus, out = trained
     history = sorted(corpus.iterdir())[0]
-    code = run(["predict", "--checkpoint", str(out / "model.json"),
+    code = run(["predict", "--checkpoint", str(out / "model.ckpt"),
                 "--history", str(history)])
     assert code == 0
     line = capsys.readouterr().out.strip()
@@ -250,10 +251,10 @@ def test_overflowing_checkpoint_is_numeric_failure(trained, tmp_path, capsys):
     """A finite checkpoint whose forward overflows: predict and eval stop
     with exit 3 instead of reporting argmax labels of NaN probabilities."""
     corpus, out = trained
-    params = model.load_params(out / "model.json")
+    params = model.load_params(out / "model.ckpt")
     for p in params.weight_tensors():
         p.value.data[...] = 1e200
-    checkpoint = tmp_path / "overflow.json"
+    checkpoint = tmp_path / "overflow.ckpt"
     model.save_params(params, checkpoint)
     code = run(["predict", "--checkpoint", str(checkpoint),
                 "--history", str(sorted(corpus.iterdir())[0])])
@@ -275,8 +276,8 @@ def test_train_determinism_smoke(tmp_path):
                     "--k", "3", "--epochs", "1", "--alpha", "16",
                     "--seed", "3"]) == 0
         outs.append(out)
-    assert (outs[0] / "model.json").read_bytes() == \
-        (outs[1] / "model.json").read_bytes()
+    assert (outs[0] / "model.ckpt").read_bytes() == \
+        (outs[1] / "model.ckpt").read_bytes()
     assert (outs[0] / "loss_log.csv").read_bytes() == \
         (outs[1] / "loss_log.csv").read_bytes()
 
@@ -393,7 +394,7 @@ def test_negative_seed_is_usage_error(trained, tmp_path, capsys, command):
     data = ["--data", str(corpus), "--k", "3"]
     argv = {
         "train": ["train", "--epochs", "1"] + data,
-        "eval": ["eval", "--checkpoint", str(out / "model.json")] + data,
+        "eval": ["eval", "--checkpoint", str(out / "model.ckpt")] + data,
         "sweep": ["sweep", "--epochs", "1", "--alphas", "32"] + data,
         "gradcheck": ["gradcheck", "--k", "3"],
         "synth": ["synth", "--files", "2"],
@@ -464,9 +465,9 @@ def test_undecodable_log_byte_is_data_error_with_location(trained, tmp_path,
     argv = {
         "ingest": ["--data", str(corpus)],
         "train": ["--data", str(corpus), "--k", "3", "--epochs", "1"],
-        "eval": ["--data", str(corpus), "--checkpoint", str(out / "model.json")],
+        "eval": ["--data", str(corpus), "--checkpoint", str(out / "model.ckpt")],
         "sweep": ["--data", str(corpus), "--k", "3", "--epochs", "1"],
-        "predict": ["--checkpoint", str(out / "model.json"),
+        "predict": ["--checkpoint", str(out / "model.ckpt"),
                     "--history", str(history)],
     }[command]
     if command != "predict":
@@ -481,7 +482,7 @@ def test_undecodable_log_byte_is_data_error_with_location(trained, tmp_path,
 ])
 def test_k_below_two_is_usage_error(trained, tmp_path, command):
     corpus, out = trained
-    checkpoint = ["--checkpoint", str(out / "model.json")]
+    checkpoint = ["--checkpoint", str(out / "model.ckpt")]
     data = ["--data", str(corpus), "--out", str(tmp_path / "o")]
     argv = {
         "eval-tsc": ["eval"] + data + checkpoint,
@@ -501,7 +502,7 @@ def test_one_file_corpus_is_data_error(trained, tmp_path, capsys, command):
     _, out = trained
     corpus = make_corpus(tmp_path, "single", files=1, events=30)
     argv = [command, "--data", str(corpus), "--out", str(tmp_path / "o"), "--k", "3"]
-    argv += (["--checkpoint", str(out / "model.json")] if command == "eval"
+    argv += (["--checkpoint", str(out / "model.ckpt")] if command == "eval"
              else ["--epochs", "1"])
     assert run(argv) == 2
     assert "at least 2 files" in capsys.readouterr().err
@@ -518,7 +519,7 @@ def test_eval_rejects_training_flags(trained, tmp_path, capsys, flag, value):
     corpus, out = trained
     eval_out = tmp_path / "o"
     argv = ["eval", "--data", str(corpus), "--out", str(eval_out),
-            "--checkpoint", str(out / "model.json")]
+            "--checkpoint", str(out / "model.ckpt")]
     assert run(argv + [flag, value]) == 1
     assert flag in capsys.readouterr().err
     assert not eval_out.exists()
@@ -587,7 +588,7 @@ _EDITS = st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
 def predict_inputs(tmp_path_factory):
     """A k=3 checkpoint and a 120-event history, as bytes."""
     base = tmp_path_factory.mktemp("fuzz")
-    checkpoint = base / "model.json"
+    checkpoint = base / "model.ckpt"
     model.save_params(model.init_params(3, 37, seed=0), checkpoint)
     history, = make_corpus(base, files=1, events=120, seed=8).glob("synth_*.txt")
     return checkpoint.read_bytes(), history.read_bytes()
@@ -612,11 +613,34 @@ def test_predict_survives_byte_mutations(predict_inputs, target, edits):
         assert all(np.isfinite(p.value.data).all() for p in params)
 
 
+@given(edits=_EDITS)
+@settings(max_examples=60, deadline=None)
+def test_predict_survives_header_mutations(predict_inputs, edits):
+    """The same property with every edit inside the checkpoint's header
+    line, newline included, which uniform edits of the file rarely hit."""
+    checkpoint, history = predict_inputs
+    header_end = checkpoint.index(b"\n") + 1
+    mutated = _mutate(checkpoint[:header_end], edits) + checkpoint[header_end:]
+    with tempfile.TemporaryDirectory() as td:
+        paths = {"checkpoint": Path(td) / "model.ckpt", "history": Path(td) / "h.txt"}
+        paths["checkpoint"].write_bytes(mutated)
+        paths["history"].write_bytes(history)
+        code = run(["predict", "--checkpoint", str(paths["checkpoint"]),
+                    "--history", str(paths["history"])])
+        assert code in (0, 1, 2, 3)
+        try:
+            params = model.load_params(paths["checkpoint"])
+        except model.CheckpointError:
+            return
+        assert [p.name for p in params] == list(model.expected_shapes(3, 37))
+        assert all(np.isfinite(p.value.data).all() for p in params)
+
+
 @pytest.fixture(scope="module")
 def run_inputs(tmp_path_factory):
     """Three 30-event logs, a config file and a k=3 checkpoint, as bytes."""
     base = tmp_path_factory.mktemp("fuzz_run")
-    checkpoint = base / "model.json"
+    checkpoint = base / "model.ckpt"
     model.save_params(model.init_params(3, 37, seed=0), checkpoint)
     corpus = make_corpus(base, files=3, events=30, seed=9)
     logs = {p.name: p.read_bytes() for p in sorted(corpus.glob("synth_*.txt"))}
@@ -655,7 +679,7 @@ def test_train_and_eval_survive_byte_mutations(run_inputs, command, target, whic
         for name, data in logs.items():
             (td / "corpus" / name).write_bytes(data)
         (td / "run.cfg").write_bytes(config)
-        (td / "model.json").write_bytes(checkpoint)
+        (td / "model.ckpt").write_bytes(checkpoint)
         try:
             values = read_config_file(td / "run.cfg")
         except UsageError:
@@ -668,7 +692,7 @@ def test_train_and_eval_survive_byte_mutations(run_inputs, command, target, whic
             assume(_resolved(values, "k", 2) <= 4)
             assume(_resolved(values, "epochs", 0) <= 2)
         argv = {"train": ["train"],
-                "eval": ["eval", "--checkpoint", str(td / "model.json")],
+                "eval": ["eval", "--checkpoint", str(td / "model.ckpt")],
                 "knn": ["eval", "--method", "knn"],
                 "dt": ["eval", "--method", "dt"]}[command]
         code = run(argv + ["--data", str(td / "corpus"), "--out", str(td / "out"),
@@ -677,7 +701,7 @@ def test_train_and_eval_survive_byte_mutations(run_inputs, command, target, whic
         if rejected is not None:
             assert code == rejected
         if code == 0 and command == "train":
-            model.load_params(td / "out" / "model.json")   # complete and finite
+            model.load_params(td / "out" / "model.ckpt")   # complete and finite
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +746,7 @@ def echoes(tmp_path_factory):
                    "--events-per-file", "40"], corpus / ".config_used.txt"),
         "ingest": (["ingest"], None),
         "train": (["train", "--k", "3", "--epochs", "1", "--alpha", "32"], None),
-        "eval-tsc": (["eval", "--checkpoint", str(base / "train" / "model.json")],
+        "eval-tsc": (["eval", "--checkpoint", str(base / "train" / "model.ckpt")],
                      None),
         "eval-knn": (["eval", "--method", "knn", "--k", "3"], None),
         "eval-dt": (["eval", "--method", "dt", "--k", "3"], None),
@@ -745,7 +769,7 @@ _ECHO_GOLDEN = {
     "ingest": "data=<base>/corpus\non_value=ON\nout=<base>/ingest\n",
     "train": "alpha=32\nbeta=0.0004\ndata=<base>/corpus\ndtype=float64\n"
              "epochs=1\ngamma=0.0002\nk=3\non_value=ON\nout=<base>/train\nseed=0\n",
-    "eval-tsc": "checkpoint=<base>/train/model.json\ndata=<base>/corpus\n"
+    "eval-tsc": "checkpoint=<base>/train/model.ckpt\ndata=<base>/corpus\n"
                 "method=tsc\non_value=ON\nout=<base>/eval-tsc\nseed=0\n",
     "eval-knn": "data=<base>/corpus\nk=3\nknn_k=5\nmethod=knn\non_value=ON\n"
                 "out=<base>/eval-knn\nseed=0\n",
@@ -785,7 +809,7 @@ def test_every_csv_artifact_has_one_dialect(tmp_path):
     runs = {
         "ingest": ["ingest"],
         "train": ["train", "--k", "3", "--epochs", "1", "--alpha", "16"],
-        "tsc": ["eval", "--checkpoint", str(tmp_path / "train" / "model.json")],
+        "tsc": ["eval", "--checkpoint", str(tmp_path / "train" / "model.ckpt")],
         "knn": ["eval", "--method", "knn", "--k", "3"],
         "sweep": ["sweep", "--k", "3", "--epochs", "1", "--alphas", "16",
                   "--betas", "0.0004", "--gammas", "0.001"],

@@ -1,3 +1,6 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,32 @@ def test_zero_denominator_is_zero_with_warning():
     with pytest.warns(UserWarning):
         f1 = cm.per_class_f1()
     assert f1[1] == 0.0  # precision = recall = 0 gives f1 = 0 by convention
+
+
+def test_zero_denominator_warns_once_per_metric_and_class():
+    """A report asks each matrix for its per-class values many times: every
+    zero denominator is reported once, attributed to the code that asked."""
+    report = report_from_predictions([0, 0, 1], [1, 1, 1], [0, 1, 2], [0, 1, 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report.resident_precision, report.resident_f1, report.describe()
+        report.resident_precision
+    assert [str(w.message) for w in caught] == [
+        "precision for class 0 has a zero denominator; reporting 0"]
+    assert caught[0].filename == __file__
+
+
+def test_eval_prints_one_zero_denominator_warning(tmp_path):
+    """`eval --method dt --max-depth 1` on this corpus predicts resident 1
+    for every window; the warning names cli.py, not a line of metrics.py."""
+    corpus = make_corpus(tmp_path, files=3, events=60, seed=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["eval", "--data", str(corpus), "--out", str(tmp_path / "e"),
+                    "--method", "dt", "--max-depth", "1"]) == 0
+    assert [str(w.message) for w in caught] == [
+        "precision for class 0 has a zero denominator; reporting 0"]
+    assert Path(caught[0].filename).name == "cli.py"
 
 
 def test_relabeling_invariance():

@@ -1,6 +1,9 @@
 import base64
 import datetime as dt
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -263,7 +266,7 @@ def test_forward_batch_rejects_wrong_vocab():
 
 def test_save_load_round_trip_bitwise(tmp_path):
     params = init_params(8, 37, seed=3)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_params(params, path)
     loaded = load_params(path)
     assert loaded.k == 8
@@ -279,7 +282,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
 
 def test_save_load_round_trip_float32(tmp_path):
     params = init_params(3, 37, seed=3, dtype=np.float32)
-    path = tmp_path / "model32.json"
+    path = tmp_path / "model32.ckpt"
     save_params(params, path)
     loaded = load_params(path)
     assert loaded.dtype == np.float32
@@ -287,19 +290,29 @@ def test_save_load_round_trip_float32(tmp_path):
         np.testing.assert_array_equal(a.value.data, b.value.data)
 
 
+def _read_checkpoint(path, wire="<f8"):
+    """A checkpoint's header and its data as one array of wire values."""
+    line, data = path.read_bytes().split(b"\n", 1)
+    return json.loads(line), np.frombuffer(data, dtype=wire).copy()
+
+
 def test_load_truncated_rejected(tmp_path):
     params = init_params(3, 37, seed=0)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_params(params, path)
-    blob = path.read_text()
-    path.write_text(blob[:len(blob) // 2])
+    blob = path.read_bytes()
+    header_end = blob.index(b"\n")
+    path.write_bytes(blob[:len(blob) // 2])
+    with pytest.raises(CheckpointError, match="bytes of tensor data"):
+        load_params(path)
+    path.write_bytes(blob[:header_end // 2])
     with pytest.raises(CheckpointError, match="corrupt"):
         load_params(path)
 
 
 def test_load_k_mismatch_names_both_ks(tmp_path):
     params = init_params(6, 37, seed=0)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_params(params, path)
     with pytest.raises(CheckpointError, match="checkpoint has k=6 but k=8 was requested"):
         load_params(path, expect_k=8)
@@ -308,7 +321,7 @@ def test_load_k_mismatch_names_both_ks(tmp_path):
 
 
 def test_load_rejects_wrong_format_and_version(tmp_path):
-    path = tmp_path / "bad.json"
+    path = tmp_path / "bad.ckpt"
     path.write_text('{"format": "something-else"}')
     with pytest.raises(CheckpointError, match="format"):
         load_params(path)
@@ -318,90 +331,150 @@ def test_load_rejects_wrong_format_and_version(tmp_path):
 
 
 def test_load_missing_tensor_rejected(tmp_path):
-    import json
-
-    params = init_params(3, 37, seed=0)
-    path = tmp_path / "model.json"
-    save_params(params, path)
-    doc = json.loads(path.read_text())
-    doc["tensors"] = doc["tensors"][:-1]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="missing tensor"):
+    path = tmp_path / "model.ckpt"
+    save_params(init_params(3, 37, seed=0), path)
+    header, values = _read_checkpoint(path)
+    _, shape = header["tensors"].pop()
+    n = len(header["tensors"])
+    path.write_bytes(json.dumps(header).encode() + b"\n"
+                     + values[:-math.prod(shape)].tobytes())
+    with pytest.raises(CheckpointError, match=f"lists {n} tensors, expected {n + 1}"):
         load_params(path)
 
 
-def _mutated_checkpoint(tmp_path, mutate):
-    """A valid k=3 float64 checkpoint with mutate(doc) applied to its JSON."""
-    import json
+@pytest.mark.parametrize("nesting", ["[", '{"a":'], ids=["list", "object"])
+def test_deeply_nested_header_is_a_checkpoint_error(tmp_path, capsys, nesting):
+    """JSON nested too deep to decode is a corrupt file (exit 2), not a
+    RecursionError traceback."""
+    from treehar.cli import run
 
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
+    path.write_text(nesting * 100000 + ("]" if nesting == "[" else "}") * 100000)
+    with pytest.raises(CheckpointError, match="corrupt"):
+        load_params(path)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "history.txt").write_text("2009-02-02 08:00:00 M01 ON 1 1\n")
+    assert run(["predict", "--checkpoint", str(path),
+                "--history", str(corpus / "history.txt")]) == 2
+    assert run(["eval", "--checkpoint", str(path), "--data", str(corpus),
+                "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err.count("corrupt checkpoint") == 2
+
+
+class _Checkpoint:
+    """A k=3 float64 checkpoint taken apart for a test to edit: its header,
+    its data as one float64 array, or else the whole file as raw bytes."""
+
+    def __init__(self, path):
+        self.header, self.values = _read_checkpoint(path)
+        self.raw = None
+
+    def blob(self):
+        return self.raw if self.raw is not None else (
+            json.dumps(self.header).encode() + b"\n"
+            + np.asarray(self.values, dtype="<f8").tobytes())
+
+    def entries(self):
+        """(name, shape, values) for each entry of the header's table."""
+        out, at = [], 0
+        for name, shape in self.header["tensors"]:
+            out.append((name, shape, self.values[at:at + math.prod(shape)]))
+            at += math.prod(shape)
+        return out
+
+
+def _mutated_checkpoint(tmp_path, mutate):
+    """A valid k=3 float64 checkpoint rewritten after mutate(_Checkpoint)."""
+    path = tmp_path / "model.ckpt"
     save_params(init_params(3, 37, seed=0), path)
-    doc = json.loads(path.read_text())
-    mutate(doc)
-    path.write_text(json.dumps(doc))
+    c = _Checkpoint(path)
+    mutate(c)
+    path.write_bytes(c.blob())
     return path
 
 
-def _payload(entry):
-    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+def _header(**fields):
+    return lambda c: c.header.update(fields)
 
 
-def _set_payload(entry, values):
-    entry["data"] = base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
-
-
-def _set_element(doc, value):
+def _set_element(value):
     """Write value's float64 bit pattern over element 1 of the first tensor."""
-    values = _payload(doc["tensors"][0]).copy()
-    values[1] = value
-    _set_payload(doc["tensors"][0], values)
+    def mutate(c):
+        c.values[1] = value
+    return mutate
 
 
-def _resize_payload(doc, extra):
-    entry = doc["tensors"][0]
-    values = _payload(entry)
-    _set_payload(entry, values[:extra] if extra < 0 else np.append(values, [0.0] * extra))
+def _resize_values(extra):
+    def mutate(c):
+        c.values = c.values[:extra] if extra < 0 else np.append(c.values, [0.0] * extra)
+    return mutate
 
 
-def _shrink_vocab(doc):
+def _edit_table(edit):
+    """edit(table) in place; the table is checked before the data's length."""
+    return lambda c: edit(c.header["tensors"])
+
+
+def _rename_third(table):
+    table[2][0] += "s"
+
+
+def _shrink_vocab(c):
     """A self-consistent checkpoint of a model over 36 sensors."""
-    doc["vocab_size"] = 36
-    for entry in doc["tensors"]:
-        if entry["name"] in ("head_resident.weight", "head_activity.weight"):
-            rows, cols = entry["shape"]
-            entry["shape"] = [rows, cols // 37 * 36]
-            _set_payload(entry, _payload(entry)[:rows * cols // 37 * 36])
+    c.header["vocab_size"] = 36
+    parts = []
+    for entry, (name, shape, values) in zip(c.header["tensors"], c.entries()):
+        if name in ("head_resident.weight", "head_activity.weight"):
+            rows, cols = shape
+            entry[1] = [rows, cols // 37 * 36]
+            values = values[:rows * cols // 37 * 36]
+        parts.append(values)
+    c.values = np.concatenate(parts)
 
 
-def _version_1(doc):
-    """The same model in the version-1 layout: decimal values, no data."""
-    doc["version"] = 1
-    for entry in doc["tensors"]:
-        entry["values"] = _payload(entry).tolist()
-        del entry["data"]
+def _old_layout(version, field, encode):
+    """The same model as one JSON document in an earlier version's layout."""
+    def mutate(c):
+        doc = dict(c.header, version=version, channel_plan=[16, 32], tensors=[
+            {"name": name, "shape": shape, field: encode(values)}
+            for name, shape, values in c.entries()])
+        c.raw = json.dumps(doc).encode()
+    return mutate
+
+
+def _raw(edit):
+    def mutate(c):
+        c.raw = edit(c.blob())
+    return mutate
 
 
 @pytest.mark.parametrize("mutate,message", [
-    pytest.param(lambda d: d.update(k=1), "k=1", id="k=1"),
-    pytest.param(lambda d: d.update(k=40), "k=40", id="k-beyond-tensor-count"),
-    pytest.param(lambda d: d.update(tensors=5), "tensors must be a list",
-                 id="tensors-not-list"),
-    pytest.param(lambda d: d["tensors"][0].update(shape=16), "shape 16",
-                 id="shape-not-list"),
-    pytest.param(lambda d: d["tensors"][0].update(data="not base64!"), "base64",
-                 id="string-value"),
-    pytest.param(lambda d: d["tensors"][0].update(data=None), "base64", id="null-value"),
-    pytest.param(lambda d: _set_element(d, float("nan")), "NaN or Inf", id="nan-value"),
-    pytest.param(lambda d: _set_element(d, float("inf")), "NaN or Inf", id="inf-value"),
-    pytest.param(lambda d: d["tensors"][0].update(data=5), "base64",
-                 id="values-not-list"),
-    pytest.param(lambda d: _resize_payload(d, -1), "bytes of data", id="data-one-short"),
-    pytest.param(lambda d: _resize_payload(d, 1), "bytes of data", id="data-one-long"),
-    pytest.param(lambda d: d.update(dtype="int64"), "dtype", id="dtype-int64"),
+    pytest.param(_header(k=1), "k=1", id="k=1"),
+    pytest.param(_header(k=40), "k=40", id="k-beyond-tensor-count"),
+    pytest.param(_header(tensors=5), "tensors must be a list", id="tensors-not-list"),
+    pytest.param(_edit_table(lambda t: t[0].__setitem__(1, 16)),
+                 r"tensor 0 is \['layer1.feature.weight', 16\]", id="shape-not-list"),
+    pytest.param(_set_element(float("nan")), "NaN or Inf", id="nan-value"),
+    pytest.param(_set_element(float("inf")), "NaN or Inf", id="inf-value"),
+    pytest.param(_resize_values(-1), "bytes of tensor data", id="data-one-short"),
+    pytest.param(_resize_values(1), "bytes of tensor data", id="data-one-long"),
+    pytest.param(_header(dtype="int64"), "dtype", id="dtype-int64"),
     pytest.param(_shrink_vocab, "vocab_size 36", id="vocab-36"),
-    pytest.param(lambda d: d["tensors"].append(dict(d["tensors"][0])), "twice",
-                 id="duplicate-tensor"),
-    pytest.param(_version_1, "version 1 unsupported", id="version-1"),
+    pytest.param(_edit_table(lambda t: t.insert(1, list(t[0]))),
+                 r"tensor 1 is \['layer1.feature.weight'", id="duplicate-tensor"),
+    pytest.param(_edit_table(lambda t: t.append(["extra.weight", [2, 3]])),
+                 "lists 25 tensors, expected 24", id="extra-tensor"),
+    pytest.param(_edit_table(_rename_third), r"tensor 2 is \['layer1.event.weights'",
+                 id="renamed-tensor"),
+    pytest.param(_raw(lambda b: b + b"\0"), "bytes of tensor data", id="trailing-byte"),
+    pytest.param(_raw(lambda b: b.replace(b"\n", b"", 1)), "corrupt",
+                 id="header-without-newline"),
+    pytest.param(_old_layout(1, "values", lambda v: v.tolist()),
+                 "version 1 unsupported", id="version-1"),
+    pytest.param(_old_layout(2, "data", lambda v: base64.b64encode(v.tobytes()).decode()),
+                 r"version 2 unsupported \(expected 3\); retrain to write a new one",
+                 id="version-2"),
 ])
 def test_load_rejects_malformed_checkpoint(tmp_path, mutate, message):
     from treehar.cli import run
@@ -417,27 +490,49 @@ def test_load_rejects_malformed_checkpoint(tmp_path, mutate, message):
 
 @pytest.mark.parametrize("dtype,wire", [(np.float64, "<f8"), (np.float32, "<f4")])
 def test_checkpoint_data_is_little_endian_bytes(tmp_path, dtype, wire):
-    import json
-
     params = init_params(3, 37, seed=4, dtype=dtype)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_params(params, path)
-    doc = json.loads(path.read_text())
-    assert doc["dtype"] == np.dtype(dtype).name
-    assert [e["name"] for e in doc["tensors"]] == [p.name for p in params]
-    for entry, p in zip(doc["tensors"], params):
-        assert entry["shape"] == list(p.value.shape)
-        assert base64.b64decode(entry["data"]) == p.value.data.astype(wire).tobytes()
+    header, values = _read_checkpoint(path, wire)
+    assert header["dtype"] == np.dtype(dtype).name
+    assert header["tensors"] == [[p.name, list(p.value.shape)] for p in params]
+    assert values.tobytes() == b"".join(p.value.data.astype(wire).tobytes()
+                                        for p in params)
     for p in load_params(path):
         data = p.value.data
         assert data.flags.writeable and data.flags.c_contiguous
         assert data.dtype == dtype and data.dtype.isnative
 
 
+def test_checkpoint_golden(tmp_path):
+    """The exact bytes of a k=3 float32 checkpoint."""
+    path = tmp_path / "model.ckpt"
+    save_params(init_params(3, 37, seed=0, dtype=np.float32), path)
+    blob = path.read_bytes()
+    assert blob[:blob.index(b"\n") + 1] == (
+        b'{"format": "treehar-checkpoint", "version": 3, "k": 3, "vocab_size": 37, '
+        b'"dtype": "float32", "tensors": ['
+        b'["layer1.feature.weight", [16, 1, 3]], ["layer1.feature.bias", [16]], '
+        b'["layer1.event.weight", [16, 1, 3]], ["layer1.event.bias", [16]], '
+        b'["layer1.res1.weight", [16, 16, 3]], ["layer1.res1.bias", [16]], '
+        b'["layer1.res2.weight", [16, 16, 3]], ["layer1.res2.bias", [16]], '
+        b'["layer1.res3.weight", [16, 16, 3]], ["layer1.res3.bias", [16]], '
+        b'["layer2.feature.weight", [32, 16, 3]], ["layer2.feature.bias", [32]], '
+        b'["layer2.event.weight", [32, 1, 3]], ["layer2.event.bias", [32]], '
+        b'["layer2.res1.weight", [32, 32, 3]], ["layer2.res1.bias", [32]], '
+        b'["layer2.res2.weight", [32, 32, 3]], ["layer2.res2.bias", [32]], '
+        b'["layer2.res3.weight", [32, 32, 3]], ["layer2.res3.bias", [32]], '
+        b'["head_resident.weight", [2, 1184]], ["head_resident.bias", [2]], '
+        b'["head_activity.weight", [15, 1184]], ["head_activity.bias", [15]]]}\n')
+    assert len(blob) == 135435
+    assert hashlib.sha256(blob).hexdigest() == (
+        "b02e2fc5448d4b2e93b6cd8ce2644bcf99a134118e60849d779bcfe534729819")
+
+
 def test_loaded_float32_checkpoint_trains(tmp_path):
     from treehar.training import AdamState, TrainConfig, train_epoch
 
-    path = tmp_path / "model32.json"
+    path = tmp_path / "model32.ckpt"
     save_params(init_params(3, 37, seed=5, dtype=np.float32), path)
     params = load_params(path)
     before = params["layer1.event.weight"].value.data.copy()
@@ -448,28 +543,26 @@ def test_loaded_float32_checkpoint_trains(tmp_path):
 
 
 def test_checkpoint_size_is_binary_not_decimal(tmp_path):
-    """Base64 of the float64 bytes plus at most 8 KiB of header, names and
-    shapes; decimal text would be about twice as large."""
+    """The float64 bytes plus at most 8 KiB of header; decimal text would
+    be about twice as large, base64 a third larger."""
     params = init_params(8, 37, seed=0)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_params(params, path)
-    payload = math.ceil(8 * params.parameter_count() / 3) * 4
-    assert path.stat().st_size <= payload + 8 * 1024
+    assert path.stat().st_size <= 8 * params.parameter_count() + 8 * 1024
 
 
 def test_save_params_crash_keeps_previous_checkpoint(tmp_path, monkeypatch):
-    import json
-
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_params(init_params(3, 37, seed=0), path)
     before = path.read_bytes()
 
-    def crash(doc, fh):
-        fh.write('{"format": "treehar-checkpoint", "tens')
+    def crash(fd):
+        assert (tmp_path / ".model.ckpt.tmp").read_bytes().startswith(
+            b'{"format": "treehar-checkpoint"')
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", crash)
+    monkeypatch.setattr(os, "fsync", crash)
     with pytest.raises(OSError, match="disk full"):
         save_params(init_params(3, 37, seed=1), path)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -391,7 +391,7 @@ def test_fit_zero_epochs_returns_init(tmp_path):
                 "--out", str(out), "--k", "3", "--epochs", "0", "--seed", "5"]) == 0
     assert (out / "loss_log.csv").read_text() == \
         "epoch,avg_loss,max_batch_loss,min_batch_loss\n"
-    saved = model.load_params(out / "model.json")
+    saved = model.load_params(out / "model.ckpt")
     for a, b in zip(saved.tensors(), reference.tensors()):
         np.testing.assert_array_equal(a.value.data, b.value.data)
 
