@@ -84,26 +84,25 @@ class LayerView:
 
 
 class ModelParams:
-    """All named parameters of the network, in a stable order."""
+    """All named parameters of the network: views, in expected_shapes
+    order, of one 1-D C-contiguous float32 or float64 array, flat, so a
+    write to a tensor is a write to flat. A checkpoint is
+    _header(k, 37, dtype) followed by flat in little-endian order."""
 
-    def __init__(self, k: int, vocab_size: int, tensors: dict):
-        self.k = k
-        self.vocab_size = vocab_size
-        expected = expected_shapes(k, vocab_size)
-        if list(tensors) != list(expected):
-            missing = [n for n in expected if n not in tensors]
-            extra = [n for n in tensors if n not in expected]
-            raise ShapeError(
-                f"parameter set mismatch for k={k}: "
-                f"missing {missing[:3]}, unexpected {extra[:3]}"
-            )
-        for name, shape in expected.items():
-            if tensors[name].value.shape != shape:
-                raise ShapeError(
-                    f"tensor {name}: shape {tensors[name].value.shape}, "
-                    f"expected {shape}"
-                )
-        self._tensors = dict(tensors)
+    def __init__(self, k: int, vocab_size: int, flat: np.ndarray):
+        shapes = expected_shapes(k, vocab_size)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if not (isinstance(flat, np.ndarray) and flat.shape == (sum(sizes),)
+                and flat.dtype in (np.float32, np.float64)
+                and flat.flags.c_contiguous):
+            raise ShapeError(f"a k={k} model is one C-contiguous float32 or "
+                             f"float64 array of {sum(sizes)} values")
+        self.k, self.vocab_size, self.flat = k, vocab_size, flat
+        self._tensors, at = {}, 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            view = flat[at:at + size].reshape(shape)
+            self._tensors[name] = ParamTensor(name, Tensor(view))
+            at += size
 
     def __getitem__(self, name: str) -> ParamTensor:
         return self._tensors[name]
@@ -120,10 +119,16 @@ class ModelParams:
 
     @property
     def dtype(self):
-        return self["head_resident.weight"].value.dtype
+        return self.flat.dtype
 
     def parameter_count(self) -> int:
-        return sum(p.value.size for p in self._tensors.values())
+        return self.flat.size
+
+    def non_finite(self):
+        """Name of the first tensor holding NaN or Inf, or None if flat is finite."""
+        if np.isfinite(self.flat).all():
+            return None
+        return next(p.name for p in self if not np.isfinite(p.value.data).all())
 
     def layer(self, i: int) -> LayerView:
         if not 1 <= i <= self.k - 1:
@@ -144,17 +149,13 @@ def init_params(k: int, vocab_size: int, seed: int = 0,
                 dtype=np.float64) -> ModelParams:
     """Weights uniform in +-sqrt(6 / fan_in), biases zero, all driven by
     one numpy generator in fixed name order (same seed, same bits)."""
+    size = sum(map(math.prod, expected_shapes(k, vocab_size).values()))
+    params = ModelParams(k, vocab_size, np.zeros(size, dtype=dtype))
     rng = np.random.default_rng(seed)
-    tensors = {}
-    for name, shape in expected_shapes(k, vocab_size).items():
-        if name.endswith(".bias"):
-            value = np.zeros(shape, dtype=dtype)
-        else:
-            fan_in = int(np.prod(shape[1:]))
-            limit = np.sqrt(6.0 / fan_in)
-            value = rng.uniform(-limit, limit, size=shape).astype(dtype)
-        tensors[name] = ParamTensor(name, Tensor(value))
-    return ModelParams(k, vocab_size, tensors)
+    for p in params.weight_tensors():
+        limit = np.sqrt(6.0 / math.prod(p.value.shape[1:]))
+        p.value.data[...] = rng.uniform(-limit, limit, size=p.value.shape)
+    return params
 
 
 def basic_module(feature: Tensor, event: Tensor, layer: LayerView,
@@ -256,31 +257,34 @@ def predict_batch(events: np.ndarray, params: ModelParams):
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_params(params: ModelParams, path):
-    """Write a checkpoint: one ASCII JSON header line, then tensor bytes.
-
-    The header names the format, version, k, vocabulary size and dtype,
-    and lists every tensor as a [name, shape] pair. After its newline come
-    the C-order little-endian bytes of each tensor at the header's dtype,
-    in the header's order, so a load gives back the same bits at either
-    dtype. The file is written beside the target, fsynced and renamed over
-    it, so a crash mid-write leaves the previous checkpoint intact."""
-    header = {
+def _header(k: int, vocab_size: int, dtype) -> bytes:
+    """The first line of a checkpoint, newline included: ASCII JSON naming
+    the format, version, k, vocabulary size and dtype, and listing every
+    tensor as a [name, shape] pair in expected_shapes order."""
+    return json.dumps({
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "k": params.k,
-        "vocab_size": params.vocab_size,
-        "dtype": np.dtype(params.dtype).name,
-        "tensors": [[p.name, list(p.value.shape)] for p in params],
-    }
-    wire = np.dtype(params.dtype).newbyteorder("<")
+        "k": k,
+        "vocab_size": vocab_size,
+        "dtype": np.dtype(dtype).name,
+        "tensors": [[name, list(shape)]
+                    for name, shape in expected_shapes(k, vocab_size).items()],
+    }).encode("ascii") + b"\n"
+
+
+def save_params(params: ModelParams, path):
+    """Write a checkpoint: _header(k, vocab_size, dtype), then params.flat
+    as little-endian bytes at its dtype, so a load gives back the same bits
+    at either dtype (load_params takes vocab_size 37 only). The file is
+    written beside the target, fsynced and renamed over it, so a crash
+    mid-write leaves the previous checkpoint intact."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(json.dumps(header).encode("ascii") + b"\n")
-            for p in params:
-                fh.write(np.ascontiguousarray(p.value.data, dtype=wire))
+            fh.write(_header(params.k, params.vocab_size, params.dtype))
+            fh.write(np.ascontiguousarray(
+                params.flat, dtype=params.dtype.newbyteorder("<")))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -290,17 +294,19 @@ def save_params(params: ModelParams, path):
 
 
 def load_params(path, expect_k: int = None) -> ModelParams:
-    """Load a checkpoint written by save_params.
+    """Load a checkpoint written by save_params: _header(k, 37, dtype),
+    then params.flat in little-endian order, and nothing else.
 
-    The file is fully validated before anything is returned: the header
-    fields, its tensor table against the one k and vocab_size fix, the
-    data's exact byte length, and finiteness. So a bad file never yields
-    a partial model, and every model returned is finite and holds writable,
-    native-endian, C-contiguous arrays (views of one array). Other
-    checkpoint versions raise CheckpointError."""
+    The file is fully validated before anything is returned: the header's
+    format, version, k and dtype, then the whole header line byte for byte
+    against _header, the data's exact byte length, and finiteness. So a
+    bad file never yields a partial model, and every model returned is
+    finite and holds writable, native-endian, C-contiguous arrays (views
+    of params.flat). Other checkpoint versions raise CheckpointError."""
     with open(path, "rb") as fh:
+        line = fh.readline()
         try:
-            header = json.loads(fh.readline().decode("ascii"))
+            header = json.loads(line.decode("ascii"))
         except (ValueError, RecursionError) as exc:   # bad text, JSON or nesting
             raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
 
@@ -311,8 +317,7 @@ def load_params(path, expect_k: int = None) -> ModelParams:
                 f"checkpoint version {header.get('version')} unsupported "
                 f"(expected {CHECKPOINT_VERSION}); retrain to write a new one"
             )
-        k, vocab_size, dtype, table = (
-            header.get(f) for f in ("k", "vocab_size", "dtype", "tensors"))
+        k, dtype, table = (header.get(f) for f in ("k", "dtype", "tensors"))
         if not isinstance(table, list):
             raise CheckpointError(f"checkpoint {path}: tensors must be a list")
         # a k-window model has 10 tensors per basic module, so k is bounded by
@@ -320,28 +325,19 @@ def load_params(path, expect_k: int = None) -> ModelParams:
         if type(k) is not int or not 2 <= k <= len(table):
             raise CheckpointError(
                 f"checkpoint {path}: k={k!r} is not an integer in 2..{len(table)}")
-        if type(vocab_size) is not int or vocab_size != len(DEFAULT_VOCAB):
-            raise CheckpointError(
-                f"checkpoint {path}: vocab_size {vocab_size!r}, "
-                f"expected {len(DEFAULT_VOCAB)}")
         if dtype not in ("float32", "float64"):
             raise CheckpointError(
                 f"checkpoint {path}: dtype {dtype!r} is not float32 or float64")
         if expect_k is not None and k != expect_k:
             raise CheckpointError(f"checkpoint has k={k} but k={expect_k} was requested")
+        if line != _header(k, len(DEFAULT_VOCAB), dtype):
+            raise CheckpointError(
+                f"checkpoint {path}: header is not the one save_params writes "
+                f"for a k={k} {dtype} model over {len(DEFAULT_VOCAB)} sensors")
 
-        expected = expected_shapes(k, vocab_size)
-        want = [[name, list(shape)] for name, shape in expected.items()]
-        if table != want:
-            at = next((i for i, (got, exp) in enumerate(zip(table, want))
-                       if got != exp), None)
-            if at is None:
-                raise CheckpointError(f"checkpoint {path} lists {len(table)} "
-                                      f"tensors, expected {len(want)} for k={k}")
-            raise CheckpointError(f"checkpoint {path}: tensor {at} is "
-                                  f"{table[at]!r:.80}, expected {want[at]}")
+        # the header matched, so its table is expected_shapes' own
+        count = sum(math.prod(shape) for _, shape in table)
         wire = np.dtype(dtype).newbyteorder("<")
-        count = sum(math.prod(shape) for shape in expected.values())
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != count * wire.itemsize:
             raise CheckpointError(
@@ -349,11 +345,7 @@ def load_params(path, expect_k: int = None) -> ModelParams:
                 f"{count} {dtype} values ({count * wire.itemsize} bytes)")
         flat = np.fromfile(fh, dtype=wire, count=count).astype(dtype, copy=False)
 
-    tensors, offset = {}, 0
-    for name, shape in expected.items():
-        values = flat[offset:offset + math.prod(shape)].reshape(shape)
-        offset += values.size
-        if not np.isfinite(values).all():
-            raise CheckpointError(f"tensor {name} holds NaN or Inf")
-        tensors[name] = ParamTensor(name, Tensor(values))
-    return ModelParams(k, vocab_size, tensors)
+    params = ModelParams(k, len(DEFAULT_VOCAB), flat)
+    if (bad := params.non_finite()) is not None:
+        raise CheckpointError(f"tensor {bad} holds NaN or Inf")
+    return params

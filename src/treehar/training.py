@@ -8,6 +8,7 @@ is further keyed by epoch), so a single integer reproduces a whole experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,9 +52,9 @@ class TrainConfig:
     learning_rate: float = 0.0002  # gamma
     epochs: int = 25
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    adam_beta1: ClassVar[float] = 0.9
+    adam_beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -168,12 +169,11 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
         backward(loss, tape, params)
         adam_step(params, state, config.learning_rate,
                   config.adam_beta1, config.adam_beta2, config.adam_eps)
-        for p in params:
-            if not np.isfinite(p.value.data).all():
-                raise NumericError(
-                    f"parameter {p.name} is not finite after the Adam step "
-                    f"at epoch {epoch}, batch {len(batch_losses)}"
-                )
+        if (bad := params.non_finite()) is not None:
+            raise NumericError(
+                f"parameter {bad} is not finite after the Adam step "
+                f"at epoch {epoch}, batch {len(batch_losses)}"
+            )
         batch_losses.append(value)
     return EpochStats(
         epoch=epoch,

@@ -45,6 +45,15 @@ def make_windows(events, k: int, source: str = ""):
     ]
 
 
+def one_hot(sensors: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """(n, k, vocab) one-hot encoding of an (n, k) matrix of sensor
+    indices against the sensor vocabulary; a PAD slot is all zeros."""
+    events = np.zeros(sensors.shape + (len(DEFAULT_VOCAB),), dtype=dtype)
+    rows, slots = np.nonzero(sensors != PAD)
+    events[rows, slots, sensors[rows, slots]] = 1.0
+    return events
+
+
 def stack_windows(windows, dtype=np.float64):
     """Pack windows for batched training.
 
@@ -55,10 +64,7 @@ def stack_windows(windows, dtype=np.float64):
     windows = list(windows)
     if not windows:
         raise ValueError("no windows to stack")
-    sensors = np.stack([w.sensors for w in windows])
-    events = np.zeros(sensors.shape + (len(DEFAULT_VOCAB),), dtype=dtype)
-    rows, slots = np.nonzero(sensors != PAD)
-    events[rows, slots, sensors[rows, slots]] = 1.0
+    events = one_hot(np.stack([w.sensors for w in windows]), dtype)
     residents = np.array([w.label.resident_id for w in windows], dtype=np.int64)
     activities = np.array([w.label.activity_id for w in windows], dtype=np.int64)
     return events, residents, activities

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,26 @@ def test_failed_train_leaves_no_output_directory(tmp_path, capsys):
     assert code == 3
     assert "batch loss diverged" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_numeric_failure_is_one_line(trained, tmp_path, capsys):
+    """An overflow in predict's forward or in training's arithmetic ends in
+    the one "numeric failure:" line, with no numpy RuntimeWarning before it."""
+    corpus, out = trained
+    params = model.load_params(out / "model.ckpt")
+    for p in params.weight_tensors():
+        p.value.data[...] = 1e200
+    checkpoint = tmp_path / "overflow.ckpt"
+    model.save_params(params, checkpoint)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["predict", "--checkpoint", str(checkpoint),
+                    "--history", str(sorted(corpus.iterdir())[0])]) == 3
+        assert run(["train", "--data", str(corpus), "--out", str(tmp_path / "o"),
+                    "--k", "3", "--epochs", "1", "--gamma", "1e300"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("numeric failure: ") for line in err)
 
 
 def test_cross_validation_is_gone(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -50,6 +51,13 @@ def test_train_config_defaults_match_protocol():
     assert config.adam_beta1 == 0.9
     assert config.adam_beta2 == 0.999
     assert config.adam_eps == 1e-8
+
+
+def test_adam_hyperparameters_are_constants():
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "batch_size", "l2_weight", "learning_rate", "epochs", "seed"]
+    with pytest.raises(TypeError):
+        TrainConfig(adam_beta1=0.5)
 
 
 def test_train_config_validation():
