@@ -478,8 +478,7 @@ def cmd_gradcheck(cfg) -> int:
     # jitter every tensor off the fresh-init point: zero biases put whole
     # feature maps exactly on the ReLU kink, where one-sided finite
     # differences are meaningless
-    for tensor in params.tensors():
-        tensor.value.data += rng.uniform(-0.05, 0.05, size=tensor.value.shape)
+    params.flat += rng.uniform(-0.05, 0.05, size=params.flat.size)
 
     def loss_fn(tape):
         _, resident_logits, activity_logits = model.forward_batch(
@@ -489,7 +488,7 @@ def cmd_gradcheck(cfg) -> int:
             params, _TRAIN.l2_weight, tape)
 
     report = gradient_check(
-        loss_fn, params.tensors(), probes,
+        loss_fn, params, probes,
         seed=training.derive_seed(seed, training.STREAM_GRADCHECK, 1))
     print(report)
     if report.max_rel_error < tolerance:

@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -87,31 +88,35 @@ class ModelParams:
     """All named parameters of the network: views, in expected_shapes
     order, of one 1-D C-contiguous float32 or float64 array, flat, so a
     write to a tensor is a write to flat. A checkpoint is
-    _header(k, 37, dtype) followed by flat in little-endian order."""
+    _header(k, 37, dtype) followed by flat in little-endian order.
+
+    grad is None, or d(loss)/d(flat) in flat's shape, dtype and layout:
+    numerics.backward sets it and training.adam_step consumes it, so a
+    model that only runs forward never allocates one."""
 
     def __init__(self, k: int, vocab_size: int, flat: np.ndarray):
         shapes = expected_shapes(k, vocab_size)
-        sizes = [math.prod(shape) for shape in shapes.values()]
-        if not (isinstance(flat, np.ndarray) and flat.shape == (sum(sizes),)
+        ends = list(accumulate(map(math.prod, shapes.values())))
+        if not (isinstance(flat, np.ndarray) and flat.shape == (ends[-1],)
                 and flat.dtype in (np.float32, np.float64)
                 and flat.flags.c_contiguous):
             raise ShapeError(f"a k={k} model is one C-contiguous float32 or "
-                             f"float64 array of {sum(sizes)} values")
-        self.k, self.vocab_size, self.flat = k, vocab_size, flat
-        self._tensors, at = {}, 0
-        for (name, shape), size in zip(shapes.items(), sizes):
-            view = flat[at:at + size].reshape(shape)
-            self._tensors[name] = ParamTensor(name, Tensor(view))
-            at += size
+                             f"float64 array of {ends[-1]} values")
+        self.k, self.vocab_size, self.flat, self.grad = k, vocab_size, flat, None
+        self._layout = list(zip([0] + ends, ends, shapes.values()))
+        self._tensors = {name: ParamTensor(name, Tensor(view))
+                         for name, view in zip(shapes, self.views(flat))}
+
+    def views(self, array: np.ndarray) -> list:
+        """array, shaped like flat, as one view per tensor in
+        expected_shapes order: the one layout of flat and grad."""
+        return [array[a:b].reshape(shape) for a, b, shape in self._layout]
 
     def __getitem__(self, name: str) -> ParamTensor:
         return self._tensors[name]
 
     def __iter__(self):
         return iter(self._tensors.values())
-
-    def tensors(self):
-        return list(self._tensors.values())
 
     def weight_tensors(self):
         """Weights only, biases excluded (the L2 penalty set)."""

@@ -2,10 +2,10 @@
 
 Forward operations record themselves on an explicit Tape; the tape is a
 linear record of the forward pass, so walking it backwards visits every
-node after all of its consumers. backward() hands each ParamTensor the
-tape's gradient for it. Every operation takes a leading batch
-axis. No general graph engine, no broadcasting beyond what the fixed
-architecture needs.
+node after all of its consumers. backward() copies each parameter's
+gradient into the model's one gradient array, params.grad. Every operation
+takes a leading batch axis. No general graph engine, no broadcasting
+beyond what the fixed architecture needs.
 
 Activations are held channel-major. A rank-3 tensor that conv1d or add
 produces is a (batch, C, L) view into a buffer (C, batch * (L + 2 pad))
@@ -93,13 +93,11 @@ class Tensor:
 
 @dataclass
 class ParamTensor:
-    """A named trainable tensor. grad is None until backward sets it to
-    the loss's gradient for value, an array of value's shape; an optimizer
-    step consumes it and sets it back to None."""
+    """A named trainable tensor. Its gradient is the tensor's view of the
+    model's params.grad, which backward sets (see model.ModelParams)."""
 
     name: str
     value: Tensor
-    grad: np.ndarray = None
 
 
 class Workspace:
@@ -203,13 +201,14 @@ class Tape:
 
 
 def backward(loss: Tensor, tape: Tape, params):
-    """Set every ParamTensor.grad to d(loss)/d(param): the tape's own array,
-    or zeros for a parameter the loss does not reach. A tape on a workspace
-    hands the next tape that memory, so use the grads before opening one."""
+    """Set params.grad, for a model.ModelParams, to d(loss)/d(params.flat):
+    a new array like flat holding, at each tensor's view, a copy of the
+    tape's gradient for it, or zeros where the loss does not reach it. So
+    the grad outlives the tape and any workspace the tape draws from."""
     table = tape.gradients(loss)
-    for p in params:
-        g = table.get(id(p.value))
-        p.grad = np.zeros_like(p.value.data) if g is None else g
+    params.grad = np.empty_like(params.flat)
+    for p, g in zip(params, params.views(params.grad)):
+        g[...] = table.get(id(p.value), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +541,11 @@ def gradient_check(model_fn, params, probe_count: int,
                    seed: int = 0) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    model_fn(tape) must rebuild the same scalar loss on every call; it is
-    invoked with tape=None for the finite-difference evaluations. Relative
+    params is any iterable of ParamTensors, such as a model.ModelParams;
+    the analytic gradients come from the tape's table, zero for a tensor the
+    loss does not reach. model_fn(tape) must rebuild the same scalar loss on
+    every call; it is invoked with tape=None for the finite-difference
+    evaluations. Relative
     error per probe is max(0, |ga - gn| - r) / max(1e-8, |ga| + |gn|), where
     r = eps * max(|L+|, |L-|) / h estimates the float64 roundoff in gn (h is
     FD_STEP): the two losses each carry ~eps * |L|, and their difference is
@@ -565,7 +567,7 @@ def gradient_check(model_fn, params, probe_count: int,
         )
 
     tape = Tape()
-    backward(model_fn(tape), tape, params)
+    table = tape.gradients(model_fn(tape))
 
     sizes = np.array([p.value.size for p in params])
     offsets = np.cumsum(sizes)
@@ -583,7 +585,7 @@ def gradient_check(model_fn, params, probe_count: int,
         loss_minus = model_fn(None).item()
         p.value.data.flat[j] = orig
         gn = (loss_plus - loss_minus) / (2.0 * FD_STEP)
-        ga = float(p.grad.flat[j])
+        ga = float(table[id(p.value)].flat[j]) if id(p.value) in table else 0.0
         roundoff = _EPS64 * max(abs(loss_plus), abs(loss_minus)) / FD_STEP
         rel = max(0.0, abs(ga - gn) - roundoff) / max(1e-8, abs(ga) + abs(gn))
         probes.append(Probe(p.name, j, ga, gn, rel))

@@ -73,42 +73,35 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment buffers per parameter plus the step counter,
-    and the workspace every training step's tape reuses."""
+    """Adam's moments m and v, each shaped and laid out like params.flat,
+    the step counter, and the workspace every training step's tape reuses."""
 
-    def __init__(self, params):
-        self.m = {p.name: np.zeros(p.value.shape, dtype=p.value.dtype) for p in params}
-        self.v = {p.name: np.zeros(p.value.shape, dtype=p.value.dtype) for p in params}
+    def __init__(self, params: ModelParams):
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.step = 0
         self.workspace = Workspace()
 
 
-def adam_step(params, state: AdamState, learning_rate: float,
+def adam_step(params: ModelParams, state: AdamState, learning_rate: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """Standard bias-corrected Adam update, in place. It consumes the grads
-    that backward set: every p.grad is None after the step."""
-    params = list(params)
-    if not params:
-        raise ValueError("adam_step: no parameters")
-    stale = [p.name for p in params if p.grad is None]
-    if stale:
-        raise RuntimeError(
-            f"adam_step: gradients not populated by backward for {stale[:3]}"
-        )
+    """Standard bias-corrected Adam update of params.flat, in place, in
+    whole-vector passes. It consumes the gradient backward set: params.grad
+    is None after the step, so each step needs a backward of its own."""
+    g = params.grad
+    if g is None:
+        raise RuntimeError("adam_step: no gradient; run backward before each step")
+    params.grad = None
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for p in params:
-        g = p.grad
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.value.data -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        p.grad = None
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    params.flat -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def batch_loss(resident_logits, activity_logits, residents, activities,

@@ -76,6 +76,20 @@ def naive_basic_module(feature, event, feature_w, feature_b, event_w, event_b,
     return naive_relu(h + r)
 
 
+def naive_adam_step(values, grads, m, v, step, learning_rate,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step number `step`, tensor by tensor, in place: values, grads,
+    m and v are parallel lists of arrays, one per parameter tensor."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for value, g, m_t, v_t in zip(values, grads, m, v):
+        m_t *= beta1
+        m_t += (1.0 - beta1) * g
+        v_t *= beta2
+        v_t += (1.0 - beta2) * g * g
+        value -= learning_rate * (m_t / bc1) / (np.sqrt(v_t / bc2) + eps)
+
+
 def naive_gini(labels):
     return 1 - sum(Fraction(labels.count(c), len(labels)) ** 2
                    for c in set(labels))

@@ -59,8 +59,7 @@ def test_criterion_1_gradient_correctness():
     params = model.init_params(8, 37, seed=derive_seed(seed, 1))
     # evaluate at a generic point: fresh zero biases put entire feature
     # maps exactly on the ReLU kink where finite differences are one-sided
-    for p in params.tensors():
-        p.value.data += rng.uniform(-0.05, 0.05, size=p.value.shape)
+    params.flat += rng.uniform(-0.05, 0.05, size=params.flat.size)
     events = np.zeros((3, 8, 37))
     for b in range(3):
         for i in range(8):
@@ -73,7 +72,7 @@ def test_criterion_1_gradient_correctness():
         return training.batch_loss(pr, pa, residents, activities,
                                    params, 0.0004, tape)
 
-    report = gradient_check(loss_fn, params.tensors(), probe_count=100,
+    report = gradient_check(loss_fn, params, probe_count=100,
                             seed=derive_seed(seed, 4, 1))
     elapsed = time.perf_counter() - start
     _report(1, report.max_rel_error < 1e-4 and elapsed < 120.0,
@@ -89,7 +88,7 @@ def test_criterion_2_overfit_sanity():
     config = TrainConfig(batch_size=64, l2_weight=0.0, learning_rate=0.001,
                          epochs=200, seed=0)
     params = model.init_params(8, 37, seed=derive_seed(0, 1))
-    state = training.AdamState(params.tensors())
+    state = training.AdamState(params)
     crossed = None
     for epoch in range(config.epochs):
         stats = training.train_epoch(windows, params, state, config, epoch)

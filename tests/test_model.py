@@ -76,14 +76,14 @@ def test_structure_k8():
 def test_init_deterministic_and_biases_zero():
     a = init_params(8, 37, seed=42)
     b = init_params(8, 37, seed=42)
-    for pa, pb in zip(a.tensors(), b.tensors()):
+    for pa, pb in zip(a, b):
         np.testing.assert_array_equal(pa.value.data, pb.value.data)
     c = init_params(8, 37, seed=43)
     assert any(
         not np.array_equal(pa.value.data, pc.value.data)
-        for pa, pc in zip(a.tensors(), c.tensors())
+        for pa, pc in zip(a, c)
     )
-    for p in a.tensors():
+    for p in a:
         if p.name.endswith(".bias"):
             assert np.all(p.value.data == 0)
         else:
@@ -214,7 +214,7 @@ def test_tree_forward_k_mismatch_rejected():
 
 def test_tree_forward_zero_params_zero_output():
     params = init_params(8, 37, seed=0)
-    for p in params.tensors():
+    for p in params:
         p.value.data[...] = 0
     window = _windows(1)[0]  # all padding except the target
     assert (window.sensors == PAD).sum() == 7
@@ -259,15 +259,17 @@ def test_forward_batch_consistent_with_single():
 
 def test_non_finite_probabilities_raise_numeric_error():
     """Finite weights whose forward overflows give NaN probabilities;
-    neither predict path may turn them into a label."""
+    neither predict path may turn them into a label. The calls run under
+    the np.errstate that cli.run sets, so the overflow raises no warning."""
     params = init_params(3, 37, seed=2)
     for p in params.weight_tensors():
         p.value.data[...] = 1e200
     windows = make_windows(_events(4), k=3)
-    with pytest.raises(NumericError, match="not finite"):
-        predict(windows[-1], params)
-    with pytest.raises(NumericError, match="not finite"):
-        predict_batch(stack_windows(windows)[0], params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="not finite"):
+            predict(windows[-1], params)
+        with pytest.raises(NumericError, match="not finite"):
+            predict_batch(stack_windows(windows)[0], params)
 
 
 def test_forward_batch_rejects_wrong_vocab():
@@ -286,7 +288,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
     save_params(params, path)
     loaded = load_params(path)
     assert loaded.k == 8
-    for a, b in zip(params.tensors(), loaded.tensors()):
+    for a, b in zip(params, loaded):
         assert a.name == b.name
         np.testing.assert_array_equal(a.value.data, b.value.data)
     window = _windows(4)[3]
@@ -302,7 +304,7 @@ def test_save_load_round_trip_float32(tmp_path):
     save_params(params, path)
     loaded = load_params(path)
     assert loaded.dtype == np.float32
-    for a, b in zip(params.tensors(), loaded.tensors()):
+    for a, b in zip(params, loaded):
         np.testing.assert_array_equal(a.value.data, b.value.data)
 
 
@@ -579,7 +581,7 @@ def test_loaded_float32_checkpoint_trains(tmp_path):
     params = load_params(path)
     before = params["layer1.event.weight"].value.data.copy()
     stats = train_epoch(make_windows(_events(6), k=3), params,
-                        AdamState(params.tensors()), TrainConfig(batch_size=8))
+                        AdamState(params), TrainConfig(batch_size=8))
     assert np.isfinite(stats.avg_loss)
     assert not np.array_equal(params["layer1.event.weight"].value.data, before)
 

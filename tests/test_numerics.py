@@ -114,7 +114,7 @@ def test_conv1d_gradients_match_finite_differences(m, length, c_in):
     w = ParamTensor("w", Tensor(r.normal(size=(2, c_in, m))))
     b = ParamTensor("b", Tensor(r.normal(size=2)))
     tape = Tape()
-    backward(_conv_energy(x.value, w.value, b.value, tape), tape, [x, w, b])
+    table = tape.gradients(_conv_energy(x.value, w.value, b.value, tape))
     h = 1e-3
     for p in (x, w, b):
         numeric = np.empty(p.value.shape)
@@ -126,8 +126,8 @@ def test_conv1d_gradients_match_finite_differences(m, length, c_in):
             minus = _conv_energy(x.value, w.value, b.value).item()
             p.value.data.flat[i] = orig
             numeric.flat[i] = (plus - minus) / (2 * h)
-        np.testing.assert_allclose(p.grad, numeric, rtol=1e-7, atol=1e-9,
-                                   err_msg=p.name)
+        np.testing.assert_allclose(table[id(p.value)], numeric, rtol=1e-7,
+                                   atol=1e-9, err_msg=p.name)
 
 
 @pytest.mark.parametrize("m,length", [(1, 1), (3, 9), (5, 2)])
@@ -608,23 +608,22 @@ def test_backward_logits_gradient_closed_form():
     tape = Tape()
     logits = dense(x, w.value, b.value, tape)
     loss = softmax_cross_entropy(logits, [2], tape)
-    backward(loss, tape, [w, b])
+    table = tape.gradients(loss)
     expected = softmax(logits).data[0]
     expected[2] -= 1.0
-    np.testing.assert_allclose(tape.gradients(loss)[id(logits)][0], expected,
-                               atol=1e-14)
+    np.testing.assert_allclose(table[id(logits)][0], expected, atol=1e-14)
     # bias feeds logits directly, so its gradient is the same vector
-    np.testing.assert_allclose(b.grad, expected, atol=1e-14)
+    np.testing.assert_allclose(table[id(b.value)], expected, atol=1e-14)
 
 
 def test_backward_constant_loss_gives_zero_grads():
-    p = ParamTensor("w", Tensor(np.ones(3)))
+    params = model.init_params(2, 5, seed=0)
     tape = Tape()
     const = Tensor(np.asarray(2.0))
     loss = l2_term([const], 1.0, tape)  # recorded op, but no parameter on path
-    assert p.grad is None
-    backward(loss, tape, [p])
-    assert p.grad.shape == (3,) and np.all(p.grad == 0)
+    assert params.grad is None
+    backward(loss, tape, params)
+    assert params.grad.shape == params.flat.shape and np.all(params.grad == 0)
 
 
 def test_backward_linearity_over_sum_of_losses():
@@ -639,45 +638,83 @@ def test_backward_linearity_over_sum_of_losses():
     grads = {}
     for target in (0, 1):
         tape = Tape()
-        backward(loss_for(target, tape), tape, [w, b])
-        grads[target] = w.grad
+        grads[target] = tape.gradients(loss_for(target, tape))[id(w.value)]
 
     tape = Tape()
     total = add(loss_for(0, tape), loss_for(1, tape), tape)
-    backward(total, tape, [w, b])
-    np.testing.assert_allclose(w.grad, grads[0] + grads[1], atol=1e-12)
+    np.testing.assert_allclose(tape.gradients(total)[id(w.value)],
+                               grads[0] + grads[1], atol=1e-12)
 
 
 def test_backward_sets_each_grad_to_the_tapes_array():
-    # no zeroed copy and no accumulation: the grad is the table's own
-    # array, replaced by every backward, and zeros only where unreached
+    # no accumulation: every backward sets a grad of flat's shape and
+    # dtype whose view of each tensor equals the table's array
     loss_fn, params = _tree_net_loss(3)
-    unused = ParamTensor("unused", Tensor(np.ones((2, 3))))
     for _ in range(2):
         tape = _TableTape()
-        backward(loss_fn(tape), tape, params + [unused])
-        for p in params:
-            assert p.grad is tape.table[id(p.value)], p.name
-        assert id(unused.value) not in tape.table
-        assert unused.grad.shape == (2, 3) and np.all(unused.grad == 0)
+        backward(loss_fn(tape), tape, params)
+        assert (params.grad.shape, params.grad.dtype) == (params.flat.shape,
+                                                          params.flat.dtype)
+        for p, grad in zip(params, params.views(params.grad)):
+            np.testing.assert_array_equal(grad, tape.table[id(p.value)], p.name)
+
+
+def test_backward_leaves_zeros_where_the_loss_does_not_reach():
+    # a full backward, then one of a loss that reaches only the heads: no
+    # term of the first survives in any other tensor's view
+    params = model.init_params(3, 5, seed=3)
+    events = rng(3).normal(size=(3, 3, 5))
+    residents, activities = [0, 1, 1], [2, 0, 14]
+    tape = Tape()
+    _, resident, activity = model.forward_batch(events, params, tape)
+    backward(training.batch_loss(resident, activity, residents, activities,
+                                 params, 0.01, tape), tape, params)
+    assert all(np.any(grad != 0) for grad in params.views(params.grad))
+
+    features, _, _ = model.forward_batch(events, params)
+    tape = _TableTape()
+    resident, activity = model.head_probs(features, params, tape)
+    backward(training.batch_loss(resident, activity, residents, activities,
+                                 params, 0.0, tape), tape, params)
+    for p, grad in zip(params, params.views(params.grad)):
+        if p.name.startswith("head_"):
+            np.testing.assert_array_equal(grad, tape.table[id(p.value)], p.name)
+        else:
+            assert np.all(grad == 0), p.name
+
+
+def test_grad_outlives_the_tape_and_its_workspace():
+    # the weights' gradient sums come from the workspace; the forward of an
+    # eight times larger batch on the next tape writes past all of the step's
+    # memory, gradients included
+    params = model.init_params(3, 5, seed=4)
+    ws = Workspace()
+    tape = Tape(ws)
+    _, resident, activity = model.forward_batch(rng(4).normal(size=(3, 3, 5)),
+                                                params, tape)
+    backward(training.batch_loss(resident, activity, [0, 1, 1], [2, 0, 14],
+                                 params, 0.01, tape), tape, params)
+    kept = params.grad.copy()
+    model.forward_batch(rng(5).normal(size=(24, 3, 5)), params, Tape(ws))
+    np.testing.assert_array_equal(params.grad, kept)
 
 
 def test_sum_squares_and_flatten_grads():
     x = ParamTensor("x", Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])))
     tape = Tape()
     ce = softmax_cross_entropy(flatten(x.value, tape), [1], tape)
-    backward(ce, tape, [x])
+    table = tape.gradients(ce)
     want = naive_softmax([1.0, 2.0, 3.0, 4.0])
     want[1] -= 1.0
-    np.testing.assert_allclose(x.grad, want.reshape(1, 2, 2), rtol=1e-12)
+    np.testing.assert_allclose(table[id(x.value)], want.reshape(1, 2, 2), rtol=1e-12)
 
     y = ParamTensor("y", Tensor(np.array([-1.0, 0.5])))
     tape = Tape()
     s = l2_term([x.value, y.value], 0.5, tape)
     assert s.item() == 0.5 * (30.0 + 1.25)
-    backward(s, tape, [x, y])
-    np.testing.assert_allclose(x.grad, x.value.data)
-    np.testing.assert_allclose(y.grad, y.value.data)
+    table = tape.gradients(s)
+    np.testing.assert_allclose(table[id(x.value)], x.value.data)
+    np.testing.assert_allclose(table[id(y.value)], y.value.data)
 
 
 def test_flatten_is_channel_major():
@@ -719,7 +756,7 @@ def test_tape_on_workspace_is_freed_without_the_cycle_collector():
 
     loss_fn, params = _random_net_loss(7)
     tape = Tape(Workspace())
-    backward(loss_fn(tape), tape, params)
+    tape.gradients(loss_fn(tape))
     gone = weakref.ref(tape)
     gc.disable()
     try:
@@ -741,7 +778,7 @@ def _tree_net_loss(seed):
         return training.batch_loss(resident_logits, activity_logits, residents,
                                    activities, params, 0.01, tape)
 
-    return loss_fn, params.tensors()
+    return loss_fn, params
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -776,9 +813,9 @@ def test_workspace_gradients_match_fresh_memory():
 def _check_workspace_step(loss_fn, params):
     def step(tape):
         loss = loss_fn(tape)
-        backward(loss, tape, params)
-        # the grads are the tape's arrays, which the next step reuses
-        return loss, [p.grad.copy() for p in params]
+        table = tape.gradients(loss)
+        # the table's arrays are workspace memory, which the next step reuses
+        return loss, [table[id(p.value)].copy() for p in params]
 
     expected_loss, expected_grads = step(Tape())
     ws = Workspace()

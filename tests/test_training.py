@@ -35,6 +35,7 @@ from treehar.training import (
 from treehar.windowing import make_windows, stack_windows
 
 from test_cli import make_corpus
+from oracles import naive_adam_step
 from test_model import _events  # deterministic event fixture
 
 
@@ -143,13 +144,13 @@ def test_l2_gradient_is_2_beta_w():
     beta = 0.25
     tape = Tape()
     loss = _joint_loss(*_UNIFORM, 0, 0, params, beta, tape)
-    backward(loss, tape, params.tensors())
-    for p in params.weight_tensors():
-        np.testing.assert_allclose(p.grad, 2 * beta * p.value.data,
-                                   rtol=1e-12, atol=1e-15)
-    for p in params.tensors():
+    backward(loss, tape, params)
+    for p, grad in zip(params, params.views(params.grad)):
         if p.name.endswith(".bias"):
-            assert np.all(p.grad == 0)
+            assert np.all(grad == 0)
+        else:
+            np.testing.assert_allclose(grad, 2 * beta * p.value.data,
+                                       rtol=1e-12, atol=1e-15)
 
 
 def test_l2_gradient_matches_finite_differences():
@@ -190,7 +191,7 @@ def single_batch_steps():
     losses = {}
     for dtype in (np.float64, np.float32):
         params = init_params(4, 37, seed=7, dtype=dtype)
-        state = AdamState(params.tensors())
+        state = AdamState(params)
         losses[np.dtype(dtype).name] = [
             repr(train_epoch(windows, params, state, config, epoch).avg_loss)
             for epoch in range(3)]
@@ -227,85 +228,105 @@ def test_single_batch_steps_golden():
 # adam
 
 
-def _scalar_param(value):
-    return ParamTensor("p", Tensor(np.array([value])))
+def _k2_model(value, grad=None, dtype=np.float64):
+    """A k=2 model with every parameter at value, and with params.grad
+    filled with grad unless that is None."""
+    params = init_params(2, 37, seed=0, dtype=dtype)
+    params.flat[...] = value
+    if grad is not None:
+        params.grad = np.full_like(params.flat, grad)
+    return params
 
 
 def test_adam_first_step_hand_computed():
     # g=1: both bias-corrected moments are exactly 1, so the step is
     # gamma / (1 + eps)
-    p = _scalar_param(1.0)
-    p.grad = np.array([1.0])
-    state = AdamState([p])
-    adam_step([p], state, learning_rate=0.0002)
+    params = _k2_model(1.0, grad=1.0)
+    state = AdamState(params)
+    adam_step(params, state, learning_rate=0.0002)
     assert state.step == 1
-    delta = 1.0 - float(p.value.data[0])
-    assert abs(delta - 0.0002) < 1e-9
+    delta = 1.0 - params.flat
+    assert np.all(np.abs(delta - 0.0002) < 1e-9)
 
 
 def test_adam_zero_grad_leaves_params_but_decays_moments():
-    p = _scalar_param(2.0)
-    state = AdamState([p])
-    state.m["p"][...] = 0.5
-    state.v["p"][...] = 0.25
-    p.grad = np.array([0.0])  # zero, legitimately
-    adam_step([p], state, learning_rate=0.1)
+    params = _k2_model(2.0, grad=0.0)  # zero, legitimately
+    state = AdamState(params)
+    state.m[...] = 0.5
+    state.v[...] = 0.25
+    adam_step(params, state, learning_rate=0.1)
     # with zero grad the moments only decay
-    assert float(state.m["p"][0]) == pytest.approx(0.45)
-    assert float(state.v["p"][0]) == pytest.approx(0.24975)
-    # but they still move the parameter: bias corrections 0.1 and 0.001
+    assert state.m == pytest.approx(0.45)
+    assert state.v == pytest.approx(0.24975)
+    # but they still move the parameters: bias corrections 0.1 and 0.001
     # give 4.5 / sqrt(249.75)
     want = 2.0 - 0.1 * 4.5 / (math.sqrt(249.75) + 1e-8)
-    assert float(p.value.data[0]) == pytest.approx(want, rel=1e-12)
+    assert params.flat == pytest.approx(want, rel=1e-12)
 
 
 def test_adam_pure_zero_state_zero_grad_is_noop():
-    p = _scalar_param(2.0)
-    state = AdamState([p])
-    p.grad = np.array([0.0])
-    adam_step([p], state, learning_rate=0.1)
-    assert float(p.value.data[0]) == 2.0
+    params = _k2_model(2.0, grad=0.0)
+    adam_step(params, AdamState(params), learning_rate=0.1)
+    assert np.all(params.flat == 2.0)
 
 
 def test_adam_identical_grads_identical_updates():
-    a = ParamTensor("a", Tensor(np.array([1.0, -2.0])))
-    b = ParamTensor("b", Tensor(np.array([1.0, -2.0])))
-    for p in (a, b):
-        p.grad = np.array([0.3, -0.7])
-    state = AdamState([a, b])
-    adam_step([a, b], state, learning_rate=0.05)
-    np.testing.assert_array_equal(a.value.data, b.value.data)
+    # two tensors of one shape at different offsets of flat
+    params = _k2_model(0.0, grad=0.0)
+    grads = dict(zip((p.name for p in params), params.views(params.grad)))
+    names = ("layer1.res1.weight", "layer1.res2.weight")
+    for name in names:
+        params[name].value.data[...] = np.resize([1.0, -2.0], (16, 16, 3))
+        grads[name][...] = np.resize([0.3, -0.7], (16, 16, 3))
+    adam_step(params, AdamState(params), learning_rate=0.05)
+    a, b = (params[name].value.data for name in names)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_adam_gamma_zero_is_noop():
-    p = _scalar_param(3.0)
-    p.grad = np.array([5.0])
-    state = AdamState([p])
-    adam_step([p], state, learning_rate=0.0)
-    assert float(p.value.data[0]) == 3.0
+    params = _k2_model(3.0, grad=5.0)
+    adam_step(params, AdamState(params), learning_rate=0.0)
+    assert np.all(params.flat == 3.0)
 
 
-def test_adam_rejects_empty_and_stale():
-    state = AdamState([])
-    with pytest.raises(ValueError):
-        adam_step([], state, learning_rate=0.1)
-    p = _scalar_param(1.0)
+def test_adam_rejects_stale():
+    params = _k2_model(1.0)
     with pytest.raises(RuntimeError, match="backward"):
-        adam_step([p], AdamState([p]), learning_rate=0.1)
+        adam_step(params, AdamState(params), learning_rate=0.1)
 
 
 def test_adam_consumes_the_grads():
-    # a step uses each gradient once: it sets every grad back to None, so
+    # a step uses the gradient once: it sets params.grad back to None, so
     # a second step without a backward is refused, not a repeat
-    params = init_params(3, 37, seed=4)
+    params = init_params(2, 37, seed=4)
     tape = Tape()
-    backward(_joint_loss(*_UNIFORM, 0, 0, params, 0.01, tape), tape, params.tensors())
-    state = AdamState(params.tensors())
-    adam_step(params.tensors(), state, learning_rate=0.01)
-    assert all(p.grad is None for p in params)
+    backward(_joint_loss(*_UNIFORM, 0, 0, params, 0.01, tape), tape, params)
+    state = AdamState(params)
+    adam_step(params, state, learning_rate=0.01)
+    assert params.grad is None
     with pytest.raises(RuntimeError, match="backward"):
-        adam_step(params.tensors(), state, learning_rate=0.01)
+        adam_step(params, state, learning_rate=0.01)
     assert state.step == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_matches_the_per_tensor_oracle(dtype):
+    # the whole-vector step runs the oracle's expressions in its order, so
+    # parameters and moments agree bit for bit, step after step
+    params = init_params(2, 37, seed=6, dtype=dtype)
+    state = AdamState(params)
+    values = [p.value.data.copy() for p in params]
+    m = [np.zeros_like(x) for x in values]
+    v = [np.zeros_like(x) for x in values]
+    r = np.random.default_rng(6)
+    for step in range(1, 6):
+        size = params.flat.size
+        grad = (r.normal(size=size) * np.exp(r.uniform(-8, 2, size=size))).astype(dtype)
+        params.grad = grad.copy()
+        adam_step(params, state, learning_rate=0.01)
+        naive_adam_step(values, params.views(grad), m, v, step, learning_rate=0.01)
+        for got, want in ((params.flat, values), (state.m, m), (state.v, v)):
+            np.testing.assert_array_equal(got, np.concatenate([x.ravel() for x in want]))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +336,7 @@ def test_adam_consumes_the_grads():
 def test_train_epoch_batch_count():
     windows = _windows(300)
     params = init_params(3, 37, seed=0)
-    state = AdamState(params.tensors())
+    state = AdamState(params)
     config = TrainConfig(batch_size=128, epochs=1, seed=0)
     train_epoch(windows, params, state, config, epoch=0)
     assert state.step == 3  # 128 + 128 + 44
@@ -326,7 +347,7 @@ def test_train_epoch_deterministic():
     stats = []
     for _ in range(2):
         params = init_params(3, 37, seed=1)
-        state = AdamState(params.tensors())
+        state = AdamState(params)
         stats.append(train_epoch(_windows(50), params, state, config, epoch=0))
     assert stats[0] == stats[1]
 
@@ -338,7 +359,7 @@ def test_train_epoch_same_with_workspace_as_without():
     results = []
     for workspace in (True, False):
         params = init_params(3, 37, seed=2)
-        state = AdamState(params.tensors())
+        state = AdamState(params)
         if not workspace:
             state.workspace = None
         stats = [train_epoch(_windows(50), params, state, config, epoch=e)
@@ -360,7 +381,7 @@ def test_train_epoch_invariant_to_storage_order():
     results = []
     for window_list in (windows, shuffled):
         params = init_params(3, 37, seed=1)
-        state = AdamState(params.tensors())
+        state = AdamState(params)
         results.append(train_epoch(window_list, params, state, config, epoch=0))
     assert results[0] == results[1]
 
@@ -372,13 +393,13 @@ def test_train_epoch_rejects_non_finite_parameter():
     config = TrainConfig(batch_size=16, epochs=1, seed=0)
     config.learning_rate = math.nan
     with pytest.raises(NumericError, match="layer1.feature.weight"):
-        train_epoch(_windows(20), params, AdamState(params.tensors()), config)
+        train_epoch(_windows(20), params, AdamState(params), config)
 
 
 def test_train_epoch_empty_rejected():
     params = init_params(3, 37, seed=0)
     with pytest.raises(ValueError):
-        train_epoch([], params, AdamState(params.tensors()),
+        train_epoch([], params, AdamState(params),
                     TrainConfig(epochs=1), epoch=0)
 
 
@@ -390,7 +411,7 @@ def test_fit_zero_epochs_returns_init(tmp_path):
     config = TrainConfig(epochs=0, seed=5)
     params, history = fit(_windows(20), config, k=3)
     reference = init_params(3, 37, seed=derive_seed(5, 1))
-    for a, b in zip(params.tensors(), reference.tensors()):
+    for a, b in zip(params, reference):
         np.testing.assert_array_equal(a.value.data, b.value.data)
     assert history == []
     # train --epochs 0 writes the initial model and a header-only log
@@ -400,7 +421,7 @@ def test_fit_zero_epochs_returns_init(tmp_path):
     assert (out / "loss_log.csv").read_text() == \
         "epoch,avg_loss,max_batch_loss,min_batch_loss\n"
     saved = model.load_params(out / "model.ckpt")
-    for a, b in zip(saved.tensors(), reference.tensors()):
+    for a, b in zip(saved, reference):
         np.testing.assert_array_equal(a.value.data, b.value.data)
 
 
@@ -432,7 +453,7 @@ def test_fit_deterministic_end_to_end():
     for _ in range(2):
         params, history = fit(_windows(40), config, k=3)
         results.append((history,
-                        [p.value.data.copy() for p in params.tensors()]))
+                        [p.value.data.copy() for p in params]))
     assert results[0][0] == results[1][0]
     for a, b in zip(results[0][1], results[1][1]):
         np.testing.assert_array_equal(a, b)
