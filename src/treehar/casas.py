@@ -116,8 +116,18 @@ class Events:
 SKIP = object()  # marker for blank or unlabeled lines
 
 
+def _date(text) -> dt.date:
+    """The date of a YYYY-MM-DD text; ValueError for any other. Python
+    3.11's date.fromisoformat alone also reads 20090202 and 2009-W06-1,
+    which 3.10's refuses."""
+    if not (len(text) == 10 and text[4] == text[7] == "-" and text.isascii()
+            and (text[:4] + text[5:7] + text[8:]).isdigit()):
+        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
+    return dt.date.fromisoformat(text)
+
+
 def _parse_timestamp(date_text, time_text):
-    date = dt.date.fromisoformat(date_text)
+    date = _date(date_text)
     # time-of-day with optional fractional seconds of any width
     if "." in time_text:
         whole, frac = time_text.split(".", 1)
@@ -240,7 +250,7 @@ def _per_distinct(texts, convert) -> np.ndarray:
 
 def _day(text) -> int:
     try:
-        return dt.date.fromisoformat(text).toordinal()
+        return _date(text).toordinal()
     except ValueError:
         return -1
 

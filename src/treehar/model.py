@@ -6,7 +6,7 @@ feature, merges them by element-wise addition, and refines the merge
 with a three-convolution residual block. Two dense heads read the
 flattened top feature and give logits: one over residents, one over
 activities. Training's loss takes the logits; prediction takes their
-argmax, or their softmax where probabilities are reported.
+argmax, and no probability is formed outside the loss.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .numerics import (
     conv1d,
     dense,
     flatten,
-    softmax,
 )
 from .windowing import stack_windows
 
@@ -209,8 +208,7 @@ def forward_batch(events: np.ndarray, params: ModelParams, tape: Tape = None):
 
 def head_probs(features: Tensor, params: ModelParams, tape: Tape = None):
     """The two dense heads over the flattened features. Returns (resident,
-    activity) logits, not probabilities, despite the older name; softmax
-    gives the probabilities."""
+    activity) logits, not probabilities, despite the older name."""
     flat = flatten(features, tape)
     resident = dense(flat, params["head_resident.weight"].value,
                      params["head_resident.bias"].value, tape)
@@ -219,43 +217,35 @@ def head_probs(features: Tensor, params: ModelParams, tape: Tape = None):
     return resident, activity
 
 
-@dataclass
+@dataclass(frozen=True)
 class Prediction:
-    resident_probs: Tensor  # (2,)
-    activity_probs: Tensor  # (15,)
+    """One window's (resident, activity) label, read with label()."""
+
+    pair: LabelPair
 
     def label(self) -> LabelPair:
-        return LabelPair(
-            int(np.argmax(self.resident_probs.data)),
-            int(np.argmax(self.activity_probs.data)),
-        )
+        return self.pair
 
 
-def _class_logits(events: np.ndarray, params: ModelParams):
-    """Tape-less forward; (resident, activity) logits, all finite.
+def predict(window, params: ModelParams) -> Prediction:
+    """predict_batch of one window, stacked at the model's dtype."""
+    events, _, _ = stack_windows([window], dtype=params.dtype)
+    residents, activities = predict_batch(events, params)
+    return Prediction(LabelPair(int(residents[0]), int(activities[0])))
+
+
+def predict_batch(events: np.ndarray, params: ModelParams):
+    """Argmax of each head's logits for stacked windows: (residents,
+    activities) int arrays, from a tape-less forward.
 
     A finite checkpoint can still overflow in the forward, and argmax over
-    NaN would return class 0 as if it were a prediction. Finite logits
-    give a finite softmax."""
+    NaN would return class 0 as if it were a prediction, so non-finite
+    logits raise NumericError."""
     _, resident, activity = forward_batch(events, params)
     if not (np.isfinite(resident.data).all() and np.isfinite(activity.data).all()):
         raise NumericError(
             "class logits are not finite: the model's weights overflow "
             f"the {np.dtype(params.dtype).name} forward")
-    return resident, activity
-
-
-def predict(window, params: ModelParams) -> Prediction:
-    """Class probabilities for one window, as a batch of one."""
-    events, _, _ = stack_windows([window], dtype=params.dtype)
-    resident, activity = _class_logits(events, params)
-    return Prediction(Tensor(softmax(resident).data[0]),
-                      Tensor(softmax(activity).data[0]))
-
-
-def predict_batch(events: np.ndarray, params: ModelParams):
-    """Argmax labels for stacked windows: (residents, activities) int arrays."""
-    resident, activity = _class_logits(events, params)
     return np.argmax(resident.data, axis=1), np.argmax(activity.data, axis=1)
 
 

@@ -428,21 +428,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     return out
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Max-subtracted softmax over the last axis of (batch, K) logits.
-    Forward only: training differentiates softmax_cross_entropy."""
-    _require_tensor(x, "softmax", "logits")
-    if x.data.ndim != 2 or x.shape[-1] < 1:
-        raise ShapeError(f"softmax: logits must be (batch, K), got shape {x.shape}")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return Tensor(e / e.sum(axis=-1, keepdims=True))
-
-
 def softmax_cross_entropy(logits: Tensor, target, tape: Tape = None) -> Tensor:
     """Scalar batch mean of -log softmax(logits)[row, target[row]] for
     (batch, K) logits, by a max-subtracted log-sum-exp: no probability is
-    formed, so none is clipped. Backward: (softmax - onehot) * g / batch."""
+    formed, so none is clipped. Backward: (softmax - onehot) * g / batch,
+    the softmax being the forward's exp(z) over its row sums."""
     _require_tensor(logits, "softmax_cross_entropy", "logits")
     if logits.data.ndim != 2 or min(logits.shape) < 1:
         raise ShapeError(
@@ -458,10 +448,11 @@ def softmax_cross_entropy(logits: Tensor, target, tape: Tape = None) -> Tensor:
         raise IndexError(f"softmax_cross_entropy: target out of range [0, {k})")
     rows = np.arange(n)
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    out = Tensor(np.asarray((np.log(np.exp(z).sum(axis=1)) - z[rows, targets]).mean()))
+    e = np.exp(z)
+    out = Tensor(np.asarray((np.log(e.sum(axis=1)) - z[rows, targets]).mean()))
     if tape is not None:
         def bwd(g, acc):
-            grad = softmax(logits).data
+            grad = e / e.sum(axis=1, keepdims=True)
             grad[rows, targets] -= 1.0
             acc(logits, grad * (g / n))
         tape.record(out, bwd)

@@ -7,6 +7,7 @@ hide in its own oracle.
 
 import datetime as dt
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,8 @@ def naive_best_split(X, y, min_leaf):
 
 
 def _naive_parse_timestamp(date_text, time_text):
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", date_text):
+        raise ValueError(f"date {date_text!r} is not YYYY-MM-DD")
     date = dt.date.fromisoformat(date_text)
     # time-of-day with optional fractional seconds of any width
     if "." in time_text:

@@ -340,6 +340,25 @@ def test_parse_file_edge_cases_agree_with_the_oracle(tmp_path, blob, expected):
         assert outcome.startswith(f"{path}{expected}")
 
 
+@pytest.mark.parametrize("date", ["20090202", "2009-W06-1", "2009W061",
+                                  "2009-02-2", "+009-02-02"])
+def test_only_yyyy_mm_dd_dates_parse(tmp_path, capsys, date):
+    """The log's date is YYYY-MM-DD. Python 3.11's date.fromisoformat
+    alone also reads the first three (2009-W06-1 as 2009-02-02), and
+    3.10's does not, so each is rejected explicitly, by parse_line and
+    parse_file alike, and ingest exits 2 naming the file and line."""
+    line = _line(2).replace("2009-02-02", date)
+    with pytest.raises(ParseError, match=r"^log\.txt:2: unparseable timestamp"):
+        parse_line(line, source="log.txt", line_no=2)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "log.txt"
+    path.write_bytes(_log(_line(1), line))
+    assert _agreed_outcome(path).startswith(f"{path}:2: unparseable timestamp")
+    assert run(["ingest", "--data", str(corpus), "--out", str(tmp_path / "o")]) == 2
+    assert f"{path}:2: unparseable timestamp" in capsys.readouterr().err
+
+
 def test_parse_file_carries_order_and_line_numbers_across_blocks(tmp_path):
     path, = synth.generate_corpus(tmp_path / "corpus",
                                   synth.SynthProfile(files=1, events_per_file=2000),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treehar import casas, model, synth
+from treehar import casas, model, synth, windowing
 from treehar.cli import (SETTINGS, DataError, UsageError, build_parser,
                          read_config_file, run)
 
@@ -246,6 +246,73 @@ def test_predict_outputs_pair(trained, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("resident=")
     assert "activity=" in line
+
+
+def _on_windows(history, k):
+    """The windows of a history's ON events, as predict builds them."""
+    events = casas.filter_on(casas.parse_file(history).events, "ON")
+    return windowing.make_windows(events, k)
+
+
+@pytest.mark.parametrize("dtype, biases", [
+    (np.float64, [0.0, 1e-20]),
+    (np.float32, [0.1, np.nextafter(np.float32(0.1), np.float32(1))]),
+], ids=["float64", "float32"])
+def test_predict_and_eval_agree_at_a_near_tie(trained, tmp_path, capsys,
+                                              dtype, biases):
+    """Resident logits that differ by less than exp can resolve have equal
+    softmax probabilities; the label is still the argmax of the logits,
+    through predict and predict_batch alike."""
+    corpus, _ = trained
+    params = model.init_params(3, 37, dtype=dtype)
+    params.flat[...] = 0
+    params["head_resident.bias"].value.data[...] = biases
+    checkpoint = tmp_path / "tie.ckpt"
+    model.save_params(params, checkpoint)
+    params = model.load_params(checkpoint)
+    history = sorted(corpus.iterdir())[0]
+    windows = _on_windows(history, 3)
+    residents, activities = model.predict_batch(
+        windowing.stack_windows(windows, dtype=dtype)[0], params)
+    assert residents.tolist() == [1] * len(windows)
+    for w, r, a in zip(windows, residents, activities):
+        assert model.predict(w, params).label() == casas.LabelPair(r, a)
+    assert run(["predict", "--checkpoint", str(checkpoint),
+                "--history", str(history)]) == 0
+    assert capsys.readouterr().out.startswith("resident=2 ")
+
+
+def test_float32_checkpoint_evals_and_predicts(trained, tmp_path, capsys):
+    """A float32 train's checkpoint through eval and predict: eval counts
+    every held-out window once, and predict prints predict_batch's label
+    for the history's last window."""
+    corpus, _ = trained
+    out = tmp_path / "run32"
+    assert run(["train", "--data", str(corpus), "--out", str(out), "--k", "3",
+                "--epochs", "2", "--alpha", "32", "--seed", "7",
+                "--dtype", "float32"]) == 0
+    trained_on = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("training on "))
+    windows = sum(len(_on_windows(path, 3)) for path in corpus.iterdir())
+    held_out = windows - int(trained_on.split()[2])
+    assert run(["eval", "--data", str(corpus), "--out", str(tmp_path / "e"),
+                "--checkpoint", str(out / "model.ckpt"), "--seed", "7"]) == 0
+    for head in ("resident", "activity"):
+        with open(tmp_path / "e" / f"confusion_{head}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert sum(int(v) for row in rows for v in row[1:]) == held_out
+    params = model.load_params(out / "model.ckpt")
+    assert params.dtype == np.float32
+    history = sorted(corpus.iterdir())[0]
+    last = _on_windows(history, 3)[-1]
+    (resident,), (activity,) = model.predict_batch(
+        windowing.stack_windows([last], dtype=np.float32)[0], params)
+    capsys.readouterr()
+    assert run(["predict", "--checkpoint", str(out / "model.ckpt"),
+                "--history", str(history)]) == 0
+    assert capsys.readouterr().out == (
+        f"resident={resident + 1} activity={activity + 1} "
+        f"({casas.ACTIVITY_NAMES[activity]})\n")
 
 
 def test_overflowing_checkpoint_is_numeric_failure(trained, tmp_path, capsys):

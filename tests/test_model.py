@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from treehar.casas import Events
+from treehar.casas import Events, LabelPair
 from treehar.model import (
     CheckpointError,
     _header,
@@ -24,7 +24,7 @@ from treehar.model import (
     predict_batch,
     save_params,
 )
-from treehar.numerics import NumericError, ParamTensor, ShapeError, Tensor, softmax
+from treehar.numerics import NumericError, ParamTensor, ShapeError, Tensor
 from treehar.windowing import PAD, make_windows, stack_windows
 
 from oracles import naive_basic_module
@@ -223,24 +223,17 @@ def test_tree_forward_zero_params_zero_output():
 
 
 def test_predict_uniform_with_zero_heads():
+    """Zero heads give all-equal logits, whose argmax is class 0."""
     params = init_params(8, 37, seed=2)
     params["head_resident.weight"].value.data[...] = 0
     params["head_resident.bias"].value.data[...] = 0
     params["head_activity.weight"].value.data[...] = 0
     params["head_activity.bias"].value.data[...] = 0
-    pred = predict(_windows(3)[2], params)
-    np.testing.assert_allclose(pred.resident_probs.data, [0.5, 0.5])
-    np.testing.assert_allclose(pred.activity_probs.data, np.full(15, 1 / 15))
-
-
-def test_predict_probs_are_distributions():
-    params = init_params(8, 37, seed=7)
-    pred = predict(_windows(9)[8], params)
-    assert abs(pred.resident_probs.data.sum() - 1) < 1e-6
-    assert abs(pred.activity_probs.data.sum() - 1) < 1e-6
-    label = pred.label()
-    assert 0 <= label.resident_id < 2
-    assert 0 <= label.activity_id < 15
+    windows = _windows(9)
+    for w in windows:
+        assert predict(w, params).label() == LabelPair(0, 0)
+    residents, activities = predict_batch(stack_windows(windows)[0], params)
+    assert not residents.any() and not activities.any()
 
 
 def test_forward_batch_consistent_with_single():
@@ -248,18 +241,20 @@ def test_forward_batch_consistent_with_single():
     windows = make_windows(_events(6), k=4)
     events, _, _ = stack_windows(windows)
     _, logits_r, logits_a = forward_batch(events, params)
-    probs_r, probs_a = softmax(logits_r).data, softmax(logits_a).data
+    residents, activities = predict_batch(events, params)
     for i, w in enumerate(windows):
-        single = predict(w, params)
-        np.testing.assert_allclose(probs_r[i], single.resident_probs.data,
+        assert predict(w, params).label() == LabelPair(residents[i], activities[i])
+        _, single_r, single_a = forward_batch(events[i:i + 1], params)
+        # BLAS may block a batch of one differently; equality is to roundoff
+        np.testing.assert_allclose(logits_r.data[i], single_r.data[0],
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(probs_a[i], single.activity_probs.data,
+        np.testing.assert_allclose(logits_a.data[i], single_a.data[0],
                                    rtol=1e-12, atol=1e-12)
 
 
 def test_non_finite_probabilities_raise_numeric_error():
-    """Finite weights whose forward overflows give NaN probabilities;
-    neither predict path may turn them into a label. The calls run under
+    """Finite weights whose forward overflows give NaN logits; neither
+    predict nor predict_batch may turn them into a label. The calls run under
     the np.errstate that cli.run sets, so the overflow raises no warning."""
     params = init_params(3, 37, seed=2)
     for p in params.weight_tensors():
@@ -291,11 +286,10 @@ def test_save_load_round_trip_bitwise(tmp_path):
     for a, b in zip(params, loaded):
         assert a.name == b.name
         np.testing.assert_array_equal(a.value.data, b.value.data)
-    window = _windows(4)[3]
-    p1 = predict(window, params)
-    p2 = predict(window, loaded)
-    np.testing.assert_array_equal(p1.resident_probs.data, p2.resident_probs.data)
-    np.testing.assert_array_equal(p1.activity_probs.data, p2.activity_probs.data)
+    events = stack_windows(_windows(4))[0]
+    for a, b in zip(forward_batch(events, params)[1:],
+                    forward_batch(events, loaded)[1:]):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_save_load_round_trip_float32(tmp_path):

@@ -20,7 +20,6 @@ from treehar.numerics import (
     flatten,
     gradient_check,
     l2_term,
-    softmax,
     softmax_cross_entropy,
 )
 
@@ -474,36 +473,55 @@ def test_dense_batched_matches_per_sample():
 
 
 # ---------------------------------------------------------------------------
-# softmax / softmax_cross_entropy
+# softmax_cross_entropy; its softmax exists only in the logits gradient,
+# (softmax - onehot) / batch
+
+
+def _ce_logits_grad(logits, targets):
+    x = Tensor(logits)
+    tape = Tape()
+    return tape.gradients(softmax_cross_entropy(x, targets, tape))[id(x)]
+
+
+def _naive_ce_grad(logits, targets):
+    want = np.array([naive_softmax(row) for row in logits])
+    want[np.arange(len(targets)), targets] -= 1.0
+    return want / len(targets)
 
 
 def test_softmax_symmetry_examples():
-    np.testing.assert_allclose(softmax(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
-    out = softmax(Tensor(np.zeros((2, 15)))).data
-    np.testing.assert_allclose(out, np.full((2, 15), 1.0 / 15.0))
+    """Zero logits: a uniform softmax, so the gradient is (1/K - onehot) / n."""
+    np.testing.assert_allclose(_ce_logits_grad(np.zeros((1, 2)), [0]), [[-0.5, 0.5]])
+    want = np.full((2, 15), 1.0 / 15.0)
+    want[[0, 1], [3, 14]] -= 1.0
+    np.testing.assert_allclose(_ce_logits_grad(np.zeros((2, 15)), [3, 14]), want / 2)
 
 
 def test_softmax_matches_naive():
     logits = [[0.2, -1.5, 3.0, 0.0], [-4.0, 0.5, 0.5, 2.0]]
-    got = softmax(Tensor(logits)).data
-    for row, want in zip(got, logits):
-        np.testing.assert_allclose(row, naive_softmax(want), rtol=1e-14)
+    np.testing.assert_allclose(_ce_logits_grad(logits, [1, 3]),
+                               _naive_ce_grad(logits, [1, 3]),
+                               rtol=1e-14, atol=1e-16)
 
 
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=15),
        st.floats(min_value=-30, max_value=30))
 @settings(max_examples=60, deadline=None)
 def test_softmax_distribution_and_shift_invariance(logits, shift):
-    p = softmax(Tensor([logits])).data
-    assert np.all(p >= 0)
-    assert abs(p.sum() - 1.0) < 1e-12
-    shifted = softmax(Tensor([[v + shift for v in logits]])).data
-    np.testing.assert_allclose(shifted, p, atol=1e-12)
+    """softmax - onehot: the target's entry in [-1, 0], the others in
+    [0, 1], the row summing to 0, and no change when the row is shifted."""
+    g = _ce_logits_grad([logits], [0])
+    assert -1.0 <= g[0, 0] <= 0.0
+    assert np.all((g[0, 1:] >= 0) & (g[0, 1:] <= 1))
+    assert abs(g.sum()) < 1e-12
+    shifted = _ce_logits_grad([[v + shift for v in logits]], [0])
+    np.testing.assert_allclose(shifted, g, atol=1e-12)
 
 
 def test_softmax_overflow_safe():
-    p = softmax(Tensor([[1000.0, 1000.0]])).data
-    np.testing.assert_allclose(p, [[0.5, 0.5]])
+    g = _ce_logits_grad([[1000.0, 1000.0]], [1])
+    assert np.isfinite(g).all()
+    np.testing.assert_allclose(g, [[0.5, -0.5]])
 
 
 def test_cross_entropy_values():
@@ -571,14 +589,9 @@ def test_softmax_cross_entropy_gradient_where_target_probability_is_tiny():
     logits = np.array([[30.0, -30.0, 0.0], [0.5, -0.2, 0.1]])
     targets = [1, 2]
     assert naive_softmax(logits[0])[1] < 1e-12
-    x = Tensor(logits)
-    tape = Tape()
-    loss = softmax_cross_entropy(x, targets, tape)
-    got = tape.gradients(loss)[id(x)]
-    want = np.array([naive_softmax(row) for row in logits])
-    want[[0, 1], targets] -= 1.0
-    want /= 2
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    got = _ce_logits_grad(logits, targets)
+    np.testing.assert_allclose(got, _naive_ce_grad(logits, targets),
+                               rtol=1e-12, atol=1e-15)
     assert abs(got[0, 1]) > 0.49
 
 
@@ -609,7 +622,7 @@ def test_backward_logits_gradient_closed_form():
     logits = dense(x, w.value, b.value, tape)
     loss = softmax_cross_entropy(logits, [2], tape)
     table = tape.gradients(loss)
-    expected = softmax(logits).data[0]
+    expected = naive_softmax(logits.data[0])
     expected[2] -= 1.0
     np.testing.assert_allclose(table[id(logits)][0], expected, atol=1e-14)
     # bias feeds logits directly, so its gradient is the same vector
