@@ -358,8 +358,6 @@ def cmd_eval(cfg) -> int:
         max_depth = cfg.get("max_depth") or None   # 0: unlimited
         min_leaf = cfg.get("min_leaf")
     on_value = cfg.get("on_value")
-    files = discover_files(data)
-
     if method == "tsc":
         params = model.load_params(cfg.require("checkpoint"),
                                    expect_k=cfg.expected_k())
@@ -367,7 +365,7 @@ def cmd_eval(cfg) -> int:
     else:
         k = cfg.get("k")
 
-    split = _split(files, seed)
+    split = _split(discover_files(data), seed)
     test_windows = _side_windows(split.test_files, "test", k, on_value)
 
     if method == "tsc":

@@ -13,17 +13,19 @@ that puts the samples side by side in one row per channel, each between
 pad zero columns; the buffer travels with the tensor as Tensor.buf. Every
 kernel shift of the whole batch is then one contiguous column range, so
 conv1d reads such a buffer as its padded input, runs one GEMM over the m
-stacked shifts and writes it straight into its own output buffer. add maps
-zero borders to zero borders. A plain (batch, C, L) input, such as an
-event slice, is copied into a buffer once.
+stacked shifts and writes it straight into its own output buffer.
+conv1d also takes plain (batch, C, L) data, such as an event slice, which
+it copies into a buffer once. add and flatten take activations only, and
+refuse plain tensors. Everything else is plain: dense's input (flatten's
+rows), joint_loss's logits and weights, and every parameter.
 
 There is no standalone ReLU: with relu=True, conv1d and add clamp their
 own output in place and their backward masks the incoming gradient by
 out > 0 (equal to pre > 0), so a rectified activation keeps no second buffer.
 
 Every tensor's gradient has one layout, the tensor's own: an array shaped
-like its buffer, with zero borders, for a buffer-backed tensor, and the
-tensor's shape otherwise. Every operation hands each input its gradient in
+like its buffer, with zero borders, for an activation, and the tensor's
+shape for a plain tensor. Every operation hands each input its gradient in
 that layout, so the tape only sums.
 
 A training step's tape may draw the arrays it keeps from a Workspace, so
@@ -255,21 +257,17 @@ def _bordered(workspace, data: np.ndarray, pad: int, dtype=None) -> np.ndarray:
     return buf
 
 
-def _storage(x: Tensor) -> np.ndarray:
-    return x.data if x.buf is None else x.buf
-
-
 def _on_buffer(buf: np.ndarray, pad: int, length: int) -> Tensor:
     out = Tensor(_interior(buf, pad, length))
     out.buf, out.pad = buf, pad
     return out
 
 
-def _laid_out_like(x: Tensor, storage: np.ndarray) -> Tensor:
-    """A tensor of x's shape and layout over storage shaped like x's."""
+def _require_activation(x, op, arg):
+    _require_tensor(x, op, arg)
     if x.buf is None:
-        return Tensor(storage)
-    return _on_buffer(storage, x.pad, x.shape[2])
+        raise ShapeError(f"{op}: {arg} must be an activation on a zero-bordered "
+                         f"buffer, got a plain tensor of shape {x.shape}")
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
@@ -377,22 +375,23 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
 
 
 def add(a: Tensor, b: Tensor, tape: Tape = None, relu: bool = False) -> Tensor:
-    """Element-wise sum of two operands in one layout, given in it: both
-    plain, or both buffer-backed with one pad; clamped at 0 for relu. The
-    backward hands both operands one gradient, masked by out > 0 for relu
-    into an array the tape keeps."""
-    _require_tensor(a, "add", "a")
-    _require_tensor(b, "add", "b")
+    """Element-wise sum of two activations on buffers of one pad, clamped
+    at 0 for relu; a plain operand is a ShapeError. It adds the whole
+    buffers, whose zero borders sum to zero borders. The backward hands
+    both operands one gradient, masked by out > 0 for relu into an array
+    the tape keeps."""
+    _require_activation(a, "add", "a")
+    _require_activation(b, "add", "b")
     if a.shape != b.shape:
         raise ShapeError(f"add: shape {a.shape} != shape {b.shape}")
     if a.pad != b.pad:
         raise ShapeError(f"add: operands in different layouts (pad {a.pad} and {b.pad})")
-    sa, sb = _storage(a), _storage(b)
     ws = _workspace(tape)
-    total = np.add(sa, sb, out=_empty(ws, sa.shape, np.result_type(sa, sb)))
+    total = np.add(a.buf, b.buf,
+                   out=_empty(ws, a.buf.shape, np.result_type(a.buf, b.buf)))
     if relu:
         np.maximum(total, 0.0, out=total)
-    out = _laid_out_like(a, total)
+    out = _on_buffer(total, a.pad, a.shape[2])
     if tape is not None:
         def bwd(g, acc):
             if relu:
@@ -428,71 +427,63 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     return out
 
 
-def softmax_cross_entropy(logits: Tensor, target, tape: Tape = None) -> Tensor:
-    """Scalar batch mean of -log softmax(logits)[row, target[row]] for
-    (batch, K) logits, by a max-subtracted log-sum-exp: no probability is
-    formed, so none is clipped. Backward: (softmax - onehot) * g / batch,
-    the softmax being the forward's exp(z) over its row sums."""
-    _require_tensor(logits, "softmax_cross_entropy", "logits")
-    if logits.data.ndim != 2 or min(logits.shape) < 1:
-        raise ShapeError(
-            f"softmax_cross_entropy: logits must be (batch, K), got shape {logits.shape}")
-    targets = np.asarray(target, dtype=np.int64)
-    n, k = logits.shape
-    if targets.shape != (n,):
-        raise ShapeError(
-            f"softmax_cross_entropy: need {n} targets for batch of {n}, "
-            f"got shape {targets.shape}"
-        )
-    if targets.min() < 0 or targets.max() >= k:
-        raise IndexError(f"softmax_cross_entropy: target out of range [0, {k})")
-    rows = np.arange(n)
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out = Tensor(np.asarray((np.log(e.sum(axis=1)) - z[rows, targets]).mean()))
-    if tape is not None:
-        def bwd(g, acc):
-            grad = e / e.sum(axis=1, keepdims=True)
-            grad[rows, targets] -= 1.0
-            acc(logits, grad * (g / n))
-        tape.record(out, bwd)
-    return out
-
-
-def l2_term(weights, c: float, tape: Tape = None) -> Tensor:
-    """Scalar c * (sum of squared entries over all weights), recorded as
-    one node whose backward adds 2 c w to each weight's gradient. Both run
-    over each tensor's storage, whose borders are zero."""
+def joint_loss(heads, weights=(), c: float = 0.0, tape: Tape = None) -> Tensor:
+    """One scalar node: the sum over (logits, targets) heads, in order, of
+    the batch mean of -log softmax(logits)[row, target[row]] for (batch, K)
+    logits, plus c times the sum of squares of the plain weights, if any.
+    A max-subtracted log-sum-exp forms no probability, so none is clipped.
+    The backward hands each head's logits (softmax - onehot) * g / batch,
+    the softmax being the forward's exp(z) over its row sums, and each
+    weight 2 c g w."""
     weights = list(weights)
-    total = None
-    for w in weights:
-        s = _storage(w)
-        squares = (s * s).sum()
-        total = squares if total is None else total + squares
-    out = Tensor(total * c)
+    if any(w.buf is not None for w in weights):
+        raise ShapeError("joint_loss: weights must be plain; flatten an activation")
+    total = 0   # 0 + x is x bit for bit: the sum is (head 1 + head 2) + L2
+    kept = []
+    for logits, target in heads:
+        _require_tensor(logits, "joint_loss", "logits")
+        if logits.data.ndim != 2 or min(logits.shape) < 1:
+            raise ShapeError(f"joint_loss: logits must be (batch, K), got {logits.shape}")
+        targets = np.asarray(target, dtype=np.int64)
+        n, k = logits.shape
+        if targets.shape != (n,):
+            raise ShapeError(f"joint_loss: need {n} targets for batch of {n}, "
+                             f"got shape {targets.shape}")
+        if targets.min() < 0 or targets.max() >= k:
+            raise IndexError(f"joint_loss: target out of range [0, {k})")
+        rows = np.arange(n)
+        z = logits.data - logits.data.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        total = total + (np.log(e.sum(axis=1)) - z[rows, targets]).mean()
+        kept.append((logits, rows, targets, e))
+    if weights:
+        total = total + sum((w.data * w.data).sum() for w in weights) * c
+    out = Tensor(np.asarray(total))
     if tape is not None:
         def bwd(g, acc):
             gc = g * c
             for w in weights:
-                acc(w, 2.0 * gc * _storage(w))
+                acc(w, 2.0 * gc * w.data)
+            for logits, rows, targets, e in kept:
+                grad = e / e.sum(axis=1, keepdims=True)
+                grad[rows, targets] -= 1.0
+                acc(logits, grad * (g / len(rows)))
         tape.record(out, bwd)
     return out
 
 
 def flatten(x: Tensor, tape: Tape = None) -> Tensor:
-    """Row-major flatten (batch, C, L) -> (batch, C*L). Channel index varies
-    slowest, so checkpointed head weights are portable. The backward hands
-    a buffer-backed input its gradient as a copy in the buffer layout."""
-    _require_tensor(x, "flatten", "input")
-    if x.data.ndim != 3:
-        raise ShapeError(f"flatten: input must be rank 3, got shape {x.shape}")
+    """Row-major flatten of an activation, (batch, C, L) -> (batch, C*L);
+    a plain tensor is a ShapeError. Channel index varies slowest, so
+    checkpointed head weights are portable. The backward hands the input
+    its gradient as a copy in its buffer layout."""
+    _require_activation(x, "flatten", "input")
     out = Tensor(x.data.reshape(x.shape[0], x.shape[1] * x.shape[2]))
     if tape is not None:
         ws = tape.workspace
 
         def bwd(g, acc):
-            g = g.reshape(x.shape)
-            acc(x, g if x.buf is None else _bordered(ws, g, x.pad))
+            acc(x, _bordered(ws, g.reshape(x.shape), x.pad))
         tape.record(out, bwd)
     return out
 

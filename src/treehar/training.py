@@ -19,10 +19,8 @@ from .numerics import (
     Tape,
     Tensor,
     Workspace,
-    add,
     backward,
-    l2_term,
-    softmax_cross_entropy,
+    joint_loss,
 )
 from .windowing import stack_windows
 
@@ -84,7 +82,9 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, state: AdamState, learning_rate: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+              beta1: float = TrainConfig.adam_beta1,
+              beta2: float = TrainConfig.adam_beta2,
+              eps: float = TrainConfig.adam_eps):
     """Standard bias-corrected Adam update of params.flat, in place, in
     whole-vector passes. It consumes the gradient backward set: params.grad
     is None after the step, so each step needs a backward of its own."""
@@ -109,16 +109,10 @@ def batch_loss(resident_logits, activity_logits, residents, activities,
     """Mean per-sample joint softmax cross-entropy of the two heads' logits
     over the batch plus the L2 term (the mean keeps the learning rate's
     meaning independent of batch size). The L2 term covers weights only,
-    not biases."""
-    loss = add(
-        softmax_cross_entropy(resident_logits, residents, tape),
-        softmax_cross_entropy(activity_logits, activities, tape),
-        tape,
-    )
-    if l2_weight:
-        loss = add(loss, l2_term(
-            [p.value for p in params.weight_tensors()], l2_weight, tape), tape)
-    return loss
+    not biases. It is one joint_loss node."""
+    weights = [p.value for p in params.weight_tensors()] if l2_weight else []
+    return joint_loss([(resident_logits, residents), (activity_logits, activities)],
+                      weights, l2_weight, tape)
 
 
 @dataclass
@@ -160,8 +154,7 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
                 f"batch {len(batch_losses)}"
             )
         backward(loss, tape, params)
-        adam_step(params, state, config.learning_rate,
-                  config.adam_beta1, config.adam_beta2, config.adam_eps)
+        adam_step(params, state, config.learning_rate)
         if (bad := params.non_finite()) is not None:
             raise NumericError(
                 f"parameter {bad} is not finite after the Adam step "

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treehar import casas, model, synth, windowing
-from treehar.cli import (SETTINGS, DataError, UsageError, build_parser,
+from treehar.cli import (SETTINGS, DataError, UsageError, build_parser, main,
                          read_config_file, run)
 
 
@@ -460,11 +461,28 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch):
                   ["--method", "dt", "--min-leaf", "0"],
                   ["--method", "dt", "--max-depth", "-1"]):
         assert run(["eval", "--data", "d", "--out", "o"] + flags) == 1
+    # eval reads every setting before it lists the corpus, as train does
+    for flags in ([], ["--k", "banana"], ["--method", "knn", "--k", "banana"]):
+        assert run(["eval", "--data", "missing", "--out", "o"] + flags) == 1
     for flags in (["--probes", "0"], ["--batch", "0"], ["--tolerance", "nan"],
                   ["--tolerance", "inf"], ["--tolerance", "0"]):
         assert run(["gradcheck", "--k", "3"] + flags) == 1
     # a rejected command creates no --out directory
     assert not (tmp_path / "o").exists()
+
+
+def test_main_exits_with_the_code_run_returns(tmp_path, monkeypatch):
+    # main is the installed treehar script: it reads sys.argv
+    monkeypatch.chdir(tmp_path)
+    codes = []
+    for argv in (["synth", "--out", "c", "--files", "2", "--events-per-file", "20"],
+                 ["train", "--out", "o"]):   # --data missing
+        monkeypatch.setattr(sys, "argv", ["treehar"] + argv)
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == run(argv)
+        codes.append(exit_info.value.code)
+    assert codes == [0, 1]
 
 
 @pytest.mark.parametrize("flags", [["--batch", "1000000000000000"],

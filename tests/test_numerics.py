@@ -19,8 +19,7 @@ from treehar.numerics import (
     dense,
     flatten,
     gradient_check,
-    l2_term,
-    softmax_cross_entropy,
+    joint_loss,
 )
 
 from treehar import model, training
@@ -99,7 +98,7 @@ def _conv_energy(x, w, b, tape=None):
     # half the summed squared output: quadratic in each operand, so a
     # central difference is exact up to roundoff, and the gradient reaching
     # the conv (its own output) differs from sample to sample
-    return l2_term([conv1d(x, w, b, tape)], 0.5, tape)
+    return joint_loss([], [flatten(conv1d(x, w, b, tape), tape)], 0.5, tape)
 
 
 @pytest.mark.parametrize("c_in", [1, 2])
@@ -248,16 +247,18 @@ def test_add_of_buffer_and_plain_tensors():
     total = add(a, as_buffer, tape)
     assert total.buf is not None
     np.testing.assert_array_equal(total.data, a.data + plain.data)
-    loss = l2_term([total], 0.5, tape)
+    loss = joint_loss([], [flatten(total, tape)], 0.5, tape)
     table = tape.gradients(loss)
     # the gradient of half the squared sum is the sum itself, in the
     # buffer layout of each operand
     for t in (a, as_buffer):
         np.testing.assert_array_equal(
             table[id(t)].reshape(3, 2, 6)[:, :, 1:5].transpose(1, 0, 2), total.data)
-    # operands in different layouts are refused, not silently converted
-    with pytest.raises(ShapeError, match="layouts"):
+    # a plain operand, or buffers of another pad, are refused, not converted
+    with pytest.raises(ShapeError, match="activation"):
         add(a, plain, Tape())
+    with pytest.raises(ShapeError, match="layouts"):
+        add(a, _activation(plain.data), Tape())
 
 
 @pytest.mark.parametrize("m,dtype,match", [
@@ -320,16 +321,26 @@ def test_conv1d_preserves_length(length, half_kernel):
 # relu epilogues / add / dense
 
 
-def _relu_of(values):
-    """ReLU of a plain tensor, as the add epilogue gives it."""
+def _activation(values, m=1):
+    """values, (batch, C, L), as an activation on a buffer of pad
+    (m - 1) / 2: the output of a conv whose kernel copies its input."""
     x = Tensor(values)
-    return add(x, Tensor(np.zeros(x.shape, dtype=x.dtype)), relu=True)
+    channels = x.shape[1]
+    kernel = np.zeros((channels, channels, m), dtype=x.dtype)
+    kernel[:, :, m // 2] = np.eye(channels)
+    return conv1d(x, Tensor(kernel), Tensor(np.zeros(channels, dtype=x.dtype)))
+
+
+def _relu_of(values):
+    """ReLU of a row of values, as the add epilogue gives it."""
+    row = np.asarray(values, dtype=np.float64)[None, None, :]
+    return add(_activation(row), _activation(np.zeros_like(row)), relu=True).data[0, 0]
 
 
 def test_relu_examples():
-    assert _relu_of([-1.0, 0.0, 2.0]).data.tolist() == [0.0, 0.0, 2.0]
-    assert np.all(_relu_of([-5.0, -0.1]).data == 0)
-    assert _relu_of([0.5, 3.0, 0.0]).data.tolist() == [0.5, 3.0, 0.0]
+    assert _relu_of([-1.0, 0.0, 2.0]).tolist() == [0.0, 0.0, 2.0]
+    assert np.all(_relu_of([-5.0, -0.1]) == 0)
+    assert _relu_of([0.5, 3.0, 0.0]).tolist() == [0.5, 3.0, 0.0]
     # a 1x1 identity kernel: the conv epilogue clamps the same way
     one = conv1d(Tensor([[[-1.0, 0.0, 2.0]]]), Tensor(np.ones((1, 1, 1))),
                  Tensor(np.zeros(1)), relu=True)
@@ -340,9 +351,9 @@ def test_relu_examples():
 @settings(max_examples=50, deadline=None)
 def test_relu_idempotent(values):
     once = _relu_of(values)
-    np.testing.assert_array_equal(_relu_of(once.data).data, once.data)
+    np.testing.assert_array_equal(_relu_of(once), once)
     identity = (Tensor(np.ones((1, 1, 1))), Tensor(np.zeros(1)))
-    conv_once = conv1d(Tensor(once.data[None, None, :]), *identity, relu=True)
+    conv_once = conv1d(Tensor(once[None, None, :]), *identity, relu=True)
     np.testing.assert_array_equal(conv1d(conv_once, *identity, relu=True).data,
                                   conv_once.data)
 
@@ -394,45 +405,50 @@ def test_conv1d_relu_matches_oracle(dtype, bordered_gradient):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("buffered", [False, True], ids=["plain", "buffer"])
-def test_add_relu_matches_oracle(dtype, buffered):
+def test_add_relu_matches_oracle(dtype):
     r = rng(32)
     a_values = _small_integers(r, (3, 2, 5), -2, 2, dtype)
     b_values = _small_integers(r, (3, 2, 5), -2, 2, dtype)
     total = a_values + b_values
     assert np.any(total == 0) and np.any(total > 0) and np.any(total < 0)
-    a, b = Tensor(a_values), Tensor(b_values)
-    if buffered:
-        # the same values on zero-bordered buffers: a conv whose kernel
-        # copies its input
-        kernel = np.zeros((2, 2, 3), dtype=dtype)
-        kernel[:, :, 1] = np.eye(2)
-        identity, zero = Tensor(kernel), Tensor(np.zeros(2, dtype=dtype))
-        a, b = conv1d(a, identity, zero), conv1d(b, identity, zero)
+    a, b = _activation(a_values, m=3), _activation(b_values, m=3)
 
     tape = _KeepingTape()
     out = add(a, b, tape, relu=True)
-    assert out.dtype == dtype and (out.buf is not None) == buffered
+    assert out.dtype == dtype and out.buf is not None
     np.testing.assert_array_equal(out.data, naive_relu(total))
 
-    g = _small_integers(r, out.buf.shape if buffered else total.shape, 1, 3, dtype)
+    g = _small_integers(r, out.buf.shape, 1, 3, dtype)
     g_before = g.copy()
     got = _collect(tape.bwd, g)
     np.testing.assert_array_equal(g, g_before)   # g is never written
-    mask = total > 0
-    if buffered:   # in the buffer layout, whose borders pass no gradient
-        mask = np.pad(mask.transpose(1, 0, 2), ((0, 0), (0, 0), (1, 1))).reshape(2, -1)
+    # in the buffer layout, whose borders pass no gradient
+    mask = np.pad((total > 0).transpose(1, 0, 2), ((0, 0), (0, 0), (1, 1))).reshape(2, -1)
     for t in (a, b):
         np.testing.assert_array_equal(got[id(t)], g * mask)
 
 
 def test_add_examples():
-    a = Tensor([1.0, 2.0])
-    assert add(a, Tensor([3.0, 4.0])).data.tolist() == [4.0, 6.0]
-    np.testing.assert_array_equal(add(a, Tensor([0.0, 0.0])).data, a.data)
-    assert np.all(add(a, Tensor([-1.0, -2.0])).data == 0)
+    a = _activation([[[1.0, 2.0]]])
+    assert add(a, _activation([[[3.0, 4.0]]])).data.tolist() == [[[4.0, 6.0]]]
+    np.testing.assert_array_equal(add(a, _activation([[[0.0, 0.0]]])).data, a.data)
+    assert np.all(add(a, _activation([[[-1.0, -2.0]]])).data == 0)
     with pytest.raises(ShapeError):
-        add(a, Tensor([1.0, 2.0, 3.0]))
+        add(a, _activation([[[1.0, 2.0, 3.0]]]))
+
+
+def test_add_and_flatten_refuse_plain_operands():
+    plain = Tensor(np.ones((2, 3, 4)))
+    activation = _activation(plain.data, m=3)
+    for call in (lambda: add(plain, plain), lambda: add(activation, plain),
+                 lambda: add(plain, activation, Tape()), lambda: flatten(plain),
+                 lambda: flatten(plain, Tape())):
+        with pytest.raises(ShapeError, match="activation"):
+            call()
+    # and the loss's L2 part refuses an activation, whose gradient it could
+    # not hand over in the buffer layout
+    with pytest.raises(ShapeError, match="plain"):
+        joint_loss([], [activation], 1.0, Tape())
 
 
 def test_dense_examples():
@@ -473,14 +489,14 @@ def test_dense_batched_matches_per_sample():
 
 
 # ---------------------------------------------------------------------------
-# softmax_cross_entropy; its softmax exists only in the logits gradient,
-# (softmax - onehot) / batch
+# joint_loss: each head's softmax cross-entropy, whose softmax exists only
+# in the logits gradient, (softmax - onehot) / batch, and the L2 part
 
 
 def _ce_logits_grad(logits, targets):
     x = Tensor(logits)
     tape = Tape()
-    return tape.gradients(softmax_cross_entropy(x, targets, tape))[id(x)]
+    return tape.gradients(joint_loss([(x, targets)], tape=tape))[id(x)]
 
 
 def _naive_ce_grad(logits, targets):
@@ -525,37 +541,37 @@ def test_softmax_overflow_safe():
 
 
 def test_cross_entropy_values():
-    assert softmax_cross_entropy(Tensor([[0.0, 200.0]]), [1]).item() == 0.0
-    assert math.isclose(softmax_cross_entropy(Tensor([[0.0, 0.0]]), [0]).item(),
+    assert joint_loss([(Tensor([[0.0, 200.0]]), [1])]).item() == 0.0
+    assert math.isclose(joint_loss([(Tensor([[0.0, 0.0]]), [0])]).item(),
                         math.log(2), rel_tol=1e-12)
-    assert math.isclose(softmax_cross_entropy(Tensor(np.zeros((3, 15))), [7, 0, 14]).item(),
+    assert math.isclose(joint_loss([(Tensor(np.zeros((3, 15))), [7, 0, 14])]).item(),
                         math.log(15), rel_tol=1e-12)
     # max-subtracted: logits that would overflow exp are fine
-    assert math.isclose(softmax_cross_entropy(Tensor([[1000.0, 1000.0]]), [1]).item(),
+    assert math.isclose(joint_loss([(Tensor([[1000.0, 1000.0]]), [1])]).item(),
                         math.log(2), rel_tol=1e-12)
 
 
 def test_cross_entropy_rejects_bad_target():
     with pytest.raises(IndexError):
-        softmax_cross_entropy(Tensor([[0.5, 0.5]]), [2])
+        joint_loss([(Tensor([[0.5, 0.5]]), [2])])
     with pytest.raises(IndexError):
-        softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 5])
+        joint_loss([(Tensor(np.zeros((2, 3))), [0, 5])])
     with pytest.raises(IndexError):
-        softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, -1])
+        joint_loss([(Tensor(np.zeros((2, 3))), [0, -1])])
     with pytest.raises(ShapeError):
-        softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0])
+        joint_loss([(Tensor(np.zeros((2, 3))), [0])])
     with pytest.raises(ShapeError):
-        softmax_cross_entropy(Tensor(np.zeros(3)), [0])
+        joint_loss([(Tensor(np.zeros(3)), [0])])
     with pytest.raises(ShapeError):
-        softmax_cross_entropy(Tensor(np.zeros((0, 3))), [])
+        joint_loss([(Tensor(np.zeros((0, 3))), [])])
 
 
 def test_cross_entropy_batched_matches_single():
     r = rng(13)
     logits = r.normal(size=(4, 5)) * 3
     targets = [0, 3, 2, 4]
-    batched = softmax_cross_entropy(Tensor(logits), targets).item()
-    singles = [softmax_cross_entropy(Tensor(logits[i:i + 1]), [targets[i]]).item()
+    batched = joint_loss([(Tensor(logits), targets)]).item()
+    singles = [joint_loss([(Tensor(logits[i:i + 1]), [targets[i]])]).item()
                for i in range(4)]
     assert math.isclose(batched, math.fsum(singles) / 4, rel_tol=1e-12)
 
@@ -565,7 +581,7 @@ def test_softmax_cross_entropy_matches_naive_oracle(scale):
     r = rng(17)
     logits = r.normal(size=(6, 15)) * scale
     targets = r.integers(0, 15, size=6)
-    got = softmax_cross_entropy(Tensor(logits), targets).item()
+    got = joint_loss([(Tensor(logits), targets)]).item()
     want = naive_log_softmax_ce(logits.tolist(), targets.tolist())
     assert math.isclose(got, want, rel_tol=1e-12)
 
@@ -579,7 +595,7 @@ def test_softmax_cross_entropy_equals_softmax_then_log_where_unsaturated():
     p_target = [naive_softmax(row)[t] for row, t in zip(logits, targets)]
     assert min(p_target) > 1e-12
     want = -np.mean(np.log(p_target))
-    got = softmax_cross_entropy(Tensor(logits), targets).item()
+    got = joint_loss([(Tensor(logits), targets)]).item()
     assert math.isclose(got, want, rel_tol=1e-12)
 
 
@@ -598,9 +614,44 @@ def test_softmax_cross_entropy_gradient_where_target_probability_is_tiny():
 def test_softmax_cross_entropy_keeps_float32():
     x = Tensor(np.zeros((2, 15), dtype=np.float32))
     tape = Tape()
-    loss = softmax_cross_entropy(x, [3, 4], tape)
+    loss = joint_loss([(x, [3, 4])], tape=tape)
     assert loss.dtype == np.float32
     assert tape.gradients(loss)[id(x)].dtype == np.float32
+
+
+def _two_heads_and_weights(seed):
+    r = rng(seed)
+    return [
+        ParamTensor("resident", Tensor(r.normal(size=(3, 2)) * 2)),
+        ParamTensor("activity", Tensor(r.normal(size=(3, 15)) * 2)),
+        ParamTensor("w1", Tensor(r.normal(size=(4, 2, 3)))),
+        ParamTensor("w2", Tensor(r.normal(size=(5, 6)))),
+    ]
+
+
+def test_joint_loss_sums_its_parts_in_order():
+    # (head 1 + head 2) + c * (sum of squares): bit for bit the parts
+    # computed alone and added in that order
+    resident, activity, w1, w2 = (p.value for p in _two_heads_and_weights(5))
+    heads = [(resident, [0, 1, 1]), (activity, [14, 0, 7])]
+    parts = [joint_loss(heads[:1]).item(), joint_loss(heads[1:]).item(),
+             joint_loss([], [w1, w2], 0.01).item()]
+    assert joint_loss(heads, [w1, w2], 0.01).item() == (parts[0] + parts[1]) + parts[2]
+    assert parts[2] == 0.01 * ((w1.data ** 2).sum() + (w2.data ** 2).sum())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_joint_loss_gradients_match_finite_differences(seed):
+    # both heads and an L2 set at once, at float64
+    params = _two_heads_and_weights(seed)
+    resident, activity, w1, w2 = params
+
+    def loss_fn(tape):
+        return joint_loss([(resident.value, [0, 1, 1]), (activity.value, [14, 0, 7])],
+                          [w1.value, w2.value], 0.3, tape)
+
+    report = gradient_check(loss_fn, params, probe_count=60, seed=seed)
+    assert report.max_rel_error < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +671,7 @@ def test_backward_logits_gradient_closed_form():
     b = ParamTensor("b", Tensor(np.zeros(4)))
     tape = Tape()
     logits = dense(x, w.value, b.value, tape)
-    loss = softmax_cross_entropy(logits, [2], tape)
+    loss = joint_loss([(logits, [2])], tape=tape)
     table = tape.gradients(loss)
     expected = naive_softmax(logits.data[0])
     expected[2] -= 1.0
@@ -633,7 +684,7 @@ def test_backward_constant_loss_gives_zero_grads():
     params = model.init_params(2, 5, seed=0)
     tape = Tape()
     const = Tensor(np.asarray(2.0))
-    loss = l2_term([const], 1.0, tape)  # recorded op, but no parameter on path
+    loss = joint_loss([], [const], 1.0, tape)  # recorded op, but no parameter on path
     assert params.grad is None
     backward(loss, tape, params)
     assert params.grad.shape == params.flat.shape and np.all(params.grad == 0)
@@ -645,16 +696,17 @@ def test_backward_linearity_over_sum_of_losses():
     w = ParamTensor("w", Tensor(r.normal(size=(3, 5))))
     b = ParamTensor("b", Tensor(r.normal(size=3)))
 
-    def loss_for(target, tape):
-        return softmax_cross_entropy(dense(x, w.value, b.value, tape), [target], tape)
+    def head(target, tape):
+        return dense(x, w.value, b.value, tape), [target]
 
     grads = {}
     for target in (0, 1):
         tape = Tape()
-        grads[target] = tape.gradients(loss_for(target, tape))[id(w.value)]
+        grads[target] = tape.gradients(
+            joint_loss([head(target, tape)], tape=tape))[id(w.value)]
 
     tape = Tape()
-    total = add(loss_for(0, tape), loss_for(1, tape), tape)
+    total = joint_loss([head(0, tape), head(1, tape)], tape=tape)
     np.testing.assert_allclose(tape.gradients(total)[id(w.value)],
                                grads[0] + grads[1], atol=1e-12)
 
@@ -713,25 +765,29 @@ def test_grad_outlives_the_tape_and_its_workspace():
 
 
 def test_sum_squares_and_flatten_grads():
-    x = ParamTensor("x", Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])))
+    values = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+    x = _activation(values, m=3)
     tape = Tape()
-    ce = softmax_cross_entropy(flatten(x.value, tape), [1], tape)
+    ce = joint_loss([(flatten(x, tape), [1])], tape=tape)
     table = tape.gradients(ce)
     want = naive_softmax([1.0, 2.0, 3.0, 4.0])
     want[1] -= 1.0
-    np.testing.assert_allclose(table[id(x.value)], want.reshape(1, 2, 2), rtol=1e-12)
+    # in x's buffer layout: one row per channel, a zero border each side
+    np.testing.assert_allclose(table[id(x)], [[0, want[0], want[1], 0],
+                                              [0, want[2], want[3], 0]], rtol=1e-12)
 
-    y = ParamTensor("y", Tensor(np.array([-1.0, 0.5])))
+    x = Tensor(values)
+    y = Tensor(np.array([-1.0, 0.5]))
     tape = Tape()
-    s = l2_term([x.value, y.value], 0.5, tape)
+    s = joint_loss([], [x, y], 0.5, tape)
     assert s.item() == 0.5 * (30.0 + 1.25)
     table = tape.gradients(s)
-    np.testing.assert_allclose(table[id(x.value)], x.value.data)
-    np.testing.assert_allclose(table[id(y.value)], y.value.data)
+    np.testing.assert_allclose(table[id(x)], x.data)
+    np.testing.assert_allclose(table[id(y)], y.data)
 
 
 def test_flatten_is_channel_major():
-    x = Tensor(np.arange(6.0).reshape(1, 2, 3))
+    x = _activation(np.arange(6.0).reshape(1, 2, 3), m=3)
     assert flatten(x).data.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]]
 
 
@@ -878,8 +934,7 @@ def _random_net_loss(seed):
         h2 = conv1d(h, c2w.value, c2b.value, tape)
         merged = add(h, h2, tape, relu=True)
         logits = dense(flatten(merged, tape), dw.value, db.value, tape)
-        ce = softmax_cross_entropy(logits, [1, 3], tape)
-        return add(ce, l2_term([c1w.value, dw.value], 0.01, tape), tape)
+        return joint_loss([(logits, [1, 3])], [c1w.value, dw.value], 0.01, tape)
 
     return loss_fn, params
 
@@ -900,7 +955,7 @@ def test_gradient_check_linear_model_tight():
     b = ParamTensor("b", Tensor(r.normal(size=3)))
 
     def loss_fn(tape):
-        return l2_term([dense(x, w.value, b.value, tape)], 0.5, tape)
+        return joint_loss([], [dense(x, w.value, b.value, tape)], 0.5, tape)
 
     report = gradient_check(loss_fn, [w, b], probe_count=18, seed=0)
     assert report.max_rel_error < 1e-8
@@ -911,7 +966,7 @@ def test_gradient_check_flat_loss_probe():
     const = Tensor(np.asarray(3.0))
 
     def loss_fn(tape):
-        return l2_term([const], 1.0, tape)
+        return joint_loss([], [const], 1.0, tape)
 
     report = gradient_check(loss_fn, [unused], probe_count=5, seed=0)
     assert report.max_rel_error == 0.0
@@ -951,7 +1006,7 @@ def test_gradient_check_rejects_nondeterministic_model():
 
     def loss_fn(tape):
         state["n"] += 1
-        return l2_term([Tensor(np.asarray(float(state["n"])))], 1.0, tape)
+        return joint_loss([], [Tensor(np.asarray(float(state["n"])))], 1.0, tape)
 
     with pytest.raises(NumericError, match="deterministic"):
         gradient_check(loss_fn, [p], probe_count=1)

@@ -15,7 +15,8 @@ from treehar import model, synth, training
 from treehar.casas import filter_on
 from treehar.cli import run
 from treehar.model import forward_batch, init_params
-from treehar.numerics import NumericError, ParamTensor, Tape, Tensor, backward, gradient_check, l2_term
+from treehar.numerics import (NumericError, ParamTensor, Tape, Tensor, backward, gradient_check,
+                              joint_loss)
 from treehar.training import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
@@ -157,25 +158,25 @@ def test_l2_gradient_matches_finite_differences():
     w = ParamTensor("w", Tensor(np.random.default_rng(8).normal(size=(3, 4))))
 
     def loss_fn(tape):
-        return l2_term([w.value], 0.3, tape)
+        return joint_loss([], [w.value], 0.3, tape)
 
     report = gradient_check(loss_fn, [w], probe_count=12, seed=0)
     assert report.max_rel_error < 1e-8
 
 
-def test_k8_step_records_57_tape_nodes():
+def test_k8_step_records_53_tape_nodes():
     """A k=8 forward plus the loss: 7 basic modules of 7 nodes (5 convs
     and 2 adds, each ReLU fused into one of them), flatten, two dense
-    heads, one fused cross-entropy per head, their sum, the L2 term and
-    its add: 49 + 8. A new tape op changes this count on purpose or not
-    at all."""
+    heads and the one joint_loss node: 49 + 4. A new tape op changes this
+    count on purpose or not at all."""
     params = init_params(8, 37, seed=0)
     events, residents, activities = stack_windows(_windows(6, k=8))
     tape = Tape()
     _, resident_logits, activity_logits = forward_batch(events, params, tape)
+    before = len(tape)
     batch_loss(resident_logits, activity_logits, residents, activities,
                params, TrainConfig().l2_weight, tape)
-    assert len(tape) == 57
+    assert (before, len(tape)) == (52, 53)
 
 
 def single_batch_steps():
