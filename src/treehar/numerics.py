@@ -29,11 +29,14 @@ shape for a plain tensor. Every operation hands each input its gradient in
 that layout, so the tape only sums.
 
 A training step's tape may draw the arrays it keeps from a Workspace, so
-that the next step gets the same memory back instead of allocating anew.
+that the next step gets the same memory back instead of allocating anew,
+and its walk hands back each array it is done with for the backward's
+later requests.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,19 +108,23 @@ class ParamTensor:
 class Workspace:
     """Memory that successive tapes reuse for the arrays they keep.
 
-    A training step keeps every activation and every gradient until the
-    step ends: a k=8 step at batch 128 peaks at about 192 MiB at float64
-    and 95 MiB at float32. Freed and allocated again each step, that
-    memory is handed back to the system or not depending on what else
-    happens to sit at the top of the heap, so whether a step faults all
-    of it in again changes from run to run. A workspace hands
-    out views of a few large chunks instead, in request order, and starts
-    again from the first chunk when the next tape opens: a step that makes
-    the same requests as the one before gets the same memory back.
+    Freed and allocated again each step, a training step's memory is
+    handed back to the system or not depending on what else happens to
+    sit at the top of the heap, so whether a step faults all of it in
+    again changes from run to run. A workspace hands out views of a few
+    large chunks instead, in request order, and starts again from the
+    first chunk when the next tape opens. The backward releases what it
+    is done with (see Tape.gradients), and a request takes the range of
+    its aligned size released last, if any, before the offset moves on. A
+    k=8 step at batch 128 peaks at about 114 MiB at float64 (two chunks)
+    and 56 MiB at float32 (one); a step that makes the same requests and
+    releases as the one before gets the same memory back.
 
-    Opening a Tape on a workspace invalidates every array the workspace
-    handed to the previous tape, so a workspace is for callers that read
-    nothing of a step after starting the next one.
+    So an array that a tape's operations drew from a workspace is invalid
+    once the walk has passed the node that made it, and what the walk
+    returns is invalid once the next Tape opens on the workspace: a
+    workspace is for callers that read nothing of a step's activations
+    after its backward, and nothing of the step after starting the next.
     """
 
     # Above the 32 MiB up to which glibc's malloc may serve a request from
@@ -130,32 +137,58 @@ class Workspace:
         self._chunks = []
         self._chunk = 0
         self._offset = 0
+        self._handed = {}   # first byte's address -> range handed out
+        self._free = {}     # aligned byte size -> ranges released
 
     def reset(self):
         """Start handing out memory from the first chunk again."""
         self._chunk = 0
         self._offset = 0
+        self._handed.clear()
+        self._free.clear()
 
     def empty(self, shape, dtype) -> np.ndarray:
-        """An uninitialised array: the next free range of the current
-        chunk, or of the next one if it does not fit."""
+        """An uninitialised array: a released range of its aligned size,
+        else the next free range of the current chunk, or of the next one
+        if it does not fit."""
         dtype = np.dtype(dtype)
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if nbytes > self.CHUNK_BYTES:
+        # an empty range would share its address with the next one
+        if not 0 < nbytes <= self.CHUNK_BYTES:
             return np.empty(shape, dtype=dtype)
-        if self._offset + nbytes > self.CHUNK_BYTES:
-            self._chunk += 1
-            self._offset = 0
-        if self._chunk == len(self._chunks):
-            self._chunks.append(np.empty(self.CHUNK_BYTES, dtype=np.uint8))
-        start = self._offset
-        self._offset += -(-nbytes // self.ALIGN) * self.ALIGN
-        raw = self._chunks[self._chunk][start:start + nbytes]
-        return raw.view(dtype).reshape(shape)
+        size = -(-nbytes // self.ALIGN) * self.ALIGN
+        free = self._free.get(size)
+        if free:
+            raw = free.pop()
+        else:
+            if self._offset + size > self.CHUNK_BYTES:
+                self._chunk += 1
+                self._offset = 0
+            if self._chunk == len(self._chunks):
+                self._chunks.append(np.empty(self.CHUNK_BYTES, dtype=np.uint8))
+            start = self._offset
+            self._offset += size
+            raw = self._chunks[self._chunk][start:start + size]
+        self._handed[_address(raw)] = raw
+        return raw[:nbytes].view(dtype).reshape(shape)
+
+    def release(self, array: np.ndarray):
+        """Take back the range that starts at array's first byte, if empty
+        handed it out and it is not free already, for the next request of
+        its size. Anything else, such as a view that starts inside a range
+        or memory from numpy, is ignored."""
+        raw = self._handed.pop(_address(array), None)
+        if raw is not None:
+            self._free.setdefault(raw.nbytes, []).append(raw)
+
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
 
 
 class Tape:
-    """Linear record of a forward pass. One tape per forward/backward cycle.
+    """Linear record of a forward pass. One tape per forward/backward cycle,
+    walked once.
 
     With a workspace, the arrays the recorded operations keep come from it
     (see Workspace); without one, from numpy. Backward closures hold the
@@ -165,6 +198,7 @@ class Tape:
 
     def __init__(self, workspace: Workspace = None):
         self._nodes = []
+        self._walked = False
         self.workspace = workspace
         if workspace is not None:
             workspace.reset()
@@ -177,28 +211,58 @@ class Tape:
 
     def gradients(self, loss: Tensor) -> dict:
         """Walk the tape in reverse from a scalar loss; returns the
-        gradient of every reached tensor, keyed by id(tensor). A
-        buffer-backed tensor's gradient is shaped like its buffer."""
+        gradient, keyed by id(tensor), of every reached tensor that no node
+        on the tape produced: the parameters and the inputs. A
+        buffer-backed tensor's gradient is shaped like its buffer.
+
+        The walk visits every consumer before the producer, so once a
+        node's backward has run, nothing reads its output or its gradient
+        again. The walk then drops the node's entry and releases that
+        gradient, the output's buffer and every array summed into an entry
+        to the workspace, if any. So a tape is walked once; a second walk
+        is a TapeError."""
         if not self._nodes:
             raise TapeError("backward requested but no forward pass was recorded")
+        if self._walked:
+            raise TapeError("this tape was walked already; record a new forward")
         if loss.shape != ():
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
+        self._walked = True
+        ws = self.workspace
+        release = (lambda array: None) if ws is None else ws.release
         table = {id(loss): np.ones((), dtype=loss.dtype)}
-
         # One array may reach several tensors (add's backward passes g to
         # both operands), so it is never written after it is handed over:
         # no backward closure writes into its incoming g, and a sum goes
         # into a new array rather than adding in place. Both terms of a sum
         # are in the tensor's one layout, so they share shape and dtype.
+        # Such an array is released only once no entry holds it, and only
+        # after the backward that handed it over returns, which may hand
+        # it on to another tensor after summing it into one.
+        holders = Counter({id(table[id(loss)]): 1})
+        spent = []
+
         def accumulate(t: Tensor, g: np.ndarray):
             cur = table.get(id(t))
-            table[id(t)] = g if cur is None else np.add(
-                cur, g, out=_empty(self.workspace, cur.shape, cur.dtype))
+            if cur is not None:
+                spent.extend((cur, g))
+                holders[id(cur)] -= 1
+                g = np.add(cur, g, out=_empty(ws, cur.shape, cur.dtype))
+            table[id(t)] = g
+            holders[id(g)] += 1
 
         for out, bwd in reversed(self._nodes):
-            g = table.get(id(out))
+            g = table.pop(id(out), None)
             if g is not None:
                 bwd(g, accumulate)
+                holders[id(g)] -= 1
+                spent.append(g)
+            for array in spent:
+                if not holders[id(array)]:
+                    release(array)
+            spent.clear()
+            if out.buf is not None:
+                release(out.buf)
         return table
 
 

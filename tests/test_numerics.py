@@ -148,15 +148,10 @@ def test_conv1d_input_gradient_batched_matches_per_sample(m, length):
 
 
 class _KeepingTape(Tape):
-    """A tape that also lists every tensor its operations produced and
-    keeps the last backward closure, so that it can be called alone."""
-
-    def __init__(self, workspace=None):
-        super().__init__(workspace)
-        self.outs = []
+    """A tape that keeps the last backward closure, so that it can be
+    called alone."""
 
     def record(self, out, bwd):
-        self.outs.append(out)
         self.bwd = bwd
         super().record(out, bwd)
 
@@ -171,11 +166,15 @@ class _TableTape(Tape):
 
 class _HandoverTape(Tape):
     """A tape that lists every (tensor, gradient) pair its backward
-    closures hand over, before the tape sums them."""
+    closures hand over, before the tape sums them. It draws from no
+    workspace, so a listed array is never released and handed out again."""
 
     def __init__(self):
         super().__init__()
         self.handed = []
+
+    def handed_to(self, t):
+        return [g for u, g in self.handed if u is t]
 
     def record(self, out, bwd):
         def listed(g, acc):
@@ -242,7 +241,7 @@ def test_add_of_buffer_and_plain_tensors():
     as_buffer = conv1d(plain, Tensor(identity), Tensor(np.zeros(3)))
     np.testing.assert_array_equal(as_buffer.data, plain.data)
 
-    tape = Tape()
+    tape = _HandoverTape()
     a = conv1d(x, w.value, b.value, tape)
     total = add(a, as_buffer, tape)
     assert total.buf is not None
@@ -250,10 +249,13 @@ def test_add_of_buffer_and_plain_tensors():
     loss = joint_loss([], [flatten(total, tape)], 0.5, tape)
     table = tape.gradients(loss)
     # the gradient of half the squared sum is the sum itself, in the
-    # buffer layout of each operand
+    # buffer layout of each operand, handed to each once; a's entry leaves
+    # the table once a's conv has consumed it, as_buffer's stays
     for t in (a, as_buffer):
+        (g,) = tape.handed_to(t)
         np.testing.assert_array_equal(
-            table[id(t)].reshape(3, 2, 6)[:, :, 1:5].transpose(1, 0, 2), total.data)
+            g.reshape(3, 2, 6)[:, :, 1:5].transpose(1, 0, 2), total.data)
+    assert id(a) not in table and table[id(as_buffer)] is g
     # a plain operand, or buffers of another pad, are refused, not converted
     with pytest.raises(ShapeError, match="activation"):
         add(a, plain, Tape())
@@ -669,13 +671,14 @@ def test_backward_logits_gradient_closed_form():
     x = Tensor(r.normal(size=(1, 6)))
     w = ParamTensor("w", Tensor(r.normal(size=(4, 6))))
     b = ParamTensor("b", Tensor(np.zeros(4)))
-    tape = Tape()
+    tape = _HandoverTape()
     logits = dense(x, w.value, b.value, tape)
     loss = joint_loss([(logits, [2])], tape=tape)
     table = tape.gradients(loss)
     expected = naive_softmax(logits.data[0])
     expected[2] -= 1.0
-    np.testing.assert_allclose(table[id(logits)][0], expected, atol=1e-14)
+    (g,) = tape.handed_to(logits)
+    np.testing.assert_allclose(g[0], expected, atol=1e-14)
     # bias feeds logits directly, so its gradient is the same vector
     np.testing.assert_allclose(table[id(b.value)], expected, atol=1e-14)
 
@@ -819,6 +822,23 @@ def test_workspace_fills_chunks_in_turn_and_serves_larger_requests_apart():
         assert np.all(a == i)
 
 
+def test_workspace_takes_back_only_ranges_it_handed_out():
+    ws = Workspace()
+    a = ws.empty((4, 6), np.float64)             # 192 bytes: three aligned units
+    ws.release(np.empty((4, 6)))                 # numpy's memory
+    ws.release(a[:, 1:])                         # a view that starts inside a
+    assert not np.shares_memory(ws.empty((4, 6), np.float64), a)
+    ws.release(a)
+    ws.release(a)                                # free already: taken back once
+    assert not np.shares_memory(ws.empty((5,), np.float64), a)   # another size
+    b = ws.empty((48,), np.float32)              # the same aligned size
+    assert (b.shape, b.dtype) == ((48,), np.float32) and np.shares_memory(b, a)
+    assert not np.shares_memory(ws.empty((24,), np.float64), a)
+    ws.release(b)
+    ws.reset()                                   # a new tape starts from the offset
+    assert not np.shares_memory(ws.empty((4, 6), np.float64), ws.empty((4, 6), np.float64))
+
+
 def test_tape_on_workspace_is_freed_without_the_cycle_collector():
     import gc
     import weakref
@@ -861,7 +881,7 @@ def test_every_gradient_arrives_in_its_tensors_layout(dtype):
     loss = training.batch_loss(resident_logits, activity_logits, [0, 1, 1, 0],
                                [2, 0, 14, 3], params, 0.01, tape)
     tape.gradients(loss)
-    (g,) = [g for t, g in tape.handed if t is features]
+    (g,) = tape.handed_to(features)
     assert g.shape == features.buf.shape and _zero_bordered(g, features.pad, 5)
     for t, g in tape.handed:
         assert g.dtype == t.dtype
@@ -876,10 +896,68 @@ def test_workspace_gradients_match_fresh_memory():
     # fill the memory with NaN bytes so that any value read before it is
     # written shows up, in the values or in the zero borders of a buffer
     for net in (_random_net_loss, _tree_net_loss):
-        _check_workspace_step(*net(6))
+        _check_workspace_step(*net(6), Workspace())
 
 
-def _check_workspace_step(loss_fn, params):
+class _PoisoningWorkspace(Workspace):
+    """A workspace that fills every array it is asked to take back with
+    NaN: a read of released memory, before the workspace hands it out and
+    its new holder writes it, shows up in the values it gives."""
+
+    def release(self, array):
+        array.fill(np.nan)
+        super().release(array)
+
+
+def _masked_add_net(seed):
+    """A net whose masked add hands its gradient to p, which already
+    holds one from a consumer recorded after the add, and then to q, which
+    takes the same array; p is consumed twice, as a module's h is."""
+    r = rng(seed)
+    x = Tensor(r.normal(size=(2, 2, 7)))
+    params = [ParamTensor(name, Tensor(r.normal(size=shape) * 0.5)) for name, shape in [
+        ("pw", (3, 2, 3)), ("pb", (3,)), ("qw", (3, 2, 3)), ("qb", (3,)),
+        ("rw", (3, 3, 3)), ("rb", (3,))]]
+
+    def loss_fn(tape):
+        pw, pb, qw, qb, rw, rb = (p.value for p in params)
+        p = conv1d(x, pw, pb, tape)
+        n = add(p, conv1d(x, qw, qb, tape), tape, relu=True)
+        m = add(n, conv1d(p, rw, rb, tape), tape)
+        return joint_loss([], [flatten(m, tape)], 0.5, tape)
+
+    return loss_fn, params
+
+
+def test_released_memory_is_never_read_again():
+    for net in (_masked_add_net, _random_net_loss, _tree_net_loss):
+        _check_workspace_step(*net(8), _PoisoningWorkspace())
+
+
+class _BorderCheckingTape(Tape):
+    """A tape that checks, as each buffer-backed node's backward starts,
+    that the node's output buffer and the gradient it takes, both still
+    live, are shaped like the buffer with zero borders."""
+
+    def __init__(self, workspace=None):
+        super().__init__(workspace)
+        self.buffers = self.checked = 0
+
+    def record(self, out, bwd):
+        if out.buf is None:
+            return super().record(out, bwd)
+        self.buffers += 1
+
+        def checked(g, acc):
+            length = out.shape[2]
+            assert _zero_bordered(out.buf, out.pad, length)
+            assert g.shape == out.buf.shape and _zero_bordered(g, out.pad, length)
+            self.checked += 1
+            bwd(g, acc)
+        super().record(out, checked)
+
+
+def _check_workspace_step(loss_fn, params, ws):
     def step(tape):
         loss = loss_fn(tape)
         table = tape.gradients(loss)
@@ -887,22 +965,29 @@ def _check_workspace_step(loss_fn, params):
         return loss, [table[id(p.value)].copy() for p in params]
 
     expected_loss, expected_grads = step(Tape())
-    ws = Workspace()
     for _ in range(2):
         ws.reset()
         ws.empty((Workspace.CHUNK_BYTES,), np.uint8).fill(255)
-        tape = _KeepingTape(ws)
+        tape = _BorderCheckingTape(ws)
         loss, grads = step(tape)
         assert loss.item() == expected_loss.item()
         for g, want in zip(grads, expected_grads):
             np.testing.assert_array_equal(g, want)
-        table = tape.gradients(loss)
-        buffers = [t for t in tape.outs if t.buf is not None]
-        assert buffers
-        for t in buffers:
-            assert _zero_bordered(t.buf, t.pad, t.shape[2])
-            g = table[id(t)]
-            assert g.shape == t.buf.shape and _zero_bordered(g, t.pad, t.shape[2])
+        assert tape.buffers and tape.checked == tape.buffers
+
+
+@pytest.mark.parametrize("workspace", [False, True], ids=["numpy", "workspace"])
+def test_a_tape_is_walked_once(workspace):
+    # the walk releases what it is done with, so a second one would read
+    # released memory
+    loss_fn, params = _random_net_loss(9)
+    tape = Tape(Workspace() if workspace else None)
+    loss = loss_fn(tape)
+    tape.gradients(loss)
+    with pytest.raises(TapeError, match="walked"):
+        tape.gradients(loss)
+    with pytest.raises(TapeError, match="walked"):
+        backward(loss, tape, params)
 
 
 # ---------------------------------------------------------------------------

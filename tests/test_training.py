@@ -38,6 +38,7 @@ from treehar.windowing import make_windows, stack_windows
 from test_cli import make_corpus
 from oracles import naive_adam_step
 from test_model import _events  # deterministic event fixture
+from test_numerics import _PoisoningWorkspace
 
 
 def _windows(n, k=3, source="t"):
@@ -369,6 +370,44 @@ def test_train_epoch_same_with_workspace_as_without():
     assert results[0][0] == results[1][0]
     for got, want in zip(results[0][1], results[1][1]):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_k8_steps_on_poisoned_released_memory_match_a_plain_tape(dtype, monkeypatch):
+    # two one-batch epochs of 128 windows: every range the backward
+    # releases is NaN until it is handed out again, in the same step or,
+    # after the reset, in the next step's forward
+    grads = []
+
+    def recording_adam_step(params, *args, **kwargs):
+        grads[-1].append(params.grad.copy())
+        adam_step(params, *args, **kwargs)
+
+    monkeypatch.setattr(training, "adam_step", recording_adam_step)
+    config = TrainConfig(batch_size=128, seed=3)
+    losses = []
+    for workspace in (_PoisoningWorkspace(), None):
+        params = init_params(8, 37, seed=3, dtype=dtype)
+        state = AdamState(params)
+        state.workspace = workspace
+        grads.append([])
+        losses.append([train_epoch(_windows(128, k=8), params, state, config, e).avg_loss
+                       for e in range(2)])
+    assert losses[0] == losses[1] and np.isfinite(losses[0]).all()
+    assert len(grads[0]) == len(grads[1]) == 2
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype,chunks", [(np.float64, 2), (np.float32, 1)])
+def test_k8_step_workspace_chunks(dtype, chunks):
+    # a k=8 step at batch 128 peaks at about 114 MiB at float64 and 56 MiB
+    # at float32 of 64 MiB chunks; with every gradient alive until the
+    # walk ends it took 3 chunks and 2
+    params = init_params(8, 37, seed=0, dtype=dtype)
+    state = AdamState(params)
+    train_epoch(_windows(128, k=8), params, state, TrainConfig(batch_size=128), 0)
+    assert len(state.workspace._chunks) == chunks
 
 
 def test_train_epoch_invariant_to_storage_order():
