@@ -134,17 +134,17 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
     windows = sorted(windows, key=lambda w: (w.source, w.index))
     if not windows:
         raise ValueError("train_epoch: empty window set")
-    events, residents, activities = stack_windows(windows, dtype=params.dtype)
     order = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(len(windows))
 
     batch_losses = []
     for start in range(0, len(windows), config.batch_size):
-        idx = order[start:start + config.batch_size]
+        events, residents, activities = stack_windows(
+            [windows[i] for i in order[start:start + config.batch_size]],
+            dtype=params.dtype)
         tape = Tape(state.workspace)
-        _, resident_logits, activity_logits = forward_batch(events[idx], params, tape)
+        _, resident_logits, activity_logits = forward_batch(events, params, tape)
         loss = batch_loss(
-            resident_logits, activity_logits,
-            residents[idx], activities[idx],
+            resident_logits, activity_logits, residents, activities,
             params, config.l2_weight, tape,
         )
         value = loss.item()

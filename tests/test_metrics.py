@@ -115,12 +115,25 @@ def test_permutation_invariance_over_window_order():
 
 
 def test_evaluate_counts_every_window(monkeypatch):
-    monkeypatch.setattr(metrics, "EVAL_CHUNK", 7)   # 25 = 3 * 7 + 4
+    """At EVAL_CHUNK 7 no call stacks or forwards more than 7 of the 25
+    windows, and the counts equal those of one 25-window chunk."""
     params = init_params(3, 37, seed=4)
     windows = make_windows(_events(25), k=3)
+    monkeypatch.setattr(metrics, "EVAL_CHUNK", 25)
+    whole = evaluate(windows, params)
+    calls = []
+    for name in ("stack_windows", "predict_batch"):
+        def spy(batch, *args, _name=name, _real=getattr(metrics, name), **kwargs):
+            calls.append((_name, len(batch)))
+            return _real(batch, *args, **kwargs)
+        monkeypatch.setattr(metrics, name, spy)
+    monkeypatch.setattr(metrics, "EVAL_CHUNK", 7)   # 25 = 3 * 7 + 4
     report = evaluate(windows, params)
-    assert report.resident.total == 25
-    assert report.activity.total == 25
+    assert calls == [(name, n) for n in (7, 7, 7, 4)
+                     for name in ("stack_windows", "predict_batch")]
+    assert report.resident.total == report.activity.total == 25
+    np.testing.assert_array_equal(report.resident.counts, whole.resident.counts)
+    np.testing.assert_array_equal(report.activity.counts, whole.activity.counts)
 
 
 def test_evaluate_empty_rejected():

@@ -344,6 +344,20 @@ def test_train_epoch_batch_count():
     assert state.step == 3  # 128 + 128 + 44
 
 
+def test_train_epoch_stacks_one_batch_at_a_time(monkeypatch):
+    stacked = []
+
+    def spy(windows, *args, **kwargs):
+        stacked.append(len(windows))
+        return stack_windows(windows, *args, **kwargs)
+
+    monkeypatch.setattr(training, "stack_windows", spy)
+    params = init_params(3, 37, seed=0)
+    config = TrainConfig(batch_size=16, epochs=1, seed=0)
+    train_epoch(_windows(40), params, AdamState(params), config, epoch=0)
+    assert stacked == [16, 16, 8]
+
+
 def test_train_epoch_deterministic():
     config = TrainConfig(batch_size=16, epochs=1, seed=7)
     stats = []
