@@ -29,14 +29,14 @@ shape for a plain tensor. Every operation hands each input its gradient in
 that layout, so the tape only sums.
 
 A training step's tape may draw the arrays it keeps from a Workspace, so
-that the next step gets the same memory back instead of allocating anew,
-and its walk hands back each array it is done with for the backward's
-later requests.
+that the next step gets the same memory back instead of allocating anew.
+Its walk hands back each node's output buffer once the node's backward
+has run, for the backward's later requests; it never hands back a
+gradient.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,16 +113,17 @@ class Workspace:
     sit at the top of the heap, so whether a step faults all of it in
     again changes from run to run. A workspace hands out views of a few
     large chunks instead, in request order, and starts again from the
-    first chunk when the next tape opens. The backward releases what it
-    is done with (see Tape.gradients), and a request takes the range of
-    its aligned size released last, if any, before the offset moves on. A
-    k=8 step at batch 128 peaks at about 114 MiB at float64 (two chunks)
-    and 56 MiB at float32 (one); a step that makes the same requests and
-    releases as the one before gets the same memory back.
+    first chunk when the next tape opens. The backward hands back each
+    node's output buffer once it is done with it (see Tape.gradients),
+    and a request takes the array of its shape and dtype handed back
+    last, if any, before the offset moves on. A k=8 step at batch 128
+    peaks at about 118 MiB at float64 (two chunks) and 58 MiB at float32
+    (one); a step that makes the same requests as the one before gets the
+    same memory back.
 
-    So an array that a tape's operations drew from a workspace is invalid
-    once the walk has passed the node that made it, and what the walk
-    returns is invalid once the next Tape opens on the workspace: a
+    So an activation that a tape's operations drew from a workspace is
+    invalid once the walk has passed the node that made it, and what the
+    walk returns is invalid once the next Tape opens on the workspace: a
     workspace is for callers that read nothing of a step's activations
     after its backward, and nothing of the step after starting the next.
     """
@@ -137,53 +138,39 @@ class Workspace:
         self._chunks = []
         self._chunk = 0
         self._offset = 0
-        self._handed = {}   # first byte's address -> range handed out
-        self._free = {}     # aligned byte size -> ranges released
+        self._free = {}     # (shape, dtype) -> arrays handed back
 
     def reset(self):
         """Start handing out memory from the first chunk again."""
         self._chunk = 0
         self._offset = 0
-        self._handed.clear()
         self._free.clear()
 
     def empty(self, shape, dtype) -> np.ndarray:
-        """An uninitialised array: a released range of its aligned size,
-        else the next free range of the current chunk, or of the next one
-        if it does not fit."""
+        """An uninitialised array: one handed back with this shape and
+        dtype, else the next free range of the current chunk, or of the
+        next one if it does not fit."""
         dtype = np.dtype(dtype)
+        free = self._free.get((shape, dtype))
+        if free:
+            return free.pop()
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        # an empty range would share its address with the next one
-        if not 0 < nbytes <= self.CHUNK_BYTES:
+        if nbytes > self.CHUNK_BYTES:
             return np.empty(shape, dtype=dtype)
         size = -(-nbytes // self.ALIGN) * self.ALIGN
-        free = self._free.get(size)
-        if free:
-            raw = free.pop()
-        else:
-            if self._offset + size > self.CHUNK_BYTES:
-                self._chunk += 1
-                self._offset = 0
-            if self._chunk == len(self._chunks):
-                self._chunks.append(np.empty(self.CHUNK_BYTES, dtype=np.uint8))
-            start = self._offset
-            self._offset += size
-            raw = self._chunks[self._chunk][start:start + size]
-        self._handed[_address(raw)] = raw
-        return raw[:nbytes].view(dtype).reshape(shape)
+        if self._offset + size > self.CHUNK_BYTES:
+            self._chunk += 1
+            self._offset = 0
+        if self._chunk == len(self._chunks):
+            self._chunks.append(np.empty(self.CHUNK_BYTES, dtype=np.uint8))
+        start = self._offset
+        self._offset += size
+        raw = self._chunks[self._chunk][start:start + nbytes]
+        return raw.view(dtype).reshape(shape)
 
     def release(self, array: np.ndarray):
-        """Take back the range that starts at array's first byte, if empty
-        handed it out and it is not free already, for the next request of
-        its size. Anything else, such as a view that starts inside a range
-        or memory from numpy, is ignored."""
-        raw = self._handed.pop(_address(array), None)
-        if raw is not None:
-            self._free.setdefault(raw.nbytes, []).append(raw)
-
-
-def _address(array: np.ndarray) -> int:
-    return array.__array_interface__["data"][0]
+        """File array for the next request of its shape and dtype."""
+        self._free.setdefault((array.shape, array.dtype), []).append(array)
 
 
 class Tape:
@@ -215,12 +202,12 @@ class Tape:
         on the tape produced: the parameters and the inputs. A
         buffer-backed tensor's gradient is shaped like its buffer.
 
-        The walk visits every consumer before the producer, so once a
-        node's backward has run, nothing reads its output or its gradient
-        again. The walk then drops the node's entry and releases that
-        gradient, the output's buffer and every array summed into an entry
-        to the workspace, if any. So a tape is walked once; a second walk
-        is a TapeError."""
+        A node's output is read only by its consumers' backwards, which the
+        walk has run before, and by its own. So once a node's backward has
+        run, the walk drops the node's entry and hands its output buffer
+        back to the workspace, if any. Gradients are never handed back:
+        they stay valid until the next Tape opens. A tape is walked once; a
+        second walk is a TapeError."""
         if not self._nodes:
             raise TapeError("backward requested but no forward pass was recorded")
         if self._walked:
@@ -229,40 +216,21 @@ class Tape:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         self._walked = True
         ws = self.workspace
-        release = (lambda array: None) if ws is None else ws.release
         table = {id(loss): np.ones((), dtype=loss.dtype)}
-        # One array may reach several tensors (add's backward passes g to
-        # both operands), so it is never written after it is handed over:
-        # no backward closure writes into its incoming g, and a sum goes
-        # into a new array rather than adding in place. Both terms of a sum
-        # are in the tensor's one layout, so they share shape and dtype.
-        # Such an array is released only once no entry holds it, and only
-        # after the backward that handed it over returns, which may hand
-        # it on to another tensor after summing it into one.
-        holders = Counter({id(table[id(loss)]): 1})
-        spent = []
 
         def accumulate(t: Tensor, g: np.ndarray):
             cur = table.get(id(t))
             if cur is not None:
-                spent.extend((cur, g))
-                holders[id(cur)] -= 1
+                # a new array: add hands one g to both of its operands
                 g = np.add(cur, g, out=_empty(ws, cur.shape, cur.dtype))
             table[id(t)] = g
-            holders[id(g)] += 1
 
         for out, bwd in reversed(self._nodes):
             g = table.pop(id(out), None)
             if g is not None:
                 bwd(g, accumulate)
-                holders[id(g)] -= 1
-                spent.append(g)
-            for array in spent:
-                if not holders[id(array)]:
-                    release(array)
-            spent.clear()
-            if out.buf is not None:
-                release(out.buf)
+            if ws is not None and out.buf is not None:
+                ws.release(out.buf)
         return table
 
 

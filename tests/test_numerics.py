@@ -822,19 +822,16 @@ def test_workspace_fills_chunks_in_turn_and_serves_larger_requests_apart():
         assert np.all(a == i)
 
 
-def test_workspace_takes_back_only_ranges_it_handed_out():
+def test_workspace_serves_a_handed_back_array_to_its_shape_and_dtype():
     ws = Workspace()
-    a = ws.empty((4, 6), np.float64)             # 192 bytes: three aligned units
-    ws.release(np.empty((4, 6)))                 # numpy's memory
-    ws.release(a[:, 1:])                         # a view that starts inside a
-    assert not np.shares_memory(ws.empty((4, 6), np.float64), a)
+    a = ws.empty((4, 6), np.float64)
     ws.release(a)
-    ws.release(a)                                # free already: taken back once
-    assert not np.shares_memory(ws.empty((5,), np.float64), a)   # another size
-    b = ws.empty((48,), np.float32)              # the same aligned size
-    assert (b.shape, b.dtype) == ((48,), np.float32) and np.shares_memory(b, a)
-    assert not np.shares_memory(ws.empty((24,), np.float64), a)
-    ws.release(b)
+    for shape, dtype in [((6, 4), np.float64), ((4, 6), np.float32),
+                         ((48,), np.float32)]:          # the last: a's byte size
+        assert not np.shares_memory(ws.empty(shape, dtype), a)
+    assert ws.empty((4, 6), np.float64) is a
+    assert not np.shares_memory(ws.empty((4, 6), np.float64), a)   # served once
+    ws.release(a)
     ws.reset()                                   # a new tape starts from the offset
     assert not np.shares_memory(ws.empty((4, 6), np.float64), ws.empty((4, 6), np.float64))
 
@@ -934,6 +931,31 @@ def test_released_memory_is_never_read_again():
         _check_workspace_step(*net(8), _PoisoningWorkspace())
 
 
+class _RecordingWorkspace(Workspace):
+    """A workspace that lists every array it is asked to take back."""
+
+    def __init__(self):
+        super().__init__()
+        self.released = []
+
+    def release(self, array):
+        self.released.append(array)
+        super().release(array)
+
+
+def test_the_walk_hands_back_each_output_buffer_once_and_no_gradient():
+    for net in (_tree_net_loss, _random_net_loss):
+        loss_fn, _ = net(10)
+        ws = _RecordingWorkspace()
+        tape = Tape(ws)
+        loss = loss_fn(tape)
+        buffers = [out.buf for out, _ in reversed(tape._nodes) if out.buf is not None]
+        table = tape.gradients(loss)
+        assert buffers and len(ws.released) == len(buffers)
+        assert all(got is want for got, want in zip(ws.released, buffers))
+        assert not any(np.shares_memory(r, g) for r in ws.released for g in table.values())
+
+
 class _BorderCheckingTape(Tape):
     """A tape that checks, as each buffer-backed node's backward starts,
     that the node's output buffer and the gradient it takes, both still
@@ -1028,6 +1050,27 @@ def _random_net_loss(seed):
 def test_gradients_match_finite_differences(seed):
     loss_fn, params = _random_net_loss(seed)
     report = gradient_check(loss_fn, params, probe_count=40, seed=seed)
+    assert report.max_rel_error < 1e-4
+
+
+def test_a_gradient_handed_to_two_tensors_is_never_summed_into():
+    # add hands one array to a and b; c, recorded before the add, is walked
+    # after it and sums a term into a's entry while b's still holds the array
+    r = rng(11)
+    x = Tensor(r.normal(size=(2, 2, 5)))
+    params = [ParamTensor(name, Tensor(r.normal(size=shape) * 0.5)) for name, shape in [
+        ("aw", (3, 2, 3)), ("ab", (3,)), ("bw", (3, 2, 3)), ("bb", (3,)),
+        ("cw", (3, 3, 3)), ("cb", (3,))]]
+
+    def loss_fn(tape):
+        aw, ab, bw, bb, cw, cb = (p.value for p in params)
+        a = conv1d(x, aw, ab, tape)
+        b = conv1d(x, bw, bb, tape)
+        c = conv1d(a, cw, cb, tape)
+        s = add(a, b, tape)
+        return joint_loss([], [flatten(s, tape), flatten(c, tape)], 0.5, tape)
+
+    report = gradient_check(loss_fn, params, probe_count=60, seed=11)
     assert report.max_rel_error < 1e-4
 
 

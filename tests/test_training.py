@@ -415,9 +415,9 @@ def test_k8_steps_on_poisoned_released_memory_match_a_plain_tape(dtype, monkeypa
 
 @pytest.mark.parametrize("dtype,chunks", [(np.float64, 2), (np.float32, 1)])
 def test_k8_step_workspace_chunks(dtype, chunks):
-    # a k=8 step at batch 128 peaks at about 114 MiB at float64 and 56 MiB
-    # at float32 of 64 MiB chunks; with every gradient alive until the
-    # walk ends it took 3 chunks and 2
+    # a k=8 step at batch 128 peaks at about 118 MiB at float64 and 58 MiB
+    # at float32 of 64 MiB chunks; with every activation and gradient alive
+    # until the walk ends it took 3 chunks and 2
     params = init_params(8, 37, seed=0, dtype=dtype)
     state = AdamState(params)
     train_epoch(_windows(128, k=8), params, state, TrainConfig(batch_size=128), 0)
