@@ -2,8 +2,9 @@
 
 Forward operations record themselves on an explicit Tape; the tape is a
 linear record of the forward pass, so walking it backwards visits every
-node after all of its consumers. backward() copies each parameter's
-gradient into the model's one gradient array, params.grad. Every operation
+node after all of its consumers. gradient() copies each parameter's
+gradient into one array laid out like the model's params.flat, and
+backward() makes that the model's params.grad. Every operation
 takes a leading batch axis. No general graph engine, no broadcasting
 beyond what the fixed architecture needs.
 
@@ -116,10 +117,11 @@ class Workspace:
     first chunk when the next tape opens. The backward hands back each
     node's output buffer once it is done with it (see Tape.gradients),
     and a request takes the array of its shape and dtype handed back
-    last, if any, before the offset moves on. A k=8 step at batch 128
-    peaks at about 118 MiB at float64 (two chunks) and 58 MiB at float32
-    (one); a step that makes the same requests as the one before gets the
-    same memory back.
+    last, if any, before the offset moves on. Each half of a k=8 training
+    step at batch 128 has a workspace of its own, and each peaks within
+    one chunk: half 0, which holds the L2 term, at about 59 MiB at float64
+    and 30 MiB at float32, half 1 at 57 and 28 MiB. A step that makes the
+    same requests as the one before gets the same memory back.
 
     So an activation that a tape's operations drew from a workspace is
     invalid once the walk has passed the node that made it, and what the
@@ -234,15 +236,21 @@ class Tape:
         return table
 
 
-def backward(loss: Tensor, tape: Tape, params):
-    """Set params.grad, for a model.ModelParams, to d(loss)/d(params.flat):
-    a new array like flat holding, at each tensor's view, a copy of the
-    tape's gradient for it, or zeros where the loss does not reach it. So
-    the grad outlives the tape and any workspace the tape draws from."""
+def gradient(loss: Tensor, tape: Tape, params) -> np.ndarray:
+    """d(loss)/d(params.flat), for a model.ModelParams: a new array like
+    flat holding, at each tensor's view, a copy of the tape's gradient for
+    it, or zeros where the loss does not reach it. So it outlives the tape
+    and any workspace the tape draws from."""
     table = tape.gradients(loss)
-    params.grad = np.empty_like(params.flat)
-    for p, g in zip(params, params.views(params.grad)):
+    grad = np.empty_like(params.flat)
+    for p, g in zip(params, params.views(grad)):
         g[...] = table.get(id(p.value), 0)
+    return grad
+
+
+def backward(loss: Tensor, tape: Tape, params):
+    """Set params.grad to gradient(loss, tape, params)."""
+    params.grad = gradient(loss, tape, params)
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +467,16 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
     return out
 
 
-def joint_loss(heads, weights=(), c: float = 0.0, tape: Tape = None) -> Tensor:
+def joint_loss(heads, weights=(), c: float = 0.0, tape: Tape = None,
+               divisor: int = None) -> Tensor:
     """One scalar node: the sum over (logits, targets) heads, in order, of
-    the batch mean of -log softmax(logits)[row, target[row]] for (batch, K)
-    logits, plus c times the sum of squares of the plain weights, if any.
-    A max-subtracted log-sum-exp forms no probability, so none is clipped.
-    The backward hands each head's logits (softmax - onehot) * g / batch,
-    the softmax being the forward's exp(z) over its row sums, and each
-    weight 2 c g w."""
+    the batch sum of -log softmax(logits)[row, target[row]] for (batch, K)
+    logits divided by divisor, the batch size unless given (so by default
+    the batch mean), plus c times the sum of squares of the plain weights,
+    if any. A max-subtracted log-sum-exp forms no probability, so none is
+    clipped. The backward hands each head's logits
+    (softmax - onehot) * g / divisor, the softmax being the forward's
+    exp(z) over its row sums, and each weight 2 c g w."""
     weights = list(weights)
     if any(w.buf is not None for w in weights):
         raise ShapeError("joint_loss: weights must be plain; flatten an activation")
@@ -484,10 +494,12 @@ def joint_loss(heads, weights=(), c: float = 0.0, tape: Tape = None) -> Tensor:
         if targets.min() < 0 or targets.max() >= k:
             raise IndexError(f"joint_loss: target out of range [0, {k})")
         rows = np.arange(n)
+        scale = n if divisor is None else divisor
         z = logits.data - logits.data.max(axis=1, keepdims=True)
         e = np.exp(z)
-        total = total + (np.log(e.sum(axis=1)) - z[rows, targets]).mean()
-        kept.append((logits, rows, targets, e))
+        # a sum over n then / n has the bits of .mean()
+        total = total + (np.log(e.sum(axis=1)) - z[rows, targets]).sum() / scale
+        kept.append((logits, rows, targets, e, scale))
     if weights:
         total = total + sum((w.data * w.data).sum() for w in weights) * c
     out = Tensor(np.asarray(total))
@@ -496,10 +508,10 @@ def joint_loss(heads, weights=(), c: float = 0.0, tape: Tape = None) -> Tensor:
             gc = g * c
             for w in weights:
                 acc(w, 2.0 * gc * w.data)
-            for logits, rows, targets, e in kept:
+            for logits, rows, targets, e, scale in kept:
                 grad = e / e.sum(axis=1, keepdims=True)
                 grad[rows, targets] -= 1.0
-                acc(logits, grad * (g / len(rows)))
+                acc(logits, grad * (g / scale))
         tape.record(out, bwd)
     return out
 

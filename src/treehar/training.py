@@ -3,10 +3,26 @@
 All randomness flows from one root seed through fixed stream ids
 (split=0, init=1, shuffle=2, synth=3, gradcheck=4; the shuffle stream
 is further keyed by epoch), so a single integer reproduces a whole experiment.
+
+Every batch of B windows is cut into two fixed halves, its first ceil(B/2)
+windows and the rest. Each half has its own stack, forward, joint_loss node
+and tape walk, on its own Tape and Workspace; it divides its
+cross-entropies by B, and only half 0 holds the L2 term. The batch loss is
+half 0's + half 1's, and so is the batch gradient, in that order. The split
+is part of the arithmetic; where the halves run is not. During an epoch
+OpenBLAS is held at one thread, whose GEMMs sum in one order, and half 1
+runs on a worker thread while half 0 runs on the caller's. Where the
+OpenBLAS numpy loaded is not found, or only one CPU is usable, the halves
+run in turn on the caller's thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -19,7 +35,7 @@ from .numerics import (
     Tape,
     Tensor,
     Workspace,
-    backward,
+    gradient,
     joint_loss,
 )
 from .windowing import stack_windows
@@ -71,14 +87,16 @@ class TrainConfig:
 
 
 class AdamState:
-    """Adam's moments m and v, each shaped and laid out like params.flat,
-    the step counter, and the workspace every training step's tape reuses."""
+    """Adam's moments m and v and a scratch array, each shaped and laid out
+    like params.flat, the step counter, and the two workspaces that the
+    tapes of every training step's two half batches reuse, one per half."""
 
     def __init__(self, params: ModelParams):
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
+        self.scratch = np.empty_like(params.flat)
         self.step = 0
-        self.workspace = Workspace()
+        self.workspaces = (Workspace(), Workspace())
 
 
 def adam_step(params: ModelParams, state: AdamState, learning_rate: float,
@@ -86,8 +104,11 @@ def adam_step(params: ModelParams, state: AdamState, learning_rate: float,
               beta2: float = TrainConfig.adam_beta2,
               eps: float = TrainConfig.adam_eps):
     """Standard bias-corrected Adam update of params.flat, in place, in
-    whole-vector passes. It consumes the gradient backward set: params.grad
-    is None after the step, so each step needs a backward of its own."""
+    whole-vector passes that write into state.scratch and, once the moments
+    are updated, into the gradient's own array, so a step allocates no
+    array. It consumes the gradient backward set: params.grad is None after
+    the step, and its array holds scratch values, so each step needs a
+    backward of its own."""
     g = params.grad
     if g is None:
         raise RuntimeError("adam_step: no gradient; run backward before each step")
@@ -96,23 +117,31 @@ def adam_step(params: ModelParams, state: AdamState, learning_rate: float,
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    m, v = state.m, state.v
+    m, v, s = state.m, state.v, state.scratch
+    # the operations, and their order, of
+    #   m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
+    #   flat -= (learning_rate (m / bc1)) / (sqrt(v / bc2) + eps)
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += np.multiply(1.0 - beta1, g, out=s)
     v *= beta2
-    v += (1.0 - beta2) * g * g
-    params.flat -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    v += np.multiply(np.multiply(1.0 - beta2, g, out=s), g, out=s)
+    update = np.multiply(learning_rate, np.divide(m, bc1, out=s), out=s)
+    denominator = np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), eps, out=g)
+    params.flat -= np.divide(update, denominator, out=s)
 
 
 def batch_loss(resident_logits, activity_logits, residents, activities,
-               params: ModelParams, l2_weight: float, tape: Tape = None) -> Tensor:
+               params: ModelParams, l2_weight: float, tape: Tape = None,
+               divisor: int = None) -> Tensor:
     """Mean per-sample joint softmax cross-entropy of the two heads' logits
     over the batch plus the L2 term (the mean keeps the learning rate's
-    meaning independent of batch size). The L2 term covers weights only,
+    meaning independent of batch size). With a divisor, the cross-entropies
+    are summed and divided by it instead of by the batch size, as a half
+    batch divides by the whole batch's. The L2 term covers weights only,
     not biases. It is one joint_loss node."""
     weights = [p.value for p in params.weight_tensors()] if l2_weight else []
     return joint_loss([(resident_logits, residents), (activity_logits, activities)],
-                      weights, l2_weight, tape)
+                      weights, l2_weight, tape, divisor)
 
 
 @dataclass
@@ -123,9 +152,100 @@ class EpochStats:
     min_batch_loss: float
 
 
+_OPENBLAS_THREAD_CALLS = (
+    # (get, set): the numpy 2 wheel's scipy-openblas, the numpy 1 wheel's
+    # OpenBLAS, and a system OpenBLAS
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of an OpenBLAS that this
+    process has loaded, or None if it has none (or is not on Linux, where
+    /proc/self/maps lists the loaded libraries). Only libraries already
+    mapped are opened, so no second BLAS is ever loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(None, 5) for line in maps]
+    except OSError:
+        return None
+    paths = {f[5].strip() for f in fields
+             if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:     # such as a mapped file since deleted
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(library, get_name) and hasattr(library, set_name):
+                get, set_ = getattr(library, get_name), getattr(library, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, restoring its count on exit; yields
+    whether it could."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield False
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)
+
+
+def _usable_cpus() -> int:
+    # Linux only, as is finding OpenBLAS, without which this is not asked
+    return len(os.sched_getaffinity(0))
+
+
+def _half_step(windows, params: ModelParams, workspace, l2_weight: float,
+               divisor: int):
+    """The loss value and flat gradient of one half batch, on a tape of its
+    own drawing from workspace, its cross-entropies divided by divisor."""
+    events, residents, activities = stack_windows(windows, dtype=params.dtype)
+    tape = Tape(workspace)
+    _, resident_logits, activity_logits = forward_batch(events, params, tape)
+    loss = batch_loss(resident_logits, activity_logits, residents, activities,
+                      params, l2_weight, tape, divisor)
+    return loss.item(), gradient(loss, tape, params)
+
+
+def _batch_step(batch, params: ModelParams, state: AdamState, l2_weight: float,
+                worker):
+    """The loss value and flat gradient of a batch: half 0's + half 1's
+    (see the module docstring). Half 1 runs on worker, a one-thread
+    executor, if there is one, under a copy of the caller's context, which
+    holds numpy's error state."""
+    n = len(batch)
+    cut = (n + 1) // 2
+    first = (batch[:cut], params, state.workspaces[0], l2_weight, n)
+    if cut == n:    # a batch of one window has no half 1
+        return _half_step(*first)
+    second = (batch[cut:], params, state.workspaces[1], 0.0, n)
+    later = None
+    if worker is not None:
+        later = worker.submit(contextvars.copy_context().run, _half_step, *second)
+    value, grad = _half_step(*first)
+    value1, grad1 = later.result() if later is not None else _half_step(*second)
+    return value + value1, np.add(grad, grad1, out=grad)
+
+
 def train_epoch(windows, params: ModelParams, state: AdamState,
                 config: TrainConfig, epoch: int = 0) -> EpochStats:
-    """One pass: shuffle, batch, forward, backward, Adam per batch.
+    """One pass: shuffle, batch, forward, backward, Adam per batch, each
+    batch as two half batches (see the module docstring).
 
     Windows are canonically ordered by (source, index) before the seeded
     shuffle, so the epoch is invariant to the caller's storage order.
@@ -136,31 +256,32 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
         raise ValueError("train_epoch: empty window set")
     order = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(len(windows))
 
+    # imported here, so that eval and predict, which import this module but
+    # start no thread, do not load concurrent.futures and the logging it
+    # imports (0.4 MiB of RSS)
+    from concurrent.futures import ThreadPoolExecutor
+
     batch_losses = []
-    for start in range(0, len(windows), config.batch_size):
-        events, residents, activities = stack_windows(
-            [windows[i] for i in order[start:start + config.batch_size]],
-            dtype=params.dtype)
-        tape = Tape(state.workspace)
-        _, resident_logits, activity_logits = forward_batch(events, params, tape)
-        loss = batch_loss(
-            resident_logits, activity_logits, residents, activities,
-            params, config.l2_weight, tape,
-        )
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NumericError(
-                f"batch loss diverged to {value} at epoch {epoch}, "
-                f"batch {len(batch_losses)}"
-            )
-        backward(loss, tape, params)
-        adam_step(params, state, config.learning_rate)
-        if (bad := params.non_finite()) is not None:
-            raise NumericError(
-                f"parameter {bad} is not finite after the Adam step "
-                f"at epoch {epoch}, batch {len(batch_losses)}"
-            )
-        batch_losses.append(value)
+    # the executor starts its thread at the first submit, and the with
+    # waits for it before BLAS gets its thread count back
+    with _one_blas_thread() as held, ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool if held and _usable_cpus() > 1 else None
+        for start in range(0, len(windows), config.batch_size):
+            batch = [windows[i] for i in order[start:start + config.batch_size]]
+            value, grad = _batch_step(batch, params, state, config.l2_weight, worker)
+            if not np.isfinite(value):
+                raise NumericError(
+                    f"batch loss diverged to {value} at epoch {epoch}, "
+                    f"batch {len(batch_losses)}"
+                )
+            params.grad = grad
+            adam_step(params, state, config.learning_rate)
+            if (bad := params.non_finite()) is not None:
+                raise NumericError(
+                    f"parameter {bad} is not finite after the Adam step "
+                    f"at epoch {epoch}, batch {len(batch_losses)}"
+                )
+            batch_losses.append(value)
     return EpochStats(
         epoch=epoch,
         avg_loss=float(np.mean(batch_losses)),

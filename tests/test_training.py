@@ -5,6 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +186,8 @@ def test_k8_step_records_53_tape_nodes():
 def single_batch_steps():
     """The repr of every loss of three one-batch train_epoch steps at k=4
     on 41 windows of a fixed synthetic file, at both dtypes, and the sha256
-    of the float64 parameters after the last step."""
+    of the float64 parameters after the last step. Each batch runs as
+    halves of 21 and 20 windows."""
     events = filter_on(synth.generate_file_events(
         synth.SynthProfile(files=1, events_per_file=60),
         derive_rng(7, STREAM_SYNTH, 0)))
@@ -204,12 +208,14 @@ def single_batch_steps():
 
 
 def test_single_batch_steps_golden():
-    """single_batch_steps, run in a child python on one BLAS thread. Any
-    change to the forward, the backward, the loss or Adam that is not
-    bitwise neutral changes these values. The bits repeat only for the
-    same seed, BLAS build and BLAS thread count: a GEMM's reduction order
-    depends on its thread count, and one thread is the only count that
-    every machine can reach (OpenBLAS caps it at the usable CPUs)."""
+    """single_batch_steps, run in a child python started on one BLAS
+    thread and in this process at the thread count BLAS started with. Any
+    change to the forward, the backward, the loss, the batch split or Adam
+    that is not bitwise neutral changes these values. The bits repeat for
+    the same seed and BLAS build at any BLAS thread count and on any number
+    of cores, because train_epoch holds OpenBLAS at one thread. Where the
+    OpenBLAS numpy loaded cannot be found, they also depend on the thread
+    count BLAS runs at, and only the one-thread child is compared."""
     path = os.pathsep.join([str(Path(__file__).parent),
                             str(Path(treehar.__file__).parents[1])])
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
@@ -220,10 +226,12 @@ def test_single_batch_steps_golden():
         env=env, capture_output=True, text=True, check=True)
     losses, digest = json.loads(child.stdout)
     assert losses == {
-        "float64": ["7.016934283834867", "2.4830600004814505", "1.332871695869595"],
-        "float32": ["7.016933917999268", "2.483060121536255", "1.3328717947006226"],
+        "float64": ["7.016934283834865", "2.4830600004814514", "1.3328716958695952"],
+        "float32": ["7.016934394836426", "2.4830602407455444", "1.332871675491333"],
     }
-    assert digest == "42cde7b45b82565028ac01c8bd5b42831d4c6cc443216b73aa7f554ccb5edd8b"
+    assert digest == "73047004e472b09006a6f033676a5cf4d50bf3ba339affb3727ec5fd89a9b82b"
+    if training._openblas_threads() is not None:
+        assert single_batch_steps() == (losses, digest)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +339,20 @@ def test_adam_matches_the_per_tensor_oracle(dtype):
             np.testing.assert_array_equal(got, np.concatenate([x.ravel() for x in want]))
 
 
+def test_adam_step_allocates_no_flat_sized_array():
+    params = init_params(4, 37, seed=1)
+    state = AdamState(params)
+    for _ in range(2):   # the second step sees warm moments
+        params.grad = np.full_like(params.flat, 0.25)
+        tracemalloc.start()
+        try:
+            adam_step(params, state, learning_rate=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.flat.nbytes
+
+
 # ---------------------------------------------------------------------------
 # epoch loop
 
@@ -355,7 +377,7 @@ def test_train_epoch_stacks_one_batch_at_a_time(monkeypatch):
     params = init_params(3, 37, seed=0)
     config = TrainConfig(batch_size=16, epochs=1, seed=0)
     train_epoch(_windows(40), params, AdamState(params), config, epoch=0)
-    assert stacked == [16, 16, 8]
+    assert stacked == [8, 8, 8, 8, 4, 4]   # two halves per batch
 
 
 def test_train_epoch_deterministic():
@@ -377,7 +399,7 @@ def test_train_epoch_same_with_workspace_as_without():
         params = init_params(3, 37, seed=2)
         state = AdamState(params)
         if not workspace:
-            state.workspace = None
+            state.workspaces = (None, None)
         stats = [train_epoch(_windows(50), params, state, config, epoch=e)
                  for e in range(2)]
         results.append((stats, [p.value.data.copy() for p in params]))
@@ -400,10 +422,10 @@ def test_k8_steps_on_poisoned_released_memory_match_a_plain_tape(dtype, monkeypa
     monkeypatch.setattr(training, "adam_step", recording_adam_step)
     config = TrainConfig(batch_size=128, seed=3)
     losses = []
-    for workspace in (_PoisoningWorkspace(), None):
+    for workspace in (_PoisoningWorkspace, lambda: None):
         params = init_params(8, 37, seed=3, dtype=dtype)
         state = AdamState(params)
-        state.workspace = workspace
+        state.workspaces = (workspace(), workspace())
         grads.append([])
         losses.append([train_epoch(_windows(128, k=8), params, state, config, e).avg_loss
                        for e in range(2)])
@@ -413,15 +435,125 @@ def test_k8_steps_on_poisoned_released_memory_match_a_plain_tape(dtype, monkeypa
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("dtype,chunks", [(np.float64, 2), (np.float32, 1)])
-def test_k8_step_workspace_chunks(dtype, chunks):
-    # a k=8 step at batch 128 peaks at about 118 MiB at float64 and 58 MiB
-    # at float32 of 64 MiB chunks; with every activation and gradient alive
-    # until the walk ends it took 3 chunks and 2
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_k8_step_workspace_chunks(dtype):
+    # each 64-window half of a k=8 step at batch 128 peaks at about 57-59
+    # MiB at float64 and 28-30 MiB at float32, so one 64 MiB chunk each;
+    # the whole batch on one tape took 2 chunks and 1
     params = init_params(8, 37, seed=0, dtype=dtype)
     state = AdamState(params)
     train_epoch(_windows(128, k=8), params, state, TrainConfig(batch_size=128), 0)
-    assert len(state.workspace._chunks) == chunks
+    assert [len(ws._chunks) for ws in state.workspaces] == [1, 1]
+
+
+def _recorded_epochs(windows, k, dtype, batch_size, cpus, monkeypatch):
+    """Two train_epochs with _usable_cpus at cpus: each epoch's loss, each
+    step's params.grad and the threads that stacked a half batch."""
+    grads, threads = [], set()
+
+    def recording_adam_step(params, *args, **kwargs):
+        grads.append(params.grad.copy())
+        adam_step(params, *args, **kwargs)
+
+    def recording_stack(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return stack_windows(*args, **kwargs)
+
+    monkeypatch.setattr(training, "adam_step", recording_adam_step)
+    monkeypatch.setattr(training, "stack_windows", recording_stack)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+    params = init_params(k, 37, seed=4, dtype=dtype)
+    state = AdamState(params)
+    config = TrainConfig(batch_size=batch_size, seed=4)
+    losses = [train_epoch(windows, params, state, config, e).avg_loss for e in range(2)]
+    return losses, grads, threads
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k,count,batch_size", [
+    (8, 128, 128),   # the default batch at k=8
+    (4, 41, 128),    # halves of 21 and 20
+    (3, 1, 128),     # one window: half 1 is empty
+    (3, 50, 16),     # a short last batch of 2
+], ids=["k8-128", "41", "1", "short-last"])
+def test_halves_on_two_threads_match_one_thread(dtype, k, count, batch_size,
+                                                 monkeypatch):
+    windows = _windows(count, k=k)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # the two threads take turns at the GIL often
+    try:
+        runs = [_recorded_epochs(windows, k, dtype, batch_size, cpus, monkeypatch)
+                for cpus in (2, 1)]
+    finally:
+        sys.setswitchinterval(interval)
+    (losses2, grads2, threads2), (losses1, grads1, threads1) = runs
+    assert losses2 == losses1 and np.isfinite(losses1).all()
+    assert len(grads2) == len(grads1) == 2 * -(-count // batch_size)
+    for got, want in zip(grads2, grads1):
+        np.testing.assert_array_equal(got, want)
+    assert threads1 == {threading.get_ident()}
+    if training._openblas_threads() is not None and count > 1:
+        assert threads2 - threads1   # a worker ran half 1, one per epoch
+
+
+def test_split_matches_one_tape_over_the_whole_batch(monkeypatch):
+    # the halves sum the batch's terms in another order than one tape over
+    # all 41 windows does, so the two agree at roundoff, not in every bit;
+    # epoch 0 is one step from the initial weights
+    windows = _windows(41, k=4)
+    losses, grads, _ = _recorded_epochs(windows, 4, np.float64, 128, 2, monkeypatch)
+    params = init_params(4, 37, seed=4)
+    events, residents, activities = stack_windows(windows)
+    tape = Tape()
+    _, resident_logits, activity_logits = forward_batch(events, params, tape)
+    loss = batch_loss(resident_logits, activity_logits, residents, activities,
+                      params, TrainConfig().l2_weight, tape)
+    backward(loss, tape, params)
+    assert losses[0] == pytest.approx(loss.item(), rel=1e-12, abs=0)
+    np.testing.assert_allclose(grads[0], params.grad, rtol=1e-9, atol=1e-15)
+
+
+@pytest.mark.skipif(training._openblas_threads() is None,
+                    reason="no OpenBLAS thread count to set in this process")
+def test_train_epoch_holds_blas_at_one_thread_and_gives_its_count_back(monkeypatch):
+    get, set_ = training._openblas_threads()
+    during = []
+
+    def recording_stack(*args, **kwargs):
+        during.append(get())
+        return stack_windows(*args, **kwargs)
+
+    monkeypatch.setattr(training, "stack_windows", recording_stack)
+    before = get()
+    set_(2)
+    try:
+        params = init_params(3, 37, seed=0)
+        train_epoch(_windows(40), params, AdamState(params), TrainConfig(batch_size=16))
+        assert get() == 2
+        config = TrainConfig(batch_size=16)
+        config.learning_rate = math.nan   # past TrainConfig's own check
+        with pytest.raises(NumericError):
+            train_epoch(_windows(40), params, AdamState(params), config)
+        assert get() == 2
+    finally:
+        set_(before)
+    assert during and set(during) == {1}
+
+
+def test_the_worker_half_runs_under_the_callers_numpy_error_state(monkeypatch):
+    # weights of 1e200 overflow every half's forward: under the caller's
+    # errstate that is the one NumericError, with no RuntimeWarning from
+    # the worker thread, which would start at numpy's default error state
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    params = init_params(3, 37, seed=0)
+    for p in params.weight_tensors():
+        p.value.data[...] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="batch loss diverged"):
+                train_epoch(_windows(40), params, AdamState(params),
+                            TrainConfig(batch_size=16))
 
 
 def test_train_epoch_invariant_to_storage_order():
