@@ -11,12 +11,12 @@ actually used. One root seed drives file splitting, parameter init and
 epoch shuffles.
 
 Reproducibility: train gives the same checkpoint bytes for the same seed,
-settings and data with the same numpy and BLAS build, on any number of
-cores. Training holds OpenBLAS at one thread and cuts each batch into two
-fixed halves, which run on two threads where two CPUs are usable (see
-training). Where the OpenBLAS that numpy loaded cannot be found, such as
-another BLAS or another platform than Linux, the halves run in turn and
-the bytes also depend on the thread count BLAS runs at.
+settings and data with the same numpy and BLAS build. Each batch is cut
+into two fixed halves (see training). Where numpy's BLAS is an OpenBLAS
+reached through numpy's extension module, training holds it at one thread
+and runs the halves on two threads if 2 CPUs are usable, in turn if not,
+and the bytes are the same on any core count. Otherwise the halves run in
+turn and the bytes also depend on the thread count BLAS runs at.
 
 Artifacts, written in --out beside the config_used.txt echo (synth's
 echo is .config_used.txt, a dot-name, so the corpus reads as logs only),

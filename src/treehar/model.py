@@ -93,6 +93,8 @@ class ModelParams:
     numerics.backward sets it and training.adam_step consumes it, so a
     model that only runs forward never allocates one."""
 
+    __slots__ = ("k", "vocab_size", "flat", "grad", "_layout", "_tensors")
+
     def __init__(self, k: int, vocab_size: int, flat: np.ndarray):
         shapes = expected_shapes(k, vocab_size)
         ends = list(accumulate(map(math.prod, shapes.values())))

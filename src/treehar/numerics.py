@@ -135,6 +135,7 @@ class Workspace:
     # to the system when the workspace is dropped.
     CHUNK_BYTES = 64 << 20
     ALIGN = 64
+    __slots__ = ("_chunks", "_chunk", "_offset", "_free")
 
     def __init__(self):
         self._chunks = []
@@ -287,11 +288,10 @@ def _interior(buf: np.ndarray, pad: int, length: int) -> np.ndarray:
     return cube[:, :, pad:pad + length].transpose(1, 0, 2)
 
 
-def _bordered(workspace, data: np.ndarray, pad: int, dtype=None) -> np.ndarray:
+def _bordered(workspace, data: np.ndarray, pad: int) -> np.ndarray:
     """A copy of (batch, C, L) data in a zero-bordered buffer."""
     n_batch, channels, length = data.shape
-    buf = _empty(workspace, (channels, n_batch * (length + 2 * pad)),
-                 data.dtype if dtype is None else dtype)
+    buf = _empty(workspace, (channels, n_batch * (length + 2 * pad)), data.dtype)
     _zero_borders(buf, pad, length)
     _interior(buf, pad, length)[...] = data
     return buf
@@ -372,7 +372,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
     if x.dtype != dtype:
         raise ShapeError(f"conv1d: input has dtype {x.dtype}, the weights {dtype}")
     ws = _workspace(tape)
-    flat = x.buf if x.buf is not None else _bordered(ws, x.data, pad, dtype)
+    flat = x.buf if x.buf is not None else _bordered(ws, x.data, pad)
     w2 = w.data.transpose(0, 2, 1).reshape(c_out, m * c_in)   # column j*c_in + c
 
     stack = np.empty((m * c_in, n), dtype=dtype)

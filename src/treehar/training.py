@@ -9,11 +9,12 @@ windows and the rest. Each half has its own stack, forward, joint_loss node
 and tape walk, on its own Tape and Workspace; it divides its
 cross-entropies by B, and only half 0 holds the L2 term. The batch loss is
 half 0's + half 1's, and so is the batch gradient, in that order. The split
-is part of the arithmetic; where the halves run is not. During an epoch
-OpenBLAS is held at one thread, whose GEMMs sum in one order, and half 1
-runs on a worker thread while half 0 runs on the caller's. Where the
-OpenBLAS numpy loaded is not found, or only one CPU is usable, the halves
-run in turn on the caller's thread.
+is part of the arithmetic; where the halves run is not. Where numpy's
+BLAS is an OpenBLAS reached through numpy's extension module, it is held
+at one thread during an epoch, whose GEMMs sum in one order, and where at
+least 2 CPUs are usable, half 1 runs on a worker thread while half 0 runs
+on the caller's. Otherwise the halves run in turn on the caller's thread;
+with another BLAS, the bits then depend on the thread count it runs at.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ class AdamState:
     like params.flat, the step counter, and the two workspaces that the
     tapes of every training step's two half batches reuse, one per half."""
 
+    __slots__ = ("m", "v", "scratch", "step", "workspaces")
+
     def __init__(self, params: ModelParams):
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
@@ -163,28 +166,20 @@ _OPENBLAS_THREAD_CALLS = (
 
 @functools.cache
 def _openblas_threads():
-    """The (get, set) thread-count functions of an OpenBLAS that this
-    process has loaded, or None if it has none (or is not on Linux, where
-    /proc/self/maps lists the loaded libraries). Only libraries already
-    mapped are opened, so no second BLAS is ever loaded."""
+    """The (get, set) thread-count functions of the OpenBLAS numpy calls,
+    or None: looked up in numpy's linalg extension module, whose symbol
+    lookup also searches the libraries it links, so no other is opened."""
+    from numpy.linalg import _umath_linalg
     try:
-        with open("/proc/self/maps") as maps:
-            fields = [line.split(None, 5) for line in maps]
-    except OSError:
+        library = ctypes.CDLL(_umath_linalg.__file__)
+    except (AttributeError, OSError):    # a module with no file, or no library
         return None
-    paths = {f[5].strip() for f in fields
-             if len(f) == 6 and "openblas" in os.path.basename(f[5])}
-    for path in sorted(paths):
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:     # such as a mapped file since deleted
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
-            if hasattr(library, get_name) and hasattr(library, set_name):
-                get, set_ = getattr(library, get_name), getattr(library, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+    for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+        if hasattr(library, get_name) and hasattr(library, set_name):
+            get, set_ = getattr(library, get_name), getattr(library, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
@@ -206,8 +201,9 @@ def _one_blas_thread():
 
 
 def _usable_cpus() -> int:
-    # Linux only, as is finding OpenBLAS, without which this is not asked
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _half_step(windows, params: ModelParams, workspace, l2_weight: float,

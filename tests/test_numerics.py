@@ -812,8 +812,10 @@ def test_workspace_hands_the_next_tape_the_same_memory():
 
 
 def test_workspace_fills_chunks_in_turn_and_serves_larger_requests_apart():
-    ws = Workspace()
-    ws.CHUNK_BYTES = 256
+    class SmallChunks(Workspace):
+        CHUNK_BYTES = 256
+
+    ws = SmallChunks()
     arrays = [ws.empty((10,), np.float64) for _ in range(5)]   # 80 bytes each
     arrays.append(ws.empty((64,), np.float64))                 # 512 > 256
     for i, a in enumerate(arrays):

@@ -1,8 +1,10 @@
+import ctypes
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -18,8 +20,8 @@ from treehar import model, synth, training
 from treehar.casas import filter_on
 from treehar.cli import run
 from treehar.model import forward_batch, init_params
-from treehar.numerics import (NumericError, ParamTensor, Tape, Tensor, backward, gradient_check,
-                              joint_loss)
+from treehar.numerics import (NumericError, ParamTensor, Tape, Tensor, Workspace, backward,
+                              gradient_check, joint_loss)
 from treehar.training import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
@@ -353,6 +355,16 @@ def test_adam_step_allocates_no_flat_sized_array():
         assert peak < params.flat.nbytes
 
 
+def test_training_state_takes_no_stray_attribute():
+    # a stale name, such as AdamState's workspace before it became
+    # workspaces, is an error rather than a new attribute nothing reads
+    params = init_params(3, 37, seed=0)
+    for obj, name in [(AdamState(params), "workspace"), (params, "gradient"),
+                      (Workspace(), "CHUNK_BYTES")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+
+
 # ---------------------------------------------------------------------------
 # epoch loop
 
@@ -538,6 +550,94 @@ def test_train_epoch_holds_blas_at_one_thread_and_gives_its_count_back(monkeypat
     finally:
         set_(before)
     assert during and set(during) == {1}
+
+
+class _DlInfo(ctypes.Structure):
+    _fields_ = [("dli_fname", ctypes.c_char_p), ("dli_fbase", ctypes.c_void_p),
+                ("dli_sname", ctypes.c_char_p), ("dli_saddr", ctypes.c_void_p)]
+
+
+def _library_file(function):
+    """The file of the loaded library that holds a ctypes function, by
+    dladdr, or None where that cannot be told."""
+    info = _DlInfo()
+    try:
+        found = ctypes.CDLL(None).dladdr(ctypes.cast(function, ctypes.c_void_p),
+                                         ctypes.byref(info))
+    except (AttributeError, OSError, TypeError):
+        return None
+    return os.fsdecode(info.dli_fname) if found and info.dli_fname else None
+
+
+def steps_beside_a_second_openblas(original, copy, get_name, set_name):
+    """single_batch_steps with numpy's OpenBLAS, the file original, at 2
+    threads, and a second instance of it mapped from the file copy: the
+    thread counts numpy's OpenBLAS reads inside train_epoch, and the
+    steps' losses and digest."""
+    numpy_blas, second = ctypes.CDLL(original), ctypes.CDLL(copy)
+    get, set_ = getattr(numpy_blas, get_name), getattr(numpy_blas, set_name)
+    address = ctypes.cast(get, ctypes.c_void_p).value
+    assert ctypes.cast(getattr(second, get_name), ctypes.c_void_p).value != address
+    set_(2)
+    # the lookup first ran at import, for a skipif mark, before copy was mapped
+    training._openblas_threads.cache_clear()
+    threads = set()
+
+    def recording_stack(*args, **kwargs):
+        threads.add(get())
+        return stack_windows(*args, **kwargs)
+
+    training.stack_windows = recording_stack
+    steps = single_batch_steps()
+    return sorted(threads), steps
+
+
+def test_a_second_openblas_in_the_process_is_not_the_one_held(tmp_path):
+    """A process that maps a second instance of numpy's OpenBLAS, from
+    another file, after numpy: train_epoch still holds numpy's own at one
+    thread, and single_batch_steps gives its golden bits. A lookup that
+    picked the other instance left numpy's at 2 threads under both halves
+    and gave another digest. The child imports the numpy this process
+    runs, whose OpenBLAS file is copied; its dependencies are loaded
+    already, so the copy needs no siblings."""
+    blas = training._openblas_threads()
+    original = _library_file(blas[0]) if blas is not None else None
+    if original is None:
+        pytest.skip("no OpenBLAS file reached through numpy")
+    copy = tmp_path / os.path.basename(original)
+    try:
+        shutil.copyfile(original, copy)
+    except OSError as error:
+        pytest.skip(f"cannot copy numpy's OpenBLAS: {error}")
+    path = os.pathsep.join([str(Path(__file__).parent),
+                            str(Path(treehar.__file__).parents[1]),
+                            str(Path(np.__file__).parents[1])])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="2")
+    child = subprocess.run(
+        [sys.executable, "-c", "import json, sys, test_training; print(json.dumps("
+         "test_training.steps_beside_a_second_openblas(*sys.argv[1:])))",
+         original, str(copy), blas[0].__name__, blas[1].__name__],
+        env=env, capture_output=True, text=True, check=True)
+    threads, (_, digest) = json.loads(child.stdout)
+    assert threads == [1]
+    assert digest == "73047004e472b09006a6f033676a5cf4d50bf3ba339affb3727ec5fd89a9b82b"
+
+
+def test_the_blas_lookup_opens_numpys_extension_only(monkeypatch):
+    from numpy.linalg import _umath_linalg
+    opened, cdll = [], ctypes.CDLL
+
+    def spy(name, *args, **kwargs):
+        opened.append(name)
+        return cdll(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", spy)
+    training._openblas_threads.cache_clear()
+    try:
+        training._openblas_threads()
+    finally:
+        training._openblas_threads.cache_clear()
+    assert opened == [_umath_linalg.__file__]
 
 
 def test_the_worker_half_runs_under_the_callers_numpy_error_state(monkeypatch):
