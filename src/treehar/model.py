@@ -22,6 +22,7 @@ import numpy as np
 
 from .casas import DEFAULT_VOCAB, NUM_ACTIVITIES, NUM_RESIDENTS, LabelPair
 from .numerics import (
+    KERNEL_SIZE,
     NumericError,
     ParamTensor,
     ShapeError,
@@ -33,8 +34,6 @@ from .numerics import (
     flatten,
 )
 from .windowing import stack_windows
-
-KERNEL_SIZE = 3
 
 CHECKPOINT_FORMAT = "treehar-checkpoint"
 CHECKPOINT_VERSION = 3

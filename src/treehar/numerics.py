@@ -9,16 +9,18 @@ takes a leading batch axis. No general graph engine, no broadcasting
 beyond what the fixed architecture needs.
 
 Activations are held channel-major. A rank-3 tensor that conv1d or add
-produces is a (batch, C, L) view into a buffer (C, batch * (L + 2 pad))
-that puts the samples side by side in one row per channel, each between
-pad zero columns; the buffer travels with the tensor as Tensor.buf. Every
-kernel shift of the whole batch is then one contiguous column range, so
-conv1d reads such a buffer as its padded input, runs one GEMM over the m
-stacked shifts and writes it straight into its own output buffer.
-conv1d also takes plain (batch, C, L) data, such as an event slice, which
-it copies into a buffer once. add and flatten take activations only, and
-refuse plain tensors. Everything else is plain: dense's input (flatten's
-rows), joint_loss's logits and weights, and every parameter.
+produces is a (batch, C, L) view into a buffer (C, batch * (L + 2)) that
+puts the samples side by side in one row per channel, each between one
+zero column a side: the padding of conv1d's one width, KERNEL_SIZE = 3.
+The buffer travels with the tensor as Tensor.buf. Every kernel shift of
+the whole batch is then one contiguous column range, so conv1d reads
+such a buffer as its padded input, runs one GEMM over the 3 stacked
+shifts and writes it straight into its own output buffer. conv1d also
+takes plain (batch, C, L) data, such as an event slice, which it copies
+into a buffer once and hands no gradient. add and flatten take
+activations only, and refuse plain tensors. Everything else is plain:
+dense's input (flatten's rows), joint_loss's logits and weights, and
+every parameter.
 
 There is no standalone ReLU: with relu=True, conv1d and add clamp their
 own output in place and their backward masks the incoming gradient by
@@ -26,8 +28,8 @@ out > 0 (equal to pre > 0), so a rectified activation keeps no second buffer.
 
 Every tensor's gradient has one layout, the tensor's own: an array shaped
 like its buffer, with zero borders, for an activation, and the tensor's
-shape for a plain tensor. Every operation hands each input its gradient in
-that layout, so the tape only sums.
+shape for a plain tensor. Every operation hands each input but a conv's
+data its gradient in that layout, so the tape only sums.
 
 A training step's tape may draw the arrays it keeps from a Workspace, so
 that the next step gets the same memory back instead of allocating anew.
@@ -41,6 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+KERNEL_SIZE = 3   # the width of every conv
+
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
@@ -60,11 +65,11 @@ class Tensor:
     Values are float64 unless the caller supplies a float32 buffer
     explicitly (training may run in 32-bit; gradient checking must not).
     An activation also carries the zero-bordered channel-major buffer its
-    data is a view of (see the module docstring): buf, with pad border
-    columns on each side of every sample. Both are None otherwise.
+    data is a view of (see the module docstring) as buf, which is None
+    otherwise.
     """
 
-    __slots__ = ("data", "buf", "pad")
+    __slots__ = ("data", "buf")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -74,7 +79,6 @@ class Tensor:
             raise ShapeError(f"tensor rank {arr.ndim} exceeds 3 (shape {arr.shape})")
         self.data = arr
         self.buf = None
-        self.pad = None
 
     @property
     def shape(self) -> tuple:
@@ -202,8 +206,10 @@ class Tape:
     def gradients(self, loss: Tensor) -> dict:
         """Walk the tape in reverse from a scalar loss; returns the
         gradient, keyed by id(tensor), of every reached tensor that no node
-        on the tape produced: the parameters and the inputs. A
-        buffer-backed tensor's gradient is shaped like its buffer.
+        on the tape produced: the parameters, and dense's and joint_loss's
+        inputs. A conv's plain input is data and gets none. A buffer-backed
+        tensor's gradient is shaped like its buffer, with one zero border
+        column on each side of a sample.
 
         A node's output is read only by its consumers' backwards, which the
         walk has run before, and by its own. So once a node's backward has
@@ -276,30 +282,30 @@ def _require_tensor(x, op, arg):
     return x
 
 
-def _zero_borders(buf: np.ndarray, pad: int, length: int):
-    cube = buf.reshape(buf.shape[0], -1, length + 2 * pad)
-    cube[:, :, :pad] = 0
-    cube[:, :, pad + length:] = 0
+def _zero_borders(buf: np.ndarray, length: int):
+    cube = buf.reshape(buf.shape[0], -1, length + 2)
+    cube[:, :, 0] = 0
+    cube[:, :, -1] = 0
 
 
-def _interior(buf: np.ndarray, pad: int, length: int) -> np.ndarray:
-    """The (batch, C, L) view of a (C, batch * (L + 2 pad)) buffer."""
-    cube = buf.reshape(buf.shape[0], -1, length + 2 * pad)
-    return cube[:, :, pad:pad + length].transpose(1, 0, 2)
+def _interior(buf: np.ndarray, length: int) -> np.ndarray:
+    """The (batch, C, L) view of a (C, batch * (L + 2)) buffer."""
+    cube = buf.reshape(buf.shape[0], -1, length + 2)
+    return cube[:, :, 1:-1].transpose(1, 0, 2)
 
 
-def _bordered(workspace, data: np.ndarray, pad: int) -> np.ndarray:
+def _bordered(workspace, data: np.ndarray) -> np.ndarray:
     """A copy of (batch, C, L) data in a zero-bordered buffer."""
     n_batch, channels, length = data.shape
-    buf = _empty(workspace, (channels, n_batch * (length + 2 * pad)), data.dtype)
-    _zero_borders(buf, pad, length)
-    _interior(buf, pad, length)[...] = data
+    buf = _empty(workspace, (channels, n_batch * (length + 2)), data.dtype)
+    _zero_borders(buf, length)
+    _interior(buf, length)[...] = data
     return buf
 
 
-def _on_buffer(buf: np.ndarray, pad: int, length: int) -> Tensor:
-    out = Tensor(_interior(buf, pad, length))
-    out.buf, out.pad = buf, pad
+def _on_buffer(buf: np.ndarray, length: int) -> Tensor:
+    out = Tensor(_interior(buf, length))
+    out.buf = buf
     return out
 
 
@@ -312,32 +318,31 @@ def _require_activation(x, op, arg):
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
            relu: bool = False) -> Tensor:
-    """1D cross-correlation, stride 1, zero padding (M-1)/2; ReLU'd if relu.
+    """1D cross-correlation of width 3, stride 1, one zero column of
+    padding a side; ReLU'd if relu.
 
-    x is (batch, c_in, L); w is (c_out, c_in, M) with M odd; b is (c_out,).
-    The output is (batch, c_out, L): length is preserved.
+    x is (batch, c_in, L); w is (c_out, c_in, 3), and any other width is a
+    ShapeError; b is (c_out,). The output is (batch, c_out, L).
 
-    The input is read as flat (c_in, batch * span), span = L + M - 1: x's
-    own buffer if it has one, else a copy of x in that layout. A buffer
-    with another pad than (M - 1) / 2, or any input of another dtype than
-    the weights, is a ShapeError, never copied or cast. Shift j of every
-    sample is then the column range [j, j + n), n = batch * span - 2 pad.
-    The forward stacks the M shifts into one temporary (M * c_in, n),
-    multiplies it by w as (c_out, M * c_in) into columns [pad, pad + n) of
-    the output buffer, adds the bias there, clamps it at 0 for relu and
-    zeroes the borders, which the 2 pad columns between two samples
-    overwrote. The temporary is freed before returning; the tape keeps flat
-    only, which for a buffer-backed input is memory the tape keeps anyway.
+    The input is read as flat (c_in, batch * (L + 2)): x's own buffer if
+    it has one, else a copy of x in that layout. An input of another dtype
+    than the weights is a ShapeError, never copied or cast. Shift j of
+    every sample is then the column range [j, j + n), n = batch * (L + 2) - 2.
+    The forward stacks the 3 shifts into one temporary (3 c_in, n),
+    multiplies it by w as (c_out, 3 c_in) into columns [1, 1 + n) of the
+    output buffer, adds the bias there, clamps it at 0 for relu and zeroes
+    the borders, which the 2 columns between two samples overwrote. The
+    temporary is freed before returning; the tape keeps flat only, which
+    for a buffer-backed input is memory the tape keeps anyway.
 
-    The backward takes the output's gradient as a zero-bordered buffer, or
-    as a plain (batch, c_out, L) array, which it copies into one. Its
-    columns [pad, pad + n) line up with the stacked shifts; for relu they
+    The backward takes the output's gradient as a zero-bordered buffer.
+    Its columns [1, 1 + n) line up with the stacked shifts; for relu they
     are first multiplied by out > 0 into a temporary that nothing else
-    reads, so the tape keeps no masked gradient. The bias
-    gradient is their row sum, the weight gradient one GEMM per shift
-    against flat, and the input gradient one GEMM whose M row blocks are
-    added into a buffer at their shifts. That buffer, its borders zeroed,
-    is a buffer-backed input's gradient; a plain input gets its interior.
+    reads, so the tape keeps no masked gradient. The bias gradient is
+    their row sum, the weight gradient one GEMM per shift against flat. A
+    plain input is data and gets no gradient. A buffer-backed input gets
+    one GEMM whose 3 row blocks are added into a buffer at their shifts,
+    its borders then zeroed.
     """
     _require_tensor(x, "conv1d", "input")
     _require_tensor(w, "conv1d", "weights")
@@ -345,8 +350,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
     if w.data.ndim != 3:
         raise ShapeError(f"conv1d: weights must be rank 3, got shape {w.shape}")
     c_out, c_in, m = w.shape
-    if m % 2 == 0:
-        raise ShapeError(f"conv1d: kernel size must be odd, got {m}")
+    if m != KERNEL_SIZE:
+        raise ShapeError(f"conv1d: kernel width must be {KERNEL_SIZE}, got {m}")
     if b.shape != (c_out,):
         raise ShapeError(f"conv1d: bias shape {b.shape} != out_channels ({c_out},)")
     if x.data.ndim != 3:
@@ -360,39 +365,36 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
         )
     if length < 1:
         raise ShapeError("conv1d: input length must be >= 1")
-
-    pad = (m - 1) // 2
-    span = length + 2 * pad
-    n = n_batch * span - 2 * pad
     dtype = w.dtype
-    if x.buf is not None and (x.pad, x.dtype) != (pad, dtype):
-        raise ShapeError(
-            f"conv1d: input buffer has pad {x.pad} and dtype {x.dtype}, "
-            f"the conv needs pad {pad} and dtype {dtype}")
     if x.dtype != dtype:
-        raise ShapeError(f"conv1d: input has dtype {x.dtype}, the weights {dtype}")
+        raise ShapeError(
+            f"conv1d: input has dtype {x.dtype}, the weights have dtype {dtype}")
+
+    n = n_batch * (length + 2) - 2
     ws = _workspace(tape)
-    flat = x.buf if x.buf is not None else _bordered(ws, x.data, pad)
+    flat = x.buf if x.buf is not None else _bordered(ws, x.data)
     w2 = w.data.transpose(0, 2, 1).reshape(c_out, m * c_in)   # column j*c_in + c
 
     stack = np.empty((m * c_in, n), dtype=dtype)
     for j in range(m):
         stack[j * c_in:(j + 1) * c_in] = flat[:, j:j + n]
-    out_buf = _empty(ws, (c_out, n_batch * span), dtype)
-    y = out_buf[:, pad:pad + n]
+    out_buf = _empty(ws, (c_out, flat.shape[1]), dtype)
+    y = out_buf[:, 1:1 + n]
     np.matmul(w2, stack, out=y)
     del stack
     np.add(y, b.data[:, None], out=y)
     if relu:
         np.maximum(y, 0.0, out=y)
-    _zero_borders(out_buf, pad, length)
-    out = _on_buffer(out_buf, pad, length)
+    _zero_borders(out_buf, length)
+    out = _on_buffer(out_buf, length)
 
     if tape is not None:
         def bwd(g, acc):
             if g.ndim == 3:
-                g = _bordered(None, g, pad)
-            g_flat = g[:, pad:pad + n]
+                # only bench_layers.conv_sheet hands a plain gradient;
+                # ROADMAP item 1 deletes this branch
+                g = _bordered(None, g)
+            g_flat = g[:, 1:1 + n]
             if relu:
                 g_flat = g_flat * (y > 0)
             acc(b, g_flat.sum(axis=1))
@@ -400,23 +402,22 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
             for j in range(m):
                 gw[:, :, j] = g_flat @ flat[:, j:j + n].T
             acc(w, gw)
-            gstack = w2.T @ g_flat                         # (m * c_in, n)
-            gpad = _empty(ws, (c_in, n_batch * span), gstack.dtype)
+            if x.buf is None:
+                return
+            gstack = w2.T @ g_flat                         # (3 c_in, n)
+            gpad = _empty(ws, flat.shape, gstack.dtype)
             gpad[...] = 0
             for j in range(m):
                 gpad[:, j:j + n] += gstack[j * c_in:(j + 1) * c_in]
-            if x.buf is not None:
-                _zero_borders(gpad, pad, length)
-                acc(x, gpad)
-            else:
-                acc(x, _interior(gpad, pad, length))
+            _zero_borders(gpad, length)
+            acc(x, gpad)
         tape.record(out, bwd)
     return out
 
 
 def add(a: Tensor, b: Tensor, tape: Tape = None, relu: bool = False) -> Tensor:
-    """Element-wise sum of two activations on buffers of one pad, clamped
-    at 0 for relu; a plain operand is a ShapeError. It adds the whole
+    """Element-wise sum of two activations, clamped at 0 for relu; a plain
+    operand is a ShapeError. It adds the whole
     buffers, whose zero borders sum to zero borders. The backward hands
     both operands one gradient, masked by out > 0 for relu into an array
     the tape keeps."""
@@ -424,14 +425,12 @@ def add(a: Tensor, b: Tensor, tape: Tape = None, relu: bool = False) -> Tensor:
     _require_activation(b, "add", "b")
     if a.shape != b.shape:
         raise ShapeError(f"add: shape {a.shape} != shape {b.shape}")
-    if a.pad != b.pad:
-        raise ShapeError(f"add: operands in different layouts (pad {a.pad} and {b.pad})")
     ws = _workspace(tape)
     total = np.add(a.buf, b.buf,
                    out=_empty(ws, a.buf.shape, np.result_type(a.buf, b.buf)))
     if relu:
         np.maximum(total, 0.0, out=total)
-    out = _on_buffer(total, a.pad, a.shape[2])
+    out = _on_buffer(total, a.shape[2])
     if tape is not None:
         def bwd(g, acc):
             if relu:
@@ -527,7 +526,7 @@ def flatten(x: Tensor, tape: Tape = None) -> Tensor:
         ws = tape.workspace
 
         def bwd(g, acc):
-            acc(x, _bordered(ws, g.reshape(x.shape), x.pad))
+            acc(x, _bordered(ws, g.reshape(x.shape)))
         tape.record(out, bwd)
     return out
 

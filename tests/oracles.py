@@ -34,6 +34,23 @@ def naive_conv1d(x, w, b):
     return out
 
 
+def naive_conv1d_input_grad(g, w, length):
+    """The gradient that naive_conv1d's output gradient g (c_out, L)
+    hands its input x (c_in, L): each tap's weight times the output it
+    fed, summed at the input position the tap read."""
+    c_out, c_in, m = w.shape
+    pad = (m - 1) // 2
+    gx = np.zeros((c_in, length))
+    for o in range(c_out):
+        for p in range(length):
+            for c in range(c_in):
+                for j in range(m):
+                    src = p + j - pad
+                    if 0 <= src < length:
+                        gx[c, src] += w[o, c, j] * g[o, p]
+    return gx
+
+
 def naive_dense(x, w, b):
     k, d = w.shape
     out = np.zeros(k)

@@ -24,8 +24,8 @@ from treehar.numerics import (
 
 from treehar import model, training
 
-from oracles import (naive_conv1d, naive_dense, naive_log_softmax_ce, naive_relu,
-                     naive_softmax)
+from oracles import (naive_conv1d, naive_conv1d_input_grad, naive_dense,
+                     naive_log_softmax_ce, naive_relu, naive_softmax)
 
 
 def rng(seed=0):
@@ -67,16 +67,16 @@ def test_conv1d_one_hot_shape():
     assert conv1d(x, w, b).shape == (1, 16, 37)
 
 
-@pytest.mark.parametrize("c_in,c_out,m,length", [
+@pytest.mark.parametrize("c_in,c_out,batch,length", [
     (1, 1, 3, 1), (2, 3, 3, 7), (3, 2, 5, 9), (4, 4, 1, 5),
 ])
-def test_conv1d_matches_naive(c_in, c_out, m, length):
-    r = rng(c_in * 100 + c_out * 10 + m)
-    x = r.normal(size=(3, c_in, length))
-    w = r.normal(size=(c_out, c_in, m))
+def test_conv1d_matches_naive(c_in, c_out, batch, length):
+    r = rng(c_in * 100 + c_out * 10 + batch)
+    x = r.normal(size=(batch, c_in, length))
+    w = r.normal(size=(c_out, c_in, 3))
     b = r.normal(size=c_out)
     got = conv1d(Tensor(x), Tensor(w), Tensor(b)).data
-    for i in range(3):
+    for i in range(batch):
         want = naive_conv1d(x[i], w, b)
         np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-12)
 
@@ -101,50 +101,69 @@ def _conv_energy(x, w, b, tape=None):
     return joint_loss([], [flatten(conv1d(x, w, b, tape), tape)], 0.5, tape)
 
 
+def _parts(buf, length):
+    """A (C, batch * (length + 2)) buffer's interior, as (batch, C,
+    length), and its border columns, as (C, batch, 2)."""
+    cube = buf.reshape(buf.shape[0], -1, length + 2)
+    return cube[:, :, 1:-1].transpose(1, 0, 2), cube[:, :, [0, -1]]
+
+
 @pytest.mark.parametrize("c_in", [1, 2])
 @pytest.mark.parametrize("length", [1, 2, 9])
-@pytest.mark.parametrize("m", [1, 3, 5])
-def test_conv1d_gradients_match_finite_differences(m, length, c_in):
-    # a batch of 3, so a sample has neighbours on both sides; with
-    # pad >= length two zero borders meet between samples
-    r = rng(m * 100 + length * 10 + c_in)
-    x = ParamTensor("x", Tensor(r.normal(size=(3, c_in, length))))
-    w = ParamTensor("w", Tensor(r.normal(size=(2, c_in, m))))
+@pytest.mark.parametrize("batch", [1, 3, 5])
+def test_conv1d_gradients_match_finite_differences(batch, length, c_in):
+    # a sample alone, or with neighbours on both sides; at length 1 two
+    # samples' borders meet. The conv reads an activation holding x's
+    # values, so it hands over an input gradient: buffer-shaped, with
+    # d(energy)/dx inside and zero borders
+    r = rng(batch * 100 + length * 10 + c_in)
+    x = ParamTensor("x", Tensor(r.normal(size=(batch, c_in, length))))
+    w = ParamTensor("w", Tensor(r.normal(size=(2, c_in, 3))))
     b = ParamTensor("b", Tensor(r.normal(size=2)))
+
+    def energy():
+        return _conv_energy(_activation(x.value.data), w.value, b.value).item()
+
     tape = Tape()
-    table = tape.gradients(_conv_energy(x.value, w.value, b.value, tape))
+    x_in = _activation(x.value.data)
+    table = tape.gradients(_conv_energy(x_in, w.value, b.value, tape))
+    interior, borders = _parts(table[id(x_in)], length)
+    assert np.all(borders == 0)
     h = 1e-3
-    for p in (x, w, b):
+    for p, analytic in ((x, interior), (w, table[id(w.value)]), (b, table[id(b.value)])):
         numeric = np.empty(p.value.shape)
         for i in range(p.value.size):
             orig = p.value.data.flat[i]
             p.value.data.flat[i] = orig + h
-            plus = _conv_energy(x.value, w.value, b.value).item()
+            plus = energy()
             p.value.data.flat[i] = orig - h
-            minus = _conv_energy(x.value, w.value, b.value).item()
+            minus = energy()
             p.value.data.flat[i] = orig
             numeric.flat[i] = (plus - minus) / (2 * h)
-        np.testing.assert_allclose(table[id(p.value)], numeric, rtol=1e-7,
-                                   atol=1e-9, err_msg=p.name)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9,
+                                   err_msg=p.name)
 
 
-@pytest.mark.parametrize("m,length", [(1, 1), (3, 9), (5, 2)])
-def test_conv1d_input_gradient_batched_matches_per_sample(m, length):
+@pytest.mark.parametrize("c_in,length", [(1, 1), (3, 9), (5, 2)])
+def test_conv1d_input_gradient_batched_matches_per_sample(c_in, length):
     # BLAS may block a batch of one differently; equality is to roundoff
-    r = rng(7)
-    x = r.normal(size=(4, 3, length))
-    w = Tensor(r.normal(size=(6, 3, m)))
-    b = Tensor(r.normal(size=6))
+    span = length + 2
+    for dtype, rtol, atol in ((np.float64, 1e-12, 0), (np.float32, 1e-5, 1e-5)):
+        r = rng(7)
+        x = r.normal(size=(4, c_in, length)).astype(dtype)
+        w = Tensor(r.normal(size=(6, c_in, 3)).astype(dtype))
+        b = Tensor(r.normal(size=6).astype(dtype))
 
-    def input_gradient(rows):
-        xt = Tensor(rows)
-        tape = Tape()
-        return tape.gradients(_conv_energy(xt, w, b, tape))[id(xt)]
+        def input_gradient(rows):
+            xt = _activation(rows)
+            tape = Tape()
+            return tape.gradients(_conv_energy(xt, w, b, tape))[id(xt)]
 
-    batched = input_gradient(x)
-    for i in range(4):
-        np.testing.assert_allclose(batched[i:i + 1], input_gradient(x[i:i + 1]),
-                                   rtol=1e-12, atol=0)
+        batched = input_gradient(x)
+        assert batched.dtype == dtype and np.all(_parts(batched, length)[1] == 0)
+        for i in range(4):
+            np.testing.assert_allclose(batched[:, i * span:(i + 1) * span],
+                                       input_gradient(x[i:i + 1]), rtol=rtol, atol=atol)
 
 
 class _KeepingTape(Tape):
@@ -185,33 +204,30 @@ class _HandoverTape(Tape):
         super().record(out, listed)
 
 
-def _zero_bordered(buf, pad, length):
-    cube = buf.reshape(buf.shape[0], -1, length + 2 * pad)
-    return bool(np.all(cube[:, :, :pad] == 0) and np.all(cube[:, :, pad + length:] == 0))
+def _zero_bordered(buf, length):
+    return bool(np.all(_parts(buf, length)[1] == 0))
 
 
-@pytest.mark.parametrize("batch,c_out,m,length", [
-    (3, 3, 1, 4),   # pad 0 and batch == c_out: (batch, c_out, L) has the buffer's shape
-    (2, 3, 3, 5), (4, 2, 5, 2),
+@pytest.mark.parametrize("batch,c_out,c_in,length", [
+    (3, 3, 1, 4), (2, 3, 3, 5), (4, 2, 5, 2),
 ])
 @pytest.mark.parametrize("bordered_input", [False, True], ids=["plain-x", "buffer-x"])
-def test_conv1d_backward_takes_plain_and_buffer_gradients_alike(batch, c_out, m, length,
+def test_conv1d_backward_takes_plain_and_buffer_gradients_alike(batch, c_out, c_in, length,
                                                                  bordered_input):
-    r = rng(batch * 100 + m * 10 + length)
-    x = Tensor(r.normal(size=(batch, 2, length)))
+    r = rng(batch * 100 + c_in * 10 + length)
+    x = Tensor(r.normal(size=(batch, c_in, length)))
     if bordered_input:
-        # the output of a conv with the same padding hands the next conv its buffer
-        x = conv1d(x, Tensor(r.normal(size=(2, 2, m))), Tensor(r.normal(size=2)))
-        assert x.buf is not None and x.pad == (m - 1) // 2
-    w = Tensor(r.normal(size=(c_out, 2, m)))
+        # the output of a conv hands the next conv its buffer
+        x = conv1d(x, Tensor(r.normal(size=(c_in, c_in, 3))), Tensor(r.normal(size=c_in)))
+        assert x.buf is not None
+    w = Tensor(r.normal(size=(c_out, c_in, 3)))
     b = Tensor(r.normal(size=c_out))
     tape = _KeepingTape()
     out = conv1d(x, w, b, tape)
-    pad = (m - 1) // 2
-    assert out.buf.shape == (c_out, batch * (length + 2 * pad)) and out.pad == pad
+    assert out.buf.shape == (c_out, batch * (length + 2))
     g = r.normal(size=(batch, c_out, length))
-    g_buf = np.zeros((c_out, batch, length + 2 * pad))
-    g_buf[:, :, pad:pad + length] = g.transpose(1, 0, 2)
+    g_buf = np.zeros((c_out, batch, length + 2))
+    g_buf[:, :, 1:-1] = g.transpose(1, 0, 2)
     g_buf = g_buf.reshape(c_out, -1)
 
     def gradients(grad):
@@ -220,13 +236,14 @@ def test_conv1d_backward_takes_plain_and_buffer_gradients_alike(batch, c_out, m,
         return got
 
     plain, buffered = gradients(g), gradients(g_buf)
-    for t in (w, b, x):
-        np.testing.assert_array_equal(plain[id(t)], buffered[id(t)])
-    gx = plain[id(x)]
+    assert plain.keys() == buffered.keys()
+    for key in plain:
+        np.testing.assert_array_equal(plain[key], buffered[key])
     if bordered_input:
-        assert gx.shape == x.buf.shape and _zero_bordered(gx, pad, length)
+        gx = plain[id(x)]
+        assert gx.shape == x.buf.shape and _zero_bordered(gx, length)
     else:
-        assert gx.shape == x.shape
+        assert set(plain) == {id(w), id(b)}   # a plain input is data
 
 
 def test_add_of_buffer_and_plain_tensors():
@@ -235,10 +252,7 @@ def test_add_of_buffer_and_plain_tensors():
     w = ParamTensor("w", Tensor(r.normal(size=(3, 3, 3))))
     b = ParamTensor("b", Tensor(r.normal(size=3)))
     plain = Tensor(r.normal(size=(2, 3, 4)))
-    # the same values as a buffer: a conv whose kernel copies its input
-    identity = np.zeros((3, 3, 3))
-    identity[:, :, 1] = np.eye(3)
-    as_buffer = conv1d(plain, Tensor(identity), Tensor(np.zeros(3)))
+    as_buffer = _activation(plain.data)
     np.testing.assert_array_equal(as_buffer.data, plain.data)
 
     tape = _HandoverTape()
@@ -253,30 +267,22 @@ def test_add_of_buffer_and_plain_tensors():
     # the table once a's conv has consumed it, as_buffer's stays
     for t in (a, as_buffer):
         (g,) = tape.handed_to(t)
-        np.testing.assert_array_equal(
-            g.reshape(3, 2, 6)[:, :, 1:5].transpose(1, 0, 2), total.data)
+        np.testing.assert_array_equal(_parts(g, 4)[0], total.data)
     assert id(a) not in table and table[id(as_buffer)] is g
-    # a plain operand, or buffers of another pad, are refused, not converted
+    # a plain operand is refused, not converted
     with pytest.raises(ShapeError, match="activation"):
         add(a, plain, Tape())
-    with pytest.raises(ShapeError, match="layouts"):
-        add(a, _activation(plain.data), Tape())
 
 
-@pytest.mark.parametrize("m,dtype,match", [
-    (5, np.float32, "pad 1 .* pad 2"),               # an m=3 conv's output, m=5 conv
-    (3, np.float64, "dtype float32.* dtype float64"),  # float32 output, float64 weights
-], ids=["pad", "dtype"])
-def test_conv1d_refuses_a_buffer_in_another_layout(m, dtype, match):
+@pytest.mark.parametrize("x_dtype,w_dtype", [(np.float32, np.float64),
+                                             (np.float64, np.float32)])
+def test_conv1d_refuses_a_buffer_of_another_dtype(x_dtype, w_dtype):
     # a buffer-backed input is read as it is or refused, never copied
-    r = rng(12)
-    h = conv1d(Tensor(r.normal(size=(2, 2, 6)).astype(np.float32)),
-               Tensor(r.normal(size=(2, 2, 3)).astype(np.float32)),
-               Tensor(np.zeros(2, dtype=np.float32)))
-    assert (h.pad, h.buf.dtype) == (1, np.float32)
-    with pytest.raises(ShapeError, match=match):
-        conv1d(h, Tensor(r.normal(size=(2, 2, m)).astype(dtype)),
-               Tensor(np.zeros(2, dtype=dtype)), Tape())
+    h = _activation(rng(12).normal(size=(2, 2, 6)).astype(x_dtype))
+    with pytest.raises(ShapeError, match=f"dtype {np.dtype(x_dtype).name}.*"
+                                         f"dtype {np.dtype(w_dtype).name}"):
+        conv1d(h, Tensor(np.ones((2, 2, 3), dtype=w_dtype)),
+               Tensor(np.zeros(2, dtype=w_dtype)), Tape())
 
 
 @pytest.mark.parametrize("x_dtype,w_dtype", [(np.float32, np.float64),
@@ -291,9 +297,20 @@ def test_conv1d_refuses_a_plain_input_of_another_dtype(x_dtype, w_dtype):
 
 
 def test_conv1d_rejects_even_kernel():
-    with pytest.raises(ShapeError, match="odd"):
+    with pytest.raises(ShapeError, match="width"):
         conv1d(Tensor(np.zeros((1, 1, 5))), Tensor(np.zeros((16, 1, 4))),
                Tensor(np.zeros(16)))
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_conv1d_is_3_wide_only(m):
+    # every conv of the network is 3 wide, so every buffer has one zero
+    # column a side; a conv of another width has no layout to read
+    values = rng(13).normal(size=(2, 2, 6))
+    assert model.KERNEL_SIZE == 3
+    for x in (Tensor(values), _activation(values)):
+        with pytest.raises(ShapeError, match=f"width must be 3, got {m}"):
+            conv1d(x, Tensor(np.ones((2, 2, m))), Tensor(np.zeros(2)), Tape())
 
 
 def test_conv1d_shape_errors_name_dimension():
@@ -308,28 +325,27 @@ def test_conv1d_shape_errors_name_dimension():
         conv1d(Tensor(np.zeros((4, 5))), w, b)
 
 
-@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=3))
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=4))
 @settings(max_examples=30, deadline=None)
-def test_conv1d_preserves_length(length, half_kernel):
-    m = 2 * half_kernel + 1
-    r = rng(length * 7 + m)
-    x = Tensor(r.normal(size=(2, 2, length)))
-    w = Tensor(r.normal(size=(3, 2, m)))
+def test_conv1d_preserves_length(length, batch):
+    r = rng(length * 7 + batch)
+    x = Tensor(r.normal(size=(batch, 2, length)))
+    w = Tensor(r.normal(size=(3, 2, 3)))
     b = Tensor(r.normal(size=3))
-    assert conv1d(x, w, b).shape == (2, 3, length)
+    assert conv1d(x, w, b).shape == (batch, 3, length)
 
 
 # ---------------------------------------------------------------------------
 # relu epilogues / add / dense
 
 
-def _activation(values, m=1):
-    """values, (batch, C, L), as an activation on a buffer of pad
-    (m - 1) / 2: the output of a conv whose kernel copies its input."""
+def _activation(values):
+    """values, (batch, C, L), as an activation: the output of an identity
+    conv, whose kernel's centre tap copies its input."""
     x = Tensor(values)
     channels = x.shape[1]
-    kernel = np.zeros((channels, channels, m), dtype=x.dtype)
-    kernel[:, :, m // 2] = np.eye(channels)
+    kernel = np.zeros((channels, channels, 3), dtype=x.dtype)
+    kernel[:, :, 1] = np.eye(channels)
     return conv1d(x, Tensor(kernel), Tensor(np.zeros(channels, dtype=x.dtype)))
 
 
@@ -343,8 +359,8 @@ def test_relu_examples():
     assert _relu_of([-1.0, 0.0, 2.0]).tolist() == [0.0, 0.0, 2.0]
     assert np.all(_relu_of([-5.0, -0.1]) == 0)
     assert _relu_of([0.5, 3.0, 0.0]).tolist() == [0.5, 3.0, 0.0]
-    # a 1x1 identity kernel: the conv epilogue clamps the same way
-    one = conv1d(Tensor([[[-1.0, 0.0, 2.0]]]), Tensor(np.ones((1, 1, 1))),
+    # an identity kernel: the conv epilogue clamps the same way
+    one = conv1d(Tensor([[[-1.0, 0.0, 2.0]]]), Tensor([[[0.0, 1.0, 0.0]]]),
                  Tensor(np.zeros(1)), relu=True)
     assert one.data.tolist() == [[[0.0, 0.0, 2.0]]]
 
@@ -354,7 +370,7 @@ def test_relu_examples():
 def test_relu_idempotent(values):
     once = _relu_of(values)
     np.testing.assert_array_equal(_relu_of(once), once)
-    identity = (Tensor(np.ones((1, 1, 1))), Tensor(np.zeros(1)))
+    identity = (Tensor([[[0.0, 1.0, 0.0]]]), Tensor(np.zeros(1)))
     conv_once = conv1d(Tensor(once[None, None, :]), *identity, relu=True)
     np.testing.assert_array_equal(conv1d(conv_once, *identity, relu=True).data,
                                   conv_once.data)
@@ -382,7 +398,8 @@ def test_conv1d_relu_matches_oracle(dtype, bordered_gradient):
     pre = np.stack([naive_conv1d(x[i], w, b) for i in range(3)])
     assert np.any(pre == 0) and np.any(pre > 0) and np.any(pre < 0)
 
-    xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+    # an activation holding x, so that the conv hands it a gradient
+    xt, wt, bt = _activation(x), Tensor(w), Tensor(b)
     tape = _KeepingTape()
     out = conv1d(xt, wt, bt, tape, relu=True)
     assert out.dtype == dtype
@@ -404,6 +421,11 @@ def test_conv1d_relu_matches_oracle(dtype, bordered_gradient):
     np.testing.assert_array_equal(fused[id(bt)], masked.sum(axis=(0, 2)))
     for t in (bt, wt, xt):
         np.testing.assert_array_equal(fused[id(t)], want[id(t)])
+    # the activation's gradient: the oracle's inside, zero borders
+    interior, borders = _parts(fused[id(xt)], 6)
+    np.testing.assert_array_equal(
+        interior, [naive_conv1d_input_grad(masked[i], w, 6) for i in range(3)])
+    assert fused[id(xt)].dtype == dtype and np.all(borders == 0)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -413,7 +435,7 @@ def test_add_relu_matches_oracle(dtype):
     b_values = _small_integers(r, (3, 2, 5), -2, 2, dtype)
     total = a_values + b_values
     assert np.any(total == 0) and np.any(total > 0) and np.any(total < 0)
-    a, b = _activation(a_values, m=3), _activation(b_values, m=3)
+    a, b = _activation(a_values), _activation(b_values)
 
     tape = _KeepingTape()
     out = add(a, b, tape, relu=True)
@@ -441,7 +463,7 @@ def test_add_examples():
 
 def test_add_and_flatten_refuse_plain_operands():
     plain = Tensor(np.ones((2, 3, 4)))
-    activation = _activation(plain.data, m=3)
+    activation = _activation(plain.data)
     for call in (lambda: add(plain, plain), lambda: add(activation, plain),
                  lambda: add(plain, activation, Tape()), lambda: flatten(plain),
                  lambda: flatten(plain, Tape())):
@@ -769,7 +791,7 @@ def test_grad_outlives_the_tape_and_its_workspace():
 
 def test_sum_squares_and_flatten_grads():
     values = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-    x = _activation(values, m=3)
+    x = _activation(values)
     tape = Tape()
     ce = joint_loss([(flatten(x, tape), [1])], tape=tape)
     table = tape.gradients(ce)
@@ -790,7 +812,7 @@ def test_sum_squares_and_flatten_grads():
 
 
 def test_flatten_is_channel_major():
-    x = _activation(np.arange(6.0).reshape(1, 2, 3), m=3)
+    x = _activation(np.arange(6.0).reshape(1, 2, 3))
     assert flatten(x).data.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]]
 
 
@@ -881,13 +903,29 @@ def test_every_gradient_arrives_in_its_tensors_layout(dtype):
                                [2, 0, 14, 3], params, 0.01, tape)
     tape.gradients(loss)
     (g,) = tape.handed_to(features)
-    assert g.shape == features.buf.shape and _zero_bordered(g, features.pad, 5)
+    assert g.shape == features.buf.shape and _zero_bordered(g, 5)
     for t, g in tape.handed:
         assert g.dtype == t.dtype
         if t.buf is None:
             assert g.shape == t.shape
         else:
-            assert g.shape == t.buf.shape and _zero_bordered(g, t.pad, t.shape[2])
+            assert g.shape == t.buf.shape and _zero_bordered(g, t.shape[2])
+
+
+def test_a_model_walk_hands_the_data_no_gradient():
+    # the one-hot slices of a k=8 window are data: no operation hands a
+    # plain rank-3 tensor a gradient, and the walk's table holds exactly
+    # the 74 parameters
+    params = model.init_params(8, 37, seed=2)
+    events = np.eye(37)[rng(2).integers(0, 37, size=(3, 8))]
+    tape = _HandoverTape()
+    _, resident, activity = model.forward_batch(events, params, tape)
+    table = tape.gradients(training.batch_loss(resident, activity, [0, 1, 1],
+                                               [2, 0, 14], params, 0.01, tape))
+    param_ids = {id(p.value) for p in params}
+    assert not [t for t, _ in tape.handed
+                if t.data.ndim == 3 and t.buf is None and id(t) not in param_ids]
+    assert len(table) == 74 and set(table) == param_ids
 
 
 def test_workspace_gradients_match_fresh_memory():
@@ -974,8 +1012,8 @@ class _BorderCheckingTape(Tape):
 
         def checked(g, acc):
             length = out.shape[2]
-            assert _zero_bordered(out.buf, out.pad, length)
-            assert g.shape == out.buf.shape and _zero_bordered(g, out.pad, length)
+            assert _zero_bordered(out.buf, length)
+            assert g.shape == out.buf.shape and _zero_bordered(g, length)
             self.checked += 1
             bwd(g, acc)
         super().record(out, checked)

@@ -640,6 +640,16 @@ def test_the_blas_lookup_opens_numpys_extension_only(monkeypatch):
     assert opened == [_umath_linalg.__file__]
 
 
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    # where os has no sched_getaffinity, the CPU count; where that is
+    # unknown, one CPU, so the halves run in turn
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert training._usable_cpus() == 7
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert training._usable_cpus() == 1
+
+
 def test_the_worker_half_runs_under_the_callers_numpy_error_state(monkeypatch):
     # weights of 1e200 overflow every half's forward: under the caller's
     # errstate that is the one NumericError, with no RuntimeWarning from
