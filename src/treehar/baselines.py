@@ -64,8 +64,12 @@ def knn_predict_batch(train: FlatDataset, queries: np.ndarray,
     nearest = np.empty((len(queries), k_neighbors), dtype=np.int64)
     for start in range(0, len(queries), KNN_CHUNK):
         chunk = queries[start:start + KNN_CHUNK]
-        d2 = train_norms[None, :] - 2.0 * (chunk @ train.X.T) \
-            + (chunk * chunk).sum(axis=1)[:, None]
+        # train_norms - 2 (chunk @ X.T) + |chunk|^2 in place, with the same
+        # bits: -2x is exact, and a + (-b) is a - b
+        d2 = np.matmul(chunk, train.X.T)
+        d2 *= -2.0
+        d2 += train_norms[None, :]
+        d2 += (chunk * chunk).sum(axis=1)[:, None]
         nearest[start:start + KNN_CHUNK] = \
             np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
     return (_vote(train.residents[nearest], NUM_RESIDENTS),

@@ -11,12 +11,13 @@ actually used. One root seed drives file splitting, parameter init and
 epoch shuffles.
 
 Reproducibility: train gives the same checkpoint bytes for the same seed,
-settings and data with the same numpy and BLAS build. Each batch is cut
+settings and data with the same numpy and BLAS build, and eval the same
+tsc labels for the same checkpoint. Each batch and each eval chunk is cut
 into two fixed halves (see training). Where numpy's BLAS is an OpenBLAS
-reached through numpy's extension module, training holds it at one thread
-and runs the halves on two threads if 2 CPUs are usable, in turn if not,
-and the bytes are the same on any core count. Otherwise the halves run in
-turn and the bytes also depend on the thread count BLAS runs at.
+reached through numpy's extension module, it is held at one thread and
+the halves run on two threads if 2 CPUs are usable, in turn if not, and
+the bytes do not depend on the core count or the BLAS thread count.
+Otherwise the halves run in turn and the bytes depend on the latter.
 
 Artifacts, written in --out beside the config_used.txt echo (synth's
 echo is .config_used.txt, a dot-name, so the corpus reads as logs only),

@@ -9,12 +9,13 @@ windows and the rest. Each half has its own stack, forward, joint_loss node
 and tape walk, on its own Tape and Workspace; it divides its
 cross-entropies by B, and only half 0 holds the L2 term. The batch loss is
 half 0's + half 1's, and so is the batch gradient, in that order. The split
-is part of the arithmetic; where the halves run is not. Where numpy's
-BLAS is an OpenBLAS reached through numpy's extension module, it is held
-at one thread during an epoch, whose GEMMs sum in one order, and where at
-least 2 CPUs are usable, half 1 runs on a worker thread while half 0 runs
-on the caller's. Otherwise the halves run in turn on the caller's thread;
-with another BLAS, the bits then depend on the thread count it runs at.
+is part of the arithmetic; where the halves run is not. two_halves cuts
+and runs them, as it does metrics.evaluate's chunks. Where numpy's BLAS
+is an OpenBLAS reached through numpy's extension module, it is held at
+one thread, whose GEMMs sum in one order, and where at least 2 CPUs are
+usable, half 1 runs on a worker thread while half 0 runs on the caller's.
+Otherwise the halves run in turn on the caller's thread; with another
+BLAS, the bits then depend on its thread count.
 """
 
 from __future__ import annotations
@@ -206,36 +207,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _half_step(windows, params: ModelParams, workspace, l2_weight: float,
-               divisor: int):
-    """The loss value and flat gradient of one half batch, on a tape of its
-    own drawing from workspace, its cross-entropies divided by divisor."""
+@contextlib.contextmanager
+def two_halves():
+    """Yield halves: halves(items, half) is [half(items[:cut], 0),
+    half(items[cut:], 1)] for cut = ceil(n/2), or [half(items, 0)] for one
+    item. OpenBLAS is held at one thread where it can be, and then on 2
+    usable CPUs half 1 runs on a worker in a copy of the caller's context,
+    which holds numpy's error state."""
+    # imported here so that predict, which starts no thread, does not load
+    # concurrent.futures and its logging (0.4 MiB of RSS); the pool's thread
+    # starts at its first submit and ends before BLAS's thread count returns
+    from concurrent.futures import ThreadPoolExecutor
+    with _one_blas_thread() as held, ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool if held and _usable_cpus() > 1 else None
+
+        def halves(items, half):
+            cut = (len(items) + 1) // 2
+            if cut == len(items):    # one item has no half 1
+                return [half(items, 0)]
+            if worker is None:
+                return [half(items[:cut], 0), half(items[cut:], 1)]
+            later = worker.submit(contextvars.copy_context().run, half, items[cut:], 1)
+            return [half(items[:cut], 0), later.result()]
+        yield halves
+
+
+def _half_step(params: ModelParams, state: AdamState, l2_weight: float,
+               divisor: int, windows, half: int):
+    """The loss value and flat gradient of half 0 or 1 of a batch, its
+    cross-entropies divided by divisor, on a tape over that half's workspace."""
     events, residents, activities = stack_windows(windows, dtype=params.dtype)
-    tape = Tape(workspace)
+    tape = Tape(state.workspaces[half])
     _, resident_logits, activity_logits = forward_batch(events, params, tape)
     loss = batch_loss(resident_logits, activity_logits, residents, activities,
-                      params, l2_weight, tape, divisor)
+                      params, 0.0 if half else l2_weight, tape, divisor)
     return loss.item(), gradient(loss, tape, params)
-
-
-def _batch_step(batch, params: ModelParams, state: AdamState, l2_weight: float,
-                worker):
-    """The loss value and flat gradient of a batch: half 0's + half 1's
-    (see the module docstring). Half 1 runs on worker, a one-thread
-    executor, if there is one, under a copy of the caller's context, which
-    holds numpy's error state."""
-    n = len(batch)
-    cut = (n + 1) // 2
-    first = (batch[:cut], params, state.workspaces[0], l2_weight, n)
-    if cut == n:    # a batch of one window has no half 1
-        return _half_step(*first)
-    second = (batch[cut:], params, state.workspaces[1], 0.0, n)
-    later = None
-    if worker is not None:
-        later = worker.submit(contextvars.copy_context().run, _half_step, *second)
-    value, grad = _half_step(*first)
-    value1, grad1 = later.result() if later is not None else _half_step(*second)
-    return value + value1, np.add(grad, grad1, out=grad)
 
 
 def train_epoch(windows, params: ModelParams, state: AdamState,
@@ -252,19 +258,14 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
         raise ValueError("train_epoch: empty window set")
     order = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(len(windows))
 
-    # imported here, so that eval and predict, which import this module but
-    # start no thread, do not load concurrent.futures and the logging it
-    # imports (0.4 MiB of RSS)
-    from concurrent.futures import ThreadPoolExecutor
-
     batch_losses = []
-    # the executor starts its thread at the first submit, and the with
-    # waits for it before BLAS gets its thread count back
-    with _one_blas_thread() as held, ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool if held and _usable_cpus() > 1 else None
+    with two_halves() as halves:
         for start in range(0, len(windows), config.batch_size):
             batch = [windows[i] for i in order[start:start + config.batch_size]]
-            value, grad = _batch_step(batch, params, state, config.l2_weight, worker)
+            step = functools.partial(_half_step, params, state, config.l2_weight, len(batch))
+            (value, grad), *second = halves(batch, step)
+            for value1, grad1 in second:    # none for a batch of one window
+                value, grad = value + value1, np.add(grad, grad1, out=grad)
             if not np.isfinite(value):
                 raise NumericError(
                     f"batch loss diverged to {value} at epoch {epoch}, "

@@ -105,6 +105,37 @@ def test_knn_batch_matches_single(monkeypatch):
                                     votes_a.index(max(votes_a)))
 
 
+def test_knn_distances_in_place_are_the_expressions_bits(monkeypatch):
+    # on non-integer features, where every operation rounds, the distances
+    # that knn_predict_batch sorts are bitwise
+    #   train_norms - 2 * (chunk @ X.T) + |chunk|^2
+    # per chunk, and so are its predictions; chunks of 16 leave a partial
+    # last chunk
+    monkeypatch.setattr(baselines, "KNN_CHUNK", 16)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 12))
+    train = _dataset(X, rng.integers(0, 2, 60), rng.integers(0, 15, 60))
+    queries = rng.normal(size=(37, 12))
+    sorted_d2, argsort = [], np.argsort
+
+    def recording_argsort(a, *args, **kwargs):
+        sorted_d2.append(a.copy())
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording_argsort)
+    res, act = knn_predict_batch(train, queries, k_neighbors=4)
+    monkeypatch.setattr(np, "argsort", argsort)
+    norms = (X * X).sum(axis=1)
+    want = [norms[None, :] - 2.0 * (chunk @ X.T) + (chunk * chunk).sum(axis=1)[:, None]
+            for chunk in np.split(queries, [16, 32])]
+    assert len(sorted_d2) == len(want)
+    for got, expected in zip(sorted_d2, want):
+        np.testing.assert_array_equal(got, expected)
+    nearest = np.argsort(np.concatenate(want), axis=1, kind="stable")[:, :4]
+    np.testing.assert_array_equal(res, baselines._vote(train.residents[nearest], 2))
+    np.testing.assert_array_equal(act, baselines._vote(train.activities[nearest], 15))
+
+
 def test_knn_validation():
     train = _dataset([[0.0]], [0], [0])
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import treehar
 from treehar import casas, model, synth, windowing
 from treehar.cli import (SETTINGS, DataError, UsageError, build_parser, main,
                          read_config_file, run)
@@ -247,6 +250,21 @@ def test_predict_outputs_pair(trained, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("resident=")
     assert "activity=" in line
+
+
+def test_predict_starts_no_thread(trained):
+    """predict forwards one window on the caller's thread: in a fresh
+    process it does not even load concurrent.futures, whose executor
+    train and eval start."""
+    corpus, out = trained
+    args = ["predict", "--checkpoint", str(out / "model.ckpt"),
+            "--history", str(sorted(corpus.iterdir())[0])]
+    script = ("import sys; from treehar.cli import run; "
+              f"assert run({args!r}) == 0; "
+              "assert 'concurrent.futures' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(Path(treehar.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                   capture_output=True, timeout=120)
 
 
 def _on_windows(history, k):

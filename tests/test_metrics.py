@@ -1,10 +1,13 @@
+import sys
+import threading
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treehar import metrics
+from treehar import metrics, training
 from treehar.cli import run
 from treehar.metrics import (
     ConfusionMatrix,
@@ -13,7 +16,8 @@ from treehar.metrics import (
     report_from_predictions,
 )
 from treehar.model import init_params
-from treehar.windowing import make_windows
+from treehar.numerics import NumericError
+from treehar.windowing import make_windows, stack_windows
 
 from test_cli import make_corpus
 from test_model import _events
@@ -115,8 +119,11 @@ def test_permutation_invariance_over_window_order():
 
 
 def test_evaluate_counts_every_window(monkeypatch):
-    """At EVAL_CHUNK 7 no call stacks or forwards more than 7 of the 25
-    windows, and the counts equal those of one 25-window chunk."""
+    """At EVAL_CHUNK 7 each chunk of the 25 windows is stacked and
+    forwarded as two halves, its first ceil(n/2) windows and the rest, so
+    no call takes more than 7, and the counts equal those of one 25-window
+    chunk. The halves may run on two threads, so the calls are compared
+    as a multiset."""
     params = init_params(3, 37, seed=4)
     windows = make_windows(_events(25), k=3)
     monkeypatch.setattr(metrics, "EVAL_CHUNK", 25)
@@ -129,11 +136,115 @@ def test_evaluate_counts_every_window(monkeypatch):
         monkeypatch.setattr(metrics, name, spy)
     monkeypatch.setattr(metrics, "EVAL_CHUNK", 7)   # 25 = 3 * 7 + 4
     report = evaluate(windows, params)
-    assert calls == [(name, n) for n in (7, 7, 7, 4)
-                     for name in ("stack_windows", "predict_batch")]
+    assert Counter(calls) == Counter((name, n) for n in (4, 3) * 3 + (2, 2)
+                                     for name in ("stack_windows", "predict_batch"))
+    assert max(n for _, n in calls) <= 7
     assert report.resident.total == report.activity.total == 25
     np.testing.assert_array_equal(report.resident.counts, whole.resident.counts)
     np.testing.assert_array_equal(report.activity.counts, whole.activity.counts)
+
+
+def _recorded_evaluate(windows, params, cpus, monkeypatch):
+    """evaluate with _usable_cpus at cpus: the labels it counts, in order,
+    the threads that stacked a half chunk and the halves' sizes."""
+    labels, threads, sizes = [], set(), []
+
+    def recording_report(*arrays):
+        labels.extend(np.array(a, copy=True) for a in arrays)
+        return report_from_predictions(*arrays)
+
+    def recording_stack(*args, **kwargs):
+        threads.add(threading.get_ident())
+        sizes.append(len(args[0]))
+        return stack_windows(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "report_from_predictions", recording_report)
+    monkeypatch.setattr(metrics, "stack_windows", recording_stack)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+    evaluate(windows, params)
+    return labels, threads, sizes
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k,count,chunk", [
+    (8, 128, 128),   # the default chunk at k=8
+    (4, 41, 128),    # halves of 21 and 20
+    (3, 1, 128),     # one window: half 1 is empty
+    (3, 50, 16),     # a short last chunk of 2
+], ids=["k8-128", "41", "1", "short-last"])
+def test_evaluate_halves_on_two_threads_match_one_thread(dtype, k, count, chunk,
+                                                          monkeypatch):
+    monkeypatch.setattr(metrics, "EVAL_CHUNK", chunk)
+    windows = make_windows(_events(count), k=k)
+    params = init_params(k, 37, seed=4, dtype=dtype)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # the two threads take turns at the GIL often
+    try:
+        runs = [_recorded_evaluate(windows, params, cpus, monkeypatch)
+                for cpus in (2, 1)]
+    finally:
+        sys.setswitchinterval(interval)
+    (labels2, threads2, sizes2), (labels1, threads1, sizes1) = runs
+    chunks = [min(chunk, count - start) for start in range(0, count, chunk)]
+    # in turn, each chunk's first ceil(n/2) windows, then the rest
+    assert sizes1 == [n for c in chunks for n in ((c + 1) // 2, c // 2) if n]
+    assert sorted(sizes2) == sorted(sizes1)
+    assert len(labels2) == len(labels1) == 4
+    for got, want in zip(labels2, labels1):
+        np.testing.assert_array_equal(got, want)
+        assert len(want) == count
+    assert threads1 == {threading.get_ident()}
+    if training._openblas_threads() is not None and count > 1:
+        assert threads2 - threads1   # a worker forwarded half 1
+
+
+def _overflowing_params():
+    params = init_params(3, 37, seed=0)
+    for p in params.weight_tensors():
+        p.value.data[...] = 1e200
+    return params
+
+
+def test_evaluate_worker_half_runs_under_the_callers_numpy_error_state(monkeypatch):
+    # weights of 1e200 overflow every half's forward: under the caller's
+    # errstate that is the one NumericError, with no RuntimeWarning from
+    # the worker thread, which would start at numpy's default error state.
+    # Half 0's NumericError can end the call before half 1's result is
+    # read, so the worker's warnings are recorded rather than raised.
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="not finite"):
+                evaluate(make_windows(_events(40), k=3), _overflowing_params())
+    assert [w.message for w in caught] == []
+
+
+@pytest.mark.skipif(training._openblas_threads() is None,
+                    reason="no OpenBLAS thread count to set in this process")
+def test_evaluate_holds_blas_at_one_thread_and_gives_its_count_back(monkeypatch):
+    get, set_ = training._openblas_threads()
+    during = []
+
+    def recording_stack(*args, **kwargs):
+        during.append(get())
+        return stack_windows(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "stack_windows", recording_stack)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    windows = make_windows(_events(40), k=3)
+    before = get()
+    set_(2)
+    try:
+        evaluate(windows, init_params(3, 37, seed=0))
+        assert get() == 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                evaluate(windows, _overflowing_params())
+        assert get() == 2
+    finally:
+        set_(before)
+    assert during and set(during) == {1}
 
 
 def test_evaluate_empty_rejected():
