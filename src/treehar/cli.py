@@ -13,11 +13,10 @@ epoch shuffles.
 Reproducibility: train gives the same checkpoint bytes for the same seed,
 settings and data with the same numpy and BLAS build, and eval the same
 tsc labels for the same checkpoint. Each batch and each eval chunk is cut
-into two fixed halves (see training). Where numpy's BLAS is an OpenBLAS
-reached through numpy's extension module, it is held at one thread and
-the halves run on two threads if 2 CPUs are usable, in turn if not, and
-the bytes do not depend on the core count or the BLAS thread count.
-Otherwise the halves run in turn and the bytes depend on the latter.
+into two fixed halves, run as training.two_halves says. Where numpy's BLAS
+is an OpenBLAS reached through numpy's extension module, the bytes do not
+depend on the core count or the BLAS thread count; otherwise they depend
+on the latter.
 
 Artifacts, written in --out beside the config_used.txt echo (synth's
 echo is .config_used.txt, a dot-name, so the corpus reads as logs only),

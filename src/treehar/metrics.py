@@ -1,5 +1,5 @@
 """Confusion-matrix evaluation. evaluate forwards the held-out windows
-chunk by chunk, each chunk as two halves (training.two_halves).
+chunk by chunk, each chunk as two halves (see training.two_halves).
 
 Resident metrics are macro-averaged over the two classes; per-class
 values are also kept because a two-class precision/F1 depends on which
@@ -142,10 +142,9 @@ class MetricsReport:
 
 def evaluate(test_windows, params: ModelParams) -> MetricsReport:
     """Argmax predictions over the test windows. Each EVAL_CHUNK of them is
-    cut in two by training.two_halves, and each half stacked and forwarded,
-    on two threads or in turn with the same labels. Only the labels are
-    kept, so a call's memory is bounded by the chunk, not by the held-out
-    set."""
+    run as two halves by training.two_halves, each half stacked and
+    forwarded. Only the labels are kept, so a call's memory is bounded by
+    the chunk, not by the held-out set."""
     test_windows = list(test_windows)
     if not test_windows:
         raise ValueError("evaluate: empty test set")
@@ -155,9 +154,8 @@ def evaluate(test_windows, params: ModelParams) -> MetricsReport:
         return (*labels, *predict_batch(events, params))
 
     chunks = []
-    with two_halves() as halves:
-        for start in range(0, len(test_windows), EVAL_CHUNK):
-            chunks += halves(test_windows[start:start + EVAL_CHUNK], half_labels)
+    for start in range(0, len(test_windows), EVAL_CHUNK):
+        chunks += two_halves(test_windows[start:start + EVAL_CHUNK], half_labels)
     true_res, true_act, pred_res, pred_act = (np.concatenate(c) for c in zip(*chunks))
     return report_from_predictions(true_res, pred_res, true_act, pred_act)
 

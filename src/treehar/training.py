@@ -4,23 +4,16 @@ All randomness flows from one root seed through fixed stream ids
 (split=0, init=1, shuffle=2, synth=3, gradcheck=4; the shuffle stream
 is further keyed by epoch), so a single integer reproduces a whole experiment.
 
-Every batch of B windows is cut into two fixed halves, its first ceil(B/2)
-windows and the rest. Each half has its own stack, forward, joint_loss node
-and tape walk, on its own Tape and Workspace; it divides its
-cross-entropies by B, and only half 0 holds the L2 term. The batch loss is
-half 0's + half 1's, and so is the batch gradient, in that order. The split
-is part of the arithmetic; where the halves run is not. two_halves cuts
-and runs them, as it does metrics.evaluate's chunks. Where numpy's BLAS
-is an OpenBLAS reached through numpy's extension module, it is held at
-one thread, whose GEMMs sum in one order, and where at least 2 CPUs are
-usable, half 1 runs on a worker thread while half 0 runs on the caller's.
-Otherwise the halves run in turn on the caller's thread; with another
-BLAS, the bits then depend on its thread count.
+Every batch of B windows is cut into two fixed halves by two_halves, whose
+docstring says how it cuts and runs them. Each half has its own stack,
+forward, joint_loss node and tape walk, on its own Tape and Workspace; it
+divides its cross-entropies by B, and only half 0 holds the L2 term. The
+batch loss is half 0's + half 1's, and so is the batch gradient, in that
+order.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import ctypes
 import functools
@@ -157,8 +150,9 @@ class EpochStats:
 
 
 _OPENBLAS_THREAD_CALLS = (
-    # (get, set): the numpy 2 wheel's scipy-openblas, the numpy 1 wheel's
-    # OpenBLAS, and a system OpenBLAS
+    # (get, set): the numpy wheel's scipy-openblas, an OpenBLAS with 64-bit
+    # integers and the 64_ symbol suffix (a build against a distribution's
+    # openblas64_), and a system OpenBLAS
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
@@ -184,52 +178,54 @@ def _openblas_threads():
     return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread, restoring its count on exit; yields
-    whether it could."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield False
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(before)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def two_halves():
-    """Yield halves: halves(items, half) is [half(items[:cut], 0),
-    half(items[cut:], 1)] for cut = ceil(n/2), or [half(items, 0)] for one
-    item. OpenBLAS is held at one thread where it can be, and then on 2
-    usable CPUs half 1 runs on a worker in a copy of the caller's context,
-    which holds numpy's error state."""
-    # imported here so that predict, which starts no thread, does not load
-    # concurrent.futures and its logging (0.4 MiB of RSS); the pool's thread
-    # starts at its first submit and ends before BLAS's thread count returns
-    from concurrent.futures import ThreadPoolExecutor
-    with _one_blas_thread() as held, ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool if held and _usable_cpus() > 1 else None
+def two_halves(items, half):
+    """[half(items[:cut], 0), half(items[cut:], 1)] for cut = ceil(n/2), or
+    [half(items, 0)] for one item: how train_epoch runs each batch and
+    metrics.evaluate each chunk.
 
-        def halves(items, half):
-            cut = (len(items) + 1) // 2
-            if cut == len(items):    # one item has no half 1
-                return [half(items, 0)]
-            if worker is None:
-                return [half(items[:cut], 0), half(items[cut:], 1)]
-            later = worker.submit(contextvars.copy_context().run, half, items[cut:], 1)
-            return [half(items[:cut], 0), later.result()]
-        yield halves
+    The cut is part of the arithmetic; where the halves run is not. Where
+    numpy's BLAS is an OpenBLAS reached through numpy's extension module,
+    it is held at one thread for the call, one item too, so its GEMMs sum
+    in one order, and its count is given back after. Where it is held and
+    at least 2 CPUs are usable, half 1 runs on a one-worker pool in a copy
+    of the caller's context, which holds numpy's error state, while half 0
+    runs on the caller's thread. Otherwise the halves run in turn on the
+    caller's thread; with another BLAS, the bits then depend on its thread
+    count. Half 1's outcome is always read: if only half 1 raises, its
+    error is raised, and if both do, half 0's is, with half 1's as its
+    __context__.
+    """
+    cut = (len(items) + 1) // 2
+    blas = _openblas_threads()
+    if blas is not None:
+        before = blas[0]()
+        blas[1](1)
+    try:
+        if cut == len(items):    # one item has no half 1
+            return [half(items, 0)]
+        if blas is None or _usable_cpus() < 2:
+            return [half(items[:cut], 0), half(items[cut:], 1)]
+        # imported here so that predict, which starts no thread, does not
+        # load concurrent.futures and its logging (0.4 MiB of RSS)
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            later = pool.submit(contextvars.copy_context().run, half, items[cut:], 1)
+            try:
+                first = half(items[:cut], 0)
+            except BaseException as error:
+                if (second := later.exception()) is not None:
+                    error.__context__ = second
+                raise
+            return [first, later.result()]
+    finally:
+        if blas is not None:
+            blas[1](before)
 
 
 def _half_step(params: ModelParams, state: AdamState, l2_weight: float,
@@ -259,26 +255,25 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
     order = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(len(windows))
 
     batch_losses = []
-    with two_halves() as halves:
-        for start in range(0, len(windows), config.batch_size):
-            batch = [windows[i] for i in order[start:start + config.batch_size]]
-            step = functools.partial(_half_step, params, state, config.l2_weight, len(batch))
-            (value, grad), *second = halves(batch, step)
-            for value1, grad1 in second:    # none for a batch of one window
-                value, grad = value + value1, np.add(grad, grad1, out=grad)
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"batch loss diverged to {value} at epoch {epoch}, "
-                    f"batch {len(batch_losses)}"
-                )
-            params.grad = grad
-            adam_step(params, state, config.learning_rate)
-            if (bad := params.non_finite()) is not None:
-                raise NumericError(
-                    f"parameter {bad} is not finite after the Adam step "
-                    f"at epoch {epoch}, batch {len(batch_losses)}"
-                )
-            batch_losses.append(value)
+    for start in range(0, len(windows), config.batch_size):
+        batch = [windows[i] for i in order[start:start + config.batch_size]]
+        step = functools.partial(_half_step, params, state, config.l2_weight, len(batch))
+        (value, grad), *second = two_halves(batch, step)
+        for value1, grad1 in second:    # none for a batch of one window
+            value, grad = value + value1, np.add(grad, grad1, out=grad)
+        if not np.isfinite(value):
+            raise NumericError(
+                f"batch loss diverged to {value} at epoch {epoch}, "
+                f"batch {len(batch_losses)}"
+            )
+        params.grad = grad
+        adam_step(params, state, config.learning_rate)
+        if (bad := params.non_finite()) is not None:
+            raise NumericError(
+                f"parameter {bad} is not finite after the Adam step "
+                f"at epoch {epoch}, batch {len(batch_losses)}"
+            )
+        batch_losses.append(value)
     return EpochStats(
         epoch=epoch,
         avg_loss=float(np.mean(batch_losses)),

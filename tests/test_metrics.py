@@ -207,17 +207,16 @@ def _overflowing_params():
 
 def test_evaluate_worker_half_runs_under_the_callers_numpy_error_state(monkeypatch):
     # weights of 1e200 overflow every half's forward: under the caller's
-    # errstate that is the one NumericError, with no RuntimeWarning from
-    # the worker thread, which would start at numpy's default error state.
-    # Half 0's NumericError can end the call before half 1's result is
-    # read, so the worker's warnings are recorded rather than raised.
+    # errstate each half raises a NumericError, and half 1's is the
+    # __context__ of half 0's. A worker thread at numpy's default error
+    # state would raise a RuntimeWarning there instead, as an error.
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="not finite"):
+            with pytest.raises(NumericError, match="not finite") as raised:
                 evaluate(make_windows(_events(40), k=3), _overflowing_params())
-    assert [w.message for w in caught] == []
+    assert not isinstance(raised.value.__context__, Warning)
 
 
 @pytest.mark.skipif(training._openblas_threads() is None,
@@ -238,6 +237,7 @@ def test_evaluate_holds_blas_at_one_thread_and_gives_its_count_back(monkeypatch)
     try:
         evaluate(windows, init_params(3, 37, seed=0))
         assert get() == 2
+        # half 0 raises inside two_halves, half 1 too: the count comes back
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
                 evaluate(windows, _overflowing_params())

@@ -505,7 +505,7 @@ def test_halves_on_two_threads_match_one_thread(dtype, k, count, batch_size,
         np.testing.assert_array_equal(got, want)
     assert threads1 == {threading.get_ident()}
     if training._openblas_threads() is not None and count > 1:
-        assert threads2 - threads1   # a worker ran half 1, one per epoch
+        assert threads2 - threads1   # a worker ran half 1 of each batch
 
 
 def test_split_matches_one_tape_over_the_whole_batch(monkeypatch):
@@ -550,6 +550,71 @@ def test_train_epoch_holds_blas_at_one_thread_and_gives_its_count_back(monkeypat
     finally:
         set_(before)
     assert during and set(during) == {1}
+
+
+@pytest.mark.skipif(training._openblas_threads() is None,
+                    reason="no OpenBLAS thread count to set in this process")
+@pytest.mark.parametrize("count", [1, 40], ids=["one-window", "40"])
+def test_the_hold_covers_the_halves_and_not_the_adam_step(count, monkeypatch):
+    # a batch of one window is stacked at one thread too, so it keeps its
+    # bits; the Adam step, outside two_halves, runs at the caller's count
+    get, set_ = training._openblas_threads()
+    stacked, stepped = [], []
+
+    def recording_stack(*args, **kwargs):
+        stacked.append(get())
+        return stack_windows(*args, **kwargs)
+
+    def recording_adam_step(*args, **kwargs):
+        stepped.append(get())
+        adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "stack_windows", recording_stack)
+    monkeypatch.setattr(training, "adam_step", recording_adam_step)
+    before = get()
+    set_(2)
+    try:
+        params = init_params(3, 37, seed=0)
+        train_epoch(_windows(count), params, AdamState(params), TrainConfig(batch_size=16))
+    finally:
+        set_(before)
+    assert stacked and set(stacked) == {1}
+    assert stepped == [2] * -(-count // 16)
+
+
+def _failing_halves(monkeypatch, failing):
+    """Make train_epoch's half steps whose half is in failing raise a
+    ValueError that names the half; the others step as before."""
+    half_step = training._half_step
+
+    def failing_step(*args):
+        if args[-1] in failing:
+            raise ValueError(f"half {args[-1]}")
+        return half_step(*args)
+
+    monkeypatch.setattr(training, "_half_step", failing_step)
+
+
+@pytest.mark.skipif(training._openblas_threads() is None,
+                    reason="the halves run in turn, so half 1 never runs")
+def test_when_both_halves_raise_half_0s_error_carries_half_1s(monkeypatch):
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    _failing_halves(monkeypatch, {0, 1})
+    params = init_params(3, 37, seed=0)
+    with pytest.raises(ValueError, match="half 0") as raised:
+        train_epoch(_windows(40), params, AdamState(params), TrainConfig(batch_size=16))
+    second = raised.value.__context__
+    assert isinstance(second, ValueError) and str(second) == "half 1"
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_when_only_half_1_raises_its_error_is_raised(cpus, monkeypatch):
+    monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+    _failing_halves(monkeypatch, {1})
+    params = init_params(3, 37, seed=0)
+    with pytest.raises(ValueError, match="half 1") as raised:
+        train_epoch(_windows(40), params, AdamState(params), TrainConfig(batch_size=16))
+    assert raised.value.__context__ is None
 
 
 class _DlInfo(ctypes.Structure):
@@ -654,6 +719,7 @@ def test_the_worker_half_runs_under_the_callers_numpy_error_state(monkeypatch):
     # weights of 1e200 overflow every half's forward: under the caller's
     # errstate that is the one NumericError, with no RuntimeWarning from
     # the worker thread, which would start at numpy's default error state
+    # and, raised as an error, would be the NumericError's __context__
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
     params = init_params(3, 37, seed=0)
     for p in params.weight_tensors():
@@ -661,9 +727,10 @@ def test_the_worker_half_runs_under_the_callers_numpy_error_state(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="batch loss diverged"):
+            with pytest.raises(NumericError, match="batch loss diverged") as raised:
                 train_epoch(_windows(40), params, AdamState(params),
                             TrainConfig(batch_size=16))
+    assert raised.value.__context__ is None
 
 
 def test_train_epoch_invariant_to_storage_order():
