@@ -2,9 +2,11 @@
 
 One event per line, whitespace separated:
     date time sensor value resident activity
-e.g. "2009-02-02 12:18:45.51 M13 ON 2 5". Resident and activity are
-1-based in the files and stored 0-based. The sensor vocabulary is the
-fixed 37-tag set of the ADLMR testbed, indexed by catalog id minus one.
+e.g. "2009-02-02 12:18:45.51 M13 ON 2 5": the date is YYYY-MM-DD, the
+time HH:MM:SS with an optional fraction of 1 to 6 digits, the sensor a
+tag of the fixed 37-tag set of the ADLMR testbed (indexed by catalog id
+minus one), and resident and activity are ASCII digit strings, 1-based
+in the files and stored 0-based.
 
 parse_file returns a file's labeled events as columns (Events): one
 array per field, a row per event, in file order. It reads the file once,
@@ -14,12 +16,11 @@ at \v, \f and \x1c-\x1e, which split() reads as field separators, and
 so shift the line numbers. The lines are checked in blocks of about
 32 KiB, so the text, every line's field list and the digit arrays of the
 whole file are never alive at once. Each line is split into fields once;
-dates, tags and labels are converted once per distinct text, canonical
-HH:MM:SS[.f] times by numpy digit arithmetic, and any other time text by
-the scalar _parse_timestamp. parse_line stays the one definition of the
-line format and of its errors: when any line fails, the first failing
-line in file order goes to parse_line, which raises that line's
-ParseError, file:line included.
+dates, tags and labels are converted once per distinct text, and times
+by _clock_micros, which parse_line reads its one time through too.
+parse_line stays the one definition of the format's errors: when any
+line fails, the first failing line in file order goes to parse_line,
+which raises that line's ParseError, file:line included.
 """
 
 from __future__ import annotations
@@ -128,17 +129,10 @@ def _date(text) -> dt.date:
 
 def _parse_timestamp(date_text, time_text):
     date = _date(date_text)
-    # time-of-day with optional fractional seconds of any width
-    if "." in time_text:
-        whole, frac = time_text.split(".", 1)
-        if not frac.isdigit():
-            raise ValueError(f"bad fractional seconds {time_text!r}")
-        micro = int(round(float("0." + frac) * 1e6))
-        micro = min(micro, 999999)
-    else:
-        whole, micro = time_text, 0
-    h, m, s = whole.split(":")
-    return date, dt.time(int(h), int(m), int(s), micro)
+    micros = int(_clock_micros([time_text])[0])
+    if micros < 0:
+        raise ValueError(f"time {time_text!r} is not HH:MM:SS[.f], f 1 to 6 digits")
+    return _date_time(date.toordinal() * MICROS_PER_DAY + micros)
 
 
 def parse_line(line: str, source=None, line_no=None, prev=None):
@@ -167,15 +161,16 @@ def parse_line(line: str, source=None, line_no=None, prev=None):
     date_text, time_text, tag, value, res_text, act_text = fields
     try:
         date, time = _parse_timestamp(date_text, time_text)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ParseError(f"unparseable timestamp: {exc}", source, line_no) from None
     sensor = _VOCAB_INDEX.get(tag)
     if sensor is None:
         raise ParseError(f"unknown sensor tag {tag!r}", source, line_no)
-    try:
-        resident = int(res_text)
-        activity = int(act_text)
-    except ValueError:
+    try:   # int() alone also reads "+2" and "0_5"
+        if not (res_text + act_text).isdigit():
+            raise ValueError
+        resident, activity = int(res_text), int(act_text)
+    except ValueError:   # a non-digit, or past int()'s 4300-digit limit
         raise ParseError(
             f"labels must be integers, got {res_text!r} {act_text!r}",
             source, line_no,
@@ -205,8 +200,9 @@ _FRACTION_PLACES = 10 ** np.arange(5, -1, -1)
 
 
 def _clock_micros(texts) -> np.ndarray:
-    """Microseconds of the day of each canonical time text, HH:MM:SS with
-    an optional fraction of 1 to 6 digits; -1 for any other text.
+    """Microseconds of the day of each time text, HH:MM:SS with an
+    optional fraction of 1 to 6 digits; -1 for any other text. The log's
+    one clock reader, for parse_file's blocks and parse_line alike.
 
     Each text's length is taken before it is packed into the fixed-width
     array, so a longer text is never truncated into a canonical one.
@@ -218,9 +214,8 @@ def _clock_micros(texts) -> np.ndarray:
 
 def _packed_clock_micros(chars, width) -> np.ndarray:
     """_clock_micros of texts packed as (n, 15) ASCII codes, NUL-padded,
-    and their lengths. The fraction is read right-padded to 6 digits,
-    which equals the scalar min(round(float("0." + f) * 1e6), 999999) for
-    every fraction f of 1 to 6 digits."""
+    and their lengths. The fraction is read right-padded to 6 digits, so
+    a fraction f of 1 to 6 digits gives f's microseconds exactly."""
     digit = (chars >= ord("0")) & (chars <= ord("9"))
     value = np.where(digit, chars - ord("0"), 0)   # NUL padding reads as 0
     past_end = np.arange(_CLOCK_WIDTH) >= width[:, None]
@@ -234,11 +229,6 @@ def _packed_clock_micros(chars, width) -> np.ndarray:
     micros = value[:, _CLOCK_DIGITS] @ _CLOCK_PLACES \
         + value[:, 9:] @ _FRACTION_PLACES
     return np.where(canonical, micros, -1)
-
-
-def _micros(clock: dt.time) -> int:
-    return ((clock.hour * 60 + clock.minute) * 60 + clock.second) * 1_000_000 \
-        + clock.microsecond
 
 
 def _per_distinct(texts, convert) -> np.ndarray:
@@ -256,11 +246,11 @@ def _day(text) -> int:
 
 
 def _label(limit):
-    """Text to a 0-based label, or -1 unless it is an integer in 1..limit."""
+    """Text to a 0-based label, or -1 unless it is the digits of 1..limit."""
     def convert(text) -> int:
         try:
-            value = int(text)
-        except ValueError:
+            value = int(text) if text.isdigit() else 0
+        except ValueError:   # past int()'s 4300-digit limit
             return -1
         return value - 1 if 1 <= value <= limit else -1
     return convert
@@ -298,11 +288,6 @@ def _parse_block(lines, source, offset: int, last: int):
 
     day = _per_distinct(dates, _day)
     time = _clock_micros(times)
-    for row in np.flatnonzero(time < 0).tolist():
-        try:
-            time[row] = _micros(_parse_timestamp(dates[row], times[row])[1])
-        except (ValueError, TypeError):
-            pass    # stays -1: the line fails
     sensor = _per_distinct(tags, lambda tag: _VOCAB_INDEX.get(tag, -1))
     resident = _per_distinct(residents, _label(NUM_RESIDENTS))
     activity = _per_distinct(activities, _label(NUM_ACTIVITIES))

@@ -32,7 +32,7 @@ each CSV with its header:
                              true\\pred,0,1,... (a row per true class)
             report.txt
     sweep   sweep.csv        alpha,beta,gamma,max_loss,avg_loss,min_loss
-    synth   synth_00.txt, synth_01.txt, ... in the log format
+    synth   synth_00.txt, synth_01.txt, ... in the log format (see casas)
 predict and gradcheck only print. events.csv holds the log's six fields,
 labels 1-based. _write_csv writes every CSV: a header row, then a row per
 record, minimal quoting, each line ending in "\\n", floats as their repr.

@@ -140,17 +140,13 @@ def _naive_parse_timestamp(date_text, time_text):
     if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", date_text):
         raise ValueError(f"date {date_text!r} is not YYYY-MM-DD")
     date = dt.date.fromisoformat(date_text)
-    # time-of-day with optional fractional seconds of any width
-    if "." in time_text:
-        whole, frac = time_text.split(".", 1)
-        if not frac.isdigit():
-            raise ValueError(f"bad fractional seconds {time_text!r}")
-        micro = int(round(float("0." + frac) * 1e6))
-        micro = min(micro, 999999)
-    else:
-        whole, micro = time_text, 0
-    h, m, s = whole.split(":")
-    return date, dt.time(int(h), int(m), int(s), micro)
+    # HH:MM:SS, then an optional fraction of 1 to 6 digits
+    clock = re.fullmatch(r"([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.([0-9]{1,6}))?",
+                         time_text)
+    if not clock or int(clock[1]) > 23 or int(clock[2]) > 59 or int(clock[3]) > 59:
+        raise ValueError(f"time {time_text!r} is not HH:MM:SS[.f], f 1 to 6 digits")
+    micro = int((clock[4] or "").ljust(6, "0"))
+    return date, dt.time(int(clock[1]), int(clock[2]), int(clock[3]), micro)
 
 
 def _naive_parse_line(line, source, line_no):
@@ -169,14 +165,16 @@ def _naive_parse_line(line, source, line_no):
     date_text, time_text, tag, value, res_text, act_text = fields
     try:
         date, time = _naive_parse_timestamp(date_text, time_text)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ParseError(f"unparseable timestamp: {exc}", source, line_no) from None
     if tag not in DEFAULT_VOCAB:
         raise ParseError(f"unknown sensor tag {tag!r}", source, line_no)
     try:
+        if not (re.fullmatch(r"[0-9]+", res_text) and re.fullmatch(r"[0-9]+", act_text)):
+            raise ValueError("labels are ASCII digit strings")
         resident = int(res_text)
         activity = int(act_text)
-    except ValueError:
+    except ValueError:   # also past int()'s 4300-digit limit
         raise ParseError(
             f"labels must be integers, got {res_text!r} {act_text!r}",
             source, line_no,

@@ -253,3 +253,12 @@ def test_dt_composite_decoding_covers_both_heads():
                                   ([1, 0], 1, 2), ([1, 1], 1, 5)]:
         assert _predict_one(tree, np.array(x, dtype=float)) == \
             LabelPair(resident, activity)
+
+
+@pytest.mark.parametrize("short", ["X", "residents", "activities"])
+def test_flat_dataset_rejects_unequal_lengths(short):
+    columns = {"X": np.zeros((3, 4)), "residents": np.zeros(3),
+               "activities": np.zeros(3)}
+    columns[short] = columns[short][:2]
+    with pytest.raises(ValueError, match="inconsistent dataset lengths"):
+        FlatDataset(**columns)

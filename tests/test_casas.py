@@ -284,15 +284,18 @@ BAD = _line(9, tag="M99")   # unknown sensor tag
     (_log(_line(1).replace(" ", "\x1d"), _line(2).replace(" ", "\x1e")), 2),
     # an unlabeled line is skipped before any check
     (_log("2009-02-02 garbage M99 ON", _line(1), "x y z w"), 1),
-    # fractions of 7 or more digits round; 0.9999999 clamps to 999999 µs
-    (_log(_line(1, time="08:00:01.1234567"), _line(2, time="08:00:02.123456789"),
-          _line(3, time="08:00:03.9999999"), _line(4, time="08:00:04.9999995")), 4),
-    # non-canonical clocks that int() reads
-    (_log(_line(0, time="8:0:0"), _line(1, time="+08:00:01"),
-          _line(2, time="0_8:00:02"), _line(3, time="08:00:3")), 4),
+    # a fraction has at most 6 digits: 7 or more are rejected, not rounded
+    (_log(_line(1), _line(2, time="08:00:02.1234567")),
+     ":2: unparseable timestamp: time '08:00:02.1234567' is not HH:MM:SS"),
+    # each of H, M and S is two ASCII digits, though int() reads 8:0:2
+    # (test_only_canonical_clocks_and_digit_labels_parse has the others)
+    (_log(_line(1), _line(2, time="8:0:2")), ":2: unparseable timestamp"),
     # longer than the packed width: read whole, never truncated
-    (_log(_line(1, time="08:00:01.1234569"),
-          _line(2, time="08:00:02.12345678901234567")), 2),
+    (_log(_line(1), _line(2, time="08:00:02.12345678901234567")),
+     ":2: unparseable timestamp"),
+    # past int()'s 4300-digit limit: still the line's ParseError
+    (_log(_line(1), _line(2, time="0" * 4992 + "08:00:02")),
+     ":2: unparseable timestamp"),
     (_log(_line(1), _line(2, time="08:00:02.123456x")), ":2: unparseable timestamp"),
     (_log(_line(1), _line(2, time="08:00:02.1234567x")), ":2: unparseable timestamp"),
     (_log(_line(1), _line(2, time="08:00:02.")), ":2: unparseable timestamp"),
@@ -301,8 +304,12 @@ BAD = _line(9, tag="M99")   # unknown sensor tag
     (_log(_line(1), _line(2, time="08:00:60.5")), ":2: unparseable timestamp"),
     (_log(_line(1), _line(2, labels="0 1")), ":2: resident id 0 out of range"),
     (_log(_line(1), _line(2, labels="2 0")), ":2: activity id 0 out of range"),
-    (_log(_line(1), _line(2, labels="+2 015")), 2),
+    # labels are ASCII digit strings, though int() reads "+2"
+    (_log(_line(1), _line(2, labels="1 015"), _line(3, labels="+2 1")),
+     ":3: labels must be integers, got '+2' '1'"),
     (_log(_line(1), _line(2, labels="1 x")), ":2: labels must be integers"),
+    (_log(_line(1), _line(2, labels="1" * 5000 + " 1")),
+     ":2: labels must be integers"),
     (_log(_line(1), _line(2).replace("2009-02-02", "2009-02-30")),
      ":2: unparseable timestamp"),
     # equal timestamps are in order
@@ -322,9 +329,10 @@ BAD = _line(9, tag="M99")   # unknown sensor tag
     (b"", 0),
     (b"\n\n  \n", 0),
 ], ids=["crlf", "cr", "vt-ff-fs", "gs-rs", "unlabeled-garbage", "long-fractions",
-        "loose-clocks", "wide-clock", "wide-clock-bad-16", "wide-clock-bad-17",
-        "empty-fraction", "hour-24", "minute-60", "second-60", "resident-0",
-        "activity-0", "signed-labels", "label-text", "february-30", "equal-stamps",
+        "loose-clocks", "wide-clock", "time-5000-chars", "wide-clock-bad-16",
+        "wide-clock-bad-17", "empty-fraction", "hour-24", "minute-60", "second-60",
+        "resident-0", "activity-0", "signed-labels", "label-text",
+        "label-5000-digits", "february-30", "equal-stamps",
         "byte-after-error", "byte-before-error", "byte-on-unlabeled-line",
         "order-after-label-error",
         "order-after-field-error", "order-across-skips", "order-in-fraction",
@@ -359,6 +367,35 @@ def test_only_yyyy_mm_dd_dates_parse(tmp_path, capsys, date):
     assert f"{path}:2: unparseable timestamp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("time, labels, message", [
+    ("8:0:0", "1 1", "unparseable timestamp: time '8:0:0'"),
+    ("+08:00:01", "1 1", "unparseable timestamp: time '+08:00:01'"),
+    ("0_8:00:02", "1 1", "unparseable timestamp: time '0_8:00:02'"),
+    ("08:00:3", "1 1", "unparseable timestamp: time '08:00:3'"),
+    ("08:00:03.1234567", "1 1", "unparseable timestamp: time '08:00:03.1234567'"),
+    ("08:00:03", "+2 1", "labels must be integers, got '+2' '1'"),
+    ("08:00:03", "1 0_5", "labels must be integers, got '1' '0_5'"),
+])
+def test_only_canonical_clocks_and_digit_labels_parse(tmp_path, capsys, time,
+                                                      labels, message):
+    """The log's time is HH:MM:SS with a fraction of at most 6 digits, and
+    its labels are ASCII digit strings. int() also reads each of these
+    forms, so each is rejected by parse_line and parse_file alike, and
+    ingest exits 2 naming the file and line, with no traceback."""
+    line = _line(2, time=time, labels=labels)
+    with pytest.raises(ParseError, match=r"^log\.txt:2: " + re.escape(message)):
+        parse_line(line, source="log.txt", line_no=2)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "log.txt"
+    path.write_bytes(_log(_line(1), line))
+    assert _agreed_outcome(path).startswith(f"{path}:2: {message}")
+    assert run(["ingest", "--data", str(corpus), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {path}:2: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_parse_file_carries_order_and_line_numbers_across_blocks(tmp_path):
     path, = synth.generate_corpus(tmp_path / "corpus",
                                   synth.SynthProfile(files=1, events_per_file=2000),
@@ -391,21 +428,11 @@ def test_parse_file_carries_order_and_line_numbers_across_blocks(tmp_path):
             assert outcome.startswith(f"{mutated}{expected}"), (name, outcome)
 
 
-def test_long_fractions_round_like_the_scalar_parser(tmp_path):
-    path = tmp_path / "log.txt"
-    path.write_bytes(_log(_line(1, time="08:00:01.1234569"),
-                          _line(2, time="08:00:02.9999999"),
-                          _line(3, time="08:00:03.9999995"),
-                          _line(4, time="08:00:04.0000005")))
-    seconds, micros = np.divmod(parse_file(path).events.time, 1_000_000)
-    assert micros.tolist() == [123457, 999999, 999999, 0]
-    assert (seconds % 60).tolist() == [1, 2, 3, 4]
-
-
 def test_clock_digits_match_the_scalar_rounding_for_every_short_fraction():
     """Every fraction of 1 to 6 digits, 1,111,110 in all, packed as
-    "00:00:00.f": the digit arithmetic gives the scalar parser's
-    min(int(round(float("0." + f) * 1e6)), 999999)."""
+    "00:00:00.f": the digit arithmetic gives f's exact microseconds, which
+    equal min(int(round(float("0." + f) * 1e6)), 999999), the rounding of
+    the float reading."""
     width = np.repeat(np.arange(1, 7), 10 ** np.arange(1, 7))
     value = np.concatenate([np.arange(10 ** w) for w in range(1, 7)])
     chars = np.zeros((len(value), 15), dtype=np.uint8)

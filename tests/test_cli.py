@@ -15,9 +15,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import treehar
-from treehar import casas, model, synth, windowing
+from treehar import casas, cli, model, synth, windowing
 from treehar.cli import (SETTINGS, DataError, UsageError, build_parser, main,
                          read_config_file, run)
+from treehar.numerics import GradientCheckReport, Probe
 
 
 def make_corpus(tmp_path, name="corpus", files=3, events=60, seed=0):
@@ -630,6 +631,59 @@ def test_one_file_corpus_is_data_error(trained, tmp_path, capsys, command):
              else ["--epochs", "1"])
     assert run(argv) == 2
     assert "at least 2 files" in capsys.readouterr().err
+
+
+def _no_on_events(corpus, tmp_path):
+    """corpus with every ON event turned OFF, so no window can be made."""
+    off = tmp_path / "off"
+    off.mkdir()
+    for path in sorted(corpus.glob("synth_*.txt")):
+        (off / path.name).write_text(path.read_text().replace(" ON ", " OFF "))
+    return off
+
+
+_MALFORMED = {   # case: (exit code, what stderr says, or None for stdout's FAIL)
+    "predict-no-on-events": (2, "has no usable events"),
+    "train-no-on-events": (2, "training split contains no usable events"),
+    "config-line-without-equals": (1, "expected key=value, got 'k 3'"),
+    "empty-alpha-grid": (1, "alphas must list at least one value, got ','"),
+    "gradcheck-over-tolerance": (3, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_exits_with_its_code(trained, tmp_path, capsys, monkeypatch,
+                                             case):
+    code, message = _MALFORMED[case]
+    corpus, run_dir = trained
+    out = tmp_path / "o"
+    if case == "predict-no-on-events":
+        history = sorted(_no_on_events(corpus, tmp_path).iterdir())[0]
+        argv = ["predict", "--checkpoint", str(run_dir / "model.ckpt"),
+                "--history", str(history)]
+    elif case == "train-no-on-events":
+        argv = ["train", "--data", str(_no_on_events(corpus, tmp_path)),
+                "--out", str(out), "--k", "3", "--epochs", "1"]
+    elif case == "config-line-without-equals":
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=1\nk 3\n")
+        argv = ["train", "--data", str(corpus), "--out", str(out),
+                "--config", str(config)]
+    elif case == "empty-alpha-grid":
+        argv = ["sweep", "--data", str(corpus), "--out", str(out),
+                "--alphas", ","]
+    else:
+        report = GradientCheckReport(0.5, [Probe("layer1.event.weight", 0, 1.0, 3.0, 0.5)])
+        monkeypatch.setattr(cli, "gradient_check", lambda *args, **kwargs: report)
+        argv = ["gradcheck", "--k", "3"]
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert "FAIL: max rel error 5.000e-01 exceeds" in captured.out
+    else:
+        assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -604,3 +604,15 @@ def test_save_params_crash_keeps_previous_checkpoint(tmp_path, monkeypatch):
         save_params(init_params(3, 37, seed=1), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: channel_plan(1), ValueError, "k must be >= 2, got 1"),
+    (lambda: init_params(4, 37, seed=0).layer(0), IndexError,
+     r"layer 0 out of range 1\.\.3"),
+    (lambda: init_params(4, 37, seed=0).layer(4), IndexError,
+     r"layer 4 out of range 1\.\.3"),
+], ids=["channel-plan-k-1", "layer-0", "layer-k"])
+def test_contract_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

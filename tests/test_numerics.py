@@ -1178,3 +1178,46 @@ def test_gradient_check_rejects_nondeterministic_model():
 
     with pytest.raises(NumericError, match="deterministic"):
         gradient_check(loss_fn, [p], probe_count=1)
+
+
+def _conv(x_shape=(1, 2, 5), w_shape=(3, 2, 3), b_shape=(3,)):
+    return lambda: conv1d(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
+                          Tensor(np.ones(b_shape)))
+
+
+def _dense(x_shape=(2, 4), w_shape=(3, 4), b_shape=(3,)):
+    return lambda: dense(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
+                         Tensor(np.ones(b_shape)))
+
+
+def _walk_vector_loss():
+    tape = Tape()
+    out = dense(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))),
+                Tensor(np.ones(3)), tape)
+    return tape.gradients(out)
+
+
+def _check(params, probe_count):
+    return lambda: gradient_check(
+        lambda tape: joint_loss([], [Tensor(np.ones(2))], 1.0, tape),
+        params, probe_count)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_conv(w_shape=(3, 2)), ShapeError, "conv1d: weights must be rank 3"),
+    (_conv(x_shape=(1, 2, 0)), ShapeError, "conv1d: input length must be >= 1"),
+    (_dense(w_shape=(4,)), ShapeError, "dense: weights must be rank 2"),
+    (_dense(b_shape=(4,)), ShapeError, r"dense: bias shape \(4,\) != output size"),
+    (_dense(x_shape=(2, 5)), ShapeError, "dense: input size 5 != weight columns 4"),
+    (lambda: dense(np.ones((2, 4)), Tensor(np.ones((3, 4))), Tensor(np.ones(3))),
+     TypeError, "dense: input must be a Tensor, got ndarray"),
+    (_walk_vector_loss, ShapeError, r"loss must be scalar, got shape \(2, 3\)"),
+    (_check([ParamTensor("w", Tensor(np.ones(2)))], 0), ValueError,
+     "probe_count must be >= 1, got 0"),
+    (_check([], 1), ValueError, "no parameters to probe"),
+], ids=["conv-rank-2-weights", "conv-length-0", "dense-rank-1-weights",
+        "dense-bias-shape", "dense-input-width", "not-a-tensor",
+        "non-scalar-loss", "zero-probes", "no-parameters"])
+def test_contract_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -870,3 +870,28 @@ def test_loss_log_round_trips_float_repr(tmp_path, monkeypatch):
                 "--out", str(out), "--k", "3"]) == 0
     value = (out / "loss_log.csv").read_text().splitlines()[1].split(",")[1]
     assert float(value) == 1.2345678901234567
+
+
+def _blas_lookup_without_a_library(monkeypatch):
+    def refuse(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    return training._openblas_threads.__wrapped__()   # past the cache
+
+
+def _negative_epochs(monkeypatch):
+    try:
+        TrainConfig(epochs=-1)
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (_negative_epochs, "epochs must be nonnegative, got -1"),
+    (_blas_lookup_without_a_library, None),
+], ids=["negative-epochs", "no-blas-library"])
+def test_contract_edges(monkeypatch, call, expected):
+    """A negative epoch count is a ValueError; a linalg extension module
+    that ctypes cannot open reads as no OpenBLAS, so the halves run in turn."""
+    assert call(monkeypatch) == expected
