@@ -6,7 +6,8 @@ e.g. "2009-02-02 12:18:45.51 M13 ON 2 5": the date is YYYY-MM-DD, the
 time HH:MM:SS with an optional fraction of 1 to 6 digits, the sensor a
 tag of the fixed 37-tag set of the ADLMR testbed (indexed by catalog id
 minus one), and resident and activity are ASCII digit strings, 1-based
-in the files and stored 0-based.
+in the files and stored 0-based. Lines are ASCII, time never goes back,
+and a blank or a 4-field line (an annotation gap) gives no event.
 
 parse_file returns a file's labeled events as columns (Events): one
 array per field, a row per event, in file order. It reads the file once,
@@ -17,11 +18,10 @@ so shift the line numbers. The lines are checked in blocks of about
 32 KiB, so the text, every line's field list and the digit arrays of the
 whole file are never alive at once. Each line is split into fields once;
 dates, tags and labels are converted once per distinct text, and times
-by _clock_micros, which parse_line reads its one time through too.
-parse_line stays the one definition of the format's errors: when any
-line fails, the first failing line in file order goes to parse_line,
-which raises that line's ParseError, file:line included.
-"""
+by _clock_micros. Each rule of the format is written once, as one of
+these column checks: the first failing line in file order raises a
+ParseError, file:line included, that _fault words from its first
+failing check."""
 
 from __future__ import annotations
 
@@ -62,15 +62,12 @@ _VOCAB_INDEX = {tag: i for i, tag in enumerate(DEFAULT_VOCAB)}
 
 
 class ParseError(ValueError):
-    """A malformed log line; carries file/line provenance when known."""
+    """A malformed log line, with its file and line number."""
 
-    def __init__(self, message, source=None, line_no=None):
+    def __init__(self, message, source, line_no):
         self.source = source
         self.line_no = line_no
-        prefix = ""
-        if source is not None:
-            prefix = f"{source}:{line_no}: " if line_no is not None else f"{source}: "
-        super().__init__(prefix + message)
+        super().__init__(f"{source}:{line_no}: {message}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,12 @@ class Events:
         return Events(*(getattr(self, name)[rows] for name in _COLUMNS))
 
 
-SKIP = object()  # marker for blank or unlabeled lines
+def _shown(text, show=repr) -> str:
+    """A field as a ParseError message quotes it: show(text), or past 32
+    characters the repr of its first 32 and its length, on one short line."""
+    if len(text) <= 32:
+        return show(text)
+    return f"{text[:32]!r}... ({len(text)} characters)"
 
 
 def _date(text) -> dt.date:
@@ -123,74 +125,8 @@ def _date(text) -> dt.date:
     which 3.10's refuses."""
     if not (len(text) == 10 and text[4] == text[7] == "-" and text.isascii()
             and (text[:4] + text[5:7] + text[8:]).isdigit()):
-        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
+        raise ValueError(f"date {_shown(text)} is not YYYY-MM-DD")
     return dt.date.fromisoformat(text)
-
-
-def _parse_timestamp(date_text, time_text):
-    date = _date(date_text)
-    micros = int(_clock_micros([time_text])[0])
-    if micros < 0:
-        raise ValueError(f"time {time_text!r} is not HH:MM:SS[.f], f 1 to 6 digits")
-    return _date_time(date.toordinal() * MICROS_PER_DAY + micros)
-
-
-def parse_line(line: str, source=None, line_no=None, prev=None):
-    """Parse one log line into (date, time, sensor, value, resident_id,
-    activity_id), the labels 0-based.
-
-    Returns SKIP for blank lines and for unlabeled 4-field lines (real
-    corpora contain annotation gaps); raises ParseError for anything else
-    that does not match the format: an undecodable byte (read as U+DC80..
-    U+DCFF under surrogateescape), and an event earlier than prev, the
-    (date, time) of the file's previous event.
-    """
-    if not line.isascii():
-        byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
-        raise ParseError(f"undecodable byte 0x{byte:02x}", source, line_no)
-    fields = line.split()
-    if not fields:
-        return SKIP
-    if len(fields) == 4:
-        return SKIP  # event without labels
-    if len(fields) != 6:
-        raise ParseError(
-            f"expected 6 whitespace-separated fields, got {len(fields)}",
-            source, line_no,
-        )
-    date_text, time_text, tag, value, res_text, act_text = fields
-    try:
-        date, time = _parse_timestamp(date_text, time_text)
-    except ValueError as exc:
-        raise ParseError(f"unparseable timestamp: {exc}", source, line_no) from None
-    sensor = _VOCAB_INDEX.get(tag)
-    if sensor is None:
-        raise ParseError(f"unknown sensor tag {tag!r}", source, line_no)
-    try:   # int() alone also reads "+2" and "0_5"
-        if not (res_text + act_text).isdigit():
-            raise ValueError
-        resident, activity = int(res_text), int(act_text)
-    except ValueError:   # a non-digit, or past int()'s 4300-digit limit
-        raise ParseError(
-            f"labels must be integers, got {res_text!r} {act_text!r}",
-            source, line_no,
-        ) from None
-    if not 1 <= resident <= NUM_RESIDENTS:
-        raise ParseError(
-            f"resident id {resident} out of range 1..{NUM_RESIDENTS}",
-            source, line_no,
-        )
-    if not 1 <= activity <= NUM_ACTIVITIES:
-        raise ParseError(
-            f"activity id {activity} out of range 1..{NUM_ACTIVITIES}",
-            source, line_no,
-        )
-    if prev is not None and (date, time) < prev:
-        raise ParseError(
-            f"events out of order: {date} {time} after {prev[0]} {prev[1]}",
-            source, line_no,
-        )
-    return date, time, sensor, value, resident - 1, activity - 1
 
 
 _CLOCK_WIDTH = 15                        # len("HH:MM:SS.ffffff")
@@ -201,12 +137,9 @@ _FRACTION_PLACES = 10 ** np.arange(5, -1, -1)
 
 def _clock_micros(texts) -> np.ndarray:
     """Microseconds of the day of each time text, HH:MM:SS with an
-    optional fraction of 1 to 6 digits; -1 for any other text. The log's
-    one clock reader, for parse_file's blocks and parse_line alike.
-
-    Each text's length is taken before it is packed into the fixed-width
-    array, so a longer text is never truncated into a canonical one.
-    """
+    optional fraction of 1 to 6 digits; -1 for any other text. Each
+    text's length is taken before it is packed into the fixed-width
+    array, so a longer text is never truncated into a canonical one."""
     width = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
     chars = np.array(texts, dtype=f"S{_CLOCK_WIDTH}").view(np.uint8)
     return _packed_clock_micros(chars.reshape(-1, _CLOCK_WIDTH), width)
@@ -246,13 +179,16 @@ def _day(text) -> int:
 
 
 def _label(limit):
-    """Text to a 0-based label, or -1 unless it is the digits of 1..limit."""
+    """Text to a 0-based label: -1 unless it is ASCII digits that int()
+    reads, -2 unless their value is in 1..limit."""
     def convert(text) -> int:
+        if not text.isdigit():   # int() alone also reads "+2" and "0_5"
+            return -1
         try:
-            value = int(text) if text.isdigit() else 0
+            value = int(text)
         except ValueError:   # past int()'s 4300-digit limit
             return -1
-        return value - 1 if 1 <= value <= limit else -1
+        return value - 1 if 1 <= value <= limit else -2
     return convert
 
 
@@ -265,18 +201,48 @@ class FileParseResult:
     skipped_unlabeled: int = 0
 
 
-def _date_time(stamp: int):
-    """A stamp, day ordinal * MICROS_PER_DAY + time, as (date, time)."""
-    day, micros = divmod(stamp, MICROS_PER_DAY)
-    return (dt.date.fromordinal(day),
-            (dt.datetime.min + dt.timedelta(microseconds=micros)).time())
+def _fault(line, decoded, columns, row, prev) -> str:
+    """The ParseError message of a failing line: its first failing check,
+    in the format's order. decoded is False for a non-ASCII line; columns
+    are the block's day, time, sensor, resident and activity codes (-1
+    where a check fails, -2 for a label out of range), row the line's row
+    in them if labeled, and prev the stamp of the file's event before it."""
+    if not decoded:
+        byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+        return f"undecodable byte 0x{byte:02x}"
+    fields = line.split()
+    if len(fields) != 6:
+        return f"expected 6 whitespace-separated fields, got {len(fields)}"
+    date_text, time_text, tag, _, res_text, act_text = fields
+    day, time, sensor, resident, activity = (int(column[row]) for column in columns)
+    if day < 0:
+        try:
+            _date(date_text)
+        except ValueError as exc:
+            return f"unparseable timestamp: {exc}"
+    if time < 0:
+        return (f"unparseable timestamp: time {_shown(time_text)} "
+                "is not HH:MM:SS[.f], f 1 to 6 digits")
+    if sensor < 0:
+        return f"unknown sensor tag {_shown(tag)}"
+    if -1 in (resident, activity):
+        return f"labels must be integers, got {_shown(res_text)} {_shown(act_text)}"
+    if resident < 0:
+        return (f"resident id {_shown(str(int(res_text)), str)} "
+                f"out of range 1..{NUM_RESIDENTS}")
+    if activity < 0:
+        return (f"activity id {_shown(str(int(act_text)), str)} "
+                f"out of range 1..{NUM_ACTIVITIES}")
+    stamps = (day * MICROS_PER_DAY + time, prev)   # datetime.min is day 1
+    return "events out of order: {} after {}".format(*(
+        dt.datetime.min + dt.timedelta(microseconds=s - MICROS_PER_DAY) for s in stamps))
 
 
 def _parse_block(lines, source, offset: int, last: int):
     """The labeled events of lines offset+1.. of source, as Events, and
     the count of unlabeled lines among them; last is the stamp of the
-    file's event before them, or -1. The first failing line raises
-    parse_line's ParseError."""
+    file's event before them, or -1. The first failing line raises its
+    ParseError."""
     decodable = next((i for i, line in enumerate(lines) if not line.isascii()),
                      len(lines))
     rows = [line.split() for line in lines[:decodable]]
@@ -301,12 +267,11 @@ def _parse_block(lines, source, offset: int, last: int):
     failing = min([decodable, *wrong[:1], *labeled[invalid[:1]],
                    *labeled[backwards[:1]]])
     if failing < len(lines):
-        before = int(np.searchsorted(labeled, failing))   # events before it
-        prev = int(stamp[before - 1]) if before else last
-        parse_line(lines[failing], source, offset + failing + 1,
-                   _date_time(prev) if prev >= 0 else None)
-        raise AssertionError(f"{source}:{offset + failing + 1}: line fails "
-                             "the column checks but passes parse_line")
+        row = int(np.searchsorted(labeled, failing))   # the events before it
+        raise ParseError(_fault(lines[failing], failing < decodable,
+                                (day, time, sensor, resident, activity), row,
+                                int(stamp[row - 1]) if row else last),
+                         source, offset + failing + 1)
     shared = {value: value for value in set(values)}   # one str per distinct value
     return (Events(day, time, sensor, [shared[value] for value in values],
                    resident, activity),
@@ -315,7 +280,7 @@ def _parse_block(lines, source, offset: int, last: int):
 
 def parse_file(path) -> FileParseResult:
     """Parse one log file into columns; verifies events are non-decreasing
-    in time. The first failing line raises parse_line's ParseError."""
+    in time. The first failing line raises its ParseError."""
     blocks, skipped, offset, last = [Events(*((),) * 6)], 0, 0, -1
     # surrogateescape keeps undecodable bytes in the text (as U+DC80..U+DCFF)
     # so the error can name the line they are on
@@ -335,9 +300,8 @@ def parse_file(path) -> FileParseResult:
 
 
 def format_events(events: Events):
-    """Yield each event's six fields as the log holds them: parse_line's
-    input, with fractional seconds free of trailing zeros and 1-based
-    labels."""
+    """Yield each event's six fields as the log holds them, with
+    fractional seconds free of trailing zeros and 1-based labels."""
     dates = {day: dt.date.fromordinal(day).isoformat()
              for day in set(events.day.tolist())}
     for day, micros, sensor, value, resident, activity in zip(

@@ -136,15 +136,24 @@ def naive_best_split(X, y, min_leaf):
     return best, gains
 
 
+def _naive_quote(text, show=repr):
+    """A field as an error message quotes it: past 32 characters, only
+    the repr of its first 32 and its length."""
+    if len(text) > 32:
+        return repr(text[:32]) + f"... ({len(text)} characters)"
+    return show(text)
+
+
 def _naive_parse_timestamp(date_text, time_text):
     if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", date_text):
-        raise ValueError(f"date {date_text!r} is not YYYY-MM-DD")
+        raise ValueError(f"date {_naive_quote(date_text)} is not YYYY-MM-DD")
     date = dt.date.fromisoformat(date_text)
     # HH:MM:SS, then an optional fraction of 1 to 6 digits
     clock = re.fullmatch(r"([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.([0-9]{1,6}))?",
                          time_text)
     if not clock or int(clock[1]) > 23 or int(clock[2]) > 59 or int(clock[3]) > 59:
-        raise ValueError(f"time {time_text!r} is not HH:MM:SS[.f], f 1 to 6 digits")
+        raise ValueError(f"time {_naive_quote(time_text)} is not HH:MM:SS[.f], "
+                         "f 1 to 6 digits")
     micro = int((clock[4] or "").ljust(6, "0"))
     return date, dt.time(int(clock[1]), int(clock[2]), int(clock[3]), micro)
 
@@ -168,7 +177,7 @@ def _naive_parse_line(line, source, line_no):
     except ValueError as exc:
         raise ParseError(f"unparseable timestamp: {exc}", source, line_no) from None
     if tag not in DEFAULT_VOCAB:
-        raise ParseError(f"unknown sensor tag {tag!r}", source, line_no)
+        raise ParseError(f"unknown sensor tag {_naive_quote(tag)}", source, line_no)
     try:
         if not (re.fullmatch(r"[0-9]+", res_text) and re.fullmatch(r"[0-9]+", act_text)):
             raise ValueError("labels are ASCII digit strings")
@@ -176,17 +185,20 @@ def _naive_parse_line(line, source, line_no):
         activity = int(act_text)
     except ValueError:   # also past int()'s 4300-digit limit
         raise ParseError(
-            f"labels must be integers, got {res_text!r} {act_text!r}",
+            f"labels must be integers, got {_naive_quote(res_text)} "
+            f"{_naive_quote(act_text)}",
             source, line_no,
         ) from None
     if not 1 <= resident <= NUM_RESIDENTS:
         raise ParseError(
-            f"resident id {resident} out of range 1..{NUM_RESIDENTS}",
+            f"resident id {_naive_quote(str(resident), str)} "
+            f"out of range 1..{NUM_RESIDENTS}",
             source, line_no,
         )
     if not 1 <= activity <= NUM_ACTIVITIES:
         raise ParseError(
-            f"activity id {activity} out of range 1..{NUM_ACTIVITIES}",
+            f"activity id {_naive_quote(str(activity), str)} "
+            f"out of range 1..{NUM_ACTIVITIES}",
             source, line_no,
         )
     return date, time, DEFAULT_VOCAB.index(tag), value, resident - 1, activity - 1

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from treehar import casas, synth
 from treehar.casas import (
     DEFAULT_VOCAB,
-    SKIP,
     DatasetSplit,
     Events,
     ParseError,
@@ -19,7 +18,6 @@ from treehar.casas import (
     filter_on,
     format_events,
     parse_file,
-    parse_line,
     split_files,
 )
 from treehar.cli import run
@@ -30,7 +28,15 @@ from test_cli import _mutate
 GOOD_LINE = "2009-02-02 12:18:45.51 M13 ON 2 5"
 
 
-def test_vocabulary_is_the_37_tag_catalog():
+def _parse_one_line(tmp_path, line):
+    """_outcome of parse_file on tmp_path/log.txt, a file of line alone:
+    its (events, skipped_unlabeled), or its ParseError's text."""
+    path = tmp_path / "log.txt"
+    path.write_text(line + "\n")
+    return _outcome(parse_file, path)
+
+
+def test_vocabulary_is_the_37_tag_catalog(tmp_path):
     assert len(DEFAULT_VOCAB) == 37
     assert DEFAULT_VOCAB.index("M01") == 0
     assert DEFAULT_VOCAB.index("M26") == 25
@@ -42,62 +48,71 @@ def test_vocabulary_is_the_37_tag_catalog():
     assert DEFAULT_VOCAB.index("D15") == 36
     assert len(set(DEFAULT_VOCAB)) == 37
     for i, tag in enumerate(DEFAULT_VOCAB):
-        assert parse_line(f"2009-02-02 08:00:00 {tag} ON 1 1")[2] == i
+        (event,), _ = _parse_one_line(tmp_path, f"2009-02-02 08:00:00 {tag} ON 1 1")
+        assert event[2] == i
 
 
-def test_parse_line_field_mapping():
-    date, time, sensor, value, resident, activity = parse_line(GOOD_LINE)
+def test_parse_line_field_mapping(tmp_path):
+    (event,), skipped = _parse_one_line(tmp_path, GOOD_LINE)
+    date, time, sensor, value, resident, activity = event
     assert sensor == 12           # M13
     assert value == "ON"
     assert resident == 1          # 1-based 2
     assert activity == 4          # 1-based 5
     assert date == dt.date(2009, 2, 2)
     assert time == dt.time(12, 18, 45, 510000)
+    assert skipped == 0
 
 
-def test_parse_line_blank_is_skip():
-    assert parse_line("") is SKIP
-    assert parse_line("   \t  ") is SKIP
+def test_parse_line_blank_is_skip(tmp_path):
+    """A blank line is neither an event nor an unlabeled skip."""
+    assert _parse_one_line(tmp_path, "") == ([], 0)
+    assert _parse_one_line(tmp_path, "   \t  ") == ([], 0)
 
 
-def test_parse_line_unlabeled_is_skip():
-    assert parse_line("2009-02-02 12:18:45.51 M13 ON") is SKIP
+def test_parse_line_unlabeled_is_skip(tmp_path):
+    assert _parse_one_line(tmp_path, "2009-02-02 12:18:45.51 M13 ON") == ([], 1)
 
 
-def test_parse_line_unknown_tag_rejected():
-    with pytest.raises(ParseError, match="M99"):
-        parse_line("2009-02-02 12:18:45.51 M99 ON 1 1")
+def test_parse_line_unknown_tag_rejected(tmp_path):
+    assert _parse_one_line(tmp_path, "2009-02-02 12:18:45.51 M99 ON 1 1") \
+        == f"{tmp_path / 'log.txt'}:1: unknown sensor tag 'M99'"
 
 
-def test_parse_line_field_count_rejected():
-    with pytest.raises(ParseError, match="fields"):
-        parse_line("2009-02-02 12:18:45.51 M13 ON 2 5 9")
-    with pytest.raises(ParseError, match="fields"):
-        parse_line("2009-02-02 12:18:45.51 M13 ON 2")
+def test_parse_line_field_count_rejected(tmp_path):
+    for line, count in [("2009-02-02 12:18:45.51 M13 ON 2 5 9", 7),
+                        ("2009-02-02 12:18:45.51 M13 ON 2", 5)]:
+        assert _parse_one_line(tmp_path, line) == (
+            f"{tmp_path / 'log.txt'}:1: expected 6 whitespace-separated fields, "
+            f"got {count}")
 
 
-def test_parse_line_bad_timestamp_rejected():
-    with pytest.raises(ParseError, match="timestamp"):
-        parse_line("2009-13-40 12:18:45.51 M13 ON 2 5")
-    with pytest.raises(ParseError, match="timestamp"):
-        parse_line("2009-02-02 25:00:00 M13 ON 2 5")
-    with pytest.raises(ParseError, match="timestamp"):
-        parse_line("2009-02-02 12:18:45.x1 M13 ON 2 5")
+def test_parse_line_bad_timestamp_rejected(tmp_path):
+    for line, fault in [
+            ("2009-13-40 12:18:45.51 M13 ON 2 5", "month must be in 1..12"),
+            ("2009-02-02 25:00:00 M13 ON 2 5",
+             "time '25:00:00' is not HH:MM:SS[.f], f 1 to 6 digits"),
+            ("2009-02-02 12:18:45.x1 M13 ON 2 5",
+             "time '12:18:45.x1' is not HH:MM:SS[.f], f 1 to 6 digits")]:
+        assert _parse_one_line(tmp_path, line) \
+            == f"{tmp_path / 'log.txt'}:1: unparseable timestamp: {fault}"
 
 
-def test_parse_line_out_of_range_labels_rejected():
-    with pytest.raises(ParseError, match="resident"):
-        parse_line("2009-02-02 12:18:45.51 M13 ON 3 5")
-    with pytest.raises(ParseError, match="resident"):
-        parse_line("2009-02-02 12:18:45.51 M13 ON 0 5")
-    with pytest.raises(ParseError, match="activity"):
-        parse_line("2009-02-02 12:18:45.51 M13 ON 2 16")
+def test_parse_line_out_of_range_labels_rejected(tmp_path):
+    for labels, fault in [("3 5", "resident id 3 out of range 1..2"),
+                          ("0 5", "resident id 0 out of range 1..2"),
+                          ("2 16", "activity id 16 out of range 1..15")]:
+        assert _parse_one_line(tmp_path, f"2009-02-02 12:18:45.51 M13 ON {labels}") \
+            == f"{tmp_path / 'log.txt'}:1: {fault}"
 
 
-def test_parse_error_carries_line_number():
-    with pytest.raises(ParseError, match=r"log\.txt:7"):
-        parse_line("2009-02-02 12:18:45.51 M99 ON 1 1",
-                   source="log.txt", line_no=7)
+def test_parse_error_carries_line_number(tmp_path):
+    path = tmp_path / "log.txt"
+    path.write_text("\n" * 6 + "2009-02-02 12:18:45.51 M99 ON 1 1\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:7: unknown sensor tag")) \
+            as caught:
+        parse_file(path)
+    assert (caught.value.source, caught.value.line_no) == (str(path), 7)
 
 
 def test_parse_serialize_round_trip(tmp_path):
@@ -293,9 +308,10 @@ BAD = _line(9, tag="M99")   # unknown sensor tag
     # longer than the packed width: read whole, never truncated
     (_log(_line(1), _line(2, time="08:00:02.12345678901234567")),
      ":2: unparseable timestamp"),
-    # past int()'s 4300-digit limit: still the line's ParseError
+    # past int()'s 4300-digit limit: still the line's ParseError, and a
+    # field past 32 characters is quoted as its first 32 and its length
     (_log(_line(1), _line(2, time="0" * 4992 + "08:00:02")),
-     ":2: unparseable timestamp"),
+     f":2: unparseable timestamp: time {'0' * 32!r}... (5000 characters) is not"),
     (_log(_line(1), _line(2, time="08:00:02.123456x")), ":2: unparseable timestamp"),
     (_log(_line(1), _line(2, time="08:00:02.1234567x")), ":2: unparseable timestamp"),
     (_log(_line(1), _line(2, time="08:00:02.")), ":2: unparseable timestamp"),
@@ -309,7 +325,9 @@ BAD = _line(9, tag="M99")   # unknown sensor tag
      ":3: labels must be integers, got '+2' '1'"),
     (_log(_line(1), _line(2, labels="1 x")), ":2: labels must be integers"),
     (_log(_line(1), _line(2, labels="1" * 5000 + " 1")),
-     ":2: labels must be integers"),
+     f":2: labels must be integers, got {'1' * 32!r}... (5000 characters) '1'"),
+    (_log(_line(1), _line(2, labels="1" * 4000 + " 1")),
+     f":2: resident id {'1' * 32!r}... (4000 characters) out of range 1..2"),
     (_log(_line(1), _line(2).replace("2009-02-02", "2009-02-30")),
      ":2: unparseable timestamp"),
     # equal timestamps are in order
@@ -320,6 +338,12 @@ BAD = _line(9, tag="M99")   # unknown sensor tag
     (_log(_line(1), "4 field line \udcff", BAD), ":2: undecodable byte 0xff"),
     (_log(_line(5), _line(6, labels="1 16"), _line(1)), ":2: activity id 16"),
     (_log(_line(5), _line(6, labels="1"), _line(1)), ":2: expected 6"),
+    # of a line's own faults, the first in the format's order names it
+    (_log(_line(1), _line(2, tag="M99").replace("2009-02-02", "2009-02-30")),
+     ":2: unparseable timestamp: day is out of range for month"),
+    (_log(_line(1), _line(2, labels="x 16")),
+     ":2: labels must be integers, got 'x' '16'"),
+    (_log(_line(1), _line(2, labels="3 16")), ":2: resident id 3 out of range"),
     (_log(_line(5), "", "a b c d", _line(1)),
      ":4: events out of order: 2009-02-02 08:00:01 after 2009-02-02 08:00:05"),
     (_log(_line(5, time="08:00:05.25"), _line(5, time="08:00:05.2")),
@@ -332,10 +356,10 @@ BAD = _line(9, tag="M99")   # unknown sensor tag
         "loose-clocks", "wide-clock", "time-5000-chars", "wide-clock-bad-16",
         "wide-clock-bad-17", "empty-fraction", "hour-24", "minute-60", "second-60",
         "resident-0", "activity-0", "signed-labels", "label-text",
-        "label-5000-digits", "february-30", "equal-stamps",
+        "label-5000-digits", "resident-4000-digits", "february-30", "equal-stamps",
         "byte-after-error", "byte-before-error", "byte-on-unlabeled-line",
-        "order-after-label-error",
-        "order-after-field-error", "order-across-skips", "order-in-fraction",
+        "order-after-label-error", "order-after-field-error",
+        "date-and-tag", "text-and-range-labels", "both-labels-out-of-range", "order-across-skips", "order-in-fraction",
         "next-day", "empty", "blank"])
 def test_parse_file_edge_cases_agree_with_the_oracle(tmp_path, blob, expected):
     path = tmp_path / "log.txt"
@@ -353,11 +377,9 @@ def test_parse_file_edge_cases_agree_with_the_oracle(tmp_path, blob, expected):
 def test_only_yyyy_mm_dd_dates_parse(tmp_path, capsys, date):
     """The log's date is YYYY-MM-DD. Python 3.11's date.fromisoformat
     alone also reads the first three (2009-W06-1 as 2009-02-02), and
-    3.10's does not, so each is rejected explicitly, by parse_line and
-    parse_file alike, and ingest exits 2 naming the file and line."""
+    3.10's does not, so each is rejected explicitly, by parse_file and
+    the oracle alike, and ingest exits 2 naming the file and line."""
     line = _line(2).replace("2009-02-02", date)
-    with pytest.raises(ParseError, match=r"^log\.txt:2: unparseable timestamp"):
-        parse_line(line, source="log.txt", line_no=2)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     path = corpus / "log.txt"
@@ -380,11 +402,9 @@ def test_only_canonical_clocks_and_digit_labels_parse(tmp_path, capsys, time,
                                                       labels, message):
     """The log's time is HH:MM:SS with a fraction of at most 6 digits, and
     its labels are ASCII digit strings. int() also reads each of these
-    forms, so each is rejected by parse_line and parse_file alike, and
+    forms, so each is rejected by parse_file and the oracle alike, and
     ingest exits 2 naming the file and line, with no traceback."""
     line = _line(2, time=time, labels=labels)
-    with pytest.raises(ParseError, match=r"^log\.txt:2: " + re.escape(message)):
-        parse_line(line, source="log.txt", line_no=2)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     path = corpus / "log.txt"
