@@ -1,14 +1,18 @@
 """Command-line pipeline driver.
 
 Subcommands: ingest, train, eval, sweep, predict, gradcheck, synth.
-Every setting is declared once, as one row of SETTINGS: its converter,
-which also enforces its range; its default, taken from the library where
-the library defines one; and the commands that take it as a flag. A
-value comes from that default, overridden by an optional key=value config
-file (any key of SETTINGS suits any command), overridden by an explicit
-flag. Every command that writes artifacts echoes the configuration it
-actually used. One root seed drives file splitting, parameter init and
-epoch shuffles.
+Every setting is declared once, as one row of SETTINGS: its converter;
+its default, taken from the library where the library defines one; and
+the commands that take it as a flag. The converter also enforces the
+range, except where a library object checks it when built:
+training.TrainConfig for alpha, beta, gamma, epochs and each point of
+sweep's alphas x betas x gammas grid, synth.SynthProfile for files and
+events_per_file. Its ValueError is a usage error in its own words
+(--alpha 0: "batch_size must be positive, got 0"). A value comes from
+that default, overridden by an optional key=value config file (any key
+of SETTINGS suits any command), overridden by an explicit flag. Every
+command that writes artifacts echoes the configuration it actually used.
+One root seed drives file splitting, parameter init and epoch shuffles.
 
 Reproducibility: train gives the same checkpoint bytes for the same seed,
 settings and data with the same numpy and BLAS build, and eval the same
@@ -229,9 +233,11 @@ class RunConfig:
         (Path(out_dir) / name).write_text("\n".join(lines) + "\n")
 
 
-def _train_config(**fields) -> training.TrainConfig:
+def _checked(settings_type, **fields):
+    """A library settings object, which checks its own ranges; its
+    ValueError is a usage error."""
     try:
-        return training.TrainConfig(**fields)
+        return settings_type(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -329,11 +335,9 @@ def cmd_train(cfg) -> int:
     k = cfg.get("k")
     on_value = cfg.get("on_value")
     dtype = cfg.get("dtype")
-    config = _train_config(
-        batch_size=cfg.get("alpha"), l2_weight=cfg.get("beta"),
-        learning_rate=cfg.get("gamma"), epochs=cfg.get("epochs"),
-        seed=cfg.get("seed"),
-    )
+    config = _checked(training.TrainConfig, batch_size=cfg.get("alpha"),
+                      l2_weight=cfg.get("beta"), learning_rate=cfg.get("gamma"),
+                      epochs=cfg.get("epochs"), seed=cfg.get("seed"))
     split = _split(discover_files(data), config.seed)
     train_windows = _side_windows(split.train_files, "training", k, on_value)
     print(f"training on {len(train_windows)} windows from "
@@ -425,16 +429,15 @@ def cmd_sweep(cfg) -> int:
     epochs = cfg.get("epochs", default=training.TUNING_EPOCHS)
     if epochs < 1:
         raise UsageError(f"sweep epochs must be >= 1, got {epochs}")
-    alphas, betas, gammas = cfg.get("alphas"), cfg.get("betas"), cfg.get("gammas")
-    # reject a bad grid point before any of the grid trains
-    for alpha, beta, gamma in itertools.product(alphas, betas, gammas):
-        _train_config(batch_size=alpha, l2_weight=beta, learning_rate=gamma,
-                      epochs=epochs)
+    # every grid point is built, and so checked, before any of them trains
+    configs = [_checked(training.TrainConfig, batch_size=alpha, l2_weight=beta,
+                        learning_rate=gamma, epochs=epochs, seed=seed)
+               for alpha, beta, gamma in itertools.product(
+                   cfg.get("alphas"), cfg.get("betas"), cfg.get("gammas"))]
     split = _split(discover_files(data), seed)
     train_windows = _side_windows(split.train_files, "training", k, on_value)
     rows = training.sweep(
-        train_windows, k=k, alphas=alphas, betas=betas, gammas=gammas,
-        tuning_epochs=epochs, seed=seed, dtype=dtype,
+        train_windows, configs, k=k, dtype=dtype,
         progress=lambda r: print(
             f"alpha={r.alpha} beta={r.beta} gamma={r.gamma}: "
             f"avg {r.avg_loss:.4f} max {r.max_loss:.4f} min {r.min_loss:.4f}"),
@@ -509,11 +512,8 @@ def cmd_synth(cfg) -> int:
     """generate a synthetic corpus in the log format"""
     out = Path(cfg.require("out"))
     seed = cfg.get("seed")
-    try:
-        profile = synth.SynthProfile(files=cfg.get("files"),
-                                     events_per_file=cfg.get("events_per_file"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    profile = _checked(synth.SynthProfile, files=cfg.get("files"),
+                       events_per_file=cfg.get("events_per_file"))
     paths = synth.generate_corpus(out, profile, seed=seed)
     cfg.echo(out, ".config_used.txt")   # a dot-name: not read as a log
     print(f"wrote {len(paths)} files to {out}")

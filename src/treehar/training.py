@@ -319,33 +319,26 @@ class SweepRow:
     min_loss: float
 
 
-def sweep(train_windows, k: int = 8, alphas=DEFAULT_ALPHA_GRID,
-          betas=DEFAULT_BETA_GRID, gammas=DEFAULT_GAMMA_GRID,
-          tuning_epochs: int = TUNING_EPOCHS, seed: int = 0, dtype=np.float64, progress=None):
-    """Grid search over (batch size, L2 weight, learning rate).
-
-    Each grid point trains a fresh model for tuning_epochs (at least 1)
-    and reports the max, average and min of its per-epoch losses.
-    """
-    if tuning_epochs < 1:
-        raise ValueError(f"tuning_epochs must be >= 1, got {tuning_epochs}")
+def sweep(train_windows, configs, k: int = 8, dtype=np.float64, progress=None):
+    """Grid search: train a fresh model for each TrainConfig of configs, in
+    order. Each SweepRow holds its config's (batch_size, l2_weight,
+    learning_rate) as (alpha, beta, gamma) and the max, average and min of
+    its per-epoch losses. A config with epochs < 1 is a ValueError, raised
+    before any config trains."""
+    configs = list(configs)
+    for config in configs:
+        if config.epochs < 1:
+            raise ValueError(f"sweep epochs must be >= 1, got {config.epochs}")
     rows = []
-    for alpha in alphas:
-        for beta in betas:
-            for gamma in gammas:
-                config = TrainConfig(
-                    batch_size=alpha, l2_weight=beta, learning_rate=gamma,
-                    epochs=tuning_epochs, seed=seed,
-                )
-                _, history = fit(train_windows, config, k=k, dtype=dtype)
-                epoch_losses = [s.avg_loss for s in history]
-                row = SweepRow(
-                    alpha=alpha, beta=beta, gamma=gamma,
-                    max_loss=max(epoch_losses),
-                    avg_loss=float(np.mean(epoch_losses)),
-                    min_loss=min(epoch_losses),
-                )
-                rows.append(row)
-                if progress is not None:
-                    progress(row)
+    for config in configs:
+        _, history = fit(train_windows, config, k=k, dtype=dtype)
+        epoch_losses = [s.avg_loss for s in history]
+        row = SweepRow(
+            alpha=config.batch_size, beta=config.l2_weight,
+            gamma=config.learning_rate, max_loss=max(epoch_losses),
+            avg_loss=float(np.mean(epoch_losses)), min_loss=min(epoch_losses),
+        )
+        rows.append(row)
+        if progress is not None:
+            progress(row)
     return rows

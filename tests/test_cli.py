@@ -647,6 +647,7 @@ _MALFORMED = {   # case: (exit code, what stderr says, or None for stdout's FAIL
     "train-no-on-events": (2, "training split contains no usable events"),
     "config-line-without-equals": (1, "expected key=value, got 'k 3'"),
     "empty-alpha-grid": (1, "alphas must list at least one value, got ','"),
+    "bad-last-grid-point": (1, "usage error: batch_size must be positive, got 0"),
     "gradcheck-over-tolerance": (3, None),
 }
 
@@ -672,6 +673,9 @@ def test_malformed_input_exits_with_its_code(trained, tmp_path, capsys, monkeypa
     elif case == "empty-alpha-grid":
         argv = ["sweep", "--data", str(corpus), "--out", str(out),
                 "--alphas", ","]
+    elif case == "bad-last-grid-point":   # the whole grid is checked before 16 trains
+        argv = ["sweep", "--data", str(corpus), "--out", str(out), "--k", "3",
+                "--epochs", "1", "--alphas", "16,0"]
     else:
         report = GradientCheckReport(0.5, [Probe("layer1.event.weight", 0, 1.0, 3.0, 0.5)])
         monkeypatch.setattr(cli, "gradient_check", lambda *args, **kwargs: report)
@@ -682,6 +686,7 @@ def test_malformed_input_exits_with_its_code(trained, tmp_path, capsys, monkeypa
         assert "FAIL: max rel error 5.000e-01 exceeds" in captured.out
     else:
         assert message in captured.err
+        assert captured.out == ""   # no progress line: nothing ran
     assert "Traceback" not in captured.err
     assert not out.exists()
 
@@ -873,8 +878,15 @@ def test_train_and_eval_survive_byte_mutations(run_inputs, command, target, whic
                 "eval": ["eval", "--checkpoint", str(td / "model.ckpt")],
                 "knn": ["eval", "--method", "knn"],
                 "dt": ["eval", "--method", "dt"]}[command]
-        code = run(argv + ["--data", str(td / "corpus"), "--out", str(td / "out"),
-                           "--config", str(td / "run.cfg")])
+        # a held-out split missing a class is the one warning a run may give
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(argv + ["--data", str(td / "corpus"), "--out", str(td / "out"),
+                               "--config", str(td / "run.cfg")])
+        for warning in caught:
+            assert warning.category is UserWarning, warning
+            assert "has a zero denominator; reporting 0" in str(warning.message)
         assert code in (0, 1, 2, 3)
         if rejected is not None:
             assert code == rejected

@@ -831,13 +831,12 @@ def test_default_sweep_grid_is_75_points():
 
 
 def test_sweep_runs_grid_and_writes_csv(tmp_path):
-    rows = sweep(_windows(30), k=3, alphas=(8, 16), betas=(0.0, 0.001),
-                 gammas=(0.001,), tuning_epochs=2, seed=0)
-    assert len(rows) == 4
-    assert [(r.alpha, r.beta, r.gamma) for r in rows] == [
-        (8, 0.0, 0.001), (8, 0.001, 0.001),
-        (16, 0.0, 0.001), (16, 0.001, 0.001),
-    ]
+    grid = [(8, 0.0, 0.001), (8, 0.001, 0.001), (16, 0.0, 0.001), (16, 0.001, 0.001)]
+    # a generator: sweep reads its configs once for the check, once to train
+    configs = (TrainConfig(batch_size=alpha, l2_weight=beta, learning_rate=gamma,
+                           epochs=2, seed=0) for alpha, beta, gamma in grid)
+    rows = sweep(_windows(30), configs, k=3)
+    assert [(r.alpha, r.beta, r.gamma) for r in rows] == grid
     for r in rows:
         assert r.min_loss <= r.avg_loss <= r.max_loss
     out = tmp_path / "out"
@@ -856,9 +855,16 @@ def test_sweep_runs_grid_and_writes_csv(tmp_path):
 
 
 def test_sweep_rejects_zero_tuning_epochs():
-    with pytest.raises(ValueError, match="tuning_epochs"):
-        sweep(_windows(10), k=3, alphas=(8,), betas=(0.0,), gammas=(0.001,),
-              tuning_epochs=0)
+    with pytest.raises(ValueError, match="sweep epochs must be >= 1, got 0"):
+        sweep(_windows(10), [TrainConfig(batch_size=8, epochs=0)], k=3)
+
+
+def test_sweep_checks_every_config_before_any_trains(monkeypatch):
+    calls = []
+    monkeypatch.setattr(training, "fit", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="got 0"):
+        sweep(_windows(10), [TrainConfig(epochs=1), TrainConfig(epochs=0)], k=3)
+    assert calls == []
 
 
 def test_loss_log_round_trips_float_repr(tmp_path, monkeypatch):
