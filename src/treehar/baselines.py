@@ -92,14 +92,12 @@ class _Node:
         return self.left is None
 
 
+@dataclass
 class DecisionTree:
     """CART over the joint (resident, activity) target encoded as
     resident * 15 + activity; predictions decode back to both heads."""
 
-    def __init__(self, root: _Node, depth: int, node_count: int):
-        self.root = root
-        self.depth = depth
-        self.node_count = node_count
+    root: _Node
 
     def predict_batch(self, queries: np.ndarray):
         composites = np.empty(len(queries), dtype=np.int64)
@@ -146,11 +144,8 @@ def dt_fit(train: FlatDataset, max_depth: int = None,
     if not ((train.X == 0.0) | (train.X == 1.0)).all():
         raise ValueError("dt_fit: features must be 0 or 1")
     y = train.residents * NUM_ACTIVITIES + train.activities
-    stats = {"depth": 0, "nodes": 0}
 
     def build(idx, depth):
-        stats["nodes"] += 1
-        stats["depth"] = max(stats["depth"], depth)
         sub_y = y[idx]
         counts = np.bincount(sub_y, minlength=NUM_COMPOSITE)
         majority = int(np.argmax(counts))
@@ -169,5 +164,4 @@ def dt_fit(train: FlatDataset, max_depth: int = None,
             right=build(idx[~goes_left], depth + 1),
         )
 
-    root = build(np.arange(len(train)), 0)
-    return DecisionTree(root, stats["depth"], stats["nodes"])
+    return DecisionTree(build(np.arange(len(train)), 0))

@@ -343,7 +343,7 @@ def cmd_train(cfg) -> int:
     print(f"training on {len(train_windows)} windows from "
           f"{len(split.train_files)} files")
     params, history = training.fit(
-        train_windows, config, k=k, dtype=dtype,
+        train_windows, config, dtype=dtype,
         progress=lambda s: print(
             f"epoch {s.epoch}: avg_loss {s.avg_loss:.6f} "
             f"(max {s.max_batch_loss:.6f}, min {s.min_batch_loss:.6f})"),
@@ -437,7 +437,7 @@ def cmd_sweep(cfg) -> int:
     split = _split(discover_files(data), seed)
     train_windows = _side_windows(split.train_files, "training", k, on_value)
     rows = training.sweep(
-        train_windows, configs, k=k, dtype=dtype,
+        train_windows, configs, dtype=dtype,
         progress=lambda r: print(
             f"alpha={r.alpha} beta={r.beta} gamma={r.gamma}: "
             f"avg {r.avg_loss:.4f} max {r.max_loss:.4f} min {r.min_loss:.4f}"),

@@ -282,16 +282,16 @@ def train_epoch(windows, params: ModelParams, state: AdamState,
     )
 
 
-def fit(train_windows, config: TrainConfig, k: int = 8, dtype=np.float64,
-        progress=None):
+def fit(train_windows, config: TrainConfig, dtype=np.float64, progress=None):
     """Train for config.epochs epochs; returns (params, per-epoch stats).
 
-    Initialization is seeded from the root seed's init stream.
+    The model's k is the windows' length. Initialization is seeded from
+    the root seed's init stream.
     """
     train_windows = list(train_windows)
     if not train_windows:
         raise ValueError("fit: empty training set")
-    params = init_params(k, len(DEFAULT_VOCAB),
+    params = init_params(len(train_windows[0].sensors), len(DEFAULT_VOCAB),
                          seed=derive_seed(config.seed, STREAM_INIT), dtype=dtype)
     state = AdamState(params)
     history = []
@@ -319,19 +319,20 @@ class SweepRow:
     min_loss: float
 
 
-def sweep(train_windows, configs, k: int = 8, dtype=np.float64, progress=None):
+def sweep(train_windows, configs, dtype=np.float64, progress=None):
     """Grid search: train a fresh model for each TrainConfig of configs, in
-    order. Each SweepRow holds its config's (batch_size, l2_weight,
-    learning_rate) as (alpha, beta, gamma) and the max, average and min of
-    its per-epoch losses. A config with epochs < 1 is a ValueError, raised
-    before any config trains."""
-    configs = list(configs)
+    order, on the same windows, whose length is the models' k. Each
+    SweepRow holds its config's (batch_size, l2_weight, learning_rate) as
+    (alpha, beta, gamma) and the max, average and min of its per-epoch
+    losses. A config with epochs < 1 is a ValueError, raised before any
+    config trains."""
+    train_windows, configs = list(train_windows), list(configs)
     for config in configs:
         if config.epochs < 1:
             raise ValueError(f"sweep epochs must be >= 1, got {config.epochs}")
     rows = []
     for config in configs:
-        _, history = fit(train_windows, config, k=k, dtype=dtype)
+        _, history = fit(train_windows, config, dtype=dtype)
         epoch_losses = [s.avg_loss for s in history]
         row = SweepRow(
             alpha=config.batch_size, beta=config.l2_weight,

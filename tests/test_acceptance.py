@@ -128,7 +128,7 @@ def _train_and_eval_once(corpus_dir, root_seed):
     test_windows = load_windows(split.test_files, 8, "ON")
     config = TrainConfig(seed=root_seed)  # alpha 128, beta 4e-4, gamma 2e-4, 25 epochs
     # 32-bit training is the documented fast path; checks stay 64-bit
-    params, _ = training.fit(train_windows, config, k=8, dtype=np.float32)
+    params, _ = training.fit(train_windows, config, dtype=np.float32)
     return metrics.evaluate(test_windows, params), split
 
 

@@ -26,6 +26,13 @@ def _predict_one(tree, query):
     return LabelPair(int(res[0]), int(act[0]))
 
 
+def _depth(node):
+    """Edges on the longest root-to-leaf path below node."""
+    if node.is_leaf:
+        return 0
+    return 1 + max(_depth(node.left), _depth(node.right))
+
+
 # ---------------------------------------------------------------------------
 # featurization
 
@@ -153,15 +160,14 @@ def test_knn_validation():
 def test_dt_pure_class_is_depth_zero():
     train = _dataset([[0, 1], [1, 0], [1, 1]], [1, 1, 1], [4, 4, 4])
     tree = dt_fit(train)
-    assert tree.depth == 0
-    assert tree.node_count == 1
+    assert tree.root.is_leaf
     assert _predict_one(tree, np.array([0.0, 0.0])) == LabelPair(1, 4)
 
 
 def test_dt_separable_points_depth_one():
     train = _dataset([[0.0], [1.0]], [0, 1], [2, 9])
     tree = dt_fit(train)
-    assert tree.depth == 1
+    assert _depth(tree.root) == 1
     assert _predict_one(tree, np.array([0.0])) == LabelPair(0, 2)
     assert _predict_one(tree, np.array([1.0])) == LabelPair(1, 9)
     assert _predict_one(tree, np.array([0.2])) == LabelPair(0, 2)
@@ -173,11 +179,14 @@ def _training_accuracy(tree, data):
     return float(np.mean((res == data.residents) & (act == data.activities)))
 
 
-def test_dt_training_accuracy_nondecreasing_in_depth():
+def _separable_data():
     # 36 windows: below the fixture's sensor-cycle period, so no two
     # windows share features with different labels
-    windows = make_windows(_events(36), k=3)
-    data = FlatDataset.from_windows(windows)
+    return FlatDataset.from_windows(make_windows(_events(36), k=3))
+
+
+def test_dt_training_accuracy_nondecreasing_in_depth():
+    data = _separable_data()
     accuracies = []
     for depth in (1, 2, 4, 8, None):
         tree = dt_fit(data, max_depth=depth)
@@ -186,10 +195,17 @@ def test_dt_training_accuracy_nondecreasing_in_depth():
     assert accuracies[-1] == 1.0  # distinct windows are fully separable
 
 
+def test_dt_max_depth_bounds_the_tree():
+    data = _separable_data()
+    assert _depth(dt_fit(data).root) > 2     # unlimited, the tree goes deeper
+    for max_depth in (0, 1, 2):
+        assert _depth(dt_fit(data, max_depth=max_depth).root) <= max_depth
+
+
 def test_dt_min_leaf_limits_splits():
     train = _dataset([[0.0], [1.0]], [0, 1], [2, 9])
     tree = dt_fit(train, min_leaf=2)
-    assert tree.depth == 0
+    assert tree.root.is_leaf
 
 
 def test_dt_deterministic():

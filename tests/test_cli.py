@@ -454,10 +454,12 @@ def test_gradcheck_small_model(capsys):
     assert "max rel error" in out
 
 
-@pytest.mark.parametrize("k", [3, 4, 5, 6, 8])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
 def test_gradcheck_passes_at_default_seed(capsys, k):
-    """k=4 once failed on a correct gradient of -2.7e-7, whose finite
-    difference at h=1e-5 is dominated by the losses' float64 roundoff."""
+    """k=2 is the smallest tree: one basic module whose two inputs are
+    plain event slices, and heads that read its 16 channels. k=4 once
+    failed on a correct gradient of -2.7e-7, whose finite difference at
+    h=1e-5 is dominated by the losses' float64 roundoff."""
     assert run(["gradcheck", "--k", str(k)]) == 0
     assert "PASS" in capsys.readouterr().out
 

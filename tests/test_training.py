@@ -772,7 +772,7 @@ def test_train_epoch_empty_rejected():
 
 def test_fit_zero_epochs_returns_init(tmp_path):
     config = TrainConfig(epochs=0, seed=5)
-    params, history = fit(_windows(20), config, k=3)
+    params, history = fit(_windows(20), config)
     reference = init_params(3, 37, seed=derive_seed(5, 1))
     for a, b in zip(params, reference):
         np.testing.assert_array_equal(a.value.data, b.value.data)
@@ -791,7 +791,7 @@ def test_fit_zero_epochs_returns_init(tmp_path):
 def test_fit_loss_log_length_and_improvement(tmp_path):
     config = TrainConfig(batch_size=32, l2_weight=0.0, learning_rate=0.002,
                          epochs=5, seed=0)
-    params, history = fit(_windows(80), config, k=3)
+    params, history = fit(_windows(80), config)
     assert len(history) == 5
     assert history[-1].avg_loss < history[0].avg_loss
     out = tmp_path / "out"
@@ -810,11 +810,16 @@ def test_fit_empty_rejected():
         fit([], TrainConfig(epochs=1))
 
 
+def test_fit_takes_k_from_the_windows():
+    params, _ = fit(_windows(12, k=4), TrainConfig(batch_size=8, epochs=1))
+    assert params.k == 4
+
+
 def test_fit_deterministic_end_to_end():
     config = TrainConfig(batch_size=16, epochs=2, seed=9)
     results = []
     for _ in range(2):
-        params, history = fit(_windows(40), config, k=3)
+        params, history = fit(_windows(40), config)
         results.append((history,
                         [p.value.data.copy() for p in params]))
     assert results[0][0] == results[1][0]
@@ -835,7 +840,7 @@ def test_sweep_runs_grid_and_writes_csv(tmp_path):
     # a generator: sweep reads its configs once for the check, once to train
     configs = (TrainConfig(batch_size=alpha, l2_weight=beta, learning_rate=gamma,
                            epochs=2, seed=0) for alpha, beta, gamma in grid)
-    rows = sweep(_windows(30), configs, k=3)
+    rows = sweep(_windows(30), configs)
     assert [(r.alpha, r.beta, r.gamma) for r in rows] == grid
     for r in rows:
         assert r.min_loss <= r.avg_loss <= r.max_loss
@@ -856,21 +861,28 @@ def test_sweep_runs_grid_and_writes_csv(tmp_path):
 
 def test_sweep_rejects_zero_tuning_epochs():
     with pytest.raises(ValueError, match="sweep epochs must be >= 1, got 0"):
-        sweep(_windows(10), [TrainConfig(batch_size=8, epochs=0)], k=3)
+        sweep(_windows(10), [TrainConfig(batch_size=8, epochs=0)])
+
+
+def test_sweep_trains_every_config_on_a_generator_of_windows():
+    windows = (w for w in _windows(20))
+    rows = sweep(windows, [TrainConfig(batch_size=8, epochs=1),
+                           TrainConfig(batch_size=16, epochs=1)])
+    assert [r.alpha for r in rows] == [8, 16]
 
 
 def test_sweep_checks_every_config_before_any_trains(monkeypatch):
     calls = []
     monkeypatch.setattr(training, "fit", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError, match="got 0"):
-        sweep(_windows(10), [TrainConfig(epochs=1), TrainConfig(epochs=0)], k=3)
+        sweep(_windows(10), [TrainConfig(epochs=1), TrainConfig(epochs=0)])
     assert calls == []
 
 
 def test_loss_log_round_trips_float_repr(tmp_path, monkeypatch):
     history = [EpochStats(0, 1.2345678901234567, 2.0, 0.5)]
-    monkeypatch.setattr(training, "fit", lambda windows, config, k, **_: (
-        init_params(k, 37, seed=0), history))
+    monkeypatch.setattr(training, "fit", lambda windows, config, **_: (
+        init_params(len(windows[0].sensors), 37, seed=0), history))
     out = tmp_path / "out"
     assert run(["train", "--data", str(make_corpus(tmp_path, files=3, events=30)),
                 "--out", str(out), "--k", "3"]) == 0
