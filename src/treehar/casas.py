@@ -9,19 +9,17 @@ minus one), and resident and activity are ASCII digit strings, 1-based
 in the files and stored 0-based. Lines are ASCII, time never goes back,
 and a blank or a 4-field line (an annotation gap) gives no event.
 
-parse_file returns a file's labeled events as columns (Events): one
-array per field, a row per event, in file order. It reads the file once,
-as text-mode lines: universal newlines turn "\r\n" and a lone "\r" into
-"\n", and lines end at "\n" alone. str.splitlines would also end a line
-at \v, \f and \x1c-\x1e, which split() reads as field separators, and
-so shift the line numbers. The lines are checked in blocks of about
-32 KiB, so the text, every line's field list and the digit arrays of the
-whole file are never alive at once. Each line is split into fields once;
-dates, tags and labels are converted once per distinct text, and times
-by _clock_micros. Each rule of the format is written once, as one of
-these column checks: the first failing line in file order raises a
-ParseError, file:line included, that _fault words from its first
-failing check."""
+parse_file returns a file's labeled events as columns (Events): one array
+per field, a row per event, in file order. It reads the file's bytes once,
+in blocks of whole lines (_BLOCK_CHARS); a line ends at "\n", "\r\n" or a
+lone "\r". A field is a maximal run of bytes other than str.split()'s ASCII
+separators, 9-13 and 28-32, so \v, \f and \x1c-\x1f separate fields and end
+no line. Each distinct date, tag, value and label text of a block is
+converted once, and times are packed from the bytes; beside its events, a
+block holds its bytes and a few arrays of a byte per byte or an int per
+field. Each rule of the format is written once, as one of these column
+checks: the first failing line in file order raises a ParseError,
+file:line included, that _fault words from its first failing check."""
 
 from __future__ import annotations
 
@@ -130,45 +128,57 @@ def _date(text) -> dt.date:
 
 
 _CLOCK_WIDTH = 15                        # len("HH:MM:SS.ffffff")
-_CLOCK_DIGITS = [0, 1, 3, 4, 6, 7]       # the H, M and S digits of a time text
-_CLOCK_PLACES = np.array([36_000, 3_600, 600, 60, 10, 1]) * 1_000_000
-_FRACTION_PLACES = 10 ** np.arange(5, -1, -1)
-
-
-def _clock_micros(texts) -> np.ndarray:
-    """Microseconds of the day of each time text, HH:MM:SS with an
-    optional fraction of 1 to 6 digits; -1 for any other text. Each
-    text's length is taken before it is packed into the fixed-width
-    array, so a longer text is never truncated into a canonical one."""
-    width = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
-    chars = np.array(texts, dtype=f"S{_CLOCK_WIDTH}").view(np.uint8)
-    return _packed_clock_micros(chars.reshape(-1, _CLOCK_WIDTH), width)
+_CLOCK_DIGITS = [0, 1, 3, 4, 6, 7, *range(9, _CLOCK_WIDTH)]   # H, M, S, fraction
+_CLOCK_PLACES = np.array([36e9, 3.6e9, 6e8, 6e7, 1e7, 1e6, 1e5, 1e4, 1e3, 100, 10, 1])
 
 
 def _packed_clock_micros(chars, width) -> np.ndarray:
-    """_clock_micros of texts packed as (n, 15) ASCII codes, NUL-padded,
-    and their lengths. The fraction is read right-padded to 6 digits, so
-    a fraction f of 1 to 6 digits gives f's microseconds exactly."""
-    digit = (chars >= ord("0")) & (chars <= ord("9"))
-    value = np.where(digit, chars - ord("0"), 0)   # NUL padding reads as 0
-    past_end = np.arange(_CLOCK_WIDTH) >= width[:, None]
+    """Microseconds of the day of each time text, HH:MM:SS with a fraction
+    f of 1 to 6 digits or none (f read right-padded to 6 digits, exactly);
+    -1 for any other. The texts come as their lengths and their first 15
+    ASCII codes, (n, 15) uint8 and NUL past each text's end."""
+    value = chars.T[_CLOCK_DIGITS] - ord("0")   # a row per digit; wraps below "0"
+    digit = value < 10
+    value *= digit                              # NUL padding reads as 0
+    past_end = np.arange(9, _CLOCK_WIDTH)[:, None] >= width
     fraction = ((width >= 10) & (width <= _CLOCK_WIDTH) & (chars[:, 8] == ord("."))
-                & (digit | past_end)[:, 9:].all(axis=1))
-    canonical = ((width == 8) | fraction) \
-        & digit[:, _CLOCK_DIGITS].all(axis=1) \
+                & (digit[6:] | past_end).all(axis=0))
+    canonical = ((width == 8) | fraction) & digit[:6].all(axis=0) \
         & (chars[:, 2] == ord(":")) & (chars[:, 5] == ord(":")) \
-        & (value[:, 0] * 10 + value[:, 1] < 24) \
-        & (value[:, 3] < 6) & (value[:, 6] < 6)
-    micros = value[:, _CLOCK_DIGITS] @ _CLOCK_PLACES \
-        + value[:, 9:] @ _FRACTION_PLACES
+        & (value[0] * 10 + value[1] < 24) & (value[2] < 6) & (value[4] < 6)
+    micros = (_CLOCK_PLACES @ value.astype(np.float64)).astype(np.int64)   # < 2**53
     return np.where(canonical, micros, -1)
 
 
-def _per_distinct(texts, convert) -> np.ndarray:
-    """convert(text) for each of texts, called once per distinct text."""
-    table = {text: convert(text) for text in set(texts)}
-    return np.fromiter(map(table.__getitem__, texts), dtype=np.int64,
-                       count=len(texts))
+_FIRST_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _packed(words, start, width):
+    """Fields as two words each, words[i] being the 8 bytes at offset i:
+    bytes 0-7, then bytes 8-14 and the width's low byte, zero past the
+    field's end. Fields of up to 15 bytes pack equal iff they are equal."""
+    head = words[start] & _FIRST_BYTES[np.minimum(width, 8)]
+    tail = words[start + 8] & _FIRST_BYTES[np.maximum(np.minimum(width, 15) - 8, 0)]
+    return head, tail | width.astype(np.uint64) << 56
+
+
+def _per_distinct(raw, words, start, end, convert, dtype=np.int64):
+    """convert(text) of each field raw[start:end], called once per
+    distinct text: each run of equal _packed words, sorted, is decoded
+    once, and a field over 15 bytes is a run of its own."""
+    head, tail = _packed(words, start, end - start)
+    wide = np.flatnonzero(end - start > 15)
+    head[wide], tail[wide] = wide, 255 << 56
+    order = np.argsort(head ^ tail * np.uint64(0x9E3779B97F4A7C15))
+    head, tail = head[order], tail[order]
+    new = np.ones(len(order), dtype=bool)   # the first of each run
+    new[1:] = (head[1:] != head[:-1]) | (tail[1:] != tail[:-1])
+    table = {}   # text: its index, so that each distinct text is converted once
+    first = [table.setdefault(raw[s:e].decode("ascii"), len(table))
+             for s, e in zip(start[order[new]].tolist(), end[order[new]].tolist())]
+    index = np.empty_like(order)
+    index[order] = np.array(first, dtype=np.intp)[np.cumsum(new) - 1]
+    return np.array([convert(text) for text in table], dtype=dtype)[index]
 
 
 def _day(text) -> int:
@@ -192,7 +202,9 @@ def _label(limit):
     return convert
 
 
-_BLOCK_CHARS = 1 << 15   # parse_file checks lines in blocks of about 32 KiB
+# 256 KiB blocks hold the 178 KB, 5000-event predict history whole: 2.3 ms to parse,
+# 2.5 at 128 KiB, 2.6 at 64, 3.5 at 32 (2 vCPUs); predict's peak RSS 45.0 MiB at each
+_BLOCK_CHARS = 1 << 18
 
 
 @dataclass
@@ -238,25 +250,38 @@ def _fault(line, decoded, columns, row, prev) -> str:
         dt.datetime.min + dt.timedelta(microseconds=s - MICROS_PER_DAY) for s in stamps))
 
 
-def _parse_block(lines, source, offset: int, last: int):
-    """The labeled events of lines offset+1.. of source, as Events, and
-    the count of unlabeled lines among them; last is the stamp of the
-    file's event before them, or -1. The first failing line raises its
-    ParseError."""
-    decodable = next((i for i, line in enumerate(lines) if not line.isascii()),
-                     len(lines))
-    rows = [line.split() for line in lines[:decodable]]
-    n_fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+def _parse_block(padded, source, offset: int, last: int):
+    """The labeled events of padded (lines offset+1.. of source, then 16
+    NULs) as Events, with its counts of unlabeled lines and of lines; last
+    is the stamp of the file's event before, or -1. Fields are maximal runs
+    of bytes other than 9-13 and 28-32, and each distinct text of a column
+    is converted once. The first failing line raises its ParseError."""
+    size = len(padded) - 16   # so that 16 bytes can be read at any field start
+    block = np.frombuffer(padded, dtype=np.uint8)
+    words = np.ndarray((size + 9,), dtype="<u8", buffer=padded, strides=(1,))
+    line_end = np.flatnonzero((block[:size] == 10)   # "\n", "\r\n" or a lone "\r"
+                              | (block[:size] == 13) & (block[1:size + 1] != 10))
+    edge = np.flatnonzero(np.diff((block[:size] - 9 < 5) | (block[:size] - 28 < 5),
+                                  prepend=True, append=True))   # uint8 wraps
+    field_start, field_end = edge[0::2], edge[1::2]
+    before = np.searchsorted(field_start, line_end)   # fields before each line end
+    decodable = len(line_end) if padded.isascii() \
+        else int(np.searchsorted(line_end, np.argmax(block >= 128)))
+    n_fields = np.diff(before, prepend=0)[:decodable]
     labeled = np.flatnonzero(n_fields == 6)
-    dates, times, tags, values, residents, activities = \
-        tuple(zip(*(row for row in rows if len(row) == 6))) or ((),) * 6
-    del rows
+    first = before[labeled] - 6   # the first field of each labeled line
 
-    day = _per_distinct(dates, _day)
-    time = _clock_micros(times)
-    sensor = _per_distinct(tags, lambda tag: _VOCAB_INDEX.get(tag, -1))
-    resident = _per_distinct(residents, _label(NUM_RESIDENTS))
-    activity = _per_distinct(activities, _label(NUM_ACTIVITIES))
+    def column(j, convert, dtype=np.int64):   # convert of each labeled field j
+        return _per_distinct(padded, words, field_start[first + j],
+                             field_end[first + j], convert, dtype)
+
+    start, end = field_start[first + 1], field_end[first + 1]
+    chars = np.stack(_packed(words, start, end - start), axis=1).astype("<u8", copy=False)
+    time = _packed_clock_micros(chars.view(np.uint8)[:, :_CLOCK_WIDTH], end - start)
+    day = column(0, _day)
+    sensor = column(2, lambda tag: _VOCAB_INDEX.get(tag, -1))
+    resident = column(4, _label(NUM_RESIDENTS))
+    activity = column(5, _label(NUM_ACTIVITIES))
 
     invalid = np.flatnonzero((day < 0) | (time < 0) | (sensor < 0)
                              | (resident < 0) | (activity < 0))
@@ -266,30 +291,34 @@ def _parse_block(lines, source, offset: int, last: int):
     wrong = np.flatnonzero((n_fields != 0) & (n_fields != 4) & (n_fields != 6))
     failing = min([decodable, *wrong[:1], *labeled[invalid[:1]],
                    *labeled[backwards[:1]]])
-    if failing < len(lines):
+    if failing < len(line_end):
         row = int(np.searchsorted(labeled, failing))   # the events before it
-        raise ParseError(_fault(lines[failing], failing < decodable,
+        begin = line_end[failing - 1] + 1 if failing else 0
+        line = padded[begin:line_end[failing] + 1].decode("ascii", "surrogateescape")
+        raise ParseError(_fault(line, failing < decodable,
                                 (day, time, sensor, resident, activity), row,
                                 int(stamp[row - 1]) if row else last),
                          source, offset + failing + 1)
-    shared = {value: value for value in set(values)}   # one str per distinct value
-    return (Events(day, time, sensor, [shared[value] for value in values],
-                   resident, activity),
-            int(np.count_nonzero(n_fields == 4)))
+    return (Events(day, time, sensor, column(3, str, object), resident, activity),
+            int(np.count_nonzero(n_fields == 4)), len(line_end))
 
 
 def parse_file(path) -> FileParseResult:
     """Parse one log file into columns; verifies events are non-decreasing
     in time. The first failing line raises its ParseError."""
-    blocks, skipped, offset, last = [Events(*((),) * 6)], 0, 0, -1
-    # surrogateescape keeps undecodable bytes in the text (as U+DC80..U+DCFF)
-    # so the error can name the line they are on
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        while lines := fh.readlines(_BLOCK_CHARS):
-            events, unlabeled = _parse_block(lines, str(path), offset, last)
+    blocks, skipped, offset, last, raw = [Events(*((),) * 6)], 0, 0, -1, bytearray()
+    with open(path, "rb") as fh:
+        while (new := fh.read(_BLOCK_CHARS)) or raw:
+            new = new or b"\n"   # end the file's last line; "\r" + "\n" is one end
+            raw += new
+            # cut after the new bytes' last line end; a last "\r" may be half a "\r\n"
+            cut = max(raw.rfind(b"\n", -len(new)), raw.rfind(b"\r", -len(new), -1)) + 1
+            block = raw[:cut] + bytes(16)
+            del raw[:cut]
+            events, unlabeled, lines = _parse_block(block, str(path), offset, last)
             blocks.append(events)
             skipped += unlabeled
-            offset += len(lines)
+            offset += lines
             if len(events):
                 last = int(events.day[-1]) * MICROS_PER_DAY + int(events.time[-1])
     return FileParseResult(

@@ -1,6 +1,7 @@
 import datetime as dt
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +353,25 @@ BAD = _line(9, tag="M99")   # unknown sensor tag
     (_log(_line(5), _line(4).replace("2009-02-02", "2009-02-03")), 2),
     (b"", 0),
     (b"\n\n  \n", 0),
+    # every byte but 9-13 and 28-32 is a field byte, NUL and DEL too
+    (_log(_line(1).replace(" ON ", " O\x00N "), _line(2)), 2),
+    (_log(_line(1), _line(2, tag="M0\x001")), ":2: unknown sensor tag 'M0\\x001'"),
+    (_log(_line(1).replace(" ON ", " O\x7fN ")), 1),
+    (_log(_line(1).replace(" ", "\x1f")), 1),
+    (_log(_line(1), _line(2, labels="1\x01 1")),
+     ":2: labels must be integers, got '1\\x01' '1'"),
+    (_log(_line(1), " \t\v\f\x1c\x1d\x1e\x1f ", _line(2)), 2),
+    (_log(_line(1), _line(2), end="\r\n")[:-2], 2),
+    (_log(_line(1), _line(2, labels="1 x"))[:-1],
+     ":2: labels must be integers, got '1' 'x'"),
+    # a field's bytes are its text: "ON\x00" is not "ON", and two fields
+    # past 15 bytes that differ only there are two texts
+    (_log(_line(1), _line(2).replace(" ON ", " ON\x00 ")), 2),
+    (_log(_line(1).replace(" ON ", f" {'V' * 20}1 "),
+          _line(2).replace(" ON ", f" {'V' * 20}2 ")), 2),
+    # a "\r\n" whose "\r" is a block's last byte ends one line, not two
+    (_log(_line(1).ljust(casas._BLOCK_CHARS - 1), BAD, end="\r\n"),
+     ":2: unknown sensor tag 'M99'"),
 ], ids=["crlf", "cr", "vt-ff-fs", "gs-rs", "unlabeled-garbage", "long-fractions",
         "loose-clocks", "wide-clock", "time-5000-chars", "wide-clock-bad-16",
         "wide-clock-bad-17", "empty-fraction", "hour-24", "minute-60", "second-60",
@@ -360,7 +380,10 @@ BAD = _line(9, tag="M99")   # unknown sensor tag
         "byte-after-error", "byte-before-error", "byte-on-unlabeled-line",
         "order-after-label-error", "order-after-field-error",
         "date-and-tag", "text-and-range-labels", "both-labels-out-of-range", "order-across-skips", "order-in-fraction",
-        "next-day", "empty", "blank"])
+        "next-day", "empty", "blank", "nul-in-value", "nul-in-tag", "del-in-value",
+        "us-separator", "control-in-label", "only-separators", "crlf-no-final-newline",
+        "fault-on-last-line-without-newline", "trailing-nul-in-value",
+        "wide-values-differ-past-15-bytes", "crlf-split-by-a-block-cut"])
 def test_parse_file_edge_cases_agree_with_the_oracle(tmp_path, blob, expected):
     path = tmp_path / "log.txt"
     path.write_bytes(blob)
@@ -417,35 +440,71 @@ def test_only_canonical_clocks_and_digit_labels_parse(tmp_path, capsys, time,
 
 
 def test_parse_file_carries_order_and_line_numbers_across_blocks(tmp_path):
-    path, = synth.generate_corpus(tmp_path / "corpus",
-                                  synth.SynthProfile(files=1, events_per_file=2000),
-                                  seed=5)
-    def first_block(path):   # the number of lines in parse_file's first block
-        with open(path, encoding="ascii", errors="surrogateescape") as fh:
-            return len(fh.readlines(casas._BLOCK_CHARS))
+    """A log of at least three blocks, sized from the block, with each
+    fault just past the first or the second block cut: the order check
+    and the line numbers carry across both."""
+    path, = synth.generate_corpus(   # a synthetic line is over 30 bytes
+        tmp_path / "corpus",
+        synth.SynthProfile(files=1, events_per_file=3 * casas._BLOCK_CHARS // 30),
+        seed=5)
 
-    lines = path.read_text().splitlines()
-    first = first_block(path)
-    assert first < len(lines) // 2
-    swapped = lines[:first - 1] + [lines[first], lines[first - 1]] + lines[first + 1:]
-    cases = {
-        "whole": (lines, None),
-        # the first line of the second block is earlier than the block before
-        "swap": (swapped, f":{first + 1}: events out of order"),
-        "bad-tag": (lines[:first + 5] + [BAD] + lines[first + 5:],
-                    f":{first + 6}: unknown sensor tag"),
-        "byte": (lines[:first + 9] + [lines[first + 9] + "\udce9"]
-                 + lines[first + 10:], f":{first + 10}: undecodable byte 0xe9"),
-    }
-    for name, (log, expected) in cases.items():
+    def cuts(blob):   # the lines before each of parse_file's first two block cuts
+        return [blob[:k * casas._BLOCK_CHARS].count(b"\n") for k in (1, 2)]
+
+    blob = path.read_bytes()
+    lines = blob.decode("ascii").splitlines()
+    assert len(blob) > 2 * casas._BLOCK_CHARS   # so a third block follows both cuts
+    cases = {"whole": (lines, 0, None)}
+    for k, cut in enumerate(cuts(blob)):
+        swapped = lines[:cut - 1] + [lines[cut], lines[cut - 1]] + lines[cut + 1:]
+        cases |= {
+            # the first line of the next block is earlier than the block before
+            f"swap-{k}": (swapped, k, f":{cut + 1}: events out of order"),
+            f"bad-tag-{k}": (lines[:cut + 5] + [BAD] + lines[cut + 5:], k,
+                             f":{cut + 6}: unknown sensor tag"),
+            f"byte-{k}": (lines[:cut + 9] + [lines[cut + 9] + "\udce9"]
+                          + lines[cut + 10:], k, f":{cut + 10}: undecodable byte 0xe9"),
+        }
+    for name, (log, k, expected) in cases.items():
         mutated = tmp_path / f"{name}.txt"
         mutated.write_bytes(_log(*log))
-        assert first_block(mutated) == first
+        assert cuts(mutated.read_bytes())[k] == cuts(blob)[k], name
         outcome = _agreed_outcome(mutated)
         if expected is None:
-            assert len(outcome[0]) == 2000
+            assert len(outcome[0]) == len(lines)
         else:
             assert outcome.startswith(f"{mutated}{expected}"), (name, outcome)
+
+
+@pytest.mark.parametrize("wide, expected", [
+    (("V" * (4 << 20), "1"), 2000),
+    (("ON", "0" * ((4 << 20) - 1) + "1"), ":1001: labels must be integers"),
+], ids=["4-MiB-value", "4-Mi-digit-label"])
+def test_parse_file_memory_stays_near_the_file_size(tmp_path, wide, expected):
+    """A line with one 4 MiB field among 2000: parse_file's tracemalloc
+    peak stays below 10x the file's size, so no array is sized rows x
+    the widest field."""
+    value, resident = wide
+    lines = [f"2009-02-02 08:{i // 60:02d}:{i % 60:02d} M01 ON 1 1" for i in range(2000)]
+    lines[1000] = f"2009-02-02 08:16:40 M01 {value} {resident} 1"
+    path = tmp_path / "log.txt"
+    path.write_bytes(_log(*lines))
+    peaks = []
+
+    def traced_parse(path):
+        tracemalloc.start()
+        try:
+            return parse_file(path)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    outcome = _outcome(traced_parse, path)
+    if isinstance(expected, int):
+        assert len(outcome[0]) == expected
+    else:
+        assert outcome.startswith(f"{path}{expected}")
+    assert peaks[0] < 10 * path.stat().st_size
 
 
 def test_clock_digits_match_the_scalar_rounding_for_every_short_fraction():
