@@ -13,6 +13,11 @@ that default, overridden by an optional key=value config file (any key
 of SETTINGS suits any command), overridden by an explicit flag. Every
 command that writes artifacts echoes the configuration it actually used.
 One root seed drives file splitting, parameter init and epoch shuffles.
+eval's knn and dt are the paper's fixed comparators, run at the
+library's defaults: 5 neighbours, and a CART grown until its leaves are
+pure. eval's tsc and predict take k from the checkpoint. gradcheck has
+one criterion: 100 probes on 3 random windows, each relative error
+below 1e-4.
 
 Reproducibility: train gives the same checkpoint bytes for the same seed,
 settings and data with the same numpy and BLAS build, and eval the same
@@ -94,13 +99,6 @@ def _one_of(*choices, convert=str):
     return check
 
 
-def _positive(text) -> float:
-    value = float(text)
-    if not 0 < value < np.inf:
-        raise _OutOfRange(f"must be finite and > 0, got {value}")
-    return value
-
-
 def _grid(convert):
     """Comma-separated text, or the library's default tuple, to a tuple."""
     def parse(text) -> tuple:
@@ -124,7 +122,7 @@ SETTINGS = {
     "history": Setting(str, None, ("predict",)),
     "on_value": Setting(str, "ON", ("ingest", "predict") + _SPLIT),
     "seed": Setting(_at_least(0), _TRAIN.seed, ("gradcheck", "synth") + _SPLIT),
-    "k": Setting(_at_least(2), 8, ("predict", "gradcheck") + _SPLIT),
+    "k": Setting(_at_least(2), 8, ("gradcheck",) + _SPLIT),
     "dtype": Setting(_one_of("float32", "float64", convert=np.dtype), "float64",
                      ("train", "sweep")),
     "alpha": Setting(int, _TRAIN.batch_size, ("train",)),
@@ -136,12 +134,6 @@ SETTINGS = {
     "betas": Setting(_grid(float), training.DEFAULT_BETA_GRID, ("sweep",)),
     "gammas": Setting(_grid(float), training.DEFAULT_GAMMA_GRID, ("sweep",)),
     "method": Setting(_one_of("tsc", "knn", "dt"), "tsc", ("eval",)),
-    "knn_k": Setting(_at_least(1), 5, ("eval",)),
-    "max_depth": Setting(_at_least(0), 0, ("eval",)),   # 0 means unlimited
-    "min_leaf": Setting(_at_least(1), 1, ("eval",)),
-    "probes": Setting(_at_least(1), 100, ("gradcheck",)),
-    "batch": Setting(_at_least(1), 3, ("gradcheck",)),
-    "tolerance": Setting(_positive, 1e-4, ("gradcheck",)),
     "files": Setting(int, _SYNTH.files, ("synth",)),
     "events_per_file": Setting(int, _SYNTH.events_per_file, ("synth",)),
 }
@@ -222,11 +214,6 @@ class RunConfig:
         if value is None:
             raise UsageError(f"--{key.replace('_', '-')} is required")
         return value
-
-    def expected_k(self):
-        """The k a checkpoint must have: only a k the user set."""
-        set_k = "k" in self._flags or "k" in self._file
-        return self.get("k") if set_k else None
 
     def echo(self, out_dir, name="config_used.txt"):
         lines = [f"{k}={self._used[k]}" for k in sorted(self._used)]
@@ -364,15 +351,9 @@ def cmd_eval(cfg) -> int:
     out = Path(cfg.require("out"))
     seed = cfg.get("seed")
     method = cfg.get("method")
-    if method == "knn":
-        knn_k = cfg.get("knn_k")
-    elif method == "dt":
-        max_depth = cfg.get("max_depth") or None   # 0: unlimited
-        min_leaf = cfg.get("min_leaf")
     on_value = cfg.get("on_value")
     if method == "tsc":
-        params = model.load_params(cfg.require("checkpoint"),
-                                   expect_k=cfg.expected_k())
+        params = model.load_params(cfg.require("checkpoint"))
         k = params.k
     else:
         k = cfg.get("k")
@@ -387,15 +368,14 @@ def cmd_eval(cfg) -> int:
         train_flat = baselines.FlatDataset.from_windows(train_windows)
         test_flat = baselines.FlatDataset.from_windows(test_windows)
         if method == "knn":
-            if knn_k > len(train_flat):
-                raise DataError(f"knn_k={knn_k} exceeds the "
-                                f"{len(train_flat)} training windows")
-            pred_res, pred_act = baselines.knn_predict_batch(
-                train_flat, test_flat.X, k_neighbors=knn_k)
+            try:
+                pred_res, pred_act = baselines.knn_predict_batch(
+                    train_flat, test_flat.X)
+            except ValueError as exc:   # fewer windows than neighbours
+                raise DataError(f"knn over {len(train_flat)} training windows: "
+                                f"{exc}") from None
         else:
-            tree = baselines.dt_fit(train_flat, max_depth=max_depth,
-                                    min_leaf=min_leaf)
-            pred_res, pred_act = tree.predict_batch(test_flat.X)
+            pred_res, pred_act = baselines.dt_fit(train_flat).predict_batch(test_flat.X)
         report = metrics.report_from_predictions(
             test_flat.residents, pred_res, test_flat.activities, pred_act)
 
@@ -456,7 +436,7 @@ def cmd_predict(cfg) -> int:
     """predict (resident, activity) for the last event of a history file"""
     checkpoint = cfg.require("checkpoint")
     history = cfg.require("history")
-    params = model.load_params(checkpoint, expect_k=cfg.expected_k())
+    params = model.load_params(checkpoint)
     parsed = casas.parse_file(history)
     events = casas.filter_on(parsed.events, cfg.get("on_value"))
     if not events:
@@ -469,19 +449,21 @@ def cmd_predict(cfg) -> int:
     return 0
 
 
+GRADCHECK_PROBES = 100   # gradcheck's one criterion (see the module docstring)
+GRADCHECK_BATCH = 3
+GRADCHECK_TOLERANCE = 1e-4
+
+
 def cmd_gradcheck(cfg) -> int:
     """compare analytic and finite-difference gradients"""
     k = cfg.get("k")
     seed = cfg.get("seed")
-    probes = cfg.get("probes")
-    batch = cfg.get("batch")
-    tolerance = cfg.get("tolerance")
     vocab_size = len(casas.DEFAULT_VOCAB)
 
     rng = training.derive_rng(seed, training.STREAM_GRADCHECK)
-    events = windowing.one_hot(rng.integers(0, vocab_size, size=(batch, k)))
-    residents = rng.integers(0, casas.NUM_RESIDENTS, size=batch)
-    activities = rng.integers(0, casas.NUM_ACTIVITIES, size=batch)
+    events = windowing.one_hot(rng.integers(0, vocab_size, size=(GRADCHECK_BATCH, k)))
+    residents = rng.integers(0, casas.NUM_RESIDENTS, size=GRADCHECK_BATCH)
+    activities = rng.integers(0, casas.NUM_ACTIVITIES, size=GRADCHECK_BATCH)
     params = model.init_params(
         k, vocab_size, seed=training.derive_seed(seed, training.STREAM_INIT))
     # jitter every tensor off the fresh-init point: zero biases put whole
@@ -497,14 +479,14 @@ def cmd_gradcheck(cfg) -> int:
             params, _TRAIN.l2_weight, tape)
 
     report = gradient_check(
-        loss_fn, params, probes,
+        loss_fn, params, GRADCHECK_PROBES,
         seed=training.derive_seed(seed, training.STREAM_GRADCHECK, 1))
     print(report)
-    if report.max_rel_error < tolerance:
-        print(f"PASS: max rel error below {tolerance}")
+    if report.max_rel_error < GRADCHECK_TOLERANCE:
+        print(f"PASS: max rel error below {GRADCHECK_TOLERANCE}")
         return 0
     print(f"FAIL: max rel error {report.max_rel_error:.3e} "
-          f"exceeds {tolerance}")
+          f"exceeds {GRADCHECK_TOLERANCE}")
     return 3
 
 

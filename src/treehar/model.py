@@ -289,7 +289,7 @@ def save_params(params: ModelParams, path):
         raise
 
 
-def load_params(path, expect_k: int = None) -> ModelParams:
+def load_params(path) -> ModelParams:
     """Load a checkpoint written by save_params: _header(k, 37, dtype),
     then params.flat in little-endian order, and nothing else.
 
@@ -324,8 +324,6 @@ def load_params(path, expect_k: int = None) -> ModelParams:
         if dtype not in ("float32", "float64"):
             raise CheckpointError(
                 f"checkpoint {path}: dtype {dtype!r} is not float32 or float64")
-        if expect_k is not None and k != expect_k:
-            raise CheckpointError(f"checkpoint has k={k} but k={expect_k} was requested")
         if line != _header(k, len(DEFAULT_VOCAB), dtype):
             raise CheckpointError(
                 f"checkpoint {path}: header is not the one save_params writes "

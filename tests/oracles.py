@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from treehar.casas import DEFAULT_VOCAB, NUM_ACTIVITIES, NUM_RESIDENTS, ParseError
+from treehar.windowing import PAD
 
 
 def naive_conv1d(x, w, b):
@@ -92,6 +93,53 @@ def naive_basic_module(feature, event, feature_w, feature_b, event_w, event_b,
     c = naive_relu(naive_conv1d(a, res_params[1][0], res_params[1][1]))
     r = naive_conv1d(c, res_params[2][0], res_params[2][1])
     return naive_relu(h + r)
+
+
+def _naive_one_hot(sensor):
+    """One event as a (1, vocab) row: 1 at its sensor, all 0 for PAD."""
+    row = np.zeros((1, len(DEFAULT_VOCAB)))
+    if sensor != PAD:
+        row[0, sensor] = 1.0
+    return row
+
+
+def naive_model_loss(windows, residents, activities, tensors, l2_weight):
+    """The whole network and its joint loss, one window at a time.
+
+    windows holds each window's k sensor indices, oldest first (PAD for an
+    empty slot), and tensors maps every parameter name to its array.
+    Module 1 merges the target event into its predecessor, the feature;
+    module i then merges event t-i into the running feature. Each head
+    reads the top feature flattened channel by channel. The loss is each
+    head's batch-mean cross-entropy plus l2_weight times the sum of
+    squares of every weight. Returns (resident_logits, activity_logits,
+    loss), the logits as (batch, classes) arrays."""
+    def module(i, feature, event):
+        def p(part):
+            return tensors[f"layer{i}.{part}"]
+        return naive_basic_module(
+            feature, event, p("feature.weight"), p("feature.bias"),
+            p("event.weight"), p("event.bias"),
+            [(p(f"res{r}.weight"), p(f"res{r}.bias")) for r in (1, 2, 3)])
+
+    logits = {"resident": [], "activity": []}
+    for sensors in windows:
+        k = len(sensors)
+        feature = module(1, _naive_one_hot(sensors[k - 2]),
+                         _naive_one_hot(sensors[k - 1]))
+        for i in range(2, k):
+            feature = module(i, feature, _naive_one_hot(sensors[k - 1 - i]))
+        channels, length = feature.shape
+        flat = [feature[c, p] for c in range(channels) for p in range(length)]
+        for head, rows in logits.items():
+            rows.append(naive_dense(flat, tensors[f"head_{head}.weight"],
+                                    tensors[f"head_{head}.bias"]))
+    squares = math.fsum(float(v) * float(v) for name, w in tensors.items()
+                        if name.endswith(".weight") for v in w.ravel())
+    loss = (naive_log_softmax_ce(logits["resident"], residents)
+            + naive_log_softmax_ce(logits["activity"], activities)
+            + l2_weight * squares)
+    return np.array(logits["resident"]), np.array(logits["activity"]), loss
 
 
 def naive_adam_step(values, grads, m, v, step, learning_rate,

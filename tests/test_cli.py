@@ -233,15 +233,6 @@ def test_eval_missing_checkpoint(trained, tmp_path):
     assert code == 2
 
 
-def test_eval_checkpoint_k_mismatch(trained, tmp_path, capsys):
-    corpus, out = trained
-    code = run(["eval", "--data", str(corpus), "--out", str(tmp_path / "e"),
-                "--checkpoint", str(out / "model.ckpt"),
-                "--k", "8", "--seed", "7"])
-    assert code == 2
-    assert "k=3" in capsys.readouterr().err
-
-
 def test_predict_outputs_pair(trained, capsys):
     corpus, out = trained
     history = sorted(corpus.iterdir())[0]
@@ -447,7 +438,7 @@ def test_sweep_rejects_zero_epochs(tmp_path, capsys, how):
 
 
 def test_gradcheck_small_model(capsys):
-    code = run(["gradcheck", "--k", "3", "--probes", "25", "--seed", "1"])
+    code = run(["gradcheck", "--k", "3", "--seed", "1"])
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
@@ -477,17 +468,9 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch):
     assert run(["train", "--data", "d", "--out", "o", "--k", "banana"]) == 1
     assert run(["sweep", "--data", "d", "--out", "o", "--gammas", "nan"]) == 1
     assert run(["synth", "--out", "o", "--files", "0"]) == 1
-    # baseline and gradcheck ranges are checked before any work
-    for flags in (["--method", "knn", "--knn-k", "0"],
-                  ["--method", "dt", "--min-leaf", "0"],
-                  ["--method", "dt", "--max-depth", "-1"]):
-        assert run(["eval", "--data", "d", "--out", "o"] + flags) == 1
     # eval reads every setting before it lists the corpus, as train does
-    for flags in ([], ["--k", "banana"], ["--method", "knn", "--k", "banana"]):
+    for flags in ([], ["--method", "knn", "--k", "banana"]):
         assert run(["eval", "--data", "missing", "--out", "o"] + flags) == 1
-    for flags in (["--probes", "0"], ["--batch", "0"], ["--tolerance", "nan"],
-                  ["--tolerance", "inf"], ["--tolerance", "0"]):
-        assert run(["gradcheck", "--k", "3"] + flags) == 1
     # a rejected command creates no --out directory
     assert not (tmp_path / "o").exists()
 
@@ -506,13 +489,38 @@ def test_main_exits_with_the_code_run_returns(tmp_path, monkeypatch):
     assert codes == [0, 1]
 
 
-@pytest.mark.parametrize("flags", [["--batch", "1000000000000000"],
-                                   ["--probes", "100000000000000000"]])
-def test_settings_too_large_for_memory_are_usage_errors(capsys, flags):
-    """Each of these arrays needs ~700-790 PiB, beyond any address space,
-    so the allocator refuses it at once and nothing is touched."""
-    assert run(["gradcheck", "--k", "3"] + flags) == 1
+@pytest.mark.parametrize("flags", [["gradcheck"], ["train", "--epochs", "1"]])
+def test_settings_too_large_for_memory_are_usage_errors(trained, tmp_path, capsys,
+                                                        flags):
+    """At k = 10**15, gradcheck's (3, k) draw of sensors needs ~21 PiB and
+    each file's padded sensor column in train ~7 PiB, beyond any address
+    space, so the allocator refuses it at once and nothing is touched."""
+    corpus, _ = trained
+    out = tmp_path / "o"
+    if flags[0] == "train":
+        flags = flags + ["--data", str(corpus), "--out", str(out)]
+    assert run(flags + ["--k", "1000000000000000"]) == 1
     assert "not enough memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("eval", "knn_k"), ("eval", "max_depth"), ("eval", "min_leaf"),
+    ("gradcheck", "probes"), ("gradcheck", "batch"), ("gradcheck", "tolerance"),
+    ("predict", "k"),
+])
+def test_fixed_settings_are_usage_errors(tmp_path, capsys, command, key):
+    """The comparators and gradcheck's criterion are fixed, and predict
+    takes k from the checkpoint: these flags are refused, and the six
+    settings are unknown config keys (k stays a key of other commands)."""
+    flag = "--" + key.replace("_", "-")
+    assert run([command, flag, "3"]) == 1
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    if key != "k":
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}=3\n")
+        assert run([command, "--config", str(config)]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep", "gradcheck", "synth"])
@@ -605,23 +613,33 @@ def test_undecodable_log_byte_is_data_error_with_location(trained, tmp_path,
 
 
 @pytest.mark.parametrize("command", [
-    "eval-tsc", "eval-knn", "eval-dt", "sweep", "predict", "train", "gradcheck",
+    "eval-knn", "eval-dt", "sweep", "train", "gradcheck",
 ])
 def test_k_below_two_is_usage_error(trained, tmp_path, command):
-    corpus, out = trained
-    checkpoint = ["--checkpoint", str(out / "model.ckpt")]
+    corpus, _ = trained
     data = ["--data", str(corpus), "--out", str(tmp_path / "o")]
     argv = {
-        "eval-tsc": ["eval"] + data + checkpoint,
         "eval-knn": ["eval", "--method", "knn"] + data,
         "eval-dt": ["eval", "--method", "dt"] + data,
         "sweep": ["sweep"] + data,
-        "predict": ["predict", "--history",
-                    str(sorted(corpus.iterdir())[0])] + checkpoint,
         "train": ["train"] + data,
         "gradcheck": ["gradcheck"],
     }[command]
     assert run(argv + ["--k", "1"]) == 1
+
+
+def test_eval_tsc_takes_k_from_the_checkpoint(trained, tmp_path):
+    """tsc reads no --k, as dt reads no neighbour count: the k=3
+    checkpoint's metrics are the same whatever k is given, and k is not
+    echoed."""
+    corpus, out = trained
+    argv = ["eval", "--data", str(corpus), "--checkpoint", str(out / "model.ckpt"),
+            "--seed", "7"]
+    assert run(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert run(argv + ["--out", str(tmp_path / "b"), "--k", "1"]) == 0
+    assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+        (tmp_path / "b" / "metrics.csv").read_bytes()
+    assert "k=" not in (tmp_path / "b" / "config_used.txt").read_text()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
@@ -713,11 +731,13 @@ def test_eval_rejects_training_flags(trained, tmp_path, capsys, flag, value):
     assert run(argv + ["--config", str(config)]) == 0
 
 
-def test_knn_k_above_training_windows_is_data_error(trained, tmp_path, capsys):
-    corpus, _ = trained
+def test_knn_k_above_training_windows_is_data_error(tmp_path, capsys):
+    """Two 4-event files give a training side of at most 4 windows, fewer
+    than the 5 neighbours knn votes over."""
+    corpus = make_corpus(tmp_path, files=2, events=4)
     out = tmp_path / "o"
     assert run(["eval", "--data", str(corpus), "--out", str(out), "--method",
-                "knn", "--k", "3", "--knn-k", "100000"]) == 2
+                "knn", "--k", "3"]) == 2
     assert "training windows" in capsys.readouterr().err
     assert not out.exists()
 
@@ -733,12 +753,9 @@ def default_corpus(tmp_path_factory):
 @pytest.mark.parametrize("flags, line", [
     (["--method", "dt"], "dt,0.525764192139738,0.5273959157633866,"
                          "0.5256469629610414,0.4960698689956332"),
-    (["--method", "dt", "--min-leaf", "3"],
-     "dt,0.537117903930131,0.5409253777847016,0.5358855992609044,"
-     "0.5414847161572053"),
     (["--method", "knn"], "knn,0.5502183406113537,0.5480403046651856,"
                           "0.5437819963807389,0.39126637554585153"),
-], ids=["dt", "dt-min-leaf-3", "knn"])
+], ids=["dt", "knn"])
 def test_eval_baseline_golden_metrics(default_corpus, tmp_path, flags, line):
     # exact: the distances and the class counts are integers
     out = tmp_path / "o"
@@ -831,7 +848,7 @@ def run_inputs(tmp_path_factory):
     logs = {p.name: p.read_bytes() for p in sorted(corpus.glob("synth_*.txt"))}
     # every value here is read by train or eval
     config = (b"k=3\nepochs=1\nseed=2\nalpha=16\nbeta=0.0004\ngamma=0.001\n"
-              b"dtype=float64\non_value=ON\nknn_k=3\nmin_leaf=1\nmax_depth=4\n")
+              b"dtype=float64\non_value=ON\n")
     return logs, config, checkpoint.read_bytes()
 
 
@@ -915,45 +932,55 @@ def test_accepted_flags_golden():
         "ingest": ["--config", "--data", "--on-value", "--out"],
         "train": ["--alpha", "--beta", "--config", "--data", "--dtype",
                   "--epochs", "--gamma", "--k", "--on-value", "--out", "--seed"],
-        "eval": ["--checkpoint", "--config", "--data", "--k", "--knn-k",
-                 "--max-depth", "--method", "--min-leaf", "--on-value", "--out",
-                 "--seed"],
+        "eval": ["--checkpoint", "--config", "--data", "--k", "--method",
+                 "--on-value", "--out", "--seed"],
         "sweep": ["--alphas", "--betas", "--config", "--data", "--dtype",
                   "--epochs", "--gammas", "--k", "--on-value", "--out", "--seed"],
-        "predict": ["--checkpoint", "--config", "--history", "--k", "--on-value"],
-        "gradcheck": ["--batch", "--config", "--k", "--probes", "--seed",
-                      "--tolerance"],
+        "predict": ["--checkpoint", "--config", "--history", "--on-value"],
+        "gradcheck": ["--config", "--k", "--seed"],
         "synth": ["--config", "--events-per-file", "--files", "--out", "--seed"],
     }
 
 
 @pytest.fixture(scope="module")
-def echoes(tmp_path_factory):
-    """The configuration echo of every writing command on a tiny corpus,
-    with the run's base directory replaced by <base>."""
+def command_runs(tmp_path_factory):
+    """One run of every command on a tiny corpus: the configuration echo
+    of each writing command, with the run's base directory replaced by
+    <base>, and every key that RunConfig.get (which require calls) read."""
     base = tmp_path_factory.mktemp("echo")
     corpus = base / "corpus"
+    checkpoint = str(base / "train" / "model.ckpt")
     runs = {
         "synth": (["synth", "--out", str(corpus), "--seed", "4", "--files", "3",
                    "--events-per-file", "40"], corpus / ".config_used.txt"),
         "ingest": (["ingest"], None),
         "train": (["train", "--k", "3", "--epochs", "1", "--alpha", "32"], None),
-        "eval-tsc": (["eval", "--checkpoint", str(base / "train" / "model.ckpt")],
-                     None),
+        "eval-tsc": (["eval", "--checkpoint", checkpoint], None),
         "eval-knn": (["eval", "--method", "knn", "--k", "3"], None),
         "eval-dt": (["eval", "--method", "dt", "--k", "3"], None),
         "sweep": (["sweep", "--k", "3", "--alphas", "32", "--betas", "0.0004",
                    "--gammas", "0.001"], None),
     }
-    texts = {}
-    for name, (argv, echo) in runs.items():
-        if echo is None:
-            out = base / name
-            argv = argv + ["--data", str(corpus), "--out", str(out)]
-            echo = out / "config_used.txt"
-        assert run(argv) == 0, name
-        texts[name] = echo.read_text().replace(str(base), "<base>")
-    return texts
+    texts, read = {}, set()
+    get = cli.RunConfig.get
+
+    def recording_get(self, key, default=None):
+        read.add(key)
+        return get(self, key, default)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli.RunConfig, "get", recording_get)
+        for name, (argv, echo) in runs.items():
+            if echo is None:
+                out = base / name
+                argv = argv + ["--data", str(corpus), "--out", str(out)]
+                echo = out / "config_used.txt"
+            assert run(argv) == 0, name
+            texts[name] = echo.read_text().replace(str(base), "<base>")
+        assert run(["predict", "--checkpoint", checkpoint,
+                    "--history", str(corpus / "synth_00.txt")]) == 0
+        assert run(["gradcheck", "--k", "2"]) == 0
+    return texts, read
 
 
 _ECHO_GOLDEN = {
@@ -963,18 +990,25 @@ _ECHO_GOLDEN = {
              "epochs=1\ngamma=0.0002\nk=3\non_value=ON\nout=<base>/train\nseed=0\n",
     "eval-tsc": "checkpoint=<base>/train/model.ckpt\ndata=<base>/corpus\n"
                 "method=tsc\non_value=ON\nout=<base>/eval-tsc\nseed=0\n",
-    "eval-knn": "data=<base>/corpus\nk=3\nknn_k=5\nmethod=knn\non_value=ON\n"
+    "eval-knn": "data=<base>/corpus\nk=3\nmethod=knn\non_value=ON\n"
                 "out=<base>/eval-knn\nseed=0\n",
-    "eval-dt": "data=<base>/corpus\nk=3\nmax_depth=0\nmethod=dt\nmin_leaf=1\n"
-               "on_value=ON\nout=<base>/eval-dt\nseed=0\n",
+    "eval-dt": "data=<base>/corpus\nk=3\nmethod=dt\non_value=ON\n"
+               "out=<base>/eval-dt\nseed=0\n",
     "sweep": "alphas=32\nbetas=0.0004\ndata=<base>/corpus\ndtype=float64\n"
              "epochs=15\ngammas=0.001\nk=3\non_value=ON\nout=<base>/sweep\nseed=0\n",
 }
 
 
 @pytest.mark.parametrize("command", list(_ECHO_GOLDEN))
-def test_config_echo_golden(echoes, command):
-    assert echoes[command] == _ECHO_GOLDEN[command]
+def test_config_echo_golden(command_runs, command):
+    texts, _ = command_runs
+    assert texts[command] == _ECHO_GOLDEN[command]
+
+
+def test_every_setting_is_read_by_some_command(command_runs):
+    """A SETTINGS row that no handler reads is a flag that does nothing."""
+    _, read = command_runs
+    assert read == set(SETTINGS)
 
 
 # ---------------------------------------------------------------------------

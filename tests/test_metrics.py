@@ -15,7 +15,7 @@ from treehar.metrics import (
     evaluate,
     report_from_predictions,
 )
-from treehar.model import init_params
+from treehar.model import init_params, save_params
 from treehar.numerics import NumericError
 from treehar.windowing import make_windows, stack_windows
 
@@ -83,13 +83,18 @@ def test_zero_denominator_warns_once_per_metric_and_class():
 
 
 def test_eval_prints_one_zero_denominator_warning(tmp_path):
-    """`eval --method dt --max-depth 1` on this corpus predicts resident 1
-    for every window; the warning names cli.py, not a line of metrics.py."""
+    """A checkpoint whose resident head is its bias alone predicts
+    resident 1 for every window; the warning names cli.py, not a line of
+    metrics.py."""
     corpus = make_corpus(tmp_path, files=3, events=60, seed=2)
+    params = init_params(3, 37, seed=0)
+    params["head_resident.weight"].value.data[...] = 0
+    params["head_resident.bias"].value.data[...] = [0.0, 1.0]
+    save_params(params, tmp_path / "model.ckpt")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(["eval", "--data", str(corpus), "--out", str(tmp_path / "e"),
-                    "--method", "dt", "--max-depth", "1"]) == 0
+                    "--checkpoint", str(tmp_path / "model.ckpt")]) == 0
     assert [str(w.message) for w in caught] == [
         "precision for class 0 has a zero denominator; reporting 0"]
     assert Path(caught[0].filename).name == "cli.py"
