@@ -1,6 +1,9 @@
-"""From-scratch KNN and CART decision tree over flattened windows.
+"""The paper's two fixed comparators, in plain numpy: a KNN that
+votes over its KNN_NEIGHBORS = 5 nearest windows, and a CART decision
+tree grown until every leaf is pure or no split gains. Neither takes a
+setting.
 
-Both baselines see exactly the feature the deep model sees: the window's
+Both see exactly the feature the deep model sees: the window's
 k one-hot embeddings concatenated oldest-first into a 0/1 vector, so a
 comparison isolates the model rather than the featurization. The tree
 is written for that input: every feature is 0 or 1, so each has one cut,
@@ -18,6 +21,7 @@ from .windowing import stack_windows
 
 NUM_COMPOSITE = NUM_RESIDENTS * NUM_ACTIVITIES
 MIN_GINI_GAIN = 1e-12
+KNN_NEIGHBORS = 5
 KNN_CHUNK = 256   # query rows per distance matrix
 
 
@@ -48,20 +52,17 @@ def _vote(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.argmax(counts, axis=1)
 
 
-def knn_predict_batch(train: FlatDataset, queries: np.ndarray,
-                      k_neighbors: int = 5):
-    """Euclidean k-NN per query row with independent majority votes per
-    head; distance ties go to the earliest training index, vote ties to the
-    smallest class index. Returns (residents, activities) int arrays."""
-    if len(train) == 0:
-        raise ValueError("knn_predict_batch: empty training set")
-    if not 1 <= k_neighbors <= len(train):
-        raise ValueError(
-            f"k_neighbors must be in 1..{len(train)}, got {k_neighbors}"
-        )
+def knn_predict_batch(train: FlatDataset, queries: np.ndarray):
+    """Euclidean KNN_NEIGHBORS-NN per query row with independent majority
+    votes per head; distance ties go to the earliest training index, vote
+    ties to the smallest class index. Returns (residents, activities) int
+    arrays. A training set of fewer rows than KNN_NEIGHBORS is a ValueError."""
+    if len(train) < KNN_NEIGHBORS:
+        raise ValueError(f"knn_predict_batch: {len(train)} training rows, "
+                         f"fewer than the {KNN_NEIGHBORS} neighbours")
     queries = np.asarray(queries, dtype=np.float64)
     train_norms = (train.X * train.X).sum(axis=1)
-    nearest = np.empty((len(queries), k_neighbors), dtype=np.int64)
+    nearest = np.empty((len(queries), KNN_NEIGHBORS), dtype=np.int64)
     for start in range(0, len(queries), KNN_CHUNK):
         chunk = queries[start:start + KNN_CHUNK]
         # train_norms - 2 (chunk @ X.T) + |chunk|^2 in place, with the same
@@ -71,7 +72,7 @@ def knn_predict_batch(train: FlatDataset, queries: np.ndarray,
         d2 += train_norms[None, :]
         d2 += (chunk * chunk).sum(axis=1)[:, None]
         nearest[start:start + KNN_CHUNK] = \
-            np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
+            np.argsort(d2, axis=1, kind="stable")[:, :KNN_NEIGHBORS]
     return (_vote(train.residents[nearest], NUM_RESIDENTS),
             _vote(train.activities[nearest], NUM_ACTIVITIES))
 
@@ -109,10 +110,10 @@ class DecisionTree:
         return composites // NUM_ACTIVITIES, composites % NUM_ACTIVITIES
 
 
-def _best_split(X, y, min_leaf):
+def _best_split(X, y):
     """Index of the highest Gini-gain feature of a 0/1 matrix, splitting the
     rows with a 0 in it (left) from the rows with a 1 (right); ties go to
-    the lowest index. None if no split with min_leaf rows a side gains."""
+    the lowest index. None if no split with a row on each side gains."""
     n = len(y)
     onehot = np.zeros((n, NUM_COMPOSITE))
     onehot[np.arange(n), y] = 1.0
@@ -120,7 +121,7 @@ def _best_split(X, y, min_leaf):
     right_counts = X.T @ onehot     # class counts of each feature's 1-rows
     right_n = right_counts.sum(axis=1)
     left_n = n - right_n
-    valid = np.flatnonzero((left_n >= min_leaf) & (right_n >= min_leaf))
+    valid = np.flatnonzero((left_n > 0) & (right_n > 0))
     if len(valid) == 0:
         return None
     right_counts, left_n, right_n = right_counts[valid], left_n[valid], right_n[valid]
@@ -134,34 +135,25 @@ def _best_split(X, y, min_leaf):
     return int(valid[i]) if gains[i] > MIN_GINI_GAIN else None
 
 
-def dt_fit(train: FlatDataset, max_depth: int = None,
-           min_leaf: int = 1) -> DecisionTree:
-    """Grow a CART greedily until pure, out of gain, or at the limits."""
+def dt_fit(train: FlatDataset) -> DecisionTree:
+    """Grow a CART greedily until each leaf is pure or no split gains."""
     if len(train) == 0:
         raise ValueError("dt_fit: empty training set")
-    if min_leaf < 1:
-        raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
     if not ((train.X == 0.0) | (train.X == 1.0)).all():
         raise ValueError("dt_fit: features must be 0 or 1")
     y = train.residents * NUM_ACTIVITIES + train.activities
 
-    def build(idx, depth):
+    def build(idx):
         sub_y = y[idx]
         counts = np.bincount(sub_y, minlength=NUM_COMPOSITE)
         majority = int(np.argmax(counts))
         if counts[majority] == len(sub_y):
             return _Node(prediction=majority)
-        if max_depth is not None and depth >= max_depth:
-            return _Node(prediction=majority)
-        feature = _best_split(train.X[idx], sub_y, min_leaf)
+        feature = _best_split(train.X[idx], sub_y)
         if feature is None:
             return _Node(prediction=majority)
         goes_left = train.X[idx, feature] <= 0.5
-        return _Node(
-            prediction=majority,
-            feature=feature,
-            left=build(idx[goes_left], depth + 1),
-            right=build(idx[~goes_left], depth + 1),
-        )
+        return _Node(prediction=majority, feature=feature,
+                     left=build(idx[goes_left]), right=build(idx[~goes_left]))
 
-    return DecisionTree(build(np.arange(len(train)), 0))
+    return DecisionTree(build(np.arange(len(train))))

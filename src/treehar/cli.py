@@ -12,12 +12,14 @@ events_per_file. Its ValueError is a usage error in its own words
 that default, overridden by an optional key=value config file (any key
 of SETTINGS suits any command), overridden by an explicit flag. Every
 command that writes artifacts echoes the configuration it actually used.
-One root seed drives file splitting, parameter init and epoch shuffles.
-eval's knn and dt are the paper's fixed comparators, run at the
-library's defaults: 5 neighbours, and a CART grown until its leaves are
-pure. eval's tsc and predict take k from the checkpoint. gradcheck has
-one criterion: 100 probes on 3 random windows, each relative error
-below 1e-4.
+One root seed drives file splitting, parameter init and epoch shuffles;
+eval splits by its own --seed, so give it the seed that train echoed in
+config_used.txt, or tsc may be scored on its own training files. eval's
+knn and dt are the paper's fixed comparators and take no settings: 5
+neighbours, and a CART grown until each leaf is pure or no split gains.
+eval's tsc and predict take k from the checkpoint. gradcheck has one
+criterion: 100 probes on 3 random windows, each relative error below
+1e-4.
 
 Reproducibility: train gives the same checkpoint bytes for the same seed,
 settings and data with the same numpy and BLAS build, and eval the same
@@ -249,6 +251,16 @@ def load_windows(paths, k, on_value) -> list:
     return windows
 
 
+def _out_dir(cfg) -> Path:
+    """--out, checked before any work: the nearest of it and its ancestors
+    that exists must be a directory. _make_dir creates it later."""
+    out = Path(cfg.require("out"))
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not existing.is_dir():
+        raise DataError(f"cannot write to {out}: {existing} is not a directory")
+    return out
+
+
 def _make_dir(out: Path) -> Path:
     """Create the --out directory when the command is about to write, so
     that a command rejected for its arguments or data leaves nothing."""
@@ -288,7 +300,7 @@ def _side_windows(files, side, k, on_value) -> list:
 def cmd_ingest(cfg) -> int:
     """parse a corpus directory and write the canonical CSV"""
     data = cfg.require("data")
-    out = Path(cfg.require("out"))
+    out = _out_dir(cfg)
     on_value = cfg.get("on_value")
     files = discover_files(data)
     file_events = []
@@ -318,7 +330,7 @@ def cmd_ingest(cfg) -> int:
 def cmd_train(cfg) -> int:
     """train the tree CNN on the 70/30 file split"""
     data = cfg.require("data")
-    out = Path(cfg.require("out"))
+    out = _out_dir(cfg)
     k = cfg.get("k")
     on_value = cfg.get("on_value")
     dtype = cfg.get("dtype")
@@ -346,9 +358,10 @@ def cmd_train(cfg) -> int:
 
 
 def cmd_eval(cfg) -> int:
-    """evaluate a method on the held-out files"""
+    """evaluate a method on the held-out files of the split by --seed; give
+    tsc the seed that train echoed, or it may score its own training files"""
     data = cfg.require("data")
-    out = Path(cfg.require("out"))
+    out = _out_dir(cfg)
     seed = cfg.get("seed")
     method = cfg.get("method")
     on_value = cfg.get("on_value")
@@ -371,9 +384,9 @@ def cmd_eval(cfg) -> int:
             try:
                 pred_res, pred_act = baselines.knn_predict_batch(
                     train_flat, test_flat.X)
-            except ValueError as exc:   # fewer windows than neighbours
-                raise DataError(f"knn over {len(train_flat)} training windows: "
-                                f"{exc}") from None
+            except ValueError:   # fewer windows than neighbours
+                raise DataError(f"knn needs {baselines.KNN_NEIGHBORS} training "
+                                f"windows, got {len(train_flat)}") from None
         else:
             pred_res, pred_act = baselines.dt_fit(train_flat).predict_batch(test_flat.X)
         report = metrics.report_from_predictions(
@@ -401,7 +414,7 @@ def cmd_eval(cfg) -> int:
 def cmd_sweep(cfg) -> int:
     """hyperparameter grid over batch size, L2 weight, rate"""
     data = cfg.require("data")
-    out = Path(cfg.require("out"))
+    out = _out_dir(cfg)
     k = cfg.get("k")
     seed = cfg.get("seed")
     on_value = cfg.get("on_value")
@@ -433,7 +446,8 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_predict(cfg) -> int:
-    """predict (resident, activity) for the last event of a history file"""
+    """predict (resident, activity) for the last --on-value (ON) event of
+    a history file"""
     checkpoint = cfg.require("checkpoint")
     history = cfg.require("history")
     params = model.load_params(checkpoint)
@@ -492,7 +506,7 @@ def cmd_gradcheck(cfg) -> int:
 
 def cmd_synth(cfg) -> int:
     """generate a synthetic corpus in the log format"""
-    out = Path(cfg.require("out"))
+    out = _out_dir(cfg)
     seed = cfg.get("seed")
     profile = _checked(synth.SynthProfile, files=cfg.get("files"),
                        events_per_file=cfg.get("events_per_file"))

@@ -29,7 +29,7 @@ EVAL_CHUNK = 128
 
 def _outside_level() -> int:
     """The warnings stacklevel, seen from this function's caller, of the
-    first frame outside this module: the code that asked for a metric."""
+    first frame outside this module: the code that asked for a report."""
     frame, level = sys._getframe(1), 1
     while frame.f_globals.get("__name__") == __name__:
         frame, level = frame.f_back, level + 1
@@ -37,25 +37,17 @@ def _outside_level() -> int:
 
 
 class ConfusionMatrix:
-    """K x K counts; rows are true classes, columns predicted."""
+    """K x K counts of (true, predicted) class pairs; rows are true
+    classes, columns predicted."""
 
-    def __init__(self, num_classes: int):
-        if num_classes < 1:
-            raise ValueError("num_classes must be positive")
+    def __init__(self, num_classes: int, true_classes, predicted_classes):
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-        self._warned = set()   # (metric, class) zero denominators reported
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
+        np.add.at(self.counts, (np.asarray(true_classes),
+                                np.asarray(predicted_classes)), 1)
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def update_many(self, true_classes, predicted_classes):
-        np.add.at(self.counts, (np.asarray(true_classes),
-                                np.asarray(predicted_classes)), 1)
 
     def accuracy(self) -> float:
         total = self.total
@@ -63,60 +55,33 @@ class ConfusionMatrix:
             raise ValueError("accuracy of an empty confusion matrix")
         return float(np.trace(self.counts)) / total
 
-    def per_class_precision(self):
-        return self._per_class(self.counts.sum(axis=0), "precision")
 
-    def per_class_recall(self):
-        return self._per_class(self.counts.sum(axis=1), "recall")
-
-    def _per_class(self, denominators, metric_name):
-        for c in np.flatnonzero(denominators == 0):
-            if (metric_name, c) not in self._warned:
-                self._warned.add((metric_name, c))
-                warnings.warn(
-                    f"{metric_name} for class {c} has a zero denominator; "
-                    "reporting 0", stacklevel=_outside_level())
-        return [float(d) / float(n) if n else 0.0
-                for d, n in zip(np.diag(self.counts), denominators)]
-
-    def per_class_f1(self):
-        out = []
-        for p, r in zip(self.per_class_precision(), self.per_class_recall()):
-            out.append(0.0 if p + r == 0 else 2.0 * p * r / (p + r))
-        return out
-
-    def macro_precision(self) -> float:
-        return float(np.mean(self.per_class_precision()))
-
-    def macro_f1(self) -> float:
-        return float(np.mean(self.per_class_f1()))
+def _per_class(hits, denominators, metric_name) -> list:
+    """hits / denominators per class; a zero denominator gives 0 and one
+    warning."""
+    for c in np.flatnonzero(denominators == 0):
+        warnings.warn(f"{metric_name} for class {c} has a zero denominator; "
+                      "reporting 0", stacklevel=_outside_level())
+    return [float(d) / float(n) if n else 0.0
+            for d, n in zip(hits, denominators)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsReport:
+    """Both heads' confusion matrices and the figures eval reports of
+    them, each computed once, by report_from_predictions."""
+
     resident: ConfusionMatrix
     activity: ConfusionMatrix
-
-    @property
-    def resident_accuracy(self) -> float:
-        return self.resident.accuracy()
-
-    @property
-    def resident_precision(self) -> float:
-        return self.resident.macro_precision()
-
-    @property
-    def resident_f1(self) -> float:
-        return self.resident.macro_f1()
-
-    @property
-    def activity_accuracy(self) -> float:
-        return self.activity.accuracy()
+    resident_per_class: tuple   # (precision, recall, f1), class c positive
+    resident_accuracy: float
+    resident_precision: float   # macro
+    resident_f1: float          # macro
+    activity_accuracy: float
 
     def describe(self) -> str:
         """Verbose report with per-class resident metrics under both
         single-positive-class conventions."""
-        res = self.resident
         lines = [
             f"resident accuracy  {self.resident_accuracy:.4f}",
             f"resident precision {self.resident_precision:.4f} (macro)",
@@ -125,16 +90,11 @@ class MetricsReport:
             "",
             "resident per-class (positive-class convention):",
         ]
-        precisions = res.per_class_precision()
-        recalls = res.per_class_recall()
-        f1s = res.per_class_f1()
-        for c in range(res.num_classes):
-            lines.append(
-                f"  class {c}: precision {precisions[c]:.4f} "
-                f"recall {recalls[c]:.4f} f1 {f1s[c]:.4f}"
-            )
+        for c, (precision, recall, f1) in enumerate(self.resident_per_class):
+            lines.append(f"  class {c}: precision {precision:.4f} "
+                         f"recall {recall:.4f} f1 {f1:.4f}")
         lines.append("")
-        lines.append(f"resident confusion (rows true):\n{res.counts}")
+        lines.append(f"resident confusion (rows true):\n{self.resident.counts}")
         lines.append(f"activity confusion trace {np.trace(self.activity.counts)} "
                      f"of {self.activity.total}")
         return "\n".join(lines)
@@ -162,9 +122,16 @@ def evaluate(test_windows, params: ModelParams) -> MetricsReport:
 
 def report_from_predictions(true_residents, pred_residents,
                             true_activities, pred_activities) -> MetricsReport:
-    """Build a report from already-computed labels."""
-    resident_cm = ConfusionMatrix(NUM_RESIDENTS)
-    activity_cm = ConfusionMatrix(NUM_ACTIVITIES)
-    resident_cm.update_many(true_residents, pred_residents)
-    activity_cm.update_many(true_activities, pred_activities)
-    return MetricsReport(resident=resident_cm, activity=activity_cm)
+    """Build a report from already-computed labels. Each zero denominator
+    of a resident precision or recall warns here, once."""
+    resident = ConfusionMatrix(NUM_RESIDENTS, true_residents, pred_residents)
+    activity = ConfusionMatrix(NUM_ACTIVITIES, true_activities, pred_activities)
+    hits = np.diag(resident.counts)
+    precisions = _per_class(hits, resident.counts.sum(axis=0), "precision")
+    recalls = _per_class(hits, resident.counts.sum(axis=1), "recall")
+    f1s = [0.0 if p + r == 0 else 2.0 * p * r / (p + r)
+           for p, r in zip(precisions, recalls)]
+    return MetricsReport(
+        resident, activity, tuple(zip(precisions, recalls, f1s)),
+        resident.accuracy(), float(np.mean(precisions)), float(np.mean(f1s)),
+        activity.accuracy())

@@ -161,17 +161,17 @@ def naive_gini(labels):
                    for c in set(labels))
 
 
-def naive_best_split(X, y, min_leaf):
+def naive_best_split(X, y):
     """Exact Gini gain of splitting the rows of a 0/1 matrix on each feature
-    (0 left, 1 right; None with fewer than min_leaf rows a side), and the
-    lowest feature of highest positive gain, or None."""
+    (0 left, 1 right; None with an empty side), and the lowest feature of
+    highest positive gain, or None."""
     n, d = X.shape
     parent = naive_gini([int(v) for v in y])
     gains = []
     for f in range(d):
         left = [int(y[i]) for i in range(n) if X[i, f] == 0]
         right = [int(y[i]) for i in range(n) if X[i, f] == 1]
-        if len(left) < min_leaf or len(right) < min_leaf:
+        if not left or not right:
             gains.append(None)
             continue
         weighted = (len(left) * naive_gini(left)

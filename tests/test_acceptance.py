@@ -160,7 +160,7 @@ def test_criterion_5_baseline_reproduction():
     train_flat = FlatDataset.from_windows(load_windows(split.train_files, 8, "ON"))
     test_flat = FlatDataset.from_windows(load_windows(split.test_files, 8, "ON"))
 
-    _, knn_act = knn_predict_batch(train_flat, test_flat.X, k_neighbors=5)
+    _, knn_act = knn_predict_batch(train_flat, test_flat.X)
     knn_accuracy = float(np.mean(knn_act == test_flat.activities))
 
     tree = dt_fit(train_flat)

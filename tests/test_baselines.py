@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treehar import baselines
-from treehar.baselines import (FlatDataset, _best_split, dt_fit,
+from treehar.baselines import (DecisionTree, FlatDataset, _best_split, dt_fit,
                                knn_predict_batch)
 from treehar.casas import LabelPair
 from treehar.windowing import make_windows
@@ -15,9 +15,9 @@ def _dataset(X, residents, activities):
     return FlatDataset(np.asarray(X, dtype=float), residents, activities)
 
 
-def _knn_one(train, query, k_neighbors):
+def _knn_one(train, query):
     """knn_predict_batch on a batch of one query."""
-    res, act = knn_predict_batch(train, np.asarray(query)[None], k_neighbors)
+    res, act = knn_predict_batch(train, np.asarray(query)[None])
     return LabelPair(int(res[0]), int(act[0]))
 
 
@@ -31,6 +31,25 @@ def _depth(node):
     if node.is_leaf:
         return 0
     return 1 + max(_depth(node.left), _depth(node.right))
+
+
+def _truncated(node, depth):
+    """The tree below node cut at depth: each node at that depth becomes a
+    leaf predicting its majority, as a greedy tree stopped there would."""
+    if node.is_leaf or depth == 0:
+        return baselines._Node(prediction=node.prediction)
+    return baselines._Node(node.prediction, node.feature,
+                           _truncated(node.left, depth - 1),
+                           _truncated(node.right, depth - 1))
+
+
+def _leaf_rows(node, X, rows):
+    """(leaf, the rows of X that reach it) for every leaf below node."""
+    if node.is_leaf:
+        return [(node, rows)]
+    goes_left = X[rows, node.feature] <= 0.5
+    return (_leaf_rows(node.left, X, rows[goes_left])
+            + _leaf_rows(node.right, X, rows[~goes_left]))
 
 
 # ---------------------------------------------------------------------------
@@ -54,31 +73,38 @@ def test_flat_dataset_from_windows():
 # knn
 
 
-def test_knn_exact_match_k1():
-    train = _dataset([[0, 0, 1], [0, 1, 0], [1, 0, 0]],
-                     [0, 1, 0], [3, 5, 7])
-    assert _knn_one(train, np.array([0.0, 1.0, 0.0]), 1) == LabelPair(1, 5)
+def test_knn_exact_matches_outvote_the_rest():
+    # five copies of the query against four other rows: the five nearest
+    # are the copies
+    train = _dataset([[0, 0, 1]] * 2 + [[0, 1, 0]] * 5 + [[1, 0, 0]] * 2,
+                     [0, 0, 1, 1, 1, 1, 1, 0, 0], [3, 3, 5, 5, 5, 5, 5, 7, 7])
+    assert _knn_one(train, np.array([0.0, 1.0, 0.0])) == LabelPair(1, 5)
 
 
 def test_knn_k_equals_n_gives_global_majority():
     train = _dataset([[0, 0], [1, 0], [0, 1], [1, 1], [2, 2]],
                      [1, 1, 1, 0, 0], [2, 2, 9, 9, 9])
-    pred = _knn_one(train, np.array([10.0, 10.0]), 5)
+    pred = _knn_one(train, np.array([10.0, 10.0]))
     assert pred == LabelPair(1, 9)
 
 
 def test_knn_vote_tie_goes_to_smallest_class():
-    train = _dataset([[0.0], [1.0]], [1, 0], [9, 2])
-    # both neighbors equally voted: resident {1,0} -> 0; activity {9,2} -> 2
-    assert _knn_one(train, np.array([0.5]), 2) == LabelPair(0, 2)
+    # all five rows vote: activity {9, 9, 2, 2, 7} ties 9 with 2 -> 2
+    train = _dataset([[0.0], [1.0], [2.0], [3.0], [4.0]], [1, 1, 1, 0, 0],
+                     [9, 9, 2, 2, 7])
+    assert _knn_one(train, np.array([0.5])) == LabelPair(1, 2)
 
 
 def test_knn_distance_tie_goes_to_earliest_index():
-    # two training points equidistant from the query; k=1 must pick index 0
-    train = _dataset([[1.0, 0.0], [0.0, 1.0]], [1, 0], [4, 11])
-    assert _knn_one(train, np.array([0.0, 0.0]), 1) == LabelPair(1, 4)
-    reordered = _dataset([[0.0, 1.0], [1.0, 0.0]], [0, 1], [11, 4])
-    assert _knn_one(reordered, np.array([0.0, 0.0]), 1) == LabelPair(0, 11)
+    # four rows at the query, then two equidistant from it: the fifth
+    # neighbour is the earlier of the two, and its labels decide both votes
+    near = [[0.0, 0.0]] * 4
+    train = _dataset(near + [[1.0, 0.0], [0.0, 1.0]], [0, 0, 1, 1, 1, 0],
+                     [3, 3, 4, 4, 4, 3])
+    assert _knn_one(train, np.array([0.0, 0.0])) == LabelPair(1, 4)
+    reordered = _dataset(near + [[0.0, 1.0], [1.0, 0.0]], [0, 0, 1, 1, 0, 1],
+                         [3, 3, 4, 4, 3, 4])
+    assert _knn_one(reordered, np.array([0.0, 0.0])) == LabelPair(0, 3)
 
 
 def test_knn_permutation_invariant_with_distinct_distances():
@@ -90,7 +116,7 @@ def test_knn_permutation_invariant_with_distinct_distances():
     perm = rng.permutation(20)
     shuffled = _dataset(X[perm], residents[perm], activities[perm])
     for q in rng.normal(size=(10, 6)):
-        assert _knn_one(train, q, 5) == _knn_one(shuffled, q, 5)
+        assert _knn_one(train, q) == _knn_one(shuffled, q)
 
 
 def test_knn_batch_matches_single(monkeypatch):
@@ -102,10 +128,10 @@ def test_knn_batch_matches_single(monkeypatch):
     X = (rng.random((30, 8)) > 0.5).astype(float)
     train = _dataset(X, rng.integers(0, 2, 30), rng.integers(0, 15, 30))
     queries = (rng.random((12, 8)) > 0.5).astype(float)
-    res, act = knn_predict_batch(train, queries, k_neighbors=3)
+    res, act = knn_predict_batch(train, queries)
     for i, q in enumerate(queries):
         d2 = [sum((a - b) ** 2 for a, b in zip(x, q)) for x in X]
-        nearest = sorted(range(30), key=lambda j: (d2[j], j))[:3]
+        nearest = sorted(range(30), key=lambda j: (d2[j], j))[:5]
         votes_r = [list(train.residents[nearest]).count(c) for c in range(2)]
         votes_a = [list(train.activities[nearest]).count(c) for c in range(15)]
         assert (res[i], act[i]) == (votes_r.index(max(votes_r)),
@@ -130,7 +156,7 @@ def test_knn_distances_in_place_are_the_expressions_bits(monkeypatch):
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", recording_argsort)
-    res, act = knn_predict_batch(train, queries, k_neighbors=4)
+    res, act = knn_predict_batch(train, queries)
     monkeypatch.setattr(np, "argsort", argsort)
     norms = (X * X).sum(axis=1)
     want = [norms[None, :] - 2.0 * (chunk @ X.T) + (chunk * chunk).sum(axis=1)[:, None]
@@ -138,19 +164,18 @@ def test_knn_distances_in_place_are_the_expressions_bits(monkeypatch):
     assert len(sorted_d2) == len(want)
     for got, expected in zip(sorted_d2, want):
         np.testing.assert_array_equal(got, expected)
-    nearest = np.argsort(np.concatenate(want), axis=1, kind="stable")[:, :4]
+    nearest = np.argsort(np.concatenate(want), axis=1, kind="stable")[:, :5]
     np.testing.assert_array_equal(res, baselines._vote(train.residents[nearest], 2))
     np.testing.assert_array_equal(act, baselines._vote(train.activities[nearest], 15))
 
 
 def test_knn_validation():
-    train = _dataset([[0.0]], [0], [0])
-    with pytest.raises(ValueError):
-        _knn_one(_dataset(np.empty((0, 1)), [], []), np.array([0.0]), 1)
-    with pytest.raises(ValueError):
-        _knn_one(train, np.array([0.0]), 2)
-    with pytest.raises(ValueError):
-        _knn_one(train, np.array([0.0]), 0)
+    # fewer rows than the 5 neighbours is an error; 5 rows vote
+    for n in (0, 1, 4):
+        with pytest.raises(ValueError, match="fewer than the 5 neighbours"):
+            _knn_one(_dataset(np.zeros((n, 1)), [0] * n, [0] * n), [0.0])
+    assert _knn_one(_dataset(np.zeros((5, 1)), [1] * 5, [6] * 5), [0.0]) \
+        == LabelPair(1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -187,33 +212,36 @@ def _separable_data():
 
 def test_dt_training_accuracy_nondecreasing_in_depth():
     data = _separable_data()
-    accuracies = []
-    for depth in (1, 2, 4, 8, None):
-        tree = dt_fit(data, max_depth=depth)
-        accuracies.append(_training_accuracy(tree, data))
+    root = dt_fit(data).root
+    assert _depth(root) > 2
+    accuracies = [_training_accuracy(DecisionTree(_truncated(root, depth)), data)
+                  for depth in (0, 1, 2, 4, 8, _depth(root))]
     assert all(b >= a - 1e-12 for a, b in zip(accuracies, accuracies[1:]))
     assert accuracies[-1] == 1.0  # distinct windows are fully separable
 
 
-def test_dt_max_depth_bounds_the_tree():
-    data = _separable_data()
-    assert _depth(dt_fit(data).root) > 2     # unlimited, the tree goes deeper
-    for max_depth in (0, 1, 2):
-        assert _depth(dt_fit(data, max_depth=max_depth).root) <= max_depth
-
-
-def test_dt_min_leaf_limits_splits():
-    train = _dataset([[0.0], [1.0]], [0, 1], [2, 9])
-    tree = dt_fit(train, min_leaf=2)
-    assert tree.root.is_leaf
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dt_grows_until_no_leaf_split_gains(seed):
+    """Every leaf of a fitted tree is pure, or no split of its rows has a
+    positive exact Gini gain."""
+    rng = np.random.default_rng(seed)
+    X = (rng.random((60, 6)) > 0.5).astype(float)
+    data = _dataset(X, rng.integers(0, 2, 60), rng.integers(0, 3, 60))
+    y = data.residents * 15 + data.activities
+    leaves = _leaf_rows(dt_fit(data).root, X, np.arange(60))
+    assert sum(len(rows) for _, rows in leaves) == 60
+    for leaf, rows in leaves:
+        assert len(rows) > 0
+        assert naive_best_split(X[rows], y[rows])[0] is None
+        assert leaf.prediction == np.bincount(y[rows]).argmax()
 
 
 def test_dt_deterministic():
     rng = np.random.default_rng(5)
     X = (rng.random((40, 10)) > 0.5).astype(float)
     data = _dataset(X, rng.integers(0, 2, 40), rng.integers(0, 15, 40))
-    t1 = dt_fit(data, max_depth=4)
-    t2 = dt_fit(data, max_depth=4)
+    t1 = dt_fit(data)
+    t2 = dt_fit(data)
     queries = (rng.random((15, 10)) > 0.5).astype(float)
     r1, a1 = t1.predict_batch(queries)
     r2, a2 = t2.predict_batch(queries)
@@ -221,17 +249,17 @@ def test_dt_deterministic():
     np.testing.assert_array_equal(a1, a2)
 
 
-@pytest.mark.parametrize("min_leaf", [1, 2, 5])
-def test_best_split_matches_naive_oracle(min_leaf):
-    rng = np.random.default_rng(min_leaf)
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_best_split_matches_naive_oracle(seed):
+    rng = np.random.default_rng(seed)
     for _ in range(300):
         n, d = int(rng.integers(2, 30)), int(rng.integers(3, 10))
         X = (rng.random((n, d)) < rng.random()).astype(float)
         X[:, rng.integers(d)] = X[:, rng.integers(d)]     # duplicate: a tie
         X[:, rng.integers(d)] = rng.integers(2)           # constant column
         y = rng.integers(0, int(rng.integers(1, 6)), n) * int(rng.integers(1, 7))
-        got = _best_split(X, y, min_leaf)
-        want, gains = naive_best_split(X, y, min_leaf)
+        got = _best_split(X, y)
+        want, gains = naive_best_split(X, y)
         if want is None:
             assert got is None
             continue
@@ -250,11 +278,9 @@ def test_dt_rejects_features_other_than_0_and_1():
         dt_fit(_dataset([[0.0], [np.nan]], [0, 1], [2, 9]))
 
 
-def test_dt_empty_and_bad_min_leaf():
-    with pytest.raises(ValueError):
+def test_dt_empty_training_set():
+    with pytest.raises(ValueError, match="empty training set"):
         dt_fit(_dataset(np.empty((0, 2)), [], []))
-    with pytest.raises(ValueError):
-        dt_fit(_dataset([[0.0]], [0], [0]), min_leaf=0)
 
 
 def test_dt_composite_decoding_covers_both_heads():

@@ -731,6 +731,28 @@ def test_eval_rejects_training_flags(trained, tmp_path, capsys, flag, value):
     assert run(argv + ["--config", str(config)]) == 0
 
 
+@pytest.mark.parametrize("command", ["ingest", "train", "eval", "sweep"])
+def test_out_below_a_file_fails_before_any_work(trained, tmp_path, capsys,
+                                                command):
+    """An --out that is a file, or lies below one, is a data error before
+    any parse or epoch: nothing is printed and the file is left as it was."""
+    corpus, out = trained
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    argv = {"ingest": ["ingest"],
+            "train": ["train", "--k", "3", "--epochs", "3"],
+            "eval": ["eval", "--checkpoint", str(out / "model.ckpt")],
+            "sweep": ["sweep", "--k", "3", "--epochs", "2", "--alphas", "16",
+                      "--betas", "0.0004", "--gammas", "0.001"]}[command]
+    for target in (blocker, blocker / "below"):
+        assert run([*argv, "--data", str(corpus), "--out", str(target)]) == 2
+        printed, err = capsys.readouterr()
+        assert "epoch" not in printed and printed == ""
+        assert err == (f"data error: cannot write to {target}: {blocker} is "
+                       "not a directory\n")
+    assert blocker.read_text() == "kept\n"
+
+
 def test_knn_k_above_training_windows_is_data_error(tmp_path, capsys):
     """Two 4-event files give a training side of at most 4 windows, fewer
     than the 5 neighbours knn votes over."""
@@ -968,7 +990,9 @@ def command_runs(tmp_path_factory):
         read.add(key)
         return get(self, key, default)
 
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         patch.setattr(cli.RunConfig, "get", recording_get)
         for name, (argv, echo) in runs.items():
             if echo is None:
@@ -980,6 +1004,9 @@ def command_runs(tmp_path_factory):
         assert run(["predict", "--checkpoint", checkpoint,
                     "--history", str(corpus / "synth_00.txt")]) == 0
         assert run(["gradcheck", "--k", "2"]) == 0
+    # knn predicts resident 1 for each of the 16 held-out windows
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "precision for class 0 has a zero denominator; reporting 0")]
     return texts, read
 
 

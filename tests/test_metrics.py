@@ -9,12 +9,7 @@ import pytest
 
 from treehar import metrics, training
 from treehar.cli import run
-from treehar.metrics import (
-    ConfusionMatrix,
-    MetricsReport,
-    evaluate,
-    report_from_predictions,
-)
+from treehar.metrics import ConfusionMatrix, evaluate, report_from_predictions
 from treehar.model import init_params, save_params
 from treehar.numerics import NumericError
 from treehar.windowing import make_windows, stack_windows
@@ -23,10 +18,18 @@ from test_cli import make_corpus
 from test_model import _events
 
 
-def _matrix(rows):
-    cm = ConfusionMatrix(len(rows))
-    cm.counts[...] = rows
-    return cm
+def _labels(rows):
+    """(true, predicted) label arrays whose confusion counts are rows."""
+    pairs = [(t, p) for t, row in enumerate(rows) for p, n in enumerate(row)
+             for _ in range(n)]
+    return tuple(np.array(column) for column in zip(*pairs))
+
+
+def _resident_report(rows):
+    """The report of resident labels whose counts are rows, with every
+    activity right."""
+    true, predicted = _labels(rows)
+    return report_from_predictions(true, predicted, true, true)
 
 
 def test_perfect_predictor_all_ones():
@@ -39,42 +42,43 @@ def test_perfect_predictor_all_ones():
 
 
 def test_hand_confusion_matrix_arithmetic():
-    cm = _matrix([[3, 1], [2, 4]])
-    assert cm.accuracy() == pytest.approx(0.7)
-    assert cm.per_class_precision() == pytest.approx([3 / 5, 4 / 5])
-    assert cm.macro_precision() == pytest.approx(0.7)
-    assert cm.per_class_recall() == pytest.approx([0.75, 2 / 3])
-    assert cm.per_class_f1() == pytest.approx([2 / 3, 8 / 11])
-    assert cm.macro_f1() == pytest.approx(23 / 33)
-    assert round(cm.macro_f1(), 3) == 0.697
+    report = _resident_report([[3, 1], [2, 4]])
+    np.testing.assert_array_equal(report.resident.counts, [[3, 1], [2, 4]])
+    assert report.resident_accuracy == pytest.approx(0.7)
+    precisions, recalls, f1s = zip(*report.resident_per_class)
+    assert precisions == pytest.approx([3 / 5, 4 / 5])
+    assert report.resident_precision == pytest.approx(0.7)
+    assert recalls == pytest.approx([0.75, 2 / 3])
+    assert f1s == pytest.approx([2 / 3, 8 / 11])
+    assert report.resident_f1 == pytest.approx(23 / 33)
+    assert round(report.resident_f1, 3) == 0.697
 
 
 def test_accuracy_bounds_and_empty():
-    cm = _matrix([[5, 0], [0, 0]])
+    cm = ConfusionMatrix(2, *_labels([[5, 0], [0, 0]]))
     assert 0.0 <= cm.accuracy() <= 1.0
     with pytest.raises(ValueError):
-        ConfusionMatrix(2).accuracy()
-    with pytest.raises(ValueError):
-        ConfusionMatrix(0)
+        ConfusionMatrix(2, np.zeros(0, int), np.zeros(0, int)).accuracy()
 
 
 def test_zero_denominator_is_zero_with_warning():
     # nothing predicted as class 1, nothing truly class 1
-    cm = _matrix([[4, 0], [0, 0]])
-    with pytest.warns(UserWarning, match="zero denominator"):
-        precisions = cm.per_class_precision()
-    assert precisions[1] == 0.0
-    with pytest.warns(UserWarning):
-        f1 = cm.per_class_f1()
-    assert f1[1] == 0.0  # precision = recall = 0 gives f1 = 0 by convention
+    with pytest.warns(UserWarning, match="zero denominator") as caught:
+        report = _resident_report([[4, 0], [0, 0]])
+    assert len(caught) == 2    # the precision and the recall of class 1
+    precision, recall, f1 = report.resident_per_class[1]
+    assert precision == recall == 0.0
+    assert f1 == 0.0  # precision = recall = 0 gives f1 = 0 by convention
 
 
 def test_zero_denominator_warns_once_per_metric_and_class():
-    """A report asks each matrix for its per-class values many times: every
-    zero denominator is reported once, attributed to the code that asked."""
-    report = report_from_predictions([0, 0, 1], [1, 1, 1], [0, 1, 2], [0, 1, 2])
+    """A report is computed when it is built: every zero denominator is
+    reported once, then, attributed to the code that built it, and no read
+    of the report warns."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        report = report_from_predictions([0, 0, 1], [1, 1, 1], [0, 1, 2],
+                                         [0, 1, 2])
         report.resident_precision, report.resident_f1, report.describe()
         report.resident_precision
     assert [str(w.message) for w in caught] == [
@@ -154,9 +158,8 @@ def _recorded_evaluate(windows, params, cpus, monkeypatch):
     the threads that stacked a half chunk and the halves' sizes."""
     labels, threads, sizes = [], set(), []
 
-    def recording_report(*arrays):
+    def recording_report(*arrays):   # builds no report, so warns of none
         labels.extend(np.array(a, copy=True) for a in arrays)
-        return report_from_predictions(*arrays)
 
     def recording_stack(*args, **kwargs):
         threads.add(threading.get_ident())
@@ -269,7 +272,6 @@ def _eval_writes(report, tmp_path, monkeypatch):
     return out
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_metrics_csv_and_describe(tmp_path, monkeypatch):
     report = report_from_predictions([0, 1], [0, 1], [2, 3], [2, 4])
     out = _eval_writes(report, tmp_path, monkeypatch)
@@ -287,8 +289,9 @@ def test_metrics_csv_and_describe(tmp_path, monkeypatch):
 
 
 def test_confusion_csv_dump(tmp_path, monkeypatch):
-    report = MetricsReport(resident=_matrix([[3, 1], [2, 4]]),
-                           activity=_matrix(np.eye(15, dtype=np.int64)))
+    residents = _labels([[3, 1], [2, 4]])
+    activities = (np.arange(15),) * 2
+    report = report_from_predictions(*residents, *activities)
     out = _eval_writes(report, tmp_path, monkeypatch)
     lines = (out / "confusion_resident.csv").read_text().splitlines()
     assert lines == ["true\\pred,0,1", "0,3,1", "1,2,4"]

@@ -19,9 +19,9 @@ import treehar
 from treehar import model, synth, training
 from treehar.casas import filter_on
 from treehar.cli import run
-from treehar.model import forward_batch, init_params
+from treehar.model import ModelParams, forward_batch, init_params
 from treehar.numerics import (NumericError, ParamTensor, Tape, Tensor, Workspace, backward,
-                              gradient_check, joint_loss)
+                              gradient, gradient_check, joint_loss)
 from treehar.training import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
@@ -41,7 +41,7 @@ from treehar.training import (
 from treehar.windowing import make_windows, stack_windows
 
 from test_cli import make_corpus
-from oracles import naive_adam_step
+from oracles import naive_adam_step, naive_model_loss
 from test_model import _events  # deterministic event fixture
 from test_numerics import _PoisoningWorkspace
 
@@ -913,3 +913,46 @@ def test_contract_edges(monkeypatch, call, expected):
     """A negative epoch count is a ValueError; a linalg extension module
     that ctypes cannot open reads as no OpenBLAS, so the halves run in turn."""
     assert call(monkeypatch) == expected
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_gradient_along_random_directions_matches_whole_model_oracle(k, monkeypatch):
+    """<gradient, v> for 2 seeded random unit directions v over all of
+    params.flat, against the central difference of the naive whole-model
+    loss along v: for one tape over the batch, and for the two-half batch
+    gradient that train_epoch hands adam_step. Every parameter moves in
+    every direction. float64, 3 windows (halves of 2 and 1), the first k-1
+    with PAD slots, every tensor off its init."""
+    params = init_params(k, 37, seed=k)
+    params.flat += np.random.default_rng(k).uniform(-0.05, 0.05, params.flat.size)
+    windows = make_windows(_events(3), k=k, source="t")
+    events, residents, activities = stack_windows(windows)
+    config = TrainConfig(batch_size=len(windows))
+
+    tape = Tape()
+    _, resident_logits, activity_logits = forward_batch(events, params, tape)
+    one_tape = gradient(batch_loss(resident_logits, activity_logits, residents,
+                                   activities, params, config.l2_weight, tape),
+                        tape, params)
+    handed = []
+    monkeypatch.setattr(training, "adam_step",
+                        lambda params, state, rate: handed.append(params.grad.copy()))
+    train_epoch(windows, params, AdamState(params), config)
+    two_halves, = handed
+
+    def naive_loss(flat):
+        tensors = {p.name: p.value.data for p in ModelParams(k, 37, flat)}
+        return naive_model_loss([w.sensors for w in windows], residents,
+                                activities, tensors, config.l2_weight)[2]
+
+    # the differences agree to 1e-10 relative; the L2 term's share of the
+    # derivative, which a second copy of it in half 1 adds again, is 2e-4
+    # to 4e-3
+    rng, step = np.random.default_rng(100 + k), 1e-4
+    for _ in range(2):
+        v = rng.normal(size=params.flat.size)
+        v /= np.linalg.norm(v)
+        want = (naive_loss(params.flat + step * v)
+                - naive_loss(params.flat - step * v)) / (2 * step)
+        assert one_tape @ v == pytest.approx(want, rel=1e-7)
+        assert two_halves @ v == pytest.approx(want, rel=1e-7)
