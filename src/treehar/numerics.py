@@ -15,7 +15,9 @@ zero column a side: the padding of conv1d's one width, KERNEL_SIZE = 3.
 The buffer travels with the tensor as Tensor.buf. Every kernel shift of
 the whole batch is then one contiguous column range, so conv1d reads
 such a buffer as its padded input, runs one GEMM over the 3 stacked
-shifts and writes it straight into its own output buffer. conv1d also
+shifts and writes it straight into its own output buffer. Its backward
+stacks the output gradient at the 3 shifts once, and that one stack
+feeds both its GEMMs: the weights' and the input's. conv1d also
 takes plain (batch, C, L) data, such as an event slice, which it copies
 into a buffer once and hands no gradient. add and flatten take
 activations only, and refuse plain tensors. Everything else is plain:
@@ -335,14 +337,17 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
     temporary is freed before returning; the tape keeps flat only, which
     for a buffer-backed input is memory the tape keeps anyway.
 
-    The backward takes the output's gradient as a zero-bordered buffer.
-    Its columns [1, 1 + n) line up with the stacked shifts; for relu they
-    are first multiplied by out > 0 into a temporary that nothing else
-    reads, so the tape keeps no masked gradient. The bias gradient is
-    their row sum, the weight gradient one GEMM per shift against flat. A
-    plain input is data and gets no gradient. A buffer-backed input gets
-    one GEMM whose 3 row blocks are added into a buffer at their shifts,
-    its borders then zeroed.
+    The backward takes the output's gradient as a zero-bordered buffer and
+    builds one temporary (3 c_out, n) stack of it. The middle block is its
+    columns [1, 1 + n), multiplied by out > 0 for relu, so the tape keeps
+    no masked gradient; blocks 0 and 2 are that block shifted one column
+    left and one right, a zero column shifted in. Block j then lines up
+    with shift j of flat at columns [1, 1 + n). The bias gradient is the
+    middle block's row sum, and the weight gradient one GEMM of the stack
+    against those columns. A plain input is data and gets no gradient. A
+    buffer-backed input gets one GEMM of w, as (c_in, 3 c_out), and the
+    stack, written into columns [1, 1 + n) of a buffer whose borders are
+    then zeroed.
     """
     _require_tensor(x, "conv1d", "input")
     _require_tensor(w, "conv1d", "weights")
@@ -394,23 +399,28 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, tape: Tape = None,
                 # only bench_layers.conv_sheet hands a plain gradient;
                 # ROADMAP item 1 deletes this branch
                 g = _bordered(None, g)
-            g_flat = g[:, 1:1 + n]
+            # block j, row o, column u holds the gradient at output column
+            # u + 1 - j, the one that tap j read flat[:, 1 + u] for
+            gstack = np.empty((m * c_out, n), dtype=dtype)
+            mid = gstack[c_out:2 * c_out]
             if relu:
-                g_flat = g_flat * (y > 0)
-            acc(b, g_flat.sum(axis=1))
-            gw = np.empty(w.shape, dtype=g.dtype)
-            for j in range(m):
-                gw[:, :, j] = g_flat @ flat[:, j:j + n].T
-            acc(w, gw)
+                np.multiply(g[:, 1:1 + n], y > 0, out=mid)
+            else:
+                mid[...] = g[:, 1:1 + n]
+            gstack[:c_out, :-1] = mid[:, 1:]
+            gstack[:c_out, -1] = 0
+            gstack[2 * c_out:, 1:] = mid[:, :-1]
+            gstack[2 * c_out:, 0] = 0
+            acc(b, mid.sum(axis=1))
+            gw = gstack @ flat[:, 1:1 + n].T               # (3 c_out, c_in)
+            acc(w, gw.reshape(m, c_out, c_in).transpose(1, 2, 0))
             if x.buf is None:
                 return
-            gstack = w2.T @ g_flat                         # (3 c_in, n)
-            gpad = _empty(ws, flat.shape, gstack.dtype)
-            gpad[...] = 0
-            for j in range(m):
-                gpad[:, j:j + n] += gstack[j * c_in:(j + 1) * c_in]
-            _zero_borders(gpad, length)
-            acc(x, gpad)
+            gx = _empty(ws, flat.shape, dtype)
+            w3 = w.data.transpose(1, 2, 0).reshape(c_in, m * c_out)
+            np.matmul(w3, gstack, out=gx[:, 1:1 + n])
+            _zero_borders(gx, length)
+            acc(x, gx)
         tape.record(out, bwd)
     return out
 

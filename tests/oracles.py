@@ -52,6 +52,23 @@ def naive_conv1d_input_grad(g, w, length):
     return gx
 
 
+def naive_conv1d_weight_grad(g, x):
+    """The gradient that naive_conv1d's output gradient g (c_out, L)
+    hands a width-3 kernel, for the input x (c_in, L): each output times
+    the input its tap read, summed into the tap's weight."""
+    c_out, length = g.shape
+    c_in = x.shape[0]
+    gw = np.zeros((c_out, c_in, 3))
+    for o in range(c_out):
+        for c in range(c_in):
+            for j in range(3):
+                for p in range(length):
+                    src = p + j - 1
+                    if 0 <= src < length:
+                        gw[o, c, j] += g[o, p] * x[c, src]
+    return gw
+
+
 def naive_dense(x, w, b):
     k, d = w.shape
     out = np.zeros(k)

@@ -24,8 +24,8 @@ from treehar.numerics import (
 
 from treehar import model, training
 
-from oracles import (naive_conv1d, naive_conv1d_input_grad, naive_dense,
-                     naive_log_softmax_ce, naive_relu, naive_softmax)
+from oracles import (naive_conv1d, naive_conv1d_input_grad, naive_conv1d_weight_grad,
+                     naive_dense, naive_log_softmax_ce, naive_relu, naive_softmax)
 
 
 def rng(seed=0):
@@ -426,6 +426,40 @@ def test_conv1d_relu_matches_oracle(dtype, bordered_gradient):
     np.testing.assert_array_equal(
         interior, [naive_conv1d_input_grad(masked[i], w, 6) for i in range(3)])
     assert fused[id(xt)].dtype == dtype and np.all(borders == 0)
+
+
+@pytest.mark.parametrize("batch,length", [(1, 1), (1, 2), (2, 1), (3, 6)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("bordered_input", [False, True], ids=["plain-x", "buffer-x"])
+@pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+def test_conv1d_gradients_match_oracles_exactly(batch, length, dtype, bordered_input, relu):
+    # the backward's shifted gradient blocks take a zero column at each
+    # end of the batch; at n = batch * (L + 2) - 2 = 1 those columns are
+    # all that blocks 0 and 2 hold
+    r = rng(batch * 10 + length)
+    x = _small_integers(r, (batch, 2, length), -2, 2, dtype)
+    w = _small_integers(r, (3, 2, 3), -1, 1, dtype)
+    b = _small_integers(r, 3, -1, 1, dtype)
+    xt, wt, bt = (_activation(x) if bordered_input else Tensor(x)), Tensor(w), Tensor(b)
+    tape = _KeepingTape()
+    conv1d(xt, wt, bt, tape, relu=relu)
+    g = _small_integers(r, (batch, 3, length), -3, 3, dtype)
+    if relu:
+        g = g * (np.stack([naive_conv1d(x[i], w, b) for i in range(batch)]) > 0)
+    got = _collect(tape.bwd, np.pad(g.transpose(1, 0, 2),
+                                    ((0, 0), (0, 0), (1, 1))).reshape(3, -1))
+
+    np.testing.assert_array_equal(got[id(bt)], g.sum(axis=(0, 2)))
+    np.testing.assert_array_equal(
+        got[id(wt)], sum(naive_conv1d_weight_grad(g[i], x[i]) for i in range(batch)))
+    assert got[id(wt)].dtype == got[id(bt)].dtype == dtype
+    if not bordered_input:
+        assert set(got) == {id(wt), id(bt)}   # a plain input is data
+        return
+    interior, borders = _parts(got[id(xt)], length)
+    np.testing.assert_array_equal(
+        interior, [naive_conv1d_input_grad(g[i], w, length) for i in range(batch)])
+    assert got[id(xt)].dtype == dtype and np.all(borders == 0)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

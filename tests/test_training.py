@@ -228,10 +228,10 @@ def test_single_batch_steps_golden():
         env=env, capture_output=True, text=True, check=True)
     losses, digest = json.loads(child.stdout)
     assert losses == {
-        "float64": ["7.016934283834865", "2.4830600004814514", "1.3328716958695952"],
-        "float32": ["7.016934394836426", "2.4830602407455444", "1.332871675491333"],
+        "float64": ["7.016934283834865", "2.483060000481451", "1.332871695869595"],
+        "float32": ["7.016934394836426", "2.483060121536255", "1.332871675491333"],
     }
-    assert digest == "73047004e472b09006a6f033676a5cf4d50bf3ba339affb3727ec5fd89a9b82b"
+    assert digest == "965788c79799588336fcd9bb5840c48f493e22d73a57d737589887c40f13088b"
     if training._openblas_threads() is not None:
         assert single_batch_steps() == (losses, digest)
 
@@ -685,7 +685,7 @@ def test_a_second_openblas_in_the_process_is_not_the_one_held(tmp_path):
         env=env, capture_output=True, text=True, check=True)
     threads, (_, digest) = json.loads(child.stdout)
     assert threads == [1]
-    assert digest == "73047004e472b09006a6f033676a5cf4d50bf3ba339affb3727ec5fd89a9b82b"
+    assert digest == "965788c79799588336fcd9bb5840c48f493e22d73a57d737589887c40f13088b"
 
 
 def test_the_blas_lookup_opens_numpys_extension_only(monkeypatch):
