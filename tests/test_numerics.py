@@ -444,10 +444,10 @@ def test_conv1d_gradients_match_oracles_exactly(batch, length, dtype, bordered_i
     tape = _KeepingTape()
     conv1d(xt, wt, bt, tape, relu=relu)
     g = _small_integers(r, (batch, 3, length), -3, 3, dtype)
-    if relu:
-        g = g * (np.stack([naive_conv1d(x[i], w, b) for i in range(batch)]) > 0)
     got = _collect(tape.bwd, np.pad(g.transpose(1, 0, 2),
                                     ((0, 0), (0, 0), (1, 1))).reshape(3, -1))
+    if relu:   # the backward masks by out > 0 itself
+        g = g * (np.stack([naive_conv1d(x[i], w, b) for i in range(batch)]) > 0)
 
     np.testing.assert_array_equal(got[id(bt)], g.sum(axis=(0, 2)))
     np.testing.assert_array_equal(

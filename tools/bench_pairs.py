@@ -112,8 +112,8 @@ def main(argv=None) -> int:
         "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
     }
     workloads, environment = {}, None
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
-        trees = {"base": export(revisions["base"], Path(scratch)), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        trees = {"base": export(revisions["base"], Path(tmp)), "change": ROOT}
         for workload in args.workloads:
             pairs, results = [], {side: [] for side in trees}
             for seed in range(1, args.seeds + 1):
